@@ -321,7 +321,13 @@ def _load_detections(src: Path, need_emb: bool) -> dict[int, list[Detection]]:
                 raise MotFormatError(
                     f"{path}: expected {len(rows)} embedding rows")
             m = np.asarray(t)
-            emb = m / np.linalg.norm(m, axis=1, keepdims=True)
+            norms = np.linalg.norm(m, axis=1, keepdims=True)
+            bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+            if bad.size:
+                raise MotFormatError(
+                    f"{path}: embedding row {bad[0]} has norm {norms[bad[0], 0]}, "
+                    "not a positive finite number")
+            emb = m / norms
         elif need_emb:
             raise ValueError(
                 f"re-ID stage enabled but {path} is missing "

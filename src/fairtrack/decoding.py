@@ -40,6 +40,8 @@ class Detection:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.embedding is not None:
             emb = np.asarray(self.embedding, dtype=np.float64).ravel()
+            if not np.isfinite(emb).all():
+                raise ValueError("embedding has a non-finite entry")
             n = np.linalg.norm(emb)
             if abs(n - 1.0) > 1e-6:
                 raise ValueError(f"embedding norm {n} is not 1")

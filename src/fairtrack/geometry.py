@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -72,3 +74,20 @@ def iou(a: BBox, b: BBox) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(T, N) IoU between (T, 4) and (N, 4) corner arrays.
+
+    Element for element the same arithmetic as ``iou``, so the values are
+    bit-equal to it.
+    """
+    a = a[:, None, :]
+    b = b[None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = ix * iy
+    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
+    ok = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=ok)

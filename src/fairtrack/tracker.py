@@ -6,26 +6,34 @@ box overlap (1 - IoU) for whatever is left.  Lost tracks may only be
 recovered through appearance; the overlap stage sees active tracks only.
 Each ingredient (re-ID, IoU, Kalman) can be toggled off to measure its
 contribution.
+
+Each frame works on whole arrays, never on track x detection pairs in
+Python.  The pool keeps its Kalman states as a ``(T, 8)`` mean and a
+``(T, 8, 8)`` covariance stack, row k belonging to the k-th ``Track``;
+one call predicts every state.  The frame's detections become one
+``(N, 4)`` measurement array, the motion gate is the ``(T, N)`` matrix of
+Mahalanobis distances, applied to the cost as a mask.  Appearance cost is
+one product of the ``(T, D)`` and ``(N, D)`` embedding stacks, overlap
+cost one broadcast over ``(T, 4)`` and ``(N, 4)`` box corners.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import hungarian
 from .decoding import Detection
-from .geometry import BBox, iou
-from .kalman import GATE_CHI2, KalmanState, gating_distance, kf_init, kf_predict, \
-    kf_update, state_to_box
+from .geometry import BBox, iou_matrix
+from .kalman import GATE_CHI2, box_corners, gate, initiate, measurements, predict, \
+    update
 
 
 class TrackStatus(enum.Enum):
     ACTIVE = "active"
     LOST = "lost"
-    REMOVED = "removed"
 
 
 @dataclass(frozen=True)
@@ -60,37 +68,34 @@ class Track:
     track_id: int
     last_box: BBox
     start_frame: int
-    kf: KalmanState | None = None
     smooth_emb: np.ndarray | None = None
     status: TrackStatus = TrackStatus.ACTIVE
     frames_since_update: int = 0
     last_score: float = 1.0
 
-    def predicted_box(self) -> BBox:
-        return state_to_box(self.kf) if self.kf is not None else self.last_box
-
 
 def cosine_distance_matrix(tracks: list[Track], dets: list[Detection]) -> np.ndarray:
     """1 - cosine similarity between track and detection embeddings, in [0, 2]."""
-    out = np.zeros((len(tracks), len(dets)))
     for j, d in enumerate(dets):
         if d.embedding is None:
             raise ValueError(f"detection {j} has no embedding")
-    for i, t in enumerate(tracks):
+    for t in tracks:
         if t.smooth_emb is None:
             raise ValueError(f"track {t.track_id} has no embedding")
-        for j, d in enumerate(dets):
-            out[i, j] = 1.0 - float(np.dot(t.smooth_emb, d.embedding))
-    return np.clip(out, 0.0, 2.0)
+    if not tracks or not dets:
+        return np.zeros((len(tracks), len(dets)))
+    e_t = np.array([t.smooth_emb for t in tracks])
+    e_d = np.array([d.embedding for d in dets])
+    return np.clip(1.0 - e_t @ e_d.T, 0.0, 2.0)
 
 
-def iou_distance_matrix(tracks: list[Track], dets: list[Detection]) -> np.ndarray:
-    out = np.zeros((len(tracks), len(dets)))
-    for i, t in enumerate(tracks):
-        pb = t.predicted_box()
-        for j, d in enumerate(dets):
-            out[i, j] = 1.0 - iou(pb, d.box)
-    return out
+def iou_distance_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> np.ndarray:
+    """1 - IoU between (T, 4) and (N, 4) box-corner arrays."""
+    return 1.0 - iou_matrix(track_boxes, det_boxes)
+
+
+def _corners(boxes: list[BBox]) -> np.ndarray:
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 class OnlineTracker:
@@ -99,6 +104,9 @@ class OnlineTracker:
     def __init__(self, cfg: TrackerConfig = TrackerConfig()):
         self.cfg = cfg
         self._tracks: list[Track] = []
+        # Kalman states of the pool (use_kalman only): row k is self._tracks[k]
+        self._mean = np.zeros((0, 8))
+        self._cov = np.zeros((0, 8, 8))
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -113,56 +121,46 @@ class OnlineTracker:
             raise ValueError(
                 f"frame index {frame_index} not after {self._last_frame}")
         self._last_frame = frame_index
+        kalman = cfg.use_kalman
+        tracks = self._tracks
 
-        if cfg.use_kalman:
-            for t in self._tracks:
-                if t.kf is not None:
-                    t.kf = kf_predict(t.kf)
+        if kalman and tracks:
+            self._mean, self._cov = predict(self._mean, self._cov)
 
-        matched: list[tuple[Track, Detection]] = []
+        matches: list[tuple[int, int]] = []  # (pool row, detection index)
         det_pool = list(range(len(dets)))
 
         # stage 1: appearance, active and lost tracks alike
-        if cfg.use_reid:
-            cand = [t for t in self._tracks
-                    if t.status in (TrackStatus.ACTIVE, TrackStatus.LOST)]
-            if cand and det_pool:
-                sub = [dets[j] for j in det_pool]
-                cost = cosine_distance_matrix(cand, sub)
-                if cfg.use_kalman:
-                    for i, t in enumerate(cand):
-                        if t.kf is None:
-                            continue
-                        g = gating_distance(t.kf, [d.box for d in sub])
-                        for j, dist in enumerate(g):
-                            if dist > cfg.gate_chi2:
-                                cost[i, j] = np.inf
-                pairs, _, _ = hungarian(cost, max_cost=cfg.emb_match_threshold)
-                taken = set()
-                for i, j in pairs:
-                    matched.append((cand[i], dets[det_pool[j]]))
-                    taken.add(det_pool[j])
-                det_pool = [j for j in det_pool if j not in taken]
+        if cfg.use_reid and tracks and dets:
+            cost = cosine_distance_matrix(tracks, dets)
+            if kalman:
+                d2 = gate(self._mean, self._cov, measurements([d.box for d in dets]))
+                cost[d2 > cfg.gate_chi2] = np.inf
+            matches, _, det_pool = hungarian(cost, max_cost=cfg.emb_match_threshold)
 
         # stage 2: box overlap, active tracks only
-        if cfg.use_iou:
-            done = {id(t) for t, _ in matched}
-            cand = [t for t in self._tracks
-                    if t.status is TrackStatus.ACTIVE and id(t) not in done]
-            if cand and det_pool:
-                sub = [dets[j] for j in det_pool]
-                cost = iou_distance_matrix(cand, sub)
-                pairs, _, _ = hungarian(cost, max_cost=cfg.iou_match_threshold)
-                taken = set()
-                for i, j in pairs:
-                    matched.append((cand[i], dets[det_pool[j]]))
-                    taken.add(det_pool[j])
-                det_pool = [j for j in det_pool if j not in taken]
+        if cfg.use_iou and det_pool:
+            done = {k for k, _ in matches}
+            cand = [k for k, t in enumerate(tracks)
+                    if t.status is TrackStatus.ACTIVE and k not in done]
+            if cand:
+                if kalman:
+                    track_boxes = box_corners(self._mean[cand])
+                else:
+                    track_boxes = _corners([tracks[k].last_box for k in cand])
+                cost = iou_distance_matrix(
+                    track_boxes, _corners([dets[j].box for j in det_pool]))
+                pairs, _, left = hungarian(cost, max_cost=cfg.iou_match_threshold)
+                matches = matches + [(cand[i], det_pool[j]) for i, j in pairs]
+                det_pool = [det_pool[j] for j in left]
 
-        matched_ids = {id(t) for t, _ in matched}
-        for t, d in matched:
-            if cfg.use_kalman and t.kf is not None:
-                t.kf = kf_update(t.kf, d.box)
+        if kalman and matches:
+            rows = [k for k, _ in matches]
+            self._mean[rows], self._cov[rows] = update(
+                self._mean[rows], self._cov[rows],
+                measurements([dets[j].box for _, j in matches]))
+        for k, j in matches:
+            t, d = tracks[k], dets[j]
             t.last_box = d.box
             t.last_score = d.score
             t.frames_since_update = 0
@@ -174,33 +172,36 @@ class OnlineTracker:
                 if n > 1e-12:
                     t.smooth_emb = e / n
 
-        survivors = []
-        for t in self._tracks:
-            if id(t) in matched_ids:
-                survivors.append(t)
-                continue
-            t.frames_since_update += 1
-            if t.frames_since_update > cfg.track_buffer:
-                t.status = TrackStatus.REMOVED
-            else:
+        matched = {k for k, _ in matches}
+        keep = []
+        for k, t in enumerate(tracks):
+            if k not in matched:
+                t.frames_since_update += 1
+                if t.frames_since_update > cfg.track_buffer:
+                    continue
                 t.status = TrackStatus.LOST
-                survivors.append(t)
-        self._tracks = survivors
+            keep.append(k)
+        if len(keep) < len(tracks):
+            self._tracks = tracks = [tracks[k] for k in keep]
+            if kalman:
+                self._mean, self._cov = self._mean[keep], self._cov[keep]
 
-        for j in det_pool:
-            d = dets[j]
-            if d.score > cfg.det_threshold:
-                self._tracks.append(Track(
-                    track_id=self._next_id,
-                    last_box=d.box,
-                    start_frame=frame_index,
-                    kf=kf_init(d.box) if cfg.use_kalman else None,
-                    smooth_emb=None if d.embedding is None else d.embedding.copy(),
-                    last_score=d.score,
-                ))
-                self._next_id += 1
+        born = [dets[j] for j in det_pool if dets[j].score > cfg.det_threshold]
+        if kalman and born:
+            mean, cov = initiate(measurements([d.box for d in born]))
+            self._mean = np.concatenate([self._mean, mean])
+            self._cov = np.concatenate([self._cov, cov])
+        for d in born:
+            tracks.append(Track(
+                track_id=self._next_id,
+                last_box=d.box,
+                start_frame=frame_index,
+                smooth_emb=None if d.embedding is None else d.embedding.copy(),
+                last_score=d.score,
+            ))
+            self._next_id += 1
 
-        out = [(t.track_id, t.last_box) for t in self._tracks
+        out = [(t.track_id, t.last_box) for t in tracks
                if t.status is TrackStatus.ACTIVE]
         out.sort(key=lambda pair: pair[0])
         return out

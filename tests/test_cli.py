@@ -3,10 +3,12 @@ import contextlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairtrack import cli
 from fairtrack.mot_io import parse_mot
+from fairtrack.tensors import Tensor2D, read_tensor, write_tensor
 
 
 def run(argv):
@@ -221,6 +223,17 @@ def test_track_directly_on_sim_detections(sim_dir, tmp_path):
     assert sorted(rows) == list(range(1, 11))
     ids = {r.obj_id for recs in rows.values() for r in recs}
     assert ids == {1, 2, 3}
+
+
+def test_track_zero_embedding_row_exits_2(sim_dir, tmp_path, capsys):
+    path = sim_dir / "emb" / "000002.ften"
+    m = np.asarray(read_tensor(path)).copy()
+    m[0] = 0.0
+    write_tensor(Tensor2D.from_array(m), path)
+    rc, _ = run(["track", "--in", str(sim_dir), "--out", str(tmp_path / "r.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "000002.ften" in err and "row 0" in err
 
 
 def test_eval_text_output_format(sim_dir, tmp_path):

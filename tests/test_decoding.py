@@ -119,6 +119,12 @@ def test_detection_embedding_must_be_unit():
     assert np.allclose(d.embedding, [0.6, 0.8])
 
 
+def test_detection_embedding_must_be_finite():
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [np.nan, np.nan]):
+        with pytest.raises(ValueError):
+            Detection(BBox(0, 0, 1, 1), 0.5, embedding=np.array(bad))
+
+
 # --- full decode -----------------------------------------------------------
 
 def _maps_for(objs, grid, emb_dim=0):

@@ -59,8 +59,8 @@ def test_cosine_distance_requires_embeddings():
 
 
 def test_iou_distance_identity_and_disjoint():
-    t = [_track(1, BBox(0, 0, 10, 10))]
-    d = [_det(BBox(0, 0, 10, 10)), _det(BBox(50, 50, 60, 60))]
+    t = np.array([[0, 0, 10, 10]], dtype=float)
+    d = np.array([[0, 0, 10, 10], [50, 50, 60, 60]], dtype=float)
     m = iou_distance_matrix(t, d)
     assert m[0, 0] == pytest.approx(0.0)
     assert m[0, 1] == pytest.approx(1.0)
