@@ -26,11 +26,11 @@ import numpy as np
 from . import __version__
 from .decoding import Detection, Sampling, decode
 from .encoding import GtObject, encode_targets
-from .geometry import BBox, GridSpec, iou
+from .geometry import GridSpec, iou
 from .losses import gradcheck_run
 from .metrics import clear_mot, detection_ap, idf1, tpr_at_far
-from .mot_io import MotFormatError, MotRecord, format_gt_line, format_mot_line, \
-    load_config, parse_mot, to_frames
+from .mot_io import MotFormatError, MotRecord, format_det_line, format_gt_line, \
+    format_mot_line, load_config, parse_mot, to_frames
 from .sim import SimConfig, generate
 from .tensors import FtenFormatError, Tensor2D, Tensor3D, read_tensor, \
     tensor_to_bytes
@@ -141,10 +141,7 @@ def cmd_sim(args) -> int:
     written = [out / "gt.txt", out / "det.txt", out / "seqinfo.ini"]
     for frame in sorted(res.dets):
         dets = res.dets[frame]
-        for d in dets:
-            det_lines.append(format_mot_line(MotRecord(
-                frame, -1, d.box.x1, d.box.y1, d.box.width, d.box.height,
-                conf=d.score)))
+        det_lines.extend(format_det_line(frame, d) for d in dets)
         if dets:
             rows = np.stack([d.embedding for d in dets])
             path = out / "emb" / f"{frame:06d}.ften"
@@ -254,19 +251,16 @@ def cmd_decode(args) -> int:
     out = Path(args.out)
     (out / "emb").mkdir(parents=True, exist_ok=True)
     lines = []
-    written = [out / "detections.txt"]
+    written = [out / "det.txt"]
     for frame, dets in results:
-        for d in dets:
-            b = d.box
-            lines.append(f"{frame},{d.score:.6f},{b.x1:.2f},{b.y1:.2f},"
-                         f"{b.x2:.2f},{b.y2:.2f}")
+        lines.extend(format_det_line(frame, d) for d in dets)
         with_emb = [d for d in dets if d.embedding is not None]
         if with_emb and len(with_emb) == len(dets):
             path = out / "emb" / f"{frame:06d}.ften"
             rows = np.stack([d.embedding for d in dets])
             _atomic_write_bytes(path, tensor_to_bytes(Tensor2D.from_array(rows)))
             written.append(path)
-    _atomic_write_text(out / "detections.txt", "\n".join(lines) + "\n")
+    _atomic_write_text(out / "det.txt", "\n".join(lines) + "\n")
 
     _write_manifest(out, "decode", args,
                     config={"threshold": args.threshold, "top_k": args.top_k,
@@ -278,37 +272,9 @@ def cmd_decode(args) -> int:
 # ---------------------------------------------------------------- track
 
 def _load_detections(src: Path, need_emb: bool) -> dict[int, list[Detection]]:
-    """Read per-frame detections (+ row-aligned embeddings) from a directory."""
-    det_file = None
-    for name in ("det.txt", "detections.txt"):
-        if (src / name).is_file():
-            det_file = src / name
-            break
-    if det_file is None:
-        raise MotFormatError(f"no det.txt or detections.txt in {src}")
-
-    per_frame: dict[int, list[tuple[float, BBox]]] = {}
-    if det_file.name == "det.txt":
-        for frame, recs in parse_mot(det_file, kind="det").items():
-            per_frame[frame] = [(min(max(r.conf, 0.0), 1.0), r.to_box())
-                                for r in recs]
-    else:
-        for lineno, raw in enumerate(det_file.read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise MotFormatError(
-                    f"{det_file}:{lineno}: expected 6 fields, got {len(parts)}")
-            try:
-                frame = int(parts[0])
-                score = float(parts[1])
-                x1, y1, x2, y2 = (float(v) for v in parts[2:6])
-            except ValueError as e:
-                raise MotFormatError(f"{det_file}:{lineno}: {e}") from e
-            per_frame.setdefault(frame, []).append(
-                (min(max(score, 0.0), 1.0), BBox(x1, y1, x2, y2)))
+    """Read det.txt (+ row-aligned emb/*.ften embeddings) from a directory."""
+    per_frame = {frame: [(min(max(r.conf, 0.0), 1.0), r.to_box()) for r in recs]
+                 for frame, recs in parse_mot(src / "det.txt", kind="det").items()}
 
     emb_dir = src / "emb"
     out: dict[int, list[Detection]] = {}
@@ -486,7 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def threads(sp):
         sp.add_argument("--threads", type=int, default=None,
                         help="worker threads for per-frame operations "
                              "(default: FAIRTRACK_THREADS or 1)")
@@ -505,7 +471,6 @@ def build_parser() -> _Parser:
     s.add_argument("--emb-noise", type=float, default=None)
     s.add_argument("--config", default=None)
     s.add_argument("--out", required=True)
-    common(s)
     s.set_defaults(func=cmd_sim)
 
     s = sub.add_parser("encode", help="ground truth to supervision maps")
@@ -514,7 +479,7 @@ def build_parser() -> _Parser:
     s.add_argument("--image-w", type=int, default=None)
     s.add_argument("--image-h", type=int, default=None)
     s.add_argument("--stride", type=int, default=4)
-    common(s)
+    threads(s)
     s.set_defaults(func=cmd_encode)
 
     s = sub.add_parser("decode", help="maps to scored detections")
@@ -525,18 +490,17 @@ def build_parser() -> _Parser:
     s.add_argument("--sampling", choices=["center", "center-bi"],
                    default="center")
     s.add_argument("--stride", type=int, default=4)
-    common(s)
+    threads(s)
     s.set_defaults(func=cmd_decode)
 
     s = sub.add_parser("track", help="associate detections into tracks")
     s.add_argument("--in", dest="inp", required=True,
-                   help="directory with det.txt/detections.txt and emb/")
+                   help="directory with det.txt and emb/")
     s.add_argument("--out", required=True, help="result file (MOT format)")
     s.add_argument("--config", default=None)
     s.add_argument("--no-reid", action="store_true")
     s.add_argument("--no-iou", action="store_true")
     s.add_argument("--no-kalman", action="store_true")
-    common(s)
     s.set_defaults(func=cmd_track)
 
     s = sub.add_parser("eval", help="score a result file against ground truth")
@@ -546,7 +510,6 @@ def build_parser() -> _Parser:
     s.add_argument("--iou", type=float, default=0.5)
     s.add_argument("--json", action="store_true")
     s.add_argument("--out", default=None)
-    common(s)
     s.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("gradcheck", help="verify analytic gradients")
@@ -555,7 +518,6 @@ def build_parser() -> _Parser:
     s.add_argument("--classes", type=int, default=8)
     s.add_argument("--step", type=float, default=1e-6)
     s.add_argument("--tol", type=float, default=1e-4)
-    common(s)
     s.set_defaults(func=cmd_gradcheck)
 
     s = sub.add_parser("reid-eval", help="embedding verification rate")
@@ -564,7 +526,6 @@ def build_parser() -> _Parser:
     s.add_argument("--far", type=float, default=0.1)
     s.add_argument("--iou", type=float, default=0.5)
     s.add_argument("--json", action="store_true")
-    common(s)
     s.set_defaults(func=cmd_reid_eval)
     return p
 

@@ -3,14 +3,19 @@
 Ground-truth files carry 9 comma-separated fields per line
 (frame, id, left, top, width, height, conf, class, visibility);
 detection and result files carry 10 (the last three are -1 placeholders).
-Boxes are serialized with 2 decimal places.
+Boxes are serialized with 2 decimal places.  Detection lines (`det.txt`,
+written by both `sim` and `decode`) carry the score at full precision, so
+it reads back bit for bit; result lines round it to 2 decimals.
+Every number read must be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .decoding import Detection
 from .geometry import BBox
 from .sim import SimConfig
 from .tracker import TrackerConfig
@@ -35,6 +40,11 @@ class MotRecord:
     visibility: float | None = None
 
     def __post_init__(self):
+        values = (self.bb_left, self.bb_top, self.bb_width, self.bb_height,
+                  self.bb_left + self.bb_width, self.bb_top + self.bb_height,
+                  self.conf, 0.0 if self.visibility is None else self.visibility)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("box, conf and visibility must be finite")
         if self.frame < 1:
             raise ValueError(f"frame must be >= 1, got {self.frame}")
         if self.bb_width < 0 or self.bb_height < 0:
@@ -45,23 +55,12 @@ class MotRecord:
                     self.bb_left + self.bb_width, self.bb_top + self.bb_height)
 
 
-def tlwh_to_tlbr(t: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    l, t_, w, h = t
-    return l, t_, l + w, t_ + h
-
-
-def tlbr_to_tlwh(t: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    x1, y1, x2, y2 = t
-    return x1, y1, x2 - x1, y2 - y1
-
-
-def parse_mot(path, kind: str = "result",
-              pedestrian_only: bool = True) -> dict[int, list[MotRecord]]:
+def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
     """Read a MOT text file into frame-grouped records (input order kept).
 
     kind is one of gt / det / result; gt lines additionally carry class
-    and visibility, and non-pedestrian classes are dropped unless
-    pedestrian_only is off.
+    and visibility, and non-pedestrian classes are dropped.  A malformed
+    line raises MotFormatError naming `path:line`.
     """
     if kind not in ("gt", "det", "result"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -83,31 +82,36 @@ def parse_mot(path, kind: str = "result",
                 cls = int(float(parts[7]))
                 vis = float(parts[8])
             rec = MotRecord(frame, obj_id, l, t, w, h, conf, cls, vis)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # int(inf) overflows
             raise MotFormatError(f"{path}:{lineno}: {e}") from e
-        if kind == "gt" and pedestrian_only and cls is not None \
-                and cls != PEDESTRIAN_CLASS:
+        if cls is not None and cls != PEDESTRIAN_CLASS:
             continue
         out.setdefault(frame, []).append(rec)
     return out
 
 
-def format_mot_line(rec: MotRecord) -> str:
+def _box_fields(rec: MotRecord) -> str:
     return (f"{rec.frame},{rec.obj_id},{rec.bb_left:.2f},{rec.bb_top:.2f},"
-            f"{rec.bb_width:.2f},{rec.bb_height:.2f},{rec.conf:.2f},-1,-1,-1")
+            f"{rec.bb_width:.2f},{rec.bb_height:.2f}")
+
+
+def format_mot_line(rec: MotRecord) -> str:
+    """10-field result line; conf is rounded to 2 decimals."""
+    return f"{_box_fields(rec)},{rec.conf:.2f},-1,-1,-1"
+
+
+def format_det_line(frame: int, det: Detection) -> str:
+    """10-field detection line (id -1); the score keeps full precision."""
+    b = det.box
+    rec = MotRecord(frame, -1, b.x1, b.y1, b.width, b.height, det.score)
+    return f"{_box_fields(rec)},{float(det.score)!r},-1,-1,-1"
 
 
 def format_gt_line(rec: MotRecord) -> str:
     """9-field ground-truth line with class and visibility columns."""
     cls = PEDESTRIAN_CLASS if rec.cls is None else rec.cls
     vis = 1.0 if rec.visibility is None else rec.visibility
-    return (f"{rec.frame},{rec.obj_id},{rec.bb_left:.2f},{rec.bb_top:.2f},"
-            f"{rec.bb_width:.2f},{rec.bb_height:.2f},{int(rec.conf)},{cls},{vis:.2f}")
-
-
-def serialize_mot(frames: dict[int, list[MotRecord]]) -> str:
-    lines = [format_mot_line(r) for f in sorted(frames) for r in frames[f]]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return f"{_box_fields(rec)},{int(rec.conf)},{cls},{vis:.2f}"
 
 
 def to_frames(parsed: dict[int, list[MotRecord]]) -> dict[int, list[tuple[int, BBox]]]:

@@ -50,8 +50,9 @@ class SimConfig:
             raise ValueError(f"emb_dim must be >= 2, got {self.emb_dim}")
         if not 0.0 <= self.det_dropout_prob < 1.0:
             raise ValueError("det_dropout_prob must be in [0, 1)")
-        if self.fp_rate < 0 or self.box_noise_std < 0 or self.emb_noise_std < 0:
-            raise ValueError("noise rates must be non-negative")
+        if not all(0 <= v < np.inf for v in
+                   (self.fp_rate, self.box_noise_std, self.emb_noise_std)):
+            raise ValueError("noise rates must be finite and non-negative")
         if self.scenario not in ("random", "crossing"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario == "crossing" and self.num_targets < 2:

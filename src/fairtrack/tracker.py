@@ -59,6 +59,8 @@ class TrackerConfig:
             raise ValueError("ema_momentum must be in [0, 1]")
         if self.track_buffer < 1:
             raise ValueError("track_buffer must be >= 1")
+        if not self.gate_chi2 > 0:  # NaN would silently switch the gate off
+            raise ValueError("gate_chi2 must be > 0 (inf: no gate)")
         if not (self.use_reid or self.use_iou):
             raise ValueError("at least one of use_reid/use_iou must be enabled")
 

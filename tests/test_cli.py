@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from fairtrack import cli
+from fairtrack.decoding import decode
+from fairtrack.geometry import GridSpec
 from fairtrack.mot_io import parse_mot
-from fairtrack.tensors import Tensor2D, read_tensor, write_tensor
+from fairtrack.tensors import Tensor2D, Tensor3D, read_tensor, write_tensor
 
 
 def run(argv):
@@ -58,6 +60,31 @@ def test_bad_metric_name_exits_1(tmp_path):
     rc, _ = run(["eval", "--gt", str(gt), "--pred", str(gt),
                  "--metrics", "hour_angle"])
     assert rc == 1
+
+
+_VALID_ARGV = {
+    "sim": ["sim", "--out", "o"],
+    "track": ["track", "--in", "i", "--out", "o"],
+    "eval": ["eval", "--gt", "g", "--pred", "p"],
+    "gradcheck": ["gradcheck"],
+    "reid-eval": ["reid-eval", "--in", "i"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_VALID_ARGV))
+def test_threads_rejected_where_unused(sub):
+    cli.build_parser().parse_args(_VALID_ARGV[sub])
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(_VALID_ARGV[sub] + ["--threads", "2"])
+    assert exc.value.code == 1
+
+
+def test_threads_accepted_by_encode_and_decode():
+    p = cli.build_parser()
+    assert p.parse_args(["encode", "--gt", "g", "--out", "o",
+                         "--threads", "2"]).threads == 2
+    assert p.parse_args(["decode", "--maps", "m", "--out", "o",
+                         "--threads", "2"]).threads == 2
 
 
 def test_version_flag_exits_0():
@@ -184,6 +211,70 @@ def test_thread_count_env_fallback(monkeypatch):
 
 
 # --- track / eval ----------------------------------------------------------
+
+def test_decoded_score_reaches_track_bit_for_bit(tmp_path):
+    maps, dec = tmp_path / "maps", tmp_path / "dec"
+    maps.mkdir()
+    heat = np.zeros((16, 16), np.float32)
+    heat[4, 5], heat[10, 12] = 0.7, 0.123456789  # not representable in 6 decimals
+    off = np.full((2, 16, 16), 0.25, np.float32)
+    size = np.full((2, 16, 16), 8.0, np.float32)
+    write_tensor(Tensor2D.from_array(heat), maps / "000001.heat.ften")
+    write_tensor(Tensor3D.from_array(off), maps / "000001.off.ften")
+    write_tensor(Tensor3D.from_array(size), maps / "000001.size.ften")
+    assert run(["decode", "--maps", str(maps), "--out", str(dec),
+                "--threshold", "0.1"])[0] == 0
+    want = decode(Tensor2D.from_array(heat), Tensor3D.from_array(off),
+                  Tensor3D.from_array(size), None, GridSpec(64, 64, 4),
+                  threshold=0.1)
+    got = cli._load_detections(dec, need_emb=False)[1]
+    assert [d.score for d in got] == [d.score for d in want]
+    assert got[1].score == float(np.float32(0.123456789))
+
+
+def _det_dir(tmp_path, line):
+    d = tmp_path / "dets"
+    d.mkdir()
+    (d / "det.txt").write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n" + line + "\n")
+    return d
+
+
+def _assert_located_exit_2(rc, capsys, path, lineno=2):
+    assert rc == 2
+    assert f"{path}:{lineno}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["inf", "nan"])
+def test_track_non_finite_det_box_exits_2(tmp_path, capsys, width):
+    d = _det_dir(tmp_path, f"1,-1,10,10,{width},90,0.9,-1,-1,-1")
+    rc, _ = run(["track", "--in", str(d), "--out", str(tmp_path / "r.txt"),
+                 "--no-reid"])
+    _assert_located_exit_2(rc, capsys, d / "det.txt")
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("left", ["nan", "inf"])
+def test_eval_non_finite_result_box_exits_2(sim_dir, tmp_path, capsys, left):
+    res = tmp_path / "res.txt"
+    res.write_text(f"1,1,10,10,20,40,1,-1,-1,-1\n1,2,{left},10,20,40,1,-1,-1,-1\n")
+    rc, _ = run(["eval", "--gt", str(sim_dir / "gt.txt"), "--pred", str(res)])
+    _assert_located_exit_2(rc, capsys, res)
+
+
+@pytest.mark.parametrize("token", ["inf", "1e999"])
+@pytest.mark.parametrize("field", ["frame", "id"])
+def test_overflowing_frame_or_id_exits_2(sim_dir, tmp_path, capsys, token, field):
+    frame, obj_id = (token, "1") if field == "frame" else ("1", token)
+    line = f"{frame},{obj_id},10,10,20,40,0.9,-1,-1,-1"
+    res = tmp_path / "res.txt"
+    res.write_text("1,1,10,10,20,40,1,-1,-1,-1\n" + line + "\n")
+    rc, _ = run(["eval", "--gt", str(sim_dir / "gt.txt"), "--pred", str(res)])
+    _assert_located_exit_2(rc, capsys, res)
+    d = _det_dir(tmp_path, line)
+    rc, _ = run(["track", "--in", str(d), "--out", str(tmp_path / "r.txt"),
+                 "--no-reid"])
+    _assert_located_exit_2(rc, capsys, d / "det.txt")
+
 
 def test_track_without_embeddings_needs_no_reid(sim_dir, tmp_path):
     maps = tmp_path / "maps"

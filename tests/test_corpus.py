@@ -1,23 +1,31 @@
 """Byte-identity corpus: tracker output and metrics on fixed simulated sequences.
 
-Each case runs ``track_sequence`` on one seeded sequence and hashes the
-MOT result lines and the ``evaluate_tracking`` report.  The pinned
-hashes fix the output exactly, so a change meant to keep behaviour (a
-faster kernel, a refactor) is shown to keep it byte for byte.  A change
-that alters output on purpose updates the pins and says so.
+Each library case runs ``track_sequence`` on one seeded sequence and
+hashes the MOT result lines and the ``evaluate_tracking`` report.  Each
+CLI case runs ``sim -> track`` and ``sim -> encode -> decode -> track
+--no-reid -> eval --json`` through ``cli.main`` and hashes both result
+files and the eval report.  The pinned hashes fix the output exactly, so
+a change meant to keep behaviour (a faster kernel, a refactor, a file
+format change) is shown to keep it byte for byte.  A change that alters
+output on purpose updates the pins and says so.
 
 Regenerate the pins with ``python tests/test_corpus.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
+from fairtrack import cli
 from fairtrack.metrics import evaluate_tracking
 from fairtrack.mot_io import MotRecord, format_mot_line
 from fairtrack.sim import SimConfig, SimOutput, generate
@@ -109,6 +117,58 @@ def test_output_matches_pin(seed, scenario, mode):
     assert _digests(seed, scenario, mode) == PINS[f"{scenario}-{mode}-{seed}"]
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _cli(*argv) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main([str(a) for a in argv]) == 0, argv
+    return buf.getvalue().encode()
+
+
+CLI_SEEDS = (1, 2, 3)
+
+
+def _cli_digests(seed: int, root: Path) -> tuple[str, str, str, str]:
+    """Hashes of result.txt, result_boxes.txt and the eval JSON of each.
+
+    The decoded boxes come from exact ground-truth maps, so their report
+    is perfect on every seed; the report on result.txt varies with the noise.
+    """
+    seq, maps, dets = root / "seq", root / "maps", root / "dets"
+    result, boxes = root / "result.txt", root / "result_boxes.txt"
+    _cli("sim", "--seed", seed, "--frames", FRAMES, "--targets", 8,
+         "--image-w", 512, "--image-h", 512, "--emb-noise", 0.1,
+         "--fp-rate", 1, "--dropout", 0.05, "--box-noise", 1, "--out", seq)
+    _cli("track", "--in", seq, "--out", result)
+    _cli("encode", "--gt", seq / "gt.txt", "--out", maps)
+    _cli("decode", "--maps", maps, "--out", dets)
+    _cli("track", "--in", dets, "--out", boxes, "--no-reid")
+    reports = [_cli("eval", "--gt", seq / "gt.txt", "--pred", pred,
+                    "--metrics", "clear,idf1,ap", "--json")
+               for pred in (result, boxes)]
+    return (_sha(result.read_bytes()), _sha(boxes.read_bytes()),
+            *(_sha(r) for r in reports))
+
+
+# Pinned from the CLI whose decode still wrote its own 6-field detection format.
+CLI_PINS = {
+    1: ('249fff904091dfdb', '77c1c03cc837fc04', '3cd001a4d82f40ec', '27104b65cc329f8a'),
+    2: ('619997e65eca94cf', 'b431ed211eed85b9', '711f91c197ba8ac2', '27104b65cc329f8a'),
+    3: ('8d2e6380fc9d64f3', '275938af9745d853', '51bcb22dc44aa01e', '27104b65cc329f8a'),
+}
+
+
+@pytest.mark.parametrize("seed", CLI_SEEDS)
+def test_cli_output_matches_pin(seed, tmp_path):
+    assert _cli_digests(seed, tmp_path) == CLI_PINS[seed]
+
+
 if __name__ == "__main__":
     for s, sc, m in CASES:
         print(f'    "{sc}-{m}-{s}": {_digests(s, sc, m)!r},')
+    for seed in CLI_SEEDS:
+        with tempfile.TemporaryDirectory() as d:
+            print(f"    {seed}: {_cli_digests(seed, Path(d))!r},")

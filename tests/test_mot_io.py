@@ -1,41 +1,23 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fairtrack.decoding import Detection
+from fairtrack.geometry import BBox
 from fairtrack.mot_io import (
     MotFormatError,
     MotRecord,
+    format_det_line,
     format_gt_line,
     format_mot_line,
     load_config,
     parse_mot,
-    serialize_mot,
-    tlbr_to_tlwh,
-    tlwh_to_tlbr,
     to_frames,
 )
-
-
-# --- corner conversions ----------------------------------------------------
-
-def test_tlwh_to_tlbr_example():
-    assert tlwh_to_tlbr((100.0, 40.0, 40.0, 80.0)) == (100.0, 40.0, 140.0, 120.0)
-
-
-def test_tlbr_to_tlwh_example():
-    assert tlbr_to_tlwh((100.0, 40.0, 140.0, 120.0)) == (100.0, 40.0, 40.0, 80.0)
-
-
-@given(st.tuples(
-    st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
-    st.floats(0, 1e3), st.floats(0, 1e3)))
-def test_corner_conversions_invert(t):
-    # float cancellation means this holds only to rounding, not bit-exactly
-    back = tlbr_to_tlwh(tlwh_to_tlbr(t))
-    assert all(math.isclose(a, b, rel_tol=0, abs_tol=1e-9)
-               for a, b in zip(back, t))
+from fairtrack.sim import SimConfig
+from fairtrack.tracker import TrackerConfig
 
 
 # --- records ---------------------------------------------------------------
@@ -51,6 +33,20 @@ def test_record_validation():
         MotRecord(0, 1, 0, 0, 10, 10)
     with pytest.raises(ValueError):
         MotRecord(1, 1, 0, 0, -1, 10)
+
+
+@pytest.mark.parametrize("field", [2, 3, 4, 5, 6, 8])  # not class (int)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_record_rejects_non_finite(field, bad):
+    values = [1, 1, 0.0, 0.0, 10.0, 10.0, 1.0, 1, 1.0]
+    values[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MotRecord(*values)
+
+
+def test_record_rejects_overflowing_corner():
+    with pytest.raises(ValueError, match="finite"):
+        MotRecord(1, 1, 1e308, 0.0, 1e308, 10.0)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -76,8 +72,6 @@ def test_parse_gt_filters_non_pedestrians(tmp_path):
     assert [r.obj_id for r in frames[1]] == [1]
     assert frames[1][0].cls == 1
     assert frames[2][0].visibility == 0.8
-    kept = parse_mot(p, kind="gt", pedestrian_only=False)
-    assert [r.obj_id for r in kept[1]] == [1, 2]
 
 
 def test_parse_groups_by_frame_keeps_order(tmp_path):
@@ -113,6 +107,67 @@ def test_parse_rejects_wrong_field_count(tmp_path):
     assert "5" in str(exc.value)
 
 
+@pytest.mark.parametrize("line", [
+    "1,-1,10,10,inf,90,0.9,-1,-1,-1",
+    "1,-1,10,10,nan,90,0.9,-1,-1,-1",
+    "1,-1,-inf,10,20,90,0.9,-1,-1,-1",
+    "1,-1,10,10,20,90,nan,-1,-1,-1",
+    "inf,-1,10,10,20,90,0.9,-1,-1,-1",
+    "1e999,-1,10,10,20,90,0.9,-1,-1,-1",
+    "1,-inf,10,10,20,90,0.9,-1,-1,-1",
+    "1,1e999,10,10,20,90,0.9,-1,-1,-1",
+    "nan,-1,10,10,20,90,0.9,-1,-1,-1",
+])
+def test_parse_rejects_non_finite_numbers(tmp_path, line):
+    p = tmp_path / "det.txt"
+    p.write_text("1,-1,0,0,10,10,0.5,-1,-1,-1\n" + line + "\n")
+    with pytest.raises(MotFormatError) as exc:
+        parse_mot(p, kind="det")
+    assert str(exc.value).startswith(f"{p}:2:")
+
+
+def test_parse_gt_rejects_non_finite_visibility(tmp_path):
+    p = tmp_path / "gt.txt"
+    p.write_text("1,1,0,0,10,10,1,1,nan\n")
+    with pytest.raises(MotFormatError) as exc:
+        parse_mot(p, kind="gt")
+    assert str(exc.value).startswith(f"{p}:1:")
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["", "nan", "NaN", "inf", "-inf", "+inf", "1e999",
+                     "-1e999", "1e308", "-1", "0", "1", "2.5", "-0.0", " 7 ",
+                     "x", "1,5"]),
+    st.integers(-3, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789.-+eE ninfa", max_size=6),
+)
+_LINES = st.lists(_TOKENS, min_size=0, max_size=12).map(",".join)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_LINES, min_size=1, max_size=4),
+       kind=st.sampled_from(["gt", "det", "result"]))
+def test_parse_mot_fuzz_finite_or_located_error(tmp_path, lines, kind):
+    p = tmp_path / "fuzz.txt"
+    p.write_text("\n".join(lines) + "\n")
+    try:
+        frames = parse_mot(p, kind=kind)
+    except MotFormatError as e:
+        lineno = str(e)[len(f"{p}:"):].split(":", 1)[0]
+        assert str(e).startswith(f"{p}:") and lineno.isdigit()
+        assert 1 <= int(lineno) <= len(lines)
+        return
+    for recs in frames.values():
+        for r in recs:
+            box = r.to_box()
+            assert all(math.isfinite(v) for v in (
+                r.bb_left, r.bb_top, r.bb_width, r.bb_height, r.conf,
+                box.x2, box.y2))
+            assert r.visibility is None or math.isfinite(r.visibility)
+
+
 def test_parse_rejects_unknown_kind(tmp_path):
     p = tmp_path / "res.txt"
     p.write_text("")
@@ -128,29 +183,24 @@ def test_format_mot_line_two_decimals():
     assert line == "3,7,1.00,2.00,10.12,20.00,0.88,-1,-1,-1"
 
 
+def test_format_det_line_keeps_full_score():
+    score = 0.699999988079071  # float32 0.7, which 2 or 6 decimals would round
+    line = format_det_line(4, Detection(BBox(1.25, 2.0, 11.5, 22.0), score))
+    assert line == "4,-1,1.25,2.00,10.25,20.00,0.699999988079071,-1,-1,-1"
+    assert float(line.split(",")[6]) == score
+
+
 def test_format_gt_line_layout():
     r = MotRecord(1, 2, 5.0, 6.0, 10.0, 20.0, 1.0, cls=1, visibility=0.5)
     assert format_gt_line(r) == "1,2,5.00,6.00,10.00,20.00,1,1,0.50"
-
-
-def test_serialize_orders_frames():
-    frames = {2: [MotRecord(2, 1, 0, 0, 1, 1)],
-              1: [MotRecord(1, 1, 0, 0, 1, 1)]}
-    text = serialize_mot(frames)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("1,") and lines[1].startswith("2,")
-    assert text.endswith("\n")
-
-
-def test_serialize_empty():
-    assert serialize_mot({}) == ""
 
 
 def test_round_trip_through_text(tmp_path):
     frames = {1: [MotRecord(1, 4, 10.25, 20.5, 30.75, 40.0, 0.95)],
               2: [MotRecord(2, 4, 11.25, 21.5, 30.75, 40.0, 0.9)]}
     p = tmp_path / "out.txt"
-    p.write_text(serialize_mot(frames))
+    p.write_text("".join(format_mot_line(r) + "\n"
+                         for f in sorted(frames) for r in frames[f]))
     back = parse_mot(p)
     for f in frames:
         for a, b in zip(frames[f], back[f]):
@@ -224,3 +274,31 @@ def test_config_values_are_validated(tmp_path):
     p.write_text("ema_momentum = 1.5\n")
     with pytest.raises(ValueError):
         load_config(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+def test_config_rejects_bad_gate_chi2(tmp_path, value):
+    p = tmp_path / "cfg.txt"
+    p.write_text(f"gate_chi2 = {value}\n")
+    with pytest.raises(ValueError, match="gate_chi2"):
+        load_config(p)
+    with pytest.raises(ValueError, match="gate_chi2"):
+        TrackerConfig(gate_chi2=float(value))
+
+
+def test_config_gate_chi2_inf_means_no_gate(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("gate_chi2 = inf\n")
+    tracker, _ = load_config(p)
+    assert tracker.gate_chi2 == math.inf
+
+
+@pytest.mark.parametrize("field", ["emb_noise_std", "box_noise_std", "fp_rate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_config_rejects_bad_noise(tmp_path, field, value):
+    p = tmp_path / "cfg.txt"
+    p.write_text(f"{field} = {value}\n")
+    with pytest.raises(ValueError, match="noise rates"):
+        load_config(p)
+    with pytest.raises(ValueError, match="noise rates"):
+        SimConfig(**{field: float(value)})
