@@ -5,6 +5,10 @@ one JSON manifest alongside them recording the subcommand, argument
 vector, resolved configuration, and toolkit version — enough to replay
 the run and get byte-identical outputs.
 
+`encode` and `decode` stream one frame at a time: each frame's maps or
+detections are computed and written before the next frame is read, so
+only one frame's maps are held in memory at a time.
+
 Exit codes: 0 success, 1 validation failure (bad flags or values),
 2 I/O or file-format failure.
 """
@@ -18,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -53,24 +56,6 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode())
-
-
-def _thread_count(args) -> int:
-    n = args.threads
-    if n is None:
-        env = os.environ.get("FAIRTRACK_THREADS")
-        n = int(env) if env else 1
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    return n
-
-
-def _frame_map(threads: int, fn, frames: list):
-    """Apply fn over frames, optionally on a thread pool; order preserved."""
-    if threads <= 1 or len(frames) <= 1:
-        return [fn(f) for f in frames]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, frames))
 
 
 def _write_manifest(anchor: Path, subcommand: str, args, *, config=None,
@@ -187,27 +172,20 @@ def cmd_encode(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def encode_one(frame: int):
-        objs = [GtObject(r.to_box(), index[r.obj_id]) for r in gt[frame]]
-        maps = encode_targets(objs, grid, len(ids))
-        sidecar = []
-        ys, xs = np.nonzero(maps.center_mask)
-        for y, x in zip(ys, xs):
-            sidecar.append(f"{frame},{x},{y},{int(maps.identity_index[y, x])}")
-        return frame, maps, sidecar
-
-    frames = sorted(gt)
-    results = _frame_map(_thread_count(args), encode_one, frames)
-
     written = []
     center_lines = []
-    for frame, maps, sidecar in results:
+    for frame in sorted(gt):
+        objs = [GtObject(r.to_box(), index[r.obj_id]) for r in gt[frame]]
+        maps = encode_targets(objs, grid, len(ids))
         for suffix, tensor in (("heat", maps.heatmap), ("off", maps.offsets),
                                ("size", maps.sizes)):
             path = out / f"{frame:06d}.{suffix}.ften"
             _atomic_write_bytes(path, tensor_to_bytes(tensor))
             written.append(path)
-        center_lines.extend(sidecar)
+        ys, xs = np.nonzero(maps.center_mask)
+        for y, x in zip(ys, xs):
+            center_lines.append(
+                f"{frame},{x},{y},{int(maps.identity_index[y, x])}")
     _atomic_write_text(out / "centers.txt", "\n".join(center_lines) + "\n")
     written.append(out / "centers.txt")
 
@@ -229,7 +207,11 @@ def cmd_decode(args) -> int:
 
     sampling = Sampling.CENTER_BI if args.sampling == "center-bi" else Sampling.CENTER
 
-    def decode_one(frame: int):
+    out = Path(args.out)
+    (out / "emb").mkdir(parents=True, exist_ok=True)
+    lines = []
+    written = [out / "det.txt"]
+    for frame in frames:
         heat = read_tensor(maps_dir / f"{frame:06d}.heat.ften")
         off = read_tensor(maps_dir / f"{frame:06d}.off.ften")
         size = read_tensor(maps_dir / f"{frame:06d}.size.ften")
@@ -244,15 +226,6 @@ def cmd_decode(args) -> int:
                         args.stride)
         dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
                       top_k=args.top_k, sampling=sampling)
-        return frame, dets
-
-    results = _frame_map(_thread_count(args), decode_one, frames)
-
-    out = Path(args.out)
-    (out / "emb").mkdir(parents=True, exist_ok=True)
-    lines = []
-    written = [out / "det.txt"]
-    for frame, dets in results:
         lines.extend(format_det_line(frame, d) for d in dets)
         with_emb = [d for d in dets if d.embedding is not None]
         if with_emb and len(with_emb) == len(dets):
@@ -452,11 +425,6 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def threads(sp):
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for per-frame operations "
-                             "(default: FAIRTRACK_THREADS or 1)")
-
     s = sub.add_parser("sim", help="generate a synthetic sequence")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--frames", type=int, default=None)
@@ -479,7 +447,6 @@ def build_parser() -> _Parser:
     s.add_argument("--image-w", type=int, default=None)
     s.add_argument("--image-h", type=int, default=None)
     s.add_argument("--stride", type=int, default=4)
-    threads(s)
     s.set_defaults(func=cmd_encode)
 
     s = sub.add_parser("decode", help="maps to scored detections")
@@ -490,7 +457,6 @@ def build_parser() -> _Parser:
     s.add_argument("--sampling", choices=["center", "center-bi"],
                    default="center")
     s.add_argument("--stride", type=int, default=4)
-    threads(s)
     s.set_defaults(func=cmd_decode)
 
     s = sub.add_parser("track", help="associate detections into tracks")

@@ -120,12 +120,25 @@ def gaussian_radius_sigma(size: tuple[float, float], grid: GridSpec,
 
 
 def stamp_gaussian(heatmap: np.ndarray, cx: int, cy: int, sigma: float) -> None:
-    """Max a unit-peak Gaussian centered on cell (cx, cy) into ``heatmap`` in place."""
+    """Max a unit-peak Gaussian centered on cell (cx, cy) into ``heatmap`` in place.
+
+    Only the window of radius ``ceil(sqrt(208) * sigma) + 1`` cells around
+    the center is stamped.  Beyond it the exponent is below -104 and the
+    value below exp(-104) ~ 6.8e-46, which rounds to 0 in float32 (half
+    the smallest subnormal is 7.0e-46), so the stored maps are the same as
+    for a full-grid stamp; cells outside the window keep their old value.
+    """
     h, w = heatmap.shape
-    ys = np.arange(h, dtype=np.float64)[:, None]
-    xs = np.arange(w, dtype=np.float64)[None, :]
+    r = math.ceil(math.sqrt(208.0) * sigma) + 1
+    y0, y1 = max(cy - r, 0), min(cy + r + 1, h)
+    x0, x1 = max(cx - r, 0), min(cx + r + 1, w)
+    if y0 >= y1 or x0 >= x1:  # window off the grid; a negative stop would wrap
+        return
+    ys = np.arange(y0, y1, dtype=np.float64)[:, None]
+    xs = np.arange(x0, x1, dtype=np.float64)[None, :]
     g = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
-    np.maximum(heatmap, g, out=heatmap)
+    window = heatmap[y0:y1, x0:x1]
+    np.maximum(window, g, out=window)
 
 
 def encode_targets(objects: list[GtObject], grid: GridSpec, num_identities: int) -> TargetMaps:

@@ -6,7 +6,9 @@ detection and result files carry 10 (the last three are -1 placeholders).
 Boxes are serialized with 2 decimal places.  Detection lines (`det.txt`,
 written by both `sim` and `decode`) carry the score at full precision, so
 it reads back bit for bit; result lines round it to 2 decimals.
-Every number read must be finite.
+Every number read must be finite, and frame and id fields integral
+within int32 (MOTChallenge's range); an integral float token such as
+``1.0`` is accepted.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ class MotRecord:
                     self.bb_left + self.bb_width, self.bb_top + self.bb_height)
 
 
+def _int_field(name: str, token: str) -> int:
+    value = float(token)
+    if not (value.is_integer() and -2**31 <= value < 2**31):
+        raise ValueError(f"{name} must be an integer within int32, got {token!r}")
+    return int(value)
+
+
 def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
     """Read a MOT text file into frame-grouped records (input order kept).
 
@@ -74,8 +83,8 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
             raise MotFormatError(
                 f"{path}:{lineno}: expected 9 or 10 fields, got {len(parts)}")
         try:
-            frame = int(float(parts[0]))
-            obj_id = int(float(parts[1]))
+            frame = _int_field("frame", parts[0])
+            obj_id = _int_field("id", parts[1])
             l, t, w, h, conf = (float(v) for v in parts[2:7])
             cls = vis = None
             if kind == "gt" and len(parts) == 9:
@@ -169,4 +178,7 @@ def load_config(path) -> tuple[TrackerConfig, SimConfig]:
         except ValueError as e:
             raise MotFormatError(
                 f"{path}:{lineno}: bad value for {key!r}: {e}") from e
-    return TrackerConfig(**tracker_kw), SimConfig(**sim_kw)
+    try:
+        return TrackerConfig(**tracker_kw), SimConfig(**sim_kw)
+    except ValueError as e:
+        raise MotFormatError(f"{path}: {e}") from e

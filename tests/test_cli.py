@@ -1,6 +1,7 @@
 import io
 import contextlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,8 @@ def test_bad_metric_name_exits_1(tmp_path):
 
 _VALID_ARGV = {
     "sim": ["sim", "--out", "o"],
+    "encode": ["encode", "--gt", "g", "--out", "o"],
+    "decode": ["decode", "--maps", "m", "--out", "o"],
     "track": ["track", "--in", "i", "--out", "o"],
     "eval": ["eval", "--gt", "g", "--pred", "p"],
     "gradcheck": ["gradcheck"],
@@ -77,14 +80,6 @@ def test_threads_rejected_where_unused(sub):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(_VALID_ARGV[sub] + ["--threads", "2"])
     assert exc.value.code == 1
-
-
-def test_threads_accepted_by_encode_and_decode():
-    p = cli.build_parser()
-    assert p.parse_args(["encode", "--gt", "g", "--out", "o",
-                         "--threads", "2"]).threads == 2
-    assert p.parse_args(["decode", "--maps", "m", "--out", "o",
-                         "--threads", "2"]).threads == 2
 
 
 def test_version_flag_exits_0():
@@ -131,6 +126,19 @@ def test_sim_reruns_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     for pa in sorted((a / "emb").glob("*.ften")):
         assert pa.read_bytes() == (b / "emb" / pa.name).read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "gate_chi2 = nan\n",
+    "frames = 0\n",
+    "use_reid = false\nuse_iou = false\n",
+], ids=["gate_chi2-nan", "frames-0", "no-stage"])
+def test_config_value_error_exits_2_naming_file(tmp_path, capsys, text):
+    cfgf = tmp_path / "cfg.txt"
+    cfgf.write_text(text)
+    rc, _ = run(["sim", "--config", str(cfgf), "--out", str(tmp_path / "seq")])
+    assert rc == 2
+    assert f"{cfgf}: " in capsys.readouterr().err
 
 
 def test_sim_respects_config_file(tmp_path):
@@ -184,30 +192,22 @@ def test_decode_empty_maps_dir_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_encode_threads_equivalent(sim_dir, tmp_path):
-    one, four = tmp_path / "m1", tmp_path / "m4"
-    run(["encode", "--gt", str(sim_dir / "gt.txt"), "--out", str(one),
-         "--threads", "1"])
-    run(["encode", "--gt", str(sim_dir / "gt.txt"), "--out", str(four),
-         "--threads", "4"])
-    files = sorted(p.name for p in one.glob("*.ften"))
-    assert files
-    for name in files:
-        assert (one / name).read_bytes() == (four / name).read_bytes()
-    assert (one / "centers.txt").read_bytes() == (four / "centers.txt").read_bytes()
-
-
-def test_thread_count_env_fallback(monkeypatch):
-    ns = type("A", (), {"threads": None})()
-    monkeypatch.setenv("FAIRTRACK_THREADS", "3")
-    assert cli._thread_count(ns) == 3
-    monkeypatch.delenv("FAIRTRACK_THREADS")
-    assert cli._thread_count(ns) == 1
-    ns.threads = 2
-    assert cli._thread_count(ns) == 2
-    ns.threads = 0
-    with pytest.raises(ValueError):
-        cli._thread_count(ns)
+def test_encode_streams_one_frame_at_a_time(tmp_path):
+    seq, maps = tmp_path / "seq", tmp_path / "maps"
+    run(["sim", "--seed", "3", "--frames", "30", "--targets", "20",
+         "--image-w", "1280", "--image-h", "720", "--out", str(seq)])
+    cells = (1280 // 4) * (720 // 4)
+    # heatmap, 2 offset and 2 size planes, identity index (8 bytes each), mask
+    frame_bytes = cells * (6 * 8 + 1)
+    tracemalloc.start()
+    try:
+        rc, _ = run(["encode", "--gt", str(seq / "gt.txt"), "--out", str(maps)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(list(maps.glob("*.heat.ften"))) == 30
+    assert peak < 4 * frame_bytes
 
 
 # --- track / eval ----------------------------------------------------------
@@ -261,7 +261,7 @@ def test_eval_non_finite_result_box_exits_2(sim_dir, tmp_path, capsys, left):
     _assert_located_exit_2(rc, capsys, res)
 
 
-@pytest.mark.parametrize("token", ["inf", "1e999"])
+@pytest.mark.parametrize("token", ["inf", "1e999", "1e300", "1.7", "2.5"])
 @pytest.mark.parametrize("field", ["frame", "id"])
 def test_overflowing_frame_or_id_exits_2(sim_dir, tmp_path, capsys, token, field):
     frame, obj_id = (token, "1") if field == "frame" else ("1", token)
@@ -274,6 +274,13 @@ def test_overflowing_frame_or_id_exits_2(sim_dir, tmp_path, capsys, token, field
     rc, _ = run(["track", "--in", str(d), "--out", str(tmp_path / "r.txt"),
                  "--no-reid"])
     _assert_located_exit_2(rc, capsys, d / "det.txt")
+
+
+def test_eval_non_integer_gt_id_exits_2(sim_dir, tmp_path, capsys):
+    gt = tmp_path / "gt.txt"
+    gt.write_text("1,1,10,10,20,40,1,1,1.0\n1,2.5,50,10,20,40,1,1,1.0\n")
+    rc, _ = run(["eval", "--gt", str(gt), "--pred", str(sim_dir / "gt.txt")])
+    _assert_located_exit_2(rc, capsys, gt)
 
 
 def test_track_without_embeddings_needs_no_reid(sim_dir, tmp_path):

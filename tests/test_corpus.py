@@ -4,10 +4,13 @@ Each library case runs ``track_sequence`` on one seeded sequence and
 hashes the MOT result lines and the ``evaluate_tracking`` report.  Each
 CLI case runs ``sim -> track`` and ``sim -> encode -> decode -> track
 --no-reid -> eval --json`` through ``cli.main`` and hashes both result
-files and the eval report.  The pinned hashes fix the output exactly, so
-a change meant to keep behaviour (a faster kernel, a refactor, a file
-format change) is shown to keep it byte for byte.  A change that alters
-output on purpose updates the pins and says so.
+files and the eval report.  Each map case hashes the tree ``encode``
+writes (every ``*.ften`` and ``centers.txt``, not the manifest) and the
+``det.txt`` that ``decode`` reads back from it.  The pinned hashes fix
+the output exactly, so a change meant to keep behaviour (a faster
+kernel, a refactor, a file format change) is shown to keep it byte for
+byte.  A change that alters output on purpose updates the pins and says
+so.
 
 Regenerate the pins with ``python tests/test_corpus.py``.
 """
@@ -131,6 +134,12 @@ def _cli(*argv) -> bytes:
 CLI_SEEDS = (1, 2, 3)
 
 
+def _sim(seed: int, seq: Path) -> None:
+    _cli("sim", "--seed", seed, "--frames", FRAMES, "--targets", 8,
+         "--image-w", 512, "--image-h", 512, "--emb-noise", 0.1,
+         "--fp-rate", 1, "--dropout", 0.05, "--box-noise", 1, "--out", seq)
+
+
 def _cli_digests(seed: int, root: Path) -> tuple[str, str, str, str]:
     """Hashes of result.txt, result_boxes.txt and the eval JSON of each.
 
@@ -139,9 +148,7 @@ def _cli_digests(seed: int, root: Path) -> tuple[str, str, str, str]:
     """
     seq, maps, dets = root / "seq", root / "maps", root / "dets"
     result, boxes = root / "result.txt", root / "result_boxes.txt"
-    _cli("sim", "--seed", seed, "--frames", FRAMES, "--targets", 8,
-         "--image-w", 512, "--image-h", 512, "--emb-noise", 0.1,
-         "--fp-rate", 1, "--dropout", 0.05, "--box-noise", 1, "--out", seq)
+    _sim(seed, seq)
     _cli("track", "--in", seq, "--out", result)
     _cli("encode", "--gt", seq / "gt.txt", "--out", maps)
     _cli("decode", "--maps", maps, "--out", dets)
@@ -166,9 +173,37 @@ def test_cli_output_matches_pin(seed, tmp_path):
     assert _cli_digests(seed, tmp_path) == CLI_PINS[seed]
 
 
+def _map_digests(seed: int, root: Path) -> tuple[str, str]:
+    """Hashes of encode's output tree (names and bytes) and of decode's det.txt."""
+    seq, maps, dets = root / "seq", root / "maps", root / "dets"
+    _sim(seed, seq)
+    _cli("encode", "--gt", seq / "gt.txt", "--out", maps)
+    _cli("decode", "--maps", maps, "--out", dets)
+    tree = hashlib.sha256()
+    for path in sorted(maps.glob("*.ften")) + [maps / "centers.txt"]:
+        tree.update(path.name.encode() + b"\0" + path.read_bytes())
+    return tree.hexdigest()[:16], _sha((dets / "det.txt").read_bytes())
+
+
+# Pinned from the encoder that evaluated every Gaussian over the whole grid.
+MAP_PINS = {
+    1: ('29647c8d5fcb20af', 'c82d1b71c38a09d4'),
+    2: ('bf40e3abd0249182', 'a7d58cc8180a5b2e'),
+    3: ('6fc13c304032201e', 'eb282aad1556a660'),
+}
+
+
+@pytest.mark.parametrize("seed", CLI_SEEDS)
+def test_encode_maps_match_pin(seed, tmp_path):
+    assert _map_digests(seed, tmp_path) == MAP_PINS[seed]
+
+
 if __name__ == "__main__":
     for s, sc, m in CASES:
         print(f'    "{sc}-{m}-{s}": {_digests(s, sc, m)!r},')
     for seed in CLI_SEEDS:
         with tempfile.TemporaryDirectory() as d:
             print(f"    {seed}: {_cli_digests(seed, Path(d))!r},")
+    for seed in CLI_SEEDS:
+        with tempfile.TemporaryDirectory() as d:
+            print(f"    {seed}: {_map_digests(seed, Path(d))!r},")

@@ -1,9 +1,11 @@
-"""Array kernels of the tracker step against their per-element references.
+"""Array kernels against their per-element or full-grid references.
 
 The batched IoU, Kalman predict/update and the numpy column scan of the
 assignment solver do the same arithmetic as the scalar code, so they are
 compared for exact equality; the batched gate solves its triangular
-system by hand and is compared to 1e-9 relative.
+system by hand and is compared to 1e-9 relative.  The windowed Gaussian
+stamp is compared to a full-grid stamp in the float32 bytes the maps are
+stored in.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from fairtrack import assignment
 from fairtrack.decoding import Detection
+from fairtrack.encoding import MIN_SIGMA, stamp_gaussian
 from fairtrack.geometry import BBox, iou, iou_matrix
 from fairtrack.kalman import (
     STD_WEIGHT_POSITION,
@@ -171,6 +174,43 @@ def test_zero_height_detection_raises_the_measurement_error():
     flat = Detection(BBox(0, 20, 30, 20), 0.9, embedding=np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="box height must be positive, got 0"):
         tr.step(2, [flat])
+
+
+# --- Gaussian stamp ----------------------------------------------------------
+
+def _full_grid_stamp(heatmap, cx, cy, sigma):
+    h, w = heatmap.shape
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs = np.arange(w, dtype=np.float64)[None, :]
+    g = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
+    np.maximum(heatmap, g, out=heatmap)
+
+
+@st.composite
+def _stamps(draw):
+    h, w = draw(st.integers(1, 128)), draw(st.integers(1, 128))
+    stamps = []
+    for _ in range(draw(st.integers(1, 5))):
+        # edges and corners, anywhere on the grid, or off it by up to 15
+        # cells, beyond the smallest window's radius of 11
+        cx = draw(st.one_of(st.sampled_from([0, w - 1]), st.integers(-15, w + 14)))
+        cy = draw(st.one_of(st.sampled_from([0, h - 1]), st.integers(-15, h + 14)))
+        sigma = draw(st.one_of(st.just(MIN_SIGMA), st.floats(MIN_SIGMA, 8.0),
+                               st.floats(MIN_SIGMA, 3.0 * max(h, w))))
+        stamps.append((cx, cy, sigma))
+    return (h, w), stamps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stamps())
+def test_windowed_stamp_stores_the_full_grid_bytes(case):
+    shape, stamps = case
+    got, want = np.zeros(shape), np.zeros(shape)
+    for cx, cy, sigma in stamps:
+        stamp_gaussian(got, cx, cy, sigma)
+        _full_grid_stamp(want, cx, cy, sigma)
+    assert got.astype("<f4").tobytes() == want.astype("<f4").tobytes()
+    assert np.abs(got - want).max() < np.exp(-104.0)
 
 
 # --- assignment --------------------------------------------------------------

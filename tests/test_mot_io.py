@@ -136,8 +136,9 @@ def test_parse_gt_rejects_non_finite_visibility(tmp_path):
 
 _TOKENS = st.one_of(
     st.sampled_from(["", "nan", "NaN", "inf", "-inf", "+inf", "1e999",
-                     "-1e999", "1e308", "-1", "0", "1", "2.5", "-0.0", " 7 ",
-                     "x", "1,5"]),
+                     "-1e999", "1e308", "1e300", "-1", "0", "1", "1.0", "1.7",
+                     "2.5", "-0.0", " 7 ", "2147483647", "2147483648",
+                     "-2147483648", "-2147483649", "x", "1,5"]),
     st.integers(-3, 10**6).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.text(alphabet="0123456789.-+eE ninfa", max_size=6),
@@ -161,6 +162,8 @@ def test_parse_mot_fuzz_finite_or_located_error(tmp_path, lines, kind):
         return
     for recs in frames.values():
         for r in recs:
+            for v in (r.frame, r.obj_id):
+                assert type(v) is int and -2**31 <= v < 2**31
             box = r.to_box()
             assert all(math.isfinite(v) for v in (
                 r.bb_left, r.bb_top, r.bb_width, r.bb_height, r.conf,
