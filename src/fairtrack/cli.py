@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .decoding import Detection, Sampling, decode
 from .encoding import GtObject, encode_targets
-from .geometry import GridSpec, iou
+from .geometry import GridSpec, best_match, corners, iou_matrix
 from .losses import gradcheck_run
 from .metrics import clear_mot, detection_ap, idf1, tpr_at_far
 from .mot_io import MotFormatError, MotRecord, format_det_line, format_gt_line, \
@@ -375,6 +375,8 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------- reid-eval
 
 def cmd_reid_eval(args) -> int:
+    if not 0.0 < args.iou <= 1.0:
+        raise ValueError(f"--iou must be in (0, 1], got {args.iou}")
     src = Path(args.inp)
     gt = to_frames(parse_mot(src / "gt.txt", kind="gt"))
     dets = _load_detections(src, need_emb=True)
@@ -385,17 +387,13 @@ def cmd_reid_eval(args) -> int:
     labeled: dict[int, list[tuple[int, np.ndarray]]] = {}
     by_id: dict[int, list[np.ndarray]] = {}
     for frame in sorted(dets):
-        rows = []
-        for d in dets[frame]:
-            best, best_id = args.iou, None
-            for gid, gb in gt.get(frame, []):
-                v = iou(d.box, gb)
-                if v >= best:
-                    best, best_id = v, gid
-            if best_id is not None:
-                rows.append((best_id, d.embedding))
-                by_id.setdefault(best_id, []).append(d.embedding)
-        labeled[frame] = rows
+        g = gt.get(frame, [])
+        ious = iou_matrix(corners([d.box for d in dets[frame]]),
+                          corners([box for _, box in g]))
+        labeled[frame] = [(g[k][0], d.embedding)
+                          for d, k in zip(dets[frame], best_match(ious, args.iou)) if k >= 0]
+        for gid, emb in labeled[frame]:
+            by_id.setdefault(gid, []).append(emb)
 
     for frame, rows in labeled.items():  # impostor: same frame, different ids
         for i in range(len(rows)):

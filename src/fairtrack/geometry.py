@@ -76,6 +76,11 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def corners(boxes: list[BBox]) -> np.ndarray:
+    """(N, 4) array of the boxes' (x1, y1, x2, y2) corners."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(T, N) IoU between (T, 4) and (N, 4) corner arrays.
 
@@ -91,3 +96,11 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
              + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
     ok = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=ok)
+
+
+def best_match(ious: np.ndarray, thresh: float) -> np.ndarray:
+    """Per row, the column of the last highest IoU at or above ``thresh``, else -1."""
+    ok = ious >= thresh
+    best = np.where(ok, ious, -np.inf).max(axis=1, keepdims=True, initial=-np.inf)
+    hits = (ok & (ious == best)) * np.arange(1, ious.shape[1] + 1)  # 1-based columns
+    return hits.max(axis=1, initial=0) - 1

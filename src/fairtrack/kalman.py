@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
-from .geometry import BBox
+from .geometry import BBox, corners
 
 # Motion / observation noise relative to box height.
 STD_WEIGHT_POSITION = 1.0 / 20.0
@@ -64,11 +64,10 @@ def _diag(*std) -> np.ndarray:
 
 def measurements(boxes: list[BBox]) -> np.ndarray:
     """(N, 4) measurements (cx, cy, w / h, h) of image boxes."""
-    for b in boxes:
-        if b.height <= 0:
-            raise ValueError(f"box height must be positive, got {b.height}")
-    c = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    c = corners(boxes)
     h = c[:, 3] - c[:, 1]
+    if (h <= 0).any():
+        raise ValueError(f"box height must be positive, got {h[h <= 0][0]}")
     return np.stack([(c[:, 0] + c[:, 2]) / 2.0, (c[:, 1] + c[:, 3]) / 2.0,
                      (c[:, 2] - c[:, 0]) / h, h], axis=1)
 

@@ -2,7 +2,11 @@
 
 Frame data is exchanged as ``{frame: [(id, BBox), ...]}`` for tracking
 metrics, ``{frame: [BBox, ...]}`` and ``{frame: [(score, BBox), ...]}``
-for detection AP.  Correspondence uses IoU >= 0.5 unless stated.
+for detection AP.  Correspondence uses IoU >= 0.5 unless stated; the
+threshold must lie in (0, 1].
+
+Each frame's boxes become ``(N, 4)`` corner arrays, and every overlap is
+read from that frame's one ``iou_matrix`` (ground truth x predictions).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import hungarian
-from .geometry import BBox, iou
+from .geometry import BBox, best_match, corners, iou_matrix
 
 Frames = dict[int, list[tuple[int, BBox]]]
 
@@ -32,13 +36,23 @@ class MetricsReport:
     tpr_at_far: float | None = None
 
 
-def _frame_dict(frame: int, pairs: list[tuple[int, BBox]], kind: str) -> dict[int, BBox]:
-    out = {}
-    for oid, box in pairs:
-        if oid in out:
-            raise ValueError(f"duplicate {kind} id {oid} in frame {frame}")
-        out[oid] = box
-    return out
+def _check_thresh(iou_thresh: float) -> None:
+    if not 0.0 < iou_thresh <= 1.0:
+        raise ValueError(f"IoU threshold must be in (0, 1], got {iou_thresh}")
+
+
+def _frames(gt: Frames, pred: Frames):
+    """Per frame in order: gt ids, pred ids and their (G, P) IoU matrix."""
+    for frame in sorted(set(gt) | set(pred)):
+        sides = []
+        for kind, pairs in (("gt", gt.get(frame, [])), ("pred", pred.get(frame, []))):
+            ids = [oid for oid, _ in pairs]
+            if len(set(ids)) < len(ids):
+                dup = next(oid for k, oid in enumerate(ids) if oid in ids[:k])
+                raise ValueError(f"duplicate {kind} id {dup} in frame {frame}")
+            sides.append((ids, corners([box for _, box in pairs])))
+        (g_ids, g_box), (p_ids, p_box) = sides
+        yield g_ids, p_ids, iou_matrix(g_box, p_box)
 
 
 def clear_mot(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> MetricsReport:
@@ -49,6 +63,7 @@ def clear_mot(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> MetricsRepor
     identity switch is counted when a ground-truth object's matched
     prediction id differs from the one it last had, gaps included.
     """
+    _check_thresh(iou_thresh)
     fp = fn = idsw = 0
     total_gt = 0
     corr: dict[int, int] = {}        # previous-frame gt id -> pred id
@@ -56,26 +71,23 @@ def clear_mot(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> MetricsRepor
     gt_frames_seen: dict[int, int] = {}
     gt_frames_matched: dict[int, int] = {}
 
-    for frame in sorted(set(gt) | set(pred)):
-        g = _frame_dict(frame, gt.get(frame, []), "gt")
-        p = _frame_dict(frame, pred.get(frame, []), "pred")
-        total_gt += len(g)
-        for gid in g:
+    for g_ids, p_ids, ious in _frames(gt, pred):
+        total_gt += len(g_ids)
+        for gid in g_ids:
             gt_frames_seen[gid] = gt_frames_seen.get(gid, 0) + 1
 
-        kept: dict[int, int] = {}
-        for gid, pid in corr.items():
-            if gid in g and pid in p and iou(g[gid], p[pid]) >= iou_thresh:
-                kept[gid] = pid
+        row = {gid: i for i, gid in enumerate(g_ids)}
+        col = {pid: j for j, pid in enumerate(p_ids)}
+        kept = {gid: pid for gid, pid in corr.items()
+                if gid in row and pid in col and ious[row[gid], col[pid]] >= iou_thresh}
 
-        free_g = [gid for gid in g if gid not in kept]
-        free_p = [pid for pid in p if pid not in kept.values()]
+        taken = set(kept.values())
+        free_g = [i for i, gid in enumerate(g_ids) if gid not in kept]
+        free_p = [j for j, pid in enumerate(p_ids) if pid not in taken]
         if free_g and free_p:
-            cost = np.array([[1.0 - iou(g[a], p[b]) for b in free_p]
-                             for a in free_g])
-            pairs, _, _ = hungarian(cost, max_cost=1.0 - iou_thresh)
+            pairs, _, _ = hungarian(1.0 - ious[np.ix_(free_g, free_p)], max_cost=1.0 - iou_thresh)
             for i, j in pairs:
-                kept[free_g[i]] = free_p[j]
+                kept[g_ids[free_g[i]]] = p_ids[free_p[j]]
 
         for gid, pid in kept.items():
             gt_frames_matched[gid] = gt_frames_matched.get(gid, 0) + 1
@@ -83,8 +95,8 @@ def clear_mot(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> MetricsRepor
                 idsw += 1
             last_match[gid] = pid
 
-        fn += len(g) - len(kept)
-        fp += len(p) - len(kept)
+        fn += len(g_ids) - len(kept)
+        fp += len(p_ids) - len(kept)
         corr = kept
 
     mota = 1.0 - (fp + fn + idsw) / total_gt if total_gt > 0 else 1.0
@@ -111,32 +123,26 @@ def idf1(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> float:
     frames where their boxes overlap above threshold; a single bipartite
     matching maximizes the total, and IDF1 = 2*IDTP / (gt boxes + pred boxes).
     """
-    gt_ids: list[int] = []
-    pred_ids: list[int] = []
+    _check_thresh(iou_thresh)
     counts: dict[tuple[int, int], int] = {}
     total_gt = total_pred = 0
-
-    for frame in sorted(set(gt) | set(pred)):
-        g = _frame_dict(frame, gt.get(frame, []), "gt")
-        p = _frame_dict(frame, pred.get(frame, []), "pred")
-        total_gt += len(g)
-        total_pred += len(p)
-        for gid, gb in g.items():
-            if gid not in gt_ids:
-                gt_ids.append(gid)
-            for pid, pb in p.items():
-                if pid not in pred_ids:
-                    pred_ids.append(pid)
-                if iou(gb, pb) >= iou_thresh:
-                    counts[(gid, pid)] = counts.get((gid, pid), 0) + 1
+    for g_ids, p_ids, ious in _frames(gt, pred):
+        total_gt += len(g_ids)
+        total_pred += len(p_ids)
+        for i, j in zip(*np.nonzero(ious >= iou_thresh)):
+            key = (g_ids[i], p_ids[j])
+            counts[key] = counts.get(key, 0) + 1
 
     if total_gt + total_pred == 0:
         return 1.0
     if not counts:
         return 0.0
-    cost = np.zeros((len(gt_ids), len(pred_ids)))
+    # rows and columns only for ids with a count: the optimum is unchanged
+    rows = {gid: k for k, gid in enumerate(dict.fromkeys(g for g, _ in counts))}
+    cols = {pid: k for k, pid in enumerate(dict.fromkeys(p for _, p in counts))}
+    cost = np.zeros((len(rows), len(cols)))
     for (gid, pid), c in counts.items():
-        cost[gt_ids.index(gid), pred_ids.index(pid)] = -c
+        cost[rows[gid], cols[pid]] = -c
     pairs, _, _ = hungarian(cost)
     idtp = sum(-cost[i, j] for i, j in pairs)
     return 2.0 * idtp / (total_gt + total_pred)
@@ -150,26 +156,24 @@ def detection_ap(gt_boxes: dict[int, list[BBox]],
     Predictions are ranked globally by score; each claims at most one
     unclaimed ground-truth box (best IoU above threshold) in its frame.
     """
+    _check_thresh(iou_thresh)
     total_gt = sum(len(v) for v in gt_boxes.values())
-    flat = [(score, frame, i, box)
+    flat = [(score, frame, i)
             for frame in sorted(preds)
-            for i, (score, box) in enumerate(preds[frame])]
+            for i, (score, _) in enumerate(preds[frame])]
     if not flat or total_gt == 0:
         return 0.0
     flat.sort(key=lambda r: (-r[0], r[1], r[2]))
 
-    claimed: dict[int, set] = {f: set() for f in gt_boxes}
+    # (preds, gts) per frame; a claimed gt's column is set to -inf
+    ious = {f: iou_matrix(corners([box for _, box in preds[f]]),
+                          corners(gt_boxes.get(f, [])))
+            for f in preds}
     tp = np.zeros(len(flat))
-    for k, (_, frame, _, box) in enumerate(flat):
-        best, best_i = iou_thresh, -1
-        for gi, gb in enumerate(gt_boxes.get(frame, [])):
-            if gi in claimed.get(frame, set()):
-                continue
-            v = iou(box, gb)
-            if v >= best:
-                best, best_i = v, gi
-        if best_i >= 0:
-            claimed[frame].add(best_i)
+    for k, (_, frame, i) in enumerate(flat):
+        gi = best_match(ious[frame][i:i + 1], iou_thresh)[0]
+        if gi >= 0:
+            ious[frame][:, gi] = -np.inf
             tp[k] = 1.0
 
     tp_cum = np.cumsum(tp)

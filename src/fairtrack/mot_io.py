@@ -6,8 +6,8 @@ detection and result files carry 10 (the last three are -1 placeholders).
 Boxes are serialized with 2 decimal places.  Detection lines (`det.txt`,
 written by both `sim` and `decode`) carry the score at full precision, so
 it reads back bit for bit; result lines round it to 2 decimals.
-Every number read must be finite, and frame and id fields integral
-within int32 (MOTChallenge's range); an integral float token such as
+Every number read must be finite, and frame, id and gt class fields
+integral within int32 (MOTChallenge's range); an integral float token such as
 ``1.0`` is accepted.
 """
 
@@ -88,7 +88,7 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
             l, t, w, h, conf = (float(v) for v in parts[2:7])
             cls = vis = None
             if kind == "gt" and len(parts) == 9:
-                cls = int(float(parts[7]))
+                cls = _int_field("class", parts[7])
                 vis = float(parts[8])
             rec = MotRecord(frame, obj_id, l, t, w, h, conf, cls, vis)
         except (ValueError, OverflowError) as e:  # int(inf) overflows

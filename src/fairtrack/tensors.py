@@ -17,6 +17,7 @@ exactly representable in float32 round-trip bitwise.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,7 +130,7 @@ def tensor_from_bytes(buf: bytes) -> Tensor2D | Tensor3D:
     for i, d in enumerate(dims):
         if d == 0:
             raise FtenFormatError(f"dimension {i} is zero", 8 + 4 * i)
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)  # Python ints: no int64 wrap-around
     expected = dims_end + 4 * count
     if len(buf) != expected:
         raise FtenFormatError(

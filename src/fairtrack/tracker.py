@@ -26,7 +26,7 @@ import numpy as np
 
 from .assignment import hungarian
 from .decoding import Detection
-from .geometry import BBox, iou_matrix
+from .geometry import BBox, corners, iou_matrix
 from .kalman import GATE_CHI2, box_corners, gate, initiate, measurements, predict, \
     update
 
@@ -96,10 +96,6 @@ def iou_distance_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> np.nd
     return 1.0 - iou_matrix(track_boxes, det_boxes)
 
 
-def _corners(boxes: list[BBox]) -> np.ndarray:
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
 class OnlineTracker:
     """Owns the tracklet pool; step() is called once per frame, in order."""
 
@@ -149,9 +145,9 @@ class OnlineTracker:
                 if kalman:
                     track_boxes = box_corners(self._mean[cand])
                 else:
-                    track_boxes = _corners([tracks[k].last_box for k in cand])
+                    track_boxes = corners([tracks[k].last_box for k in cand])
                 cost = iou_distance_matrix(
-                    track_boxes, _corners([dets[j].box for j in det_pool]))
+                    track_boxes, corners([dets[j].box for j in det_pool]))
                 pairs, _, left = hungarian(cost, max_cost=cfg.iou_match_threshold)
                 matches = matches + [(cand[i], det_pool[j]) for i, j in pairs]
                 det_pool = [det_pool[j] for j in left]

@@ -283,6 +283,31 @@ def test_eval_non_integer_gt_id_exits_2(sim_dir, tmp_path, capsys):
     _assert_located_exit_2(rc, capsys, gt)
 
 
+@pytest.mark.parametrize("cls", ["1.7", "1e300"])
+def test_eval_non_integer_gt_class_exits_2(sim_dir, tmp_path, capsys, cls):
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"1,1,10,10,20,40,1,1,1.0\n1,2,50,10,20,40,1,{cls},1.0\n")
+    rc, _ = run(["eval", "--gt", str(gt), "--pred", str(sim_dir / "gt.txt")])
+    _assert_located_exit_2(rc, capsys, gt)
+
+
+@pytest.mark.parametrize("iou", ["nan", "-1", "0", "2"])
+@pytest.mark.parametrize("metric", ["clear", "idf1", "ap"])
+def test_eval_iou_outside_unit_interval_exits_1(sim_dir, capsys, iou, metric):
+    gt = str(sim_dir / "gt.txt")
+    rc, out = run(["eval", "--gt", gt, "--pred", gt, "--metrics", metric,
+                   "--iou", iou])
+    assert rc == 1 and out == ""
+    assert f"got {iou}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iou", ["nan", "-1", "0", "2"])
+def test_reid_eval_iou_outside_unit_interval_exits_1(sim_dir, capsys, iou):
+    rc, out = run(["reid-eval", "--in", str(sim_dir), "--iou", iou])
+    assert rc == 1 and out == ""
+    assert f"--iou must be in (0, 1], got {iou}" in capsys.readouterr().err
+
+
 def test_track_without_embeddings_needs_no_reid(sim_dir, tmp_path):
     maps = tmp_path / "maps"
     dec = tmp_path / "dec"

@@ -6,7 +6,8 @@ CLI case runs ``sim -> track`` and ``sim -> encode -> decode -> track
 --no-reid -> eval --json`` through ``cli.main`` and hashes both result
 files and the eval report.  Each map case hashes the tree ``encode``
 writes (every ``*.ften`` and ``centers.txt``, not the manifest) and the
-``det.txt`` that ``decode`` reads back from it.  The pinned hashes fix
+``det.txt`` that ``decode`` reads back from it.  Each re-ID case hashes
+``reid-eval --json`` on one simulated sequence.  The pinned hashes fix
 the output exactly, so a change meant to keep behaviour (a faster
 kernel, a refactor, a file format change) is shown to keep it byte for
 byte.  A change that alters output on purpose updates the pins and says
@@ -198,6 +199,26 @@ def test_encode_maps_match_pin(seed, tmp_path):
     assert _map_digests(seed, tmp_path) == MAP_PINS[seed]
 
 
+def _reid_digest(seed: int, root: Path) -> str:
+    """Hash of the ``reid-eval --json`` report on one simulated sequence."""
+    seq = root / "seq"
+    _sim(seed, seq)
+    return _sha(_cli("reid-eval", "--in", seq, "--json"))
+
+
+# Pinned from the reid-eval that labelled detections one IoU pair at a time.
+REID_PINS = {
+    1: 'b3826796d228f2ee',
+    2: 'b48bf98a473a5b3e',
+    3: 'b488c980aafac337',
+}
+
+
+@pytest.mark.parametrize("seed", CLI_SEEDS)
+def test_reid_eval_matches_pin(seed, tmp_path):
+    assert _reid_digest(seed, tmp_path) == REID_PINS[seed]
+
+
 if __name__ == "__main__":
     for s, sc, m in CASES:
         print(f'    "{sc}-{m}-{s}": {_digests(s, sc, m)!r},')
@@ -207,3 +228,6 @@ if __name__ == "__main__":
     for seed in CLI_SEEDS:
         with tempfile.TemporaryDirectory() as d:
             print(f"    {seed}: {_map_digests(seed, Path(d))!r},")
+    for seed in CLI_SEEDS:
+        with tempfile.TemporaryDirectory() as d:
+            print(f"    {seed}: {_reid_digest(seed, Path(d))!r},")

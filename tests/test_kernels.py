@@ -5,7 +5,8 @@ assignment solver do the same arithmetic as the scalar code, so they are
 compared for exact equality; the batched gate solves its triangular
 system by hand and is compared to 1e-9 relative.  The windowed Gaussian
 stamp is compared to a full-grid stamp in the float32 bytes the maps are
-stored in.
+stored in.  The metrics, which read one IoU matrix per frame, are compared
+for exact equality to per-pair reference implementations kept here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fairtrack import assignment
+from fairtrack.assignment import hungarian
 from fairtrack.decoding import Detection
 from fairtrack.encoding import MIN_SIGMA, stamp_gaussian
 from fairtrack.geometry import BBox, iou, iou_matrix
@@ -36,6 +38,7 @@ from fairtrack.kalman import (
     state_to_box,
     update,
 )
+from fairtrack.metrics import MetricsReport, clear_mot, detection_ap, idf1
 from fairtrack.tracker import OnlineTracker
 
 # Small integer corners make touching, nested, identical and zero-area
@@ -236,3 +239,167 @@ def test_vector_and_scalar_scans_agree(cost, max_cost):
     vector = _hungarian_with_scan(cost, max_cost, 0)
     scalar = _hungarian_with_scan(cost, max_cost, 10**9)
     assert vector == scalar
+
+
+# --- metrics -----------------------------------------------------------------
+# The per-pair metrics that preceded the per-frame IoU matrices, kept verbatim
+# (less their docstrings) as references.
+
+def _frame_dict(frame, pairs, kind):
+    out = {}
+    for oid, box in pairs:
+        if oid in out:
+            raise ValueError(f"duplicate {kind} id {oid} in frame {frame}")
+        out[oid] = box
+    return out
+
+
+def _ref_clear_mot(gt, pred, iou_thresh=0.5):
+    fp = fn = idsw = 0
+    total_gt = 0
+    corr = {}
+    last_match = {}
+    gt_frames_seen = {}
+    gt_frames_matched = {}
+
+    for frame in sorted(set(gt) | set(pred)):
+        g = _frame_dict(frame, gt.get(frame, []), "gt")
+        p = _frame_dict(frame, pred.get(frame, []), "pred")
+        total_gt += len(g)
+        for gid in g:
+            gt_frames_seen[gid] = gt_frames_seen.get(gid, 0) + 1
+
+        kept = {}
+        for gid, pid in corr.items():
+            if gid in g and pid in p and iou(g[gid], p[pid]) >= iou_thresh:
+                kept[gid] = pid
+
+        free_g = [gid for gid in g if gid not in kept]
+        free_p = [pid for pid in p if pid not in kept.values()]
+        if free_g and free_p:
+            cost = np.array([[1.0 - iou(g[a], p[b]) for b in free_p]
+                             for a in free_g])
+            pairs, _, _ = hungarian(cost, max_cost=1.0 - iou_thresh)
+            for i, j in pairs:
+                kept[free_g[i]] = free_p[j]
+
+        for gid, pid in kept.items():
+            gt_frames_matched[gid] = gt_frames_matched.get(gid, 0) + 1
+            if gid in last_match and last_match[gid] != pid:
+                idsw += 1
+            last_match[gid] = pid
+
+        fn += len(g) - len(kept)
+        fp += len(p) - len(kept)
+        corr = kept
+
+    mota = 1.0 - (fp + fn + idsw) / total_gt if total_gt > 0 else 1.0
+    n_traj = len(gt_frames_seen)
+    mt = ml = 0
+    for gid, seen in gt_frames_seen.items():
+        cov = gt_frames_matched.get(gid, 0) / seen
+        if cov >= 0.8:
+            mt += 1
+        elif cov <= 0.2:
+            ml += 1
+    return MetricsReport(
+        mota=mota, fp=fp, fn=fn, id_switches=idsw,
+        mt_ratio=mt / n_traj if n_traj else 0.0,
+        ml_ratio=ml / n_traj if n_traj else 0.0,
+        num_gt=total_gt,
+    )
+
+
+def _ref_idf1(gt, pred, iou_thresh=0.5):
+    gt_ids = []
+    pred_ids = []
+    counts = {}
+    total_gt = total_pred = 0
+
+    for frame in sorted(set(gt) | set(pred)):
+        g = _frame_dict(frame, gt.get(frame, []), "gt")
+        p = _frame_dict(frame, pred.get(frame, []), "pred")
+        total_gt += len(g)
+        total_pred += len(p)
+        for gid, gb in g.items():
+            if gid not in gt_ids:
+                gt_ids.append(gid)
+            for pid, pb in p.items():
+                if pid not in pred_ids:
+                    pred_ids.append(pid)
+                if iou(gb, pb) >= iou_thresh:
+                    counts[(gid, pid)] = counts.get((gid, pid), 0) + 1
+
+    if total_gt + total_pred == 0:
+        return 1.0
+    if not counts:
+        return 0.0
+    cost = np.zeros((len(gt_ids), len(pred_ids)))
+    for (gid, pid), c in counts.items():
+        cost[gt_ids.index(gid), pred_ids.index(pid)] = -c
+    pairs, _, _ = hungarian(cost)
+    idtp = sum(-cost[i, j] for i, j in pairs)
+    return 2.0 * idtp / (total_gt + total_pred)
+
+
+def _ref_detection_ap(gt_boxes, preds, iou_thresh=0.5):
+    total_gt = sum(len(v) for v in gt_boxes.values())
+    flat = [(score, frame, i, box)
+            for frame in sorted(preds)
+            for i, (score, box) in enumerate(preds[frame])]
+    if not flat or total_gt == 0:
+        return 0.0
+    flat.sort(key=lambda r: (-r[0], r[1], r[2]))
+
+    claimed = {f: set() for f in gt_boxes}
+    tp = np.zeros(len(flat))
+    for k, (_, frame, _, box) in enumerate(flat):
+        best, best_i = iou_thresh, -1
+        for gi, gb in enumerate(gt_boxes.get(frame, [])):
+            if gi in claimed.get(frame, set()):
+                continue
+            v = iou(box, gb)
+            if v >= best:
+                best, best_i = v, gi
+        if best_i >= 0:
+            claimed[frame].add(best_i)
+            tp[k] = 1.0
+
+    tp_cum = np.cumsum(tp)
+    recall = tp_cum / total_gt
+    precision = tp_cum / np.arange(1, len(flat) + 1)
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    prev_r = 0.0
+    for r, pr in zip(recall, env):
+        ap += (r - prev_r) * pr
+        prev_r = r
+    return float(ap)
+
+
+# Tiny integer boxes on a 4x4 patch: ties, duplicates, nested, touching and
+# zero-area boxes are the common case.
+_tiny_box = st.tuples(*[st.integers(0, 4)] * 2, *[st.integers(0, 3)] * 2).map(
+    lambda t: BBox(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+
+@st.composite
+def _sequence(draw):
+    """Frames 1-5 of (id, box), some frames absent, ids unique per frame."""
+    frames = {}
+    for f in draw(st.lists(st.integers(1, 5), unique=True, max_size=5)):
+        ids = draw(st.lists(st.integers(1, 6), unique=True, max_size=6))
+        frames[f] = [(i, draw(_tiny_box)) for i in ids]
+    return frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sequence(), _sequence(), st.sampled_from([0.5, 0.3, 1.0, 1e-9]), st.data())
+def test_metrics_equal_the_per_pair_reference(gt, pred, thresh, data):
+    assert clear_mot(gt, pred, thresh) == _ref_clear_mot(gt, pred, thresh)
+    assert idf1(gt, pred, thresh) == _ref_idf1(gt, pred, thresh)
+    boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
+    scored = {f: [(data.draw(st.sampled_from([0.2, 0.5, 0.9])), b) for _, b in pairs]
+              for f, pairs in pred.items()}
+    assert (detection_ap(boxes, scored, thresh)
+            == _ref_detection_ap(boxes, scored, thresh))

@@ -179,6 +179,26 @@ def test_idf1_prefers_globally_best_pairing():
     assert got == pytest.approx(2 * 7 / (20 + 10))
 
 
+def test_duplicate_id_message_names_kind_and_frame():
+    dup = {3: [(1, _b(0.0)), (2, _b(20.0)), (1, _b(50.0))]}
+    with pytest.raises(ValueError, match="^duplicate gt id 1 in frame 3$"):
+        idf1(dup, {})
+    with pytest.raises(ValueError, match="^duplicate pred id 1 in frame 3$"):
+        clear_mot({}, dup)
+
+
+@pytest.mark.parametrize("thresh", [float("nan"), -1.0, 0.0, 2.0])
+def test_iou_threshold_outside_unit_interval_rejected(thresh):
+    gt = _perfect_frames(2, 2)
+    boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
+    preds = {f: [(0.9, b) for b in bs] for f, bs in boxes.items()}
+    for call in (lambda: clear_mot(gt, gt, thresh), lambda: idf1(gt, gt, thresh),
+                 lambda: evaluate_tracking(gt, gt, thresh),
+                 lambda: detection_ap(boxes, preds, thresh)):
+        with pytest.raises(ValueError, match=r"IoU threshold must be in \(0, 1\]"):
+            call()
+
+
 # --- detection AP ----------------------------------------------------------
 
 def test_ap_perfect_detector():

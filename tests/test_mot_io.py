@@ -134,6 +134,15 @@ def test_parse_gt_rejects_non_finite_visibility(tmp_path):
     assert str(exc.value).startswith(f"{p}:1:")
 
 
+@pytest.mark.parametrize("cls", ["1.7", "1e300"])
+def test_parse_gt_rejects_non_integer_class(tmp_path, cls):
+    p = tmp_path / "gt.txt"
+    p.write_text(f"1,1,10,10,20,40,1,{cls},1.0\n")
+    with pytest.raises(MotFormatError) as exc:
+        parse_mot(p, kind="gt")
+    assert str(exc.value).startswith(f"{p}:1: class must be an integer")
+
+
 _TOKENS = st.one_of(
     st.sampled_from(["", "nan", "NaN", "inf", "-inf", "+inf", "1e999",
                      "-1e999", "1e308", "1e300", "-1", "0", "1", "1.0", "1.7",
@@ -143,7 +152,12 @@ _TOKENS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.text(alphabet="0123456789.-+eE ninfa", max_size=6),
 )
-_LINES = st.lists(_TOKENS, min_size=0, max_size=12).map(",".join)
+_VALID_GT = ["1", "1", "10", "10", "20", "40", "1", "1", "1.0"]
+# random token lists, and valid gt lines with one field replaced
+_LINES = st.one_of(
+    st.lists(_TOKENS, min_size=0, max_size=12).map(",".join),
+    st.tuples(st.integers(0, 8), _TOKENS).map(
+        lambda t: ",".join(_VALID_GT[:t[0]] + [t[1]] + _VALID_GT[t[0] + 1:])))
 
 
 @settings(max_examples=300, deadline=None,
@@ -169,6 +183,13 @@ def test_parse_mot_fuzz_finite_or_located_error(tmp_path, lines, kind):
                 r.bb_left, r.bb_top, r.bb_width, r.bb_height, r.conf,
                 box.x2, box.y2))
             assert r.visibility is None or math.isfinite(r.visibility)
+            assert r.cls is None or type(r.cls) is int
+    if kind == "gt":  # every class token read, kept or dropped, was an integer
+        for line in lines:
+            parts = line.strip().split(",")
+            if len(parts) == 9:
+                cls = float(parts[7])
+                assert cls.is_integer() and -2**31 <= cls < 2**31
 
 
 def test_parse_rejects_unknown_kind(tmp_path):

@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fairtrack.tensors import (
     FtenFormatError,
@@ -136,3 +136,60 @@ def test_excess_payload():
     raw = bytes(_valid_bytes()) + b"\x00\x00\x00\x00"
     with pytest.raises(FtenFormatError):
         tensor_from_bytes(raw)
+
+
+def test_dims_whose_product_overflows_int64_are_rejected():
+    # 2**22 * 2**21 * 2**21 = 2**64 wraps to 0 in int64 and would pass the
+    # length check of an empty payload
+    raw = struct.pack("<4sBBBB3I", b"FTEN", 1, 1, 3, 0, 2**22, 2**21, 2**21)
+    with pytest.raises(FtenFormatError) as e:
+        tensor_from_bytes(raw)
+    assert e.value.offset == 20
+
+
+def _decodes_or_format_error(buf):
+    try:
+        t = tensor_from_bytes(bytes(buf))
+    except FtenFormatError:
+        return
+    assert isinstance(t, (Tensor2D, Tensor3D))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_fuzz_arbitrary_bytes(buf):
+    _decodes_or_format_error(buf)
+    _decodes_or_format_error(b"FTEN\x01\x01" + buf)
+
+
+def _dims(n):
+    """n dims: small, anywhere in uint32, or powers of two whose product may pass 2**63."""
+    return st.one_of(*(st.lists(d, min_size=n, max_size=n) for d in (
+        st.integers(0, 4), st.integers(0, 2**32 - 1),
+        st.integers(20, 31).map(lambda k: 1 << k))))
+
+
+@st.composite
+def _mutated_ften(draw):
+    """A valid 2-d or 3-d FTEN buffer with header bytes, dims or length altered."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    buf = bytearray(tensor_to_bytes(
+        (Tensor2D if len(shape) == 2 else Tensor3D).from_array(np.ones(shape))))
+    dims_end = 8 + 4 * len(shape)
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(["byte", "dims", "length"]))
+        if field == "byte" and buf:
+            buf[draw(st.integers(0, min(len(buf), dims_end) - 1))] = draw(st.integers(0, 255))
+        elif field == "dims":
+            dims = draw(_dims(len(shape)))
+            buf[8:dims_end] = struct.pack(f"<{len(dims)}I", *dims)
+        elif field == "length":
+            end = draw(st.one_of(st.just(dims_end), st.integers(0, len(buf) + 8)))
+            buf = buf[:end] + bytes(max(0, end - len(buf)))
+    return buf
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_ften())
+def test_fuzz_mutated_headers(buf):
+    _decodes_or_format_error(buf)
