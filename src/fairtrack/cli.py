@@ -198,6 +198,14 @@ def cmd_encode(args) -> int:
 
 # ---------------------------------------------------------------- decode
 
+def _read_map(path: Path, ndim: int) -> Tensor2D | Tensor3D:
+    t = read_tensor(path)
+    if t.data.ndim != ndim:
+        raise FtenFormatError(  # the ndim byte of the header
+            f"{path}: expected a {ndim}-d tensor, got {t.data.ndim}-d", 6)
+    return t
+
+
 def cmd_decode(args) -> int:
     started = time.monotonic()
     maps_dir = Path(args.maps)
@@ -212,16 +220,11 @@ def cmd_decode(args) -> int:
     lines = []
     written = [out / "det.txt"]
     for frame in frames:
-        heat = read_tensor(maps_dir / f"{frame:06d}.heat.ften")
-        off = read_tensor(maps_dir / f"{frame:06d}.off.ften")
-        size = read_tensor(maps_dir / f"{frame:06d}.size.ften")
+        heat = _read_map(maps_dir / f"{frame:06d}.heat.ften", 2)
+        off = _read_map(maps_dir / f"{frame:06d}.off.ften", 3)
+        size = _read_map(maps_dir / f"{frame:06d}.size.ften", 3)
         emb_path = maps_dir / f"{frame:06d}.emb.ften"
-        emb = read_tensor(emb_path) if emb_path.is_file() else None
-        if not isinstance(heat, Tensor2D):
-            raise FtenFormatError(f"{frame:06d}.heat.ften: expected a 2-d tensor")
-        for nm, t in (("off", off), ("size", size), ("emb", emb)):
-            if t is not None and not isinstance(t, Tensor3D):
-                raise FtenFormatError(f"{frame:06d}.{nm}.ften: expected a 3-d tensor")
+        emb = _read_map(emb_path, 3) if emb_path.is_file() else None
         grid = GridSpec(heat.width * args.stride, heat.height * args.stride,
                         args.stride)
         dets = decode(heat, off, size, emb, grid, threshold=args.threshold,

@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .geometry import BBox, GridSpec
 from .tensors import Tensor2D, Tensor3D
@@ -60,7 +59,9 @@ def peak_nms(heatmap: Tensor2D, threshold: float = DEFAULT_THRESHOLD,
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     h = np.asarray(heatmap)
-    local_max = maximum_filter(h, size=3, mode="constant", cval=-np.inf)
+    pad = np.pad(h, 1, constant_values=-np.inf)
+    rows = np.maximum(np.maximum(pad[:-2], pad[1:-1]), pad[2:])
+    local_max = np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
     ys, xs = np.nonzero((h == local_max) & (h > threshold))
     scores = h[ys, xs]
     order = np.lexsort((xs, ys, -scores))

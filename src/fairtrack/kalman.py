@@ -4,13 +4,15 @@ Noise scales with the current box height, the usual convention for
 pedestrian tracking filters.  Nothing here is stateful.
 
 The filter works on stacks of states: means ``(T, 8)`` and covariances
-``(T, 8, 8)``, one row per tracklet, with measurements ``(N, 4)`` built
-once per frame by ``measurements``.  ``predict`` advances every state in
-one pass and ``gate`` returns the ``(T, N)`` matrix of squared
-Mahalanobis distances from each state to each measurement.  The
-single-state functions (``kf_init``, ``kf_predict``, ``kf_update``,
-``gating_distance``, ``state_to_box``) are thin wrappers over the same
-code, taking and returning a validated ``KalmanState``.
+``(T, 3, 4)``, one row per tracklet.  F, H, Q and R act on each
+coordinate alone and ``initiate`` starts diagonal, so a covariance is
+exactly four 2x2 (position, velocity) blocks, stored as rows var_p,
+cov_pv and var_v by columns cx, cy, a and h; every step is elementwise.
+``predict`` advances every state in one pass and ``gate`` returns the
+``(T, N)`` squared Mahalanobis distances to the frame's ``(N, 4)``
+``measurements``.  The single-state functions (``kf_*``,
+``gating_distance``, ``state_to_box``) wrap the same code, taking and
+returning a validated ``KalmanState`` with its 8x8 covariance.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 from .geometry import BBox, corners
 
@@ -30,12 +31,15 @@ STD_WEIGHT_VELOCITY = 1.0 / 160.0
 # the customary gate for box-measurement association.
 GATE_CHI2 = 9.4877
 
-_NDIM = 4
+# (row, column) in the 8x8 covariance of each var_p, cov_pv and var_v entry.
+_ROW = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [4, 5, 6, 7]])
+_COL = _ROW[[0, 2, 2]]
+_ON_BLOCK = np.tile(np.eye(4, dtype=bool), (2, 2))
 
 
 @dataclass(frozen=True, eq=False)
 class KalmanState:
-    """Mean (cx, cy, a, h, and velocities) with its 8x8 covariance."""
+    """Mean (cx, cy, a, h, and velocities) with its 8x8 block covariance."""
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -49,25 +53,35 @@ class KalmanState:
             raise ValueError("covariance is not symmetric")
         if cov.diagonal().min() < 0:
             raise ValueError("covariance has a negative diagonal entry")
+        if (cov[~_ON_BLOCK] != 0).any():
+            raise ValueError("covariance couples two coordinates")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
 
-def _diag(*std) -> np.ndarray:
-    """(T, d, d) diagonal covariances from d standard deviations, each (T,) or scalar."""
-    var = np.stack(np.broadcast_arrays(*std), axis=1) ** 2
-    out = np.zeros(var.shape + var.shape[-1:])
-    i = np.arange(var.shape[-1])
-    out[:, i, i] = var
-    return out
+def _blocks(cov: np.ndarray) -> np.ndarray:
+    """(T, 8, 8) covariances as (T, 3, 4) per-coordinate blocks."""
+    return cov[:, _ROW, _COL]
+
+
+def _dense(blocks: np.ndarray) -> np.ndarray:
+    """(T, 3, 4) per-coordinate blocks as (T, 8, 8) covariances."""
+    cov = np.zeros((len(blocks), 8, 8))
+    cov[:, _ROW, _COL] = cov[:, _COL, _ROW] = blocks
+    return cov
+
+
+def _variances(std: np.ndarray, aspect_std: float) -> np.ndarray:
+    """(T, 4) noise variances: std for cx, cy and h, aspect_std for a."""
+    return np.stack([std, std, np.full_like(std, aspect_std), std], axis=1) ** 2
 
 
 def measurements(boxes: list[BBox]) -> np.ndarray:
     """(N, 4) measurements (cx, cy, w / h, h) of image boxes."""
     c = corners(boxes)
     h = c[:, 3] - c[:, 1]
-    if (h <= 0).any():
-        raise ValueError(f"box height must be positive, got {h[h <= 0][0]}")
+    if not (h > 0).all():  # NaN too
+        raise ValueError(f"box height must be positive, got {h[~(h > 0)][0]}")
     return np.stack([(c[:, 0] + c[:, 2]) / 2.0, (c[:, 1] + c[:, 3]) / 2.0,
                      (c[:, 2] - c[:, 0]) / h, h], axis=1)
 
@@ -82,73 +96,55 @@ def box_corners(mean: np.ndarray) -> np.ndarray:
 
 def initiate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start one filter per (K, 4) measurement row, with zero velocity."""
-    pos = 2 * STD_WEIGHT_POSITION * z[:, 3]
-    vel = 10 * STD_WEIGHT_VELOCITY * z[:, 3]
-    return (np.concatenate([z, np.zeros_like(z)], axis=1),
-            _diag(pos, pos, 1e-2, pos, vel, vel, 1e-5, vel))
+    cov = np.stack([_variances(2 * STD_WEIGHT_POSITION * z[:, 3], 1e-2),
+                    np.zeros_like(z),
+                    _variances(10 * STD_WEIGHT_VELOCITY * z[:, 3], 1e-5)], axis=1)
+    return np.concatenate([z, np.zeros_like(z)], axis=1), cov
 
 
 def predict(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Advance (T, 8) means and (T, 8, 8) covariances by one frame.
-
-    The transition F adds each velocity to its position, so F x and
-    F P F^T are sums of two entries: exactly what a matrix product with
-    F's ones and zeros computes.
-    """
-    pos = STD_WEIGHT_POSITION * mean[:, 3]
-    vel = STD_WEIGHT_VELOCITY * mean[:, 3]
+    """Advance (T, 8) means and (T, 3, 4) covariances by one frame: P <- F P F^T + Q."""
+    p, pv, v = cov.swapaxes(0, 1)
     new_mean = mean.copy()
-    new_mean[:, :_NDIM] += mean[:, _NDIM:]
-    fp = cov.copy()
-    fp[:, :_NDIM, :] += cov[:, _NDIM:, :]
-    fpf = fp.copy()
-    fpf[:, :, :_NDIM] += fp[:, :, _NDIM:]
-    new_cov = fpf + _diag(pos, pos, 1e-2, pos, vel, vel, 1e-5, vel)
-    return new_mean, 0.5 * (new_cov + new_cov.transpose(0, 2, 1))
+    new_mean[:, :4] += mean[:, 4:]
+    # summed in F P F^T's grouping, so the result matches it bit for bit
+    return new_mean, np.stack([
+        ((p + pv) + (pv + v)) + _variances(STD_WEIGHT_POSITION * mean[:, 3], 1e-2),
+        pv + v,
+        v + _variances(STD_WEIGHT_VELOCITY * mean[:, 3], 1e-5)], axis=1)
 
 
 def update(mean: np.ndarray, cov: np.ndarray,
            z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Correct (K, 8) means and (K, 8, 8) covariances with (K, 4) measurements.
-
-    The gain is solved per state through LAPACK's Cholesky routines; the
-    rest is batched.  H selects the position block, so H P H^T and P H^T
-    are slices.
-    """
-    pos = STD_WEIGHT_POSITION * mean[:, 3]
-    proj_cov = cov[:, :_NDIM, :_NDIM] + _diag(pos, pos, 1e-1, pos)
-    innovation = z - mean[:, :_NDIM]
-    correction = np.empty_like(mean)
-    reduction = np.empty_like(cov)
-    for k in range(len(mean)):
-        chol, info = _potrf(proj_cov[k], lower=1, clean=0)
-        if info != 0:
-            raise np.linalg.LinAlgError("projected covariance is not positive definite")
-        gain = _potrs(chol, cov[k, :, :_NDIM].T, lower=1)[0].T
-        correction[k] = gain @ innovation[k]
-        reduction[k] = gain @ proj_cov[k] @ gain.T
-    new_cov = cov - reduction
-    return mean + correction, 0.5 * (new_cov + new_cov.transpose(0, 2, 1))
+    """Correct (K, 8) means and (K, 3, 4) covariances with (K, 4) measurements."""
+    p, pv, v = cov.swapaxes(0, 1)
+    s = p + _variances(STD_WEIGHT_POSITION * mean[:, 3], 1e-1)
+    # b * (1/sqrt(s)) * (1/sqrt(s)) is how OpenBLAS's Cholesky solve divides by
+    # s; b / s or b / sqrt(s) / sqrt(s) would differ from it in the last bit.
+    inv = 1.0 / np.sqrt(s)
+    gp = (p * inv) * inv
+    gv = (pv * inv) * inv
+    innovation = z - mean[:, :4]
+    new_mean = mean + np.concatenate([gp * innovation, gv * innovation], axis=1)
+    return new_mean, np.stack([
+        p - (gp * s) * gp,
+        0.5 * ((pv - (gp * s) * gv) + (pv - (gv * s) * gp)),
+        v - (gv * s) * gv], axis=1)
 
 
 def gate(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(T, N) squared Mahalanobis distances of measurement centers from the states.
 
     Computed on the position components only, under the projected
-    (innovation) covariance, through a Cholesky factor of each state's
-    2x2 position block.
+    (innovation) covariance, whose (cx, cy) block is diagonal.
     """
-    pos = STD_WEIGHT_POSITION * mean[:, 3]
-    block = cov[:, :2, :2] + _diag(pos, pos)
-    chol = np.linalg.cholesky(block)
-    d = z[None, :, :2] - mean[:, None, :2]
-    z0 = d[..., 0] / chol[:, 0, 0, None]
-    z1 = (d[..., 1] - chol[:, 1, 0, None] * z0) / chol[:, 1, 1, None]
-    return z0 * z0 + z1 * z1
+    s = cov[:, 0, :2] + (STD_WEIGHT_POSITION * mean[:, 3, None]) ** 2
+    w = (z[None, :, :2] - mean[:, None, :2]) / np.sqrt(s)[:, None, :]
+    return w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1]
 
 
 def _state(mean: np.ndarray, cov: np.ndarray) -> KalmanState:
-    return KalmanState(mean[0], cov[0])
+    return KalmanState(mean[0], _dense(cov)[0])
 
 
 def kf_init(measurement: BBox) -> KalmanState:
@@ -157,11 +153,11 @@ def kf_init(measurement: BBox) -> KalmanState:
 
 
 def kf_predict(s: KalmanState) -> KalmanState:
-    return _state(*predict(s.mean[None], s.covariance[None]))
+    return _state(*predict(s.mean[None], _blocks(s.covariance[None])))
 
 
 def kf_update(s: KalmanState, measurement: BBox) -> KalmanState:
-    return _state(*update(s.mean[None], s.covariance[None],
+    return _state(*update(s.mean[None], _blocks(s.covariance[None]),
                           measurements([measurement])))
 
 
@@ -174,5 +170,5 @@ def gating_distance(s: KalmanState, boxes: list[BBox]) -> list[float]:
     """Squared Mahalanobis distance of each box center from the state (see ``gate``)."""
     if not boxes:
         return []
-    d = gate(s.mean[None], s.covariance[None], measurements(boxes))
+    d = gate(s.mean[None], _blocks(s.covariance[None]), measurements(boxes))
     return [float(v) for v in d[0]]

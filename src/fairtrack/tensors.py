@@ -8,7 +8,7 @@ FTEN layout, all integers little-endian:
     byte  6     ndim, 2 or 3
     byte  7     reserved, 0
     then        ndim x 4-byte unsigned dims, order [C,]H,W
-    then        payload, row-major (channel-major for 3D)
+    then        payload, row-major (channel-major for 3D), every value finite
 
 Payloads are float32 on disk.  In memory both tensor types hold float64
 arrays so loss/gradient arithmetic keeps full precision; values that are
@@ -34,6 +34,7 @@ class FtenFormatError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -137,6 +138,11 @@ def tensor_from_bytes(buf: bytes) -> Tensor2D | Tensor3D:
             f"payload length {len(buf) - dims_end} != expected {4 * count}", dims_end
         )
     data = np.frombuffer(buf, dtype="<f4", count=count, offset=dims_end)
+    finite = np.isfinite(data)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FtenFormatError(f"non-finite value {data[i]} at element {i}",
+                              dims_end + 4 * i)
     data = data.astype(np.float64).reshape(dims)
     if ndim == 2:
         return Tensor2D(dims[0], dims[1], data)
@@ -148,4 +154,7 @@ def write_tensor(t: Tensor2D | Tensor3D, path) -> None:
 
 
 def read_tensor(path) -> Tensor2D | Tensor3D:
-    return tensor_from_bytes(Path(path).read_bytes())
+    try:
+        return tensor_from_bytes(Path(path).read_bytes())
+    except FtenFormatError as e:
+        raise FtenFormatError(f"{path}: {e.message}", e.offset) from None

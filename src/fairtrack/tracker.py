@@ -9,8 +9,10 @@ contribution.
 
 Each frame works on whole arrays, never on track x detection pairs in
 Python.  The pool keeps its Kalman states as a ``(T, 8)`` mean and a
-``(T, 8, 8)`` covariance stack, row k belonging to the k-th ``Track``;
-one call predicts every state.  The frame's detections become one
+``(T, 3, 4)`` stack of per-coordinate (position, velocity) covariance
+blocks, exact because the filter moves each box coordinate on its own
+(see ``kalman``); row k belongs to the k-th ``Track``, and one call
+predicts every state.  The frame's detections become one
 ``(N, 4)`` measurement array, the motion gate is the ``(T, N)`` matrix of
 Mahalanobis distances, applied to the cost as a mask.  Appearance cost is
 one product of the ``(T, D)`` and ``(N, D)`` embedding stacks, overlap
@@ -104,7 +106,7 @@ class OnlineTracker:
         self._tracks: list[Track] = []
         # Kalman states of the pool (use_kalman only): row k is self._tracks[k]
         self._mean = np.zeros((0, 8))
-        self._cov = np.zeros((0, 8, 8))
+        self._cov = np.zeros((0, 3, 4))
         self._next_id = 1
         self._last_frame: int | None = None
 

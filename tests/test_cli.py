@@ -1,6 +1,9 @@
 import io
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -192,6 +195,57 @@ def test_decode_empty_maps_dir_exits_2(tmp_path):
     assert rc == 2
 
 
+def _write_maps(maps, frames=2):
+    """Valid 16x16 heat/off/size maps with one peak per frame."""
+    maps.mkdir()
+    heat = np.zeros((16, 16), np.float32)
+    heat[4, 5] = 0.7
+    for f in range(1, frames + 1):
+        write_tensor(Tensor2D.from_array(heat), maps / f"{f:06d}.heat.ften")
+        write_tensor(Tensor3D.from_array(np.full((2, 16, 16), 0.25)),
+                     maps / f"{f:06d}.off.ften")
+        write_tensor(Tensor3D.from_array(np.full((2, 16, 16), 8.0)),
+                     maps / f"{f:06d}.size.ften")
+
+
+def _decode_err(tmp_path, capsys):
+    capsys.readouterr()
+    rc, _ = run(["decode", "--maps", str(tmp_path / "maps"),
+                 "--out", str(tmp_path / "dec")])
+    return rc, capsys.readouterr().err
+
+
+def test_decode_wrong_rank_map_exits_2_naming_file(tmp_path, capsys):
+    _write_maps(tmp_path / "maps")
+    path = tmp_path / "maps" / "000001.heat.ften"
+    write_tensor(Tensor3D.from_array(np.zeros((1, 16, 16))), path)
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2
+    assert f"{path}: expected a 2-d tensor, got 3-d (byte offset 6)" in err
+
+
+def test_decode_corrupt_map_error_names_file(tmp_path, capsys):
+    _write_maps(tmp_path / "maps")
+    path = tmp_path / "maps" / "000002.off.ften"
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2
+    assert f"{path}: bad magic b'XXXX' (byte offset 0)" in err
+
+
+@pytest.mark.parametrize("name", ["heat", "off", "size"])
+def test_decode_nan_map_exits_2_naming_file(tmp_path, capsys, name):
+    _write_maps(tmp_path / "maps")
+    path = tmp_path / "maps" / f"000002.{name}.ften"
+    raw = bytearray(path.read_bytes())
+    dims_end = 8 + 4 * raw[6]
+    raw[dims_end + 4 * 3:dims_end + 4 * 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2
+    assert f"{path}: non-finite value nan at element 3 (byte offset {dims_end + 12})" in err
+
+
 def test_encode_streams_one_frame_at_a_time(tmp_path):
     seq, maps = tmp_path / "seq", tmp_path / "maps"
     run(["sim", "--seed", "3", "--frames", "30", "--targets", "20",
@@ -357,6 +411,24 @@ def test_track_zero_embedding_row_exits_2(sim_dir, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "000002.ften" in err and "row 0" in err
+
+
+def test_track_corrupt_embedding_file_error_names_file(sim_dir, tmp_path, capsys):
+    path = sim_dir / "emb" / "000003.ften"
+    path.write_bytes(path.read_bytes()[:-1])
+    rc, _ = run(["track", "--in", str(sim_dir), "--out", str(tmp_path / "r.txt")])
+    assert rc == 2
+    assert f"{path}: payload length" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    code = ("import sys, fairtrack.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_eval_text_output_format(sim_dir, tmp_path):

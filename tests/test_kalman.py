@@ -45,9 +45,27 @@ def test_state_validation():
         KalmanState(np.zeros(8), lop)
 
 
+def test_state_rejects_covariance_between_coordinates():
+    # the filter keeps one (position, velocity) block per coordinate, so a
+    # correlation between two coordinates cannot be carried and is refused
+    ok = np.eye(8)
+    ok[0, 4] = ok[4, 0] = 0.5  # cx with its own velocity
+    KalmanState(np.zeros(8), ok)
+    for i, j in ((0, 1), (0, 5), (2, 7), (6, 7)):
+        cov = np.eye(8)
+        cov[i, j] = cov[j, i] = 0.1
+        with pytest.raises(ValueError, match="couples two coordinates"):
+            KalmanState(np.zeros(8), cov)
+
+
 def test_init_rejects_flat_box():
     with pytest.raises(ValueError):
         kf_init(BBox(0, 0, 10, 0))
+
+
+def test_init_rejects_nan_height():
+    with pytest.raises(ValueError, match="box height must be positive, got nan"):
+        kf_init(BBox(0, 0, 10, float("nan")))
 
 
 def test_state_to_box_round_trip():

@@ -1,11 +1,12 @@
 """Array kernels against their per-element or full-grid references.
 
-The batched IoU, Kalman predict/update and the numpy column scan of the
-assignment solver do the same arithmetic as the scalar code, so they are
-compared for exact equality; the batched gate solves its triangular
-system by hand and is compared to 1e-9 relative.  The windowed Gaussian
-stamp is compared to a full-grid stamp in the float32 bytes the maps are
-stored in.  The metrics, which read one IoU matrix per frame, are compared
+The batched IoU, the Kalman predict/update on per-coordinate blocks and
+the numpy column scan of the assignment solver do the same arithmetic as
+the scalar code, so they are compared for exact equality; the batched
+gate is compared to a triangular solve to 1e-9 relative.  The peak filter
+is compared for exact equality to scipy's 3x3 maximum filter.  The
+windowed Gaussian stamp is compared to a full-grid stamp in the float32
+bytes the maps are stored in.  The metrics, which read one IoU matrix per frame, are compared
 for exact equality to per-pair reference implementations kept here.
 """
 
@@ -14,13 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fairtrack import assignment
 from fairtrack.assignment import hungarian
-from fairtrack.decoding import Detection
+from fairtrack.decoding import Detection, peak_nms
 from fairtrack.encoding import MIN_SIGMA, stamp_gaussian
 from fairtrack.geometry import BBox, iou, iou_matrix
 from fairtrack.kalman import (
@@ -38,6 +40,7 @@ from fairtrack.kalman import (
     state_to_box,
     update,
 )
+from fairtrack.kalman import _blocks, _dense
 from fairtrack.metrics import MetricsReport, clear_mot, detection_ap, idf1
 from fairtrack.tracker import OnlineTracker
 
@@ -138,9 +141,10 @@ def _states(seed, count):
 @given(st.integers(0, 2**31), st.integers(1, 8))
 def test_batched_predict_and_update_equal_the_matrix_forms(seed, count):
     mean, cov = _states(seed, count)
-    pm, pc = predict(mean, cov)
+    pm, pc = predict(mean, _blocks(cov))
     z = measurements([BBox(*c) for c in box_corners(mean + 1.5)])
     um, uc = update(pm, pc, z)
+    pc, uc = _dense(pc), _dense(uc)
     for k in range(count):
         rm, rc = _reference_predict(mean[k], cov[k])
         assert np.array_equal(pm[k], rm) and np.array_equal(pc[k], rc)
@@ -153,7 +157,7 @@ def test_batched_predict_and_update_equal_the_matrix_forms(seed, count):
 def test_batched_gate_matches_per_state_gating(seed, count, boxes):
     boxes = [b for b in boxes if b.height > 0] or [BBox(0, 0, 1, 1)]
     mean, cov = _states(seed, count)
-    got = gate(mean, cov, measurements(boxes))
+    got = gate(mean, _blocks(cov), measurements(boxes))
     assert got.shape == (count, len(boxes))
     for k in range(count):
         want = _reference_gate(mean[k], cov[k], measurements(boxes))
@@ -177,6 +181,29 @@ def test_zero_height_detection_raises_the_measurement_error():
     flat = Detection(BBox(0, 20, 30, 20), 0.9, embedding=np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="box height must be positive, got 0"):
         tr.step(2, [flat])
+
+
+# --- peak filter -------------------------------------------------------------
+
+def _ref_peak_nms(h, threshold, top_k):
+    local_max = scipy.ndimage.maximum_filter(h, size=3, mode="constant", cval=-np.inf)
+    ys, xs = np.nonzero((h == local_max) & (h > threshold))
+    scores = h[ys, xs]
+    order = np.lexsort((xs, ys, -scores))
+    return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in order[:top_k]]
+
+
+# Few distinct integer levels make plateaus and ties between neighbours the
+# common case; single rows and columns exercise the -inf border on both sides.
+_side = st.one_of(st.just(1), st.integers(1, 12))
+_tie_grid = st.tuples(_side, _side).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.integers(-2, 3).map(float)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_grid, st.sampled_from([0.5, 0.99, 1e-9]), st.sampled_from([1, 3, 10**6]))
+def test_peak_nms_equals_the_maximum_filter_reference(h, threshold, top_k):
+    assert peak_nms(h, threshold, top_k) == _ref_peak_nms(h, threshold, top_k)
 
 
 # --- Gaussian stamp ----------------------------------------------------------

@@ -147,12 +147,35 @@ def test_dims_whose_product_overflows_int64_are_rejected():
     assert e.value.offset == 20
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3)])
+def test_non_finite_payload_rejected_at_its_offset(value, shape):
+    data = np.zeros(shape)
+    data.flat[4] = value
+    t = (Tensor2D if len(shape) == 2 else Tensor3D).from_array(data)
+    with pytest.raises(FtenFormatError, match="non-finite value") as e:
+        tensor_from_bytes(tensor_to_bytes(t))
+    assert e.value.offset == 8 + 4 * len(shape) + 4 * 4
+
+
+def test_read_tensor_errors_name_the_file(tmp_path):
+    p = tmp_path / "t.ften"
+    raw = _valid_bytes()
+    raw[4] = 9
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FtenFormatError) as e:
+        read_tensor(p)
+    assert e.value.offset == 4
+    assert str(e.value) == f"{p}: unsupported version 9 (byte offset 4)"
+
+
 def _decodes_or_format_error(buf):
     try:
         t = tensor_from_bytes(bytes(buf))
     except FtenFormatError:
         return
     assert isinstance(t, (Tensor2D, Tensor3D))
+    assert np.isfinite(np.asarray(t)).all()
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,15 +194,21 @@ def _dims(n):
 
 @st.composite
 def _mutated_ften(draw):
-    """A valid 2-d or 3-d FTEN buffer with header bytes, dims or length altered."""
+    """A valid 2-d or 3-d FTEN buffer with header bytes, dims, payload or length altered."""
     shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     buf = bytearray(tensor_to_bytes(
         (Tensor2D if len(shape) == 2 else Tensor3D).from_array(np.ones(shape))))
     dims_end = 8 + 4 * len(shape)
     for _ in range(draw(st.integers(1, 3))):
-        field = draw(st.sampled_from(["byte", "dims", "length"]))
+        field = draw(st.sampled_from(["byte", "dims", "payload", "length"]))
         if field == "byte" and buf:
             buf[draw(st.integers(0, min(len(buf), dims_end) - 1))] = draw(st.integers(0, 255))
+        elif field == "payload" and len(buf) >= dims_end + 4:
+            # one whole value, often a NaN or an infinity
+            at = dims_end + 4 * draw(st.integers(0, (len(buf) - dims_end) // 4 - 1))
+            value = draw(st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]),
+                                   st.floats(width=32)))
+            buf[at:at + 4] = np.float32(value).tobytes()
         elif field == "dims":
             dims = draw(_dims(len(shape)))
             buf[8:dims_end] = struct.pack(f"<{len(dims)}I", *dims)
