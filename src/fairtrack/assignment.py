@@ -1,11 +1,28 @@
-"""Minimum-cost bipartite assignment (Kuhn-Munkres).
+"""Minimum-cost bipartite assignment under a match threshold.
 
-Self-contained O(n^3) shortest-augmenting-path implementation with dual
-potentials.  Forbidden (+inf) entries are handled by substituting a
-finite sentinel large enough that the solver prefers any all-finite
-assignment; matches that land on a forbidden or over-threshold entry are
-dissolved afterwards.  Ascending scan order makes equal-cost ties
-resolve toward lower row/column indices, so results are deterministic.
+Forbidden first.  An entry that is +inf or above ``max_cost`` is
+forbidden before anything is solved: it is never matched, and it cannot
+take a row or column away from an allowed pair.  Over the allowed entries
+the result has maximum cardinality and, among matchings of that size,
+minimum total cost; this is the rule of py-motmetrics' CLEAR MOT.  (lapjv's
+``cost_limit`` rule, which can give up a match to lower the cost, is not
+used.)
+
+Components.  The allowed entries form a bipartite graph whose connected
+components, labelled by a union-find, are independent, so each is solved
+on its own.  Rows and columns without an allowed entry stay unmatched.
+1x1 components all match in one array pass, a component with one row or
+one column takes its first minimum, and larger components go to a
+self-contained O(k^3) shortest-augmenting-path solver with dual
+potentials.  In the larger components a finite sentinel stands in for the
+forbidden entries; it is large enough that the solver uses as few of them
+as it can, and pairs placed on them are dropped.  A matrix with every
+entry allowed is one component and is solved whole.  Gated tracker costs
+split into components of a few nodes each, so a crowded frame costs many
+tiny solves instead of one large one.
+
+Ties.  Ascending scan order resolves equal-cost ties toward lower row and
+column indices within a component, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -111,13 +128,76 @@ def _scan_vector(cost, u, v, p, way, minv, used) -> int:
             return j0
 
 
+def _solve_component(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
+    """Maximum-cardinality, minimum-cost matching of one component.
+
+    Solves on the orientation with no more rows than columns, with a
+    sentinel on the forbidden entries, and drops the pairs placed there.
+    """
+    transposed = cost.shape[0] > cost.shape[1]
+    if transposed:
+        cost, allowed = cost.T, allowed.T
+    work = np.ascontiguousarray(cost)
+    if not allowed.all():
+        # One sentinel edge must outweigh swapping every allowed edge, so
+        # the solver uses as few forbidden entries as possible.
+        large = 2.0 * np.abs(work[allowed]).max() * min(work.shape) + 1.0
+        work = np.where(allowed, work, large)
+    pairs = [(r, col) for r, col in enumerate(_solve(work))
+             if col >= 0 and allowed[r, col]]
+    return [(j, i) for i, j in pairs] if transposed else pairs
+
+
+def _solve_components(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
+    """Matches of every connected component of the allowed entries."""
+    n, m = cost.shape
+    rows, cols = np.nonzero(allowed)
+    single = ((np.bincount(rows, minlength=n)[rows] == 1)
+              & (np.bincount(cols, minlength=m)[cols] == 1))
+    matches = list(zip(rows[single].tolist(), cols[single].tolist()))
+    rows, cols = rows[~single], cols[~single]
+
+    # union-find over rows 0..n-1 and columns n..n+m-1, all edges at once:
+    # each edge hooks the larger of its two roots under the smaller, then
+    # every node jumps to its root; repeat until each edge joins one root
+    root = np.arange(n + m)
+    a, b = rows, cols + n
+    while True:
+        ra, rb = root[a], root[b]
+        if (ra == rb).all():
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
+    root = root.tolist()
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for i in sorted(set(rows.tolist())):
+        groups.setdefault(root[i], ([], []))[0].append(i)
+    for j in sorted(set(cols.tolist())):
+        groups[root[j + n]][1].append(j)
+
+    for rs, ks in groups.values():
+        if len(rs) == 1:
+            matches.append((rs[0], ks[int(np.argmin(cost[rs[0], ks]))]))
+        elif len(ks) == 1:
+            matches.append((rs[int(np.argmin(cost[rs, ks[0]]))], ks[0]))
+        else:
+            block = np.ix_(rs, ks)
+            matches += [(rs[i], ks[j])
+                        for i, j in _solve_component(cost[block], allowed[block])]
+    return matches
+
+
 def hungarian(cost, max_cost: float = np.inf
               ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Optimal assignment with forbidden entries and a match threshold.
+    """Optimal assignment over the entries that are finite and <= max_cost.
 
-    Returns (matches, unmatched_rows, unmatched_cols).  Any assignment
-    whose entry is +inf or exceeds max_cost is reported as unmatched
-    rather than matched.  Empty matrices leave everything unmatched.
+    Returns (matches, unmatched_rows, unmatched_cols), matches sorted by
+    row.  Other entries are forbidden before solving (see the module
+    docstring for the rule).  Empty matrices leave everything unmatched.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
@@ -128,31 +208,14 @@ def hungarian(cost, max_cost: float = np.inf
     if np.isnan(c).any() or np.isneginf(c).any():
         raise ValueError("cost entries must be finite or +inf")
 
-    transposed = n > m
-    work = c.T.copy() if transposed else c.copy()
-    finite = np.isfinite(work)
-    if not finite.all():
-        max_abs = np.abs(work[finite]).max() if finite.any() else 0.0
-        # One sentinel edge must outweigh swapping every finite edge, so
-        # the solver uses as few forbidden entries as possible.
-        large = 2.0 * max_abs * min(n, m) + 1.0
-        work = np.where(finite, work, large)
-
-    row_to_col = _solve(work)
-
-    matches = []
-    matched_rows = set()
-    matched_cols = set()
-    for r, col in enumerate(row_to_col):
-        if col < 0:
-            continue
-        i, j = (col, r) if transposed else (r, col)
-        if np.isinf(c[i, j]) or c[i, j] > max_cost:
-            continue
-        matches.append((i, j))
-        matched_rows.add(i)
-        matched_cols.add(j)
+    allowed = np.isfinite(c) & (c <= max_cost)
+    if allowed.all():
+        matches = _solve_component(c, allowed)
+    else:
+        matches = _solve_components(c, allowed)
     matches.sort()
+    matched_rows = {i for i, _ in matches}
+    matched_cols = {j for _, j in matches}
     unmatched_rows = [i for i in range(n) if i not in matched_rows]
     unmatched_cols = [j for j in range(m) if j not in matched_cols]
     return matches, unmatched_rows, unmatched_cols

@@ -27,6 +27,16 @@ _STREAM_MAPS = 4
 
 ANCHOR_MAX_COS = 0.3
 
+# Largest box generate() draws, false positives included (targets reach
+# 60 x 120): the image must hold it for the centre draws to have a range.
+FP_MAX_W = 70.0
+FP_MAX_H = 130.0
+
+# Cap on fp_rate, box_noise_std and emb_noise_std, far past where any signal
+# is left.  Larger values overflow: the Poisson draw of false positives
+# fails beyond about 9.2e18, and embedding norms overflow near 1e153.
+MAX_NOISE = 1e6
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -44,15 +54,21 @@ class SimConfig:
     occlusions: tuple[tuple[int, int, int], ...] = ()  # (target id, first, last)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.image_w < FP_MAX_W or self.image_h < FP_MAX_H:
+            raise ValueError(
+                f"image size must be at least {FP_MAX_W:g}x{FP_MAX_H:g} to hold "
+                f"the largest box, got {self.image_w}x{self.image_h}")
         if self.frames < 1 or self.num_targets < 1:
             raise ValueError("frames and num_targets must be positive")
         if self.emb_dim < 2:
             raise ValueError(f"emb_dim must be >= 2, got {self.emb_dim}")
         if not 0.0 <= self.det_dropout_prob < 1.0:
             raise ValueError("det_dropout_prob must be in [0, 1)")
-        if not all(0 <= v < np.inf for v in
+        if not all(0 <= v <= MAX_NOISE for v in
                    (self.fp_rate, self.box_noise_std, self.emb_noise_std)):
-            raise ValueError("noise rates must be finite and non-negative")
+            raise ValueError(f"noise rates must be in [0, {MAX_NOISE:g}]")
         if self.scenario not in ("random", "crossing"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario == "crossing" and self.num_targets < 2:
@@ -192,8 +208,8 @@ def generate(cfg: SimConfig) -> SimOutput:
             rows.append(Detection(box=det_box, score=score, embedding=emb))
         if cfg.fp_rate > 0:
             for _ in range(rng.poisson(cfg.fp_rate)):
-                w = rng.uniform(25.0, 70.0)
-                h = rng.uniform(50.0, 130.0)
+                w = rng.uniform(25.0, FP_MAX_W)
+                h = rng.uniform(50.0, FP_MAX_H)
                 cx = rng.uniform(w / 2, cfg.image_w - w / 2)
                 cy = rng.uniform(h / 2, cfg.image_h - h / 2)
                 v = rng.normal(size=cfg.emb_dim)

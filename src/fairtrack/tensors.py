@@ -106,8 +106,14 @@ def tensor_to_bytes(t: Tensor2D | Tensor3D) -> bytes:
         raise TypeError(f"expected Tensor2D or Tensor3D, got {type(t).__name__}")
     header = struct.pack("<4sBBBB", MAGIC, VERSION, DTYPE_F32, len(dims), 0)
     header += struct.pack(f"<{len(dims)}I", *dims)
-    payload = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-    return header + payload
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(t.data, dtype="<f4")
+    finite = np.isfinite(payload)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"value {float(t.data.flat[i])} at element {i} is not finite "
+                         "as float32")
+    return header + payload.tobytes()
 
 
 def tensor_from_bytes(buf: bytes) -> Tensor2D | Tensor3D:

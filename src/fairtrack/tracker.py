@@ -16,7 +16,12 @@ predicts every state.  The frame's detections become one
 ``(N, 4)`` measurement array, the motion gate is the ``(T, N)`` matrix of
 Mahalanobis distances, applied to the cost as a mask.  Appearance cost is
 one product of the ``(T, D)`` and ``(N, D)`` embedding stacks, overlap
-cost one broadcast over ``(T, 4)`` and ``(N, 4)`` box corners.
+cost one broadcast over ``(T, 4)`` and ``(N, 4)`` box corners.  Each stage
+passes its threshold to ``hungarian``, which forbids the pairs above it
+(and the gated ones) before solving, so a pair over the threshold never
+takes a track or detection from a valid match; the allowed pairs of a
+crowded frame split into components of a few nodes, each solved on its
+own.
 """
 
 from __future__ import annotations

@@ -108,6 +108,30 @@ def test_max_cost_dissolves_matches():
     assert ur == [1] and uc == [1]
 
 
+def test_over_threshold_entry_cannot_take_a_row_from_a_valid_match():
+    # (0, 1) is over the threshold.  Solved first and dissolved afterwards,
+    # it would hold row 0 and leave (1, 0); forbidden first, row 0 keeps
+    # its cheaper valid match.
+    matches, ur, uc = hungarian([[0.3, 0.9], [0.35, np.inf]], max_cost=0.4)
+    assert matches == [(0, 0)]
+    assert ur == [1] and uc == [1]
+
+
+def test_components_are_solved_independently():
+    # two 2x2 blocks that share no allowed entry, plus a 1x1 and an
+    # isolated row and column
+    inf = np.inf
+    cost = [[1.0, 2.0, inf, inf, inf, inf],
+            [2.0, 9.0, inf, inf, inf, inf],
+            [inf, inf, 5.0, 4.0, inf, inf],
+            [inf, inf, 3.0, inf, inf, inf],
+            [inf, inf, inf, inf, 0.5, inf],
+            [inf, inf, inf, inf, inf, inf]]
+    matches, ur, uc = hungarian(cost)
+    assert matches == [(0, 1), (1, 0), (2, 3), (3, 2), (4, 4)]
+    assert ur == [5] and uc == [5]
+
+
 def test_max_cost_boundary_is_inclusive():
     matches, _, _ = hungarian([[0.5]], max_cost=0.5)
     assert matches == [(0, 0)]

@@ -144,6 +144,38 @@ def test_config_value_error_exits_2_naming_file(tmp_path, capsys, text):
     assert f"{cfgf}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,key", [
+    ("seed = -5\n", "seed"),
+    ("image_w = 0\n", "image size"),
+    ("image_w = -10\n", "image size"),
+    ("image_h = 3\n", "image size"),
+    ("image_w = 69\n", "image size"),
+    ("image_h = 129\n", "image size"),
+], ids=["seed-neg", "image_w-0", "image_w-neg", "image_h-3", "image_w-69", "image_h-129"])
+def test_config_sim_values_generate_cannot_run_exit_2(tmp_path, capsys, text, key):
+    cfgf = tmp_path / "cfg.txt"
+    cfgf.write_text(text)
+    out = tmp_path / "seq"
+    rc, _ = run(["sim", "--config", str(cfgf), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{cfgf}: {key}" in err
+    assert not out.exists()
+
+
+def test_config_smallest_image_generates(tmp_path):
+    cfgf = tmp_path / "cfg.txt"
+    cfgf.write_text("image_w = 70\nimage_h = 130\nframes = 3\nnum_targets = 2\n"
+                    "fp_rate = 2.0\nseed = 0\n")
+    rc, _ = run(["sim", "--config", str(cfgf), "--out", str(tmp_path / "seq")])
+    assert rc == 0
+
+
+def test_sim_negative_seed_flag_names_seed(tmp_path, capsys):
+    rc, _ = run(sim_args(tmp_path / "seq", seed=-5))
+    assert rc == 1
+    assert "seed must be non-negative, got -5" in capsys.readouterr().err
+
 def test_sim_respects_config_file(tmp_path):
     cfgf = tmp_path / "cfg.txt"
     cfgf.write_text("frames = 4\nnum_targets = 2\nseed = 9\n")

@@ -2,7 +2,11 @@
 
 The batched IoU, the Kalman predict/update on per-coordinate blocks and
 the numpy column scan of the assignment solver do the same arithmetic as
-the scalar code, so they are compared for exact equality; the batched
+the scalar code, so they are compared for exact equality.  The
+per-component assignment is compared to the whole-matrix solver that
+preceded it, kept here as the reference and run with the over-threshold
+entries set to +inf: exactly on continuous costs, and in match count and
+total cost on tie-heavy ones, whose ties may resolve differently.  The batched
 gate is compared to a triangular solve to 1e-9 relative.  The peak filter
 is compared for exact equality to scipy's 3x3 maximum filter.  The
 windowed Gaussian stamp is compared to a full-grid stamp in the float32
@@ -266,6 +270,92 @@ def test_vector_and_scalar_scans_agree(cost, max_cost):
     vector = _hungarian_with_scan(cost, max_cost, 0)
     scalar = _hungarian_with_scan(cost, max_cost, 10**9)
     assert vector == scalar
+
+
+# The whole-matrix solver that preceded the per-component one, kept verbatim
+# (less its docstring) as the reference: it solves every entry at once, then
+# dissolves matches above max_cost.
+
+def _ref_hungarian(cost, max_cost: float = np.inf):
+    c = np.asarray(cost, dtype=np.float64)
+    if c.ndim != 2:
+        raise ValueError(f"cost must be a 2-d matrix, got shape {c.shape}")
+    n, m = c.shape
+    if n == 0 or m == 0:
+        return [], list(range(n)), list(range(m))
+    if np.isnan(c).any() or np.isneginf(c).any():
+        raise ValueError("cost entries must be finite or +inf")
+
+    transposed = n > m
+    work = c.T.copy() if transposed else c.copy()
+    finite = np.isfinite(work)
+    if not finite.all():
+        max_abs = np.abs(work[finite]).max() if finite.any() else 0.0
+        # One sentinel edge must outweigh swapping every finite edge, so
+        # the solver uses as few forbidden entries as possible.
+        large = 2.0 * max_abs * min(n, m) + 1.0
+        work = np.where(finite, work, large)
+
+    row_to_col = assignment._solve(work)
+
+    matches = []
+    matched_rows = set()
+    matched_cols = set()
+    for r, col in enumerate(row_to_col):
+        if col < 0:
+            continue
+        i, j = (col, r) if transposed else (r, col)
+        if np.isinf(c[i, j]) or c[i, j] > max_cost:
+            continue
+        matches.append((i, j))
+        matched_rows.add(i)
+        matched_cols.add(j)
+    matches.sort()
+    unmatched_rows = [i for i in range(n) if i not in matched_rows]
+    unmatched_cols = [j for j in range(m) if j not in matched_cols]
+    return matches, unmatched_rows, unmatched_cols
+
+
+def _forbidden_first(cost, max_cost):
+    """The reference on the matrix with every over-threshold entry forbidden."""
+    c = np.asarray(cost, dtype=np.float64)
+    return _ref_hungarian(np.where(c <= max_cost, c, np.inf), max_cost=max_cost)
+
+
+# Seeded uniform draws, so that no two matchings tie in total cost; up to
+# 16 columns, so that whole components reach the numpy column scan.
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 16), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1), st.sampled_from([np.inf, 0.3, 0.5]))
+def test_components_equal_the_whole_matrix_solve(n, m, forbid, seed, max_cost):
+    rng = np.random.default_rng(seed)
+    cost = rng.random((n, m))
+    cost[rng.random((n, m)) < forbid] = np.inf
+    assert hungarian(cost, max_cost=max_cost) == _forbidden_first(cost, max_cost)
+
+
+@pytest.mark.parametrize("cost", [
+    [[0.2, 0.1, 0.4]],                          # 1 x N
+    [[0.2], [0.1], [0.4]],                      # N x 1
+    np.full((3, 4), np.inf),                    # all forbidden
+    [[np.inf, 0.9], [0.1, 0.2], [0.3, 0.4]],    # a row with no allowed entry
+    [[0.1, 0.2, 0.9], [0.9, 0.2, 0.9]],         # a column with no allowed entry
+], ids=["1xN", "Nx1", "all-forbidden", "no-allowed-row", "no-allowed-col"])
+@pytest.mark.parametrize("max_cost", [np.inf, 0.3, 0.5])
+def test_component_edge_cases_equal_the_whole_matrix_solve(cost, max_cost):
+    assert hungarian(cost, max_cost=max_cost) == _forbidden_first(cost, max_cost)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tie_heavy, st.sampled_from([np.inf, 0.3, 0.5, 1.0, 2.5]))
+def test_tied_components_keep_count_and_cost(cost, max_cost):
+    matches, unmatched_rows, unmatched_cols = hungarian(cost, max_cost=max_cost)
+    want, _, _ = _forbidden_first(cost, max_cost)
+    assert len(matches) == len(want)
+    assert sum(cost[i, j] for i, j in matches) == sum(cost[i, j] for i, j in want)
+    assert all(np.isfinite(cost[i, j]) and cost[i, j] <= max_cost for i, j in matches)
+    assert sorted(unmatched_rows + [i for i, _ in matches]) == list(range(cost.shape[0]))
+    assert sorted(unmatched_cols + [j for _, j in matches]) == list(range(cost.shape[1]))
 
 
 # --- metrics -----------------------------------------------------------------

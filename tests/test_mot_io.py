@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -16,7 +17,7 @@ from fairtrack.mot_io import (
     parse_mot,
     to_frames,
 )
-from fairtrack.sim import SimConfig
+from fairtrack.sim import SimConfig, generate
 from fairtrack.tracker import TrackerConfig
 
 
@@ -318,7 +319,7 @@ def test_config_gate_chi2_inf_means_no_gate(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["emb_noise_std", "box_noise_std", "fp_rate"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1e200"])
 def test_config_rejects_bad_noise(tmp_path, field, value):
     p = tmp_path / "cfg.txt"
     p.write_text(f"{field} = {value}\n")
@@ -326,3 +327,52 @@ def test_config_rejects_bad_noise(tmp_path, field, value):
         load_config(p)
     with pytest.raises(ValueError, match="noise rates"):
         SimConfig(**{field: float(value)})
+
+
+# Every config field name (``occlusions`` is not a key, so it must be
+# rejected), and values that parse, fail to parse, or parse out of range.
+_CONFIG_KEYS = st.sampled_from(
+    [f.name for f in dataclasses.fields(TrackerConfig)]
+    + [f.name for f in dataclasses.fields(SimConfig)] + ["warp_speed"])
+_CONFIG_VALUES = st.one_of(
+    _TOKENS,
+    st.sampled_from(["random", "crossing", "true", "false", "Yes", "no", "69",
+                     "70", "129", "130", "1e18", "1e20", "1e200"]),
+    st.integers(-10, 2000).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(_CONFIG_KEYS, _CONFIG_VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.tuples(_CONFIG_KEYS, _CONFIG_VALUES).map(lambda kv: f"{kv[0]}={kv[1]}  # note"),
+    st.sampled_from(["", "# comment", "   ", "no equals sign", "= 3"]),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_CONFIG_LINES, max_size=6))
+def test_load_config_fuzz_returns_runnable_configs_or_names_the_file(tmp_path, lines):
+    p = tmp_path / "cfg.txt"
+    p.write_text("\n".join(lines) + "\n")
+    try:
+        tracker, sim = load_config(p)
+    except MotFormatError as e:
+        assert str(e).startswith(f"{p}:")
+        return
+    assert isinstance(tracker, TrackerConfig)
+    # only the sizes shrink (false positives per frame among them), so that
+    # no example builds a large sequence
+    small = dataclasses.replace(sim, frames=min(sim.frames, 3),
+                                num_targets=min(sim.num_targets, 3),
+                                emb_dim=min(sim.emb_dim, 8),
+                                fp_rate=min(sim.fp_rate, 4.0))
+    out = generate(small)
+    assert sorted(out.gt) == list(range(1, small.frames + 1))
+
+
+def test_noise_at_the_cap_generates():
+    # the largest accepted noise keeps every embedding finite and unit
+    sim = SimConfig(frames=2, num_targets=3, emb_dim=8, box_noise_std=1e6,
+                    emb_noise_std=1e6, fp_rate=2.0, det_dropout_prob=0.5)
+    out = generate(sim)
+    assert sorted(out.gt) == [1, 2]

@@ -150,12 +150,35 @@ def test_dims_whose_product_overflows_int64_are_rejected():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3)])
 def test_non_finite_payload_rejected_at_its_offset(value, shape):
+    # the writer refuses non-finite values, so the payload is patched by hand
+    t = (Tensor2D if len(shape) == 2 else Tensor3D).from_array(np.zeros(shape))
+    raw = bytearray(tensor_to_bytes(t))
+    at = 8 + 4 * len(shape) + 4 * 4
+    raw[at:at + 4] = np.float32(value).tobytes()
+    with pytest.raises(FtenFormatError, match="non-finite value") as e:
+        tensor_from_bytes(bytes(raw))
+    assert e.value.offset == at
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3)])
+def test_writer_refuses_values_not_finite_as_float32(value, shape, tmp_path):
+    # 1e39 is finite as float64 but overflows float32 to inf
     data = np.zeros(shape)
     data.flat[4] = value
     t = (Tensor2D if len(shape) == 2 else Tensor3D).from_array(data)
-    with pytest.raises(FtenFormatError, match="non-finite value") as e:
-        tensor_from_bytes(tensor_to_bytes(t))
-    assert e.value.offset == 8 + 4 * len(shape) + 4 * 4
+    with pytest.raises(ValueError, match=r"at element 4 is not finite as float32"):
+        tensor_to_bytes(t)
+    with pytest.raises(ValueError, match=r"at element 4"):
+        write_tensor(t, tmp_path / "t.ften")
+    assert not (tmp_path / "t.ften").exists()
+
+
+def test_writer_keeps_the_largest_float32():
+    big = float(np.finfo(np.float32).max)
+    data = np.array([[big, -big]])
+    out = tensor_from_bytes(tensor_to_bytes(Tensor2D.from_array(data)))
+    assert np.array_equal(np.asarray(out), data)
 
 
 def test_read_tensor_errors_name_the_file(tmp_path):
