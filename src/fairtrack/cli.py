@@ -5,9 +5,13 @@ one JSON manifest alongside them recording the subcommand, argument
 vector, resolved configuration, and toolkit version — enough to replay
 the run and get byte-identical outputs.
 
-`encode` and `decode` stream one frame at a time: each frame's maps or
-detections are computed and written before the next frame is read, so
-only one frame's maps are held in memory at a time.
+`encode` writes one dense heatmap per frame (``*.heat.ften``) and one
+object table for the sequence (``centers.txt``: cell, identity, offset
+and size of every retained center).  `decode` reads the table once and
+scatters each frame's rows into the dense offset and size heads that
+`decoding.decode` takes.  Both stream one frame at a time: each frame's
+maps or detections are computed and written before the next frame is
+read, so only one frame's maps are held in memory at a time.
 
 Exit codes: 0 success, 1 validation failure (bad flags or values),
 2 I/O or file-format failure.
@@ -32,8 +36,9 @@ from .encoding import GtObject, encode_targets
 from .geometry import GridSpec, best_match, corners, iou_matrix
 from .losses import gradcheck_run
 from .metrics import clear_mot, detection_ap, idf1, tpr_at_far
-from .mot_io import MotFormatError, MotRecord, format_det_line, format_gt_line, \
-    format_mot_line, load_config, parse_mot, to_frames
+from .mot_io import CenterRows, MotFormatError, MotRecord, format_centers, \
+    format_det_line, format_gt_line, format_mot_line, load_config, \
+    parse_centers, parse_mot, to_frames
 from .sim import SimConfig, generate
 from .tensors import FtenFormatError, Tensor2D, Tensor3D, read_tensor, \
     tensor_to_bytes
@@ -177,15 +182,14 @@ def cmd_encode(args) -> int:
     for frame in sorted(gt):
         objs = [GtObject(r.to_box(), index[r.obj_id]) for r in gt[frame]]
         maps = encode_targets(objs, grid, len(ids))
-        for suffix, tensor in (("heat", maps.heatmap), ("off", maps.offsets),
-                               ("size", maps.sizes)):
-            path = out / f"{frame:06d}.{suffix}.ften"
-            _atomic_write_bytes(path, tensor_to_bytes(tensor))
-            written.append(path)
+        path = out / f"{frame:06d}.heat.ften"
+        _atomic_write_bytes(path, tensor_to_bytes(maps.heatmap))
+        written.append(path)
         ys, xs = np.nonzero(maps.center_mask)
-        for y, x in zip(ys, xs):
-            center_lines.append(
-                f"{frame},{x},{y},{int(maps.identity_index[y, x])}")
+        values = np.concatenate([maps.offsets.data[:, ys, xs],
+                                 maps.sizes.data[:, ys, xs]]).T
+        center_lines += format_centers(frame, xs, ys,
+                                       maps.identity_index[ys, xs], values)
     _atomic_write_text(out / "centers.txt", "\n".join(center_lines) + "\n")
     written.append(out / "centers.txt")
 
@@ -206,12 +210,40 @@ def _read_map(path: Path, ndim: int) -> Tensor2D | Tensor3D:
     return t
 
 
+def _scatter_rows(off: np.ndarray, size: np.ndarray, rows: CenterRows | None,
+                  table: Path) -> tuple:
+    """Write one frame's table rows into zeroed ``(2, H, W)`` heads.
+
+    Returns the index of the cells written, for the caller to clear once
+    the frame is decoded.
+    """
+    if rows is None:
+        return np.s_[:, [], []]
+    _, h, w = off.shape
+    x, y = rows.cells.T
+    outside = np.flatnonzero((x < 0) | (x >= w) | (y < 0) | (y >= h))
+    if outside.size:
+        i = outside[0]
+        raise MotFormatError(f"{table}:{rows.lines[i]}: cell ({x[i]}, {y[i]}) "
+                             f"outside the {w}x{h} heat map")
+    off[:, y, x] = rows.values[:, :2].T
+    size[:, y, x] = rows.values[:, 2:].T
+    return np.s_[:, y, x]
+
+
 def cmd_decode(args) -> int:
     started = time.monotonic()
     maps_dir = Path(args.maps)
     frames = sorted(int(p.name.split(".")[0]) for p in maps_dir.glob("*.heat.ften"))
     if not frames:
         raise MotFormatError(f"no *.heat.ften maps found in {maps_dir}")
+    table_path = maps_dir / "centers.txt"
+    table = parse_centers(table_path)
+    known = set(frames)
+    stray = [(rows.lines[0], f) for f, rows in table.items() if f not in known]
+    if stray:
+        line, frame = min(stray)
+        raise MotFormatError(f"{table_path}:{line}: frame {frame} has no heat map")
 
     sampling = Sampling.CENTER_BI if args.sampling == "center-bi" else Sampling.CENTER
 
@@ -219,16 +251,22 @@ def cmd_decode(args) -> int:
     (out / "emb").mkdir(parents=True, exist_ok=True)
     lines = []
     written = [out / "det.txt"]
+    # One pair of heads serves every frame of a size: each frame's cells are
+    # cleared after it decodes, so no dense plane is allocated per frame.
+    off = size = np.zeros((2, 0, 0))
     for frame in frames:
         heat = _read_map(maps_dir / f"{frame:06d}.heat.ften", 2)
-        off = _read_map(maps_dir / f"{frame:06d}.off.ften", 3)
-        size = _read_map(maps_dir / f"{frame:06d}.size.ften", 3)
+        if off.shape[1:] != (heat.height, heat.width):
+            off, size = (np.zeros((2, heat.height, heat.width)) for _ in range(2))
+        cells = _scatter_rows(off, size, table.get(frame), table_path)
         emb_path = maps_dir / f"{frame:06d}.emb.ften"
         emb = _read_map(emb_path, 3) if emb_path.is_file() else None
         grid = GridSpec(heat.width * args.stride, heat.height * args.stride,
                         args.stride)
-        dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
-                      top_k=args.top_k, sampling=sampling)
+        dets = decode(heat, Tensor3D.from_array(off), Tensor3D.from_array(size),
+                      emb, grid, threshold=args.threshold, top_k=args.top_k,
+                      sampling=sampling)
+        off[cells] = size[cells] = 0.0
         lines.extend(format_det_line(frame, d) for d in dets)
         with_emb = [d for d in dets if d.embedding is not None]
         if with_emb and len(with_emb) == len(dets):
@@ -377,36 +415,48 @@ def cmd_gradcheck(args) -> int:
 
 # ---------------------------------------------------------------- reid-eval
 
+def _reid_scores(dets: dict[int, list[Detection]], gt, iou: float
+                 ) -> tuple[list[float], list[float]]:
+    """Genuine and impostor cosine scores of GT-labelled detections.
+
+    Each detection takes the GT identity it overlaps best.  Impostor
+    pairs are different identities within one frame, genuine pairs one
+    identity across frames; both are read off the upper triangle of a
+    Gram matrix, per frame and per identity, in row-major pair order.
+    """
+    impostor: list[np.ndarray] = []
+    by_id: dict[int, list[np.ndarray]] = {}
+    for frame in sorted(dets):
+        g = gt.get(frame, [])
+        ious = iou_matrix(corners([d.box for d in dets[frame]]),
+                          corners([box for _, box in g]))
+        labeled = [(g[k][0], d.embedding)
+                   for d, k in zip(dets[frame], best_match(ious, iou)) if k >= 0]
+        if not labeled:
+            continue
+        ids = np.array([gid for gid, _ in labeled])
+        emb = np.stack([e for _, e in labeled])
+        i, j = np.triu_indices(len(ids), 1)
+        keep = ids[i] != ids[j]
+        impostor.append((emb @ emb.T)[i[keep], j[keep]])
+        for gid, e in labeled:
+            by_id.setdefault(gid, []).append(e)
+    genuine = []
+    for _, embs in sorted(by_id.items()):
+        emb = np.stack(embs)
+        i, j = np.triu_indices(len(embs), 1)
+        genuine.append((emb @ emb.T)[i, j])
+    return (np.concatenate(genuine or [np.empty(0)]).tolist(),
+            np.concatenate(impostor or [np.empty(0)]).tolist())
+
+
 def cmd_reid_eval(args) -> int:
     if not 0.0 < args.iou <= 1.0:
         raise ValueError(f"--iou must be in (0, 1], got {args.iou}")
     src = Path(args.inp)
     gt = to_frames(parse_mot(src / "gt.txt", kind="gt"))
     dets = _load_detections(src, need_emb=True)
-
-    # label each detection with the GT identity it overlaps best
-    genuine: list[float] = []
-    impostor: list[float] = []
-    labeled: dict[int, list[tuple[int, np.ndarray]]] = {}
-    by_id: dict[int, list[np.ndarray]] = {}
-    for frame in sorted(dets):
-        g = gt.get(frame, [])
-        ious = iou_matrix(corners([d.box for d in dets[frame]]),
-                          corners([box for _, box in g]))
-        labeled[frame] = [(g[k][0], d.embedding)
-                          for d, k in zip(dets[frame], best_match(ious, args.iou)) if k >= 0]
-        for gid, emb in labeled[frame]:
-            by_id.setdefault(gid, []).append(emb)
-
-    for frame, rows in labeled.items():  # impostor: same frame, different ids
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if rows[i][0] != rows[j][0]:
-                    impostor.append(float(np.dot(rows[i][1], rows[j][1])))
-    for gid, embs in sorted(by_id.items()):  # genuine: same id, across frames
-        for i in range(len(embs)):
-            for j in range(i + 1, len(embs)):
-                genuine.append(float(np.dot(embs[i], embs[j])))
+    genuine, impostor = _reid_scores(dets, gt, args.iou)
 
     tpr = tpr_at_far(genuine, impostor, args.far)
     if args.json:

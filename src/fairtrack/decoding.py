@@ -59,9 +59,14 @@ def peak_nms(heatmap: Tensor2D, threshold: float = DEFAULT_THRESHOLD,
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     h = np.asarray(heatmap)
+    # The second max of each pass is taken in place: two scratch planes
+    # instead of four.  Decoding a sequence frees this scratch every frame,
+    # and a larger scratch is handed back to the OS and faulted in again.
     pad = np.pad(h, 1, constant_values=-np.inf)
-    rows = np.maximum(np.maximum(pad[:-2], pad[1:-1]), pad[2:])
-    local_max = np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+    rows = np.maximum(pad[:-2], pad[1:-1])
+    np.maximum(rows, pad[2:], out=rows)
+    local_max = np.maximum(rows[:, :-2], rows[:, 1:-1])
+    np.maximum(local_max, rows[:, 2:], out=local_max)
     ys, xs = np.nonzero((h == local_max) & (h > threshold))
     scores = h[ys, xs]
     order = np.lexsort((xs, ys, -scores))

@@ -9,6 +9,12 @@ Each annotated object contributes:
 
 Overlapping Gaussians combine with an element-wise max so the heatmap
 stays in [0, 1] and is exactly 1 at every retained center.
+
+`TargetMaps` holds the offset, size and identity as dense grids, the
+shape the losses and `decoding.decode` take.  Only the retained centers
+carry values, so the `encode` CLI writes just the heatmap densely and
+the rest as one ``centers.txt`` row per center (cell, identity, offset,
+size), the sparse per-object form CenterNet and FairMOT train from.
 """
 
 from __future__ import annotations

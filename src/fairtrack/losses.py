@@ -14,7 +14,7 @@ Conventions that matter and are easy to get wrong elsewhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +44,6 @@ class UncertaintyParams:
     def __post_init__(self):
         if not (np.isfinite(self.w1) and np.isfinite(self.w2)):
             raise ValueError("uncertainty weights must be finite")
-
-
-@dataclass(frozen=True)
-class LossReport:
-    heat: float
-    box: float
-    identity: float
-    total: float
-    grads: dict = field(default_factory=dict)
 
 
 def focal_loss(pred: Tensor2D, target: Tensor2D, params: FocalParams = FocalParams(),
@@ -250,19 +241,3 @@ def gradcheck_run(seeds: int = 50, size: int = 8, num_classes: int = 8,
                              _rel_err(np.array([g1, g2]), num_w))
     return worst
 
-
-def loss_report(pred_heat: Tensor2D, pred_off: Tensor3D, pred_size: Tensor3D,
-                logits: list[np.ndarray], labels: list[int], targets: TargetMaps,
-                focal: FocalParams = FocalParams(),
-                u: UncertaintyParams = UncertaintyParams()) -> LossReport:
-    """Evaluate every loss against one frame's targets and bundle the gradients."""
-    n = max(targets.num_objects, 1)
-    heat, g_heat = focal_loss(pred_heat, targets.heatmap, focal, n)
-    box, (g_off, g_size) = box_loss(pred_off, pred_size, targets)
-    ident, g_logits = reid_loss(logits, labels)
-    total, (g_w1, g_w2) = total_loss(heat, box, ident, u)
-    return LossReport(
-        heat=heat, box=box, identity=ident, total=total,
-        grads={"heat": g_heat, "off": g_off, "size": g_size,
-               "logits": g_logits, "w1": g_w1, "w2": g_w2},
-    )

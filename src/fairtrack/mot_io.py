@@ -9,6 +9,12 @@ it reads back bit for bit; result lines round it to 2 decimals.
 Every number read must be finite, and frame, id and gt class fields
 integral within int32 (MOTChallenge's range); an integral float token such as
 ``1.0`` is accepted.
+
+``centers.txt``, written by ``encode``, is the object table: one
+``frame,x,y,identity,off_x,off_y,w,h`` line per retained center, with the
+integer feature-grid cell, the dense identity index, the sub-cell offset
+and the box size in image pixels.  The four values are float32 numbers
+written at float64 precision, so they read back exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .decoding import Detection
 from .geometry import BBox
@@ -97,6 +106,84 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
             continue
         out.setdefault(frame, []).append(rec)
     return out
+
+
+class CenterRows(NamedTuple):
+    """One frame's rows of ``centers.txt``, in file order."""
+
+    lines: np.ndarray   # (K,) 1-based line numbers
+    cells: np.ndarray   # (K, 2) feature-grid cells (x, y)
+    values: np.ndarray  # (K, 4) off_x, off_y, w, h
+
+
+def parse_centers(path) -> dict[int, CenterRows]:
+    """Read the object table into per-frame rows.
+
+    The identity column is checked but not returned: decoding does not
+    use it.  A line with other than 8 fields, a non-integer frame, cell or
+    identity, a non-finite value or a negative size raises MotFormatError
+    naming `path:line`; so does the first line that repeats a cell
+    already given for its frame.  Columns are gathered into flat lists
+    and grouped by frame as arrays, with no per-row objects kept.
+    """
+    frames, lines, cells, values = [], [], [], []
+    with open(path) as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 8:
+                raise MotFormatError(
+                    f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
+            try:
+                frame, x, y, _ = (_int_field(name, token) for name, token in
+                                  zip(("frame", "x", "y", "identity"), parts))
+                row = [float(v) for v in parts[4:]]
+                if not all(math.isfinite(v) for v in row):
+                    raise ValueError("offset and size must be finite")
+                if row[2] < 0 or row[3] < 0:
+                    raise ValueError("size must be non-negative")
+            except ValueError as e:
+                raise MotFormatError(f"{path}:{lineno}: {e}") from e
+            frames.append(frame)
+            lines.append(lineno)
+            cells += (x, y)
+            values += row
+    frames = np.array(frames, dtype=np.int64)
+    lines = np.array(lines, dtype=np.int64)
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    values = np.array(values, dtype=np.float64).reshape(-1, 4)
+
+    order = np.lexsort((lines, cells[:, 1], cells[:, 0], frames))
+    key = np.stack([frames, cells[:, 0], cells[:, 1]], axis=1)[order]
+    repeats = order[1:][(key[1:] == key[:-1]).all(axis=1)]
+    if repeats.size:
+        i = repeats[np.argmin(lines[repeats])]
+        raise MotFormatError(f"{path}:{lines[i]}: cell ({cells[i, 0]}, {cells[i, 1]}) "
+                             f"repeated in frame {frames[i]}")
+
+    order = np.argsort(frames, kind="stable")
+    keys, starts = np.unique(frames[order], return_index=True)
+    return {int(frame): CenterRows(lines[g], cells[g], values[g])
+            for frame, g in zip(keys, np.split(order, starts[1:]))}
+
+
+def format_centers(frame: int, xs, ys, identities, values) -> list[str]:
+    """One frame's ``centers.txt`` rows, each value written as its float32 rounding.
+
+    ``xs``, ``ys`` and ``identities`` hold one integer per row, ``values``
+    one (off_x, off_y, w, h) row.  A value that is not finite as float32
+    raises ValueError, so the table never holds a row its reader rejects.
+    """
+    with np.errstate(over="ignore"):
+        rounded = np.asarray(values, dtype=np.float32).reshape(-1, 4)
+    if not np.isfinite(rounded).all():
+        raise ValueError(f"frame {frame}: a center value is not finite as float32")
+    return [f"{frame},{x},{y},{ident}," + ",".join(map(repr, row))
+            for x, y, ident, row in zip(np.asarray(xs).tolist(), np.asarray(ys).tolist(),
+                                        np.asarray(identities).tolist(),
+                                        rounded.tolist())]
 
 
 def _box_fields(rec: MotRecord) -> str:

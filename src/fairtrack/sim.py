@@ -135,9 +135,11 @@ def _initial_states(cfg: SimConfig) -> np.ndarray:
 
     if cfg.scenario == "crossing":
         # first two targets swap horizontal positions, meeting exactly
-        # mid-sequence with identical boxes
+        # mid-sequence with identical boxes; each starts with its centre
+        # at least 80 px from the border, so in an image at most 160 px
+        # wide both stand still at the image centre
         cross = max(cfg.frames // 2, 1)
-        speed = min(4.0, (cfg.image_w / 2 - 80.0) / cross)
+        speed = min(4.0, max(cfg.image_w / 2 - 80.0, 0.0) / cross)
         d = speed * cross
         w, h = 45.0, 90.0
         cy = cfg.image_h / 2.0

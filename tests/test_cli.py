@@ -2,19 +2,27 @@ import io
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtrack import cli
 from fairtrack.decoding import decode
-from fairtrack.geometry import GridSpec
-from fairtrack.mot_io import parse_mot
-from fairtrack.tensors import Tensor2D, Tensor3D, read_tensor, write_tensor
+from fairtrack.encoding import GtObject, encode_targets
+from fairtrack.geometry import GridSpec, best_match, corners, iou_matrix
+from fairtrack.metrics import tpr_at_far
+from fairtrack.mot_io import MotRecord, format_det_line, format_gt_line, parse_mot, \
+    to_frames
+from fairtrack.tensors import Tensor2D, Tensor3D, read_tensor, tensor_from_bytes, \
+    tensor_to_bytes, write_tensor
 
 
 def run(argv):
@@ -201,13 +209,14 @@ def test_encode_layout_and_sidecar(sim_dir, tmp_path):
     maps = tmp_path / "maps"
     rc, _ = run(["encode", "--gt", str(sim_dir / "gt.txt"), "--out", str(maps)])
     assert rc == 0
-    for f in range(1, 11):
-        for suffix in ("heat", "off", "size"):
-            assert (maps / f"{f:06d}.{suffix}.ften").is_file()
+    assert sorted(p.name for p in maps.glob("*.ften")) == [
+        f"{f:06d}.heat.ften" for f in range(1, 11)]
     centers = (maps / "centers.txt").read_text().strip().splitlines()
     assert len(centers) == 30  # 3 targets x 10 frames, no collisions
-    frame, x, y, ident = centers[0].split(",")
+    frame, x, y, ident, off_x, off_y, w, h = centers[0].split(",")
     assert frame == "1" and int(ident) in (0, 1, 2)
+    assert 0 <= float(off_x) < 1 and 0 <= float(off_y) < 1
+    assert float(w) > 0 and float(h) > 0
 
 
 def test_encode_requires_image_size(tmp_path):
@@ -228,16 +237,14 @@ def test_decode_empty_maps_dir_exits_2(tmp_path):
 
 
 def _write_maps(maps, frames=2):
-    """Valid 16x16 heat/off/size maps with one peak per frame."""
+    """Valid 16x16 heat maps with one peak per frame, and its centers.txt row."""
     maps.mkdir()
     heat = np.zeros((16, 16), np.float32)
     heat[4, 5] = 0.7
     for f in range(1, frames + 1):
         write_tensor(Tensor2D.from_array(heat), maps / f"{f:06d}.heat.ften")
-        write_tensor(Tensor3D.from_array(np.full((2, 16, 16), 0.25)),
-                     maps / f"{f:06d}.off.ften")
-        write_tensor(Tensor3D.from_array(np.full((2, 16, 16), 8.0)),
-                     maps / f"{f:06d}.size.ften")
+    (maps / "centers.txt").write_text(
+        "".join(f"{f},5,4,0,0.25,0.25,8.0,8.0\n" for f in range(1, frames + 1)))
 
 
 def _decode_err(tmp_path, capsys):
@@ -258,7 +265,7 @@ def test_decode_wrong_rank_map_exits_2_naming_file(tmp_path, capsys):
 
 def test_decode_corrupt_map_error_names_file(tmp_path, capsys):
     _write_maps(tmp_path / "maps")
-    path = tmp_path / "maps" / "000002.off.ften"
+    path = tmp_path / "maps" / "000002.heat.ften"
     path.write_bytes(b"XXXX" + path.read_bytes()[4:])
     rc, err = _decode_err(tmp_path, capsys)
     assert rc == 2
@@ -268,14 +275,114 @@ def test_decode_corrupt_map_error_names_file(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["heat", "off", "size"])
 def test_decode_nan_map_exits_2_naming_file(tmp_path, capsys, name):
     _write_maps(tmp_path / "maps")
-    path = tmp_path / "maps" / f"000002.{name}.ften"
-    raw = bytearray(path.read_bytes())
-    dims_end = 8 + 4 * raw[6]
-    raw[dims_end + 4 * 3:dims_end + 4 * 4] = np.float32(np.nan).tobytes()
-    path.write_bytes(bytes(raw))
+    if name == "heat":
+        path = tmp_path / "maps" / "000002.heat.ften"
+        raw = bytearray(path.read_bytes())
+        dims_end = 8 + 4 * raw[6]
+        raw[dims_end + 4 * 3:dims_end + 4 * 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        want = f"{path}: non-finite value nan at element 3 (byte offset {dims_end + 12})"
+    else:  # the offset or size columns of frame 2's table row
+        path = tmp_path / "maps" / "centers.txt"
+        value = "0.25,nan,8.0,8.0" if name == "off" else "0.25,0.25,nan,8.0"
+        path.write_text(f"1,5,4,0,0.25,0.25,8.0,8.0\n2,5,4,0,{value}\n")
+        want = f"{path}:2: offset and size must be finite"
     rc, err = _decode_err(tmp_path, capsys)
     assert rc == 2
-    assert f"{path}: non-finite value nan at element 3 (byte offset {dims_end + 12})" in err
+    assert want in err
+
+
+@pytest.mark.parametrize("row,lineno,message", [
+    ("2,5,4,0,0.25,0.25,8.0", 2, "expected 8 fields, got 7"),
+    ("2,5,4,0,0.25,0.25,8.0,8.0,1", 2, "expected 8 fields, got 9"),
+    ("2.5,5,4,0,0.25,0.25,8.0,8.0", 2, "frame must be an integer"),
+    ("2,5.5,4,0,0.25,0.25,8.0,8.0", 2, "x must be an integer"),
+    ("2,5,1e300,0,0.25,0.25,8.0,8.0", 2, "y must be an integer"),
+    ("2,5,4,nan,0.25,0.25,8.0,8.0", 2, "identity must be an integer"),
+    ("2,5,4,0,inf,0.25,8.0,8.0", 2, "offset and size must be finite"),
+    ("2,5,4,0,0.25,0.25,8.0,-inf", 2, "offset and size must be finite"),
+    ("2,5,4,0,0.25,0.25,-8.0,8.0", 2, "size must be non-negative"),
+    ("2,5,4,0,0.25,0.25,8.0,-1e-9", 2, "size must be non-negative"),
+    ("2,16,4,0,0.25,0.25,8.0,8.0", 2, "cell (16, 4) outside the 16x16 heat map"),
+    ("2,-1,4,0,0.25,0.25,8.0,8.0", 2, "cell (-1, 4) outside the 16x16 heat map"),
+    ("2,5,16,0,0.25,0.25,8.0,8.0", 2, "cell (5, 16) outside the 16x16 heat map"),
+    ("2,5,4,0,0.25,0.25,8.0,8.0\n2,5,4,1,0.5,0.5,9.0,9.0", 3,
+     "cell (5, 4) repeated in frame 2"),
+    ("2,5,4,0,0.25,0.25,8.0,8.0\n3,5,4,0,0.25,0.25,8.0,8.0", 3,
+     "frame 3 has no heat map"),
+], ids=["fields-7", "fields-9", "frame-float", "x-float", "y-huge",
+        "identity-nan", "off-inf", "size-neg-inf", "size-neg", "size-tiny-neg",
+        "x-past-grid", "x-neg", "y-past-grid", "duplicate-cell", "frame-no-heat"])
+def test_decode_bad_table_row_exits_2_at_line(tmp_path, capsys, row, lineno, message):
+    _write_maps(tmp_path / "maps")
+    path = tmp_path / "maps" / "centers.txt"
+    path.write_text(f"1,5,4,0,0.25,0.25,8.0,8.0\n{row}\n")
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2
+    assert f"{path}:{lineno}: {message}" in err
+    assert not (tmp_path / "dec" / "det.txt").exists()
+
+
+def test_decode_heads_hold_only_each_frames_rows(tmp_path):
+    """A frame decodes from its own rows only, also after a frame of another size."""
+    maps = tmp_path / "maps"
+    _write_maps(maps, frames=2)  # the same peak on both frames
+    heat = np.zeros((8, 12), np.float32)
+    heat[2, 3] = 0.9
+    write_tensor(Tensor2D.from_array(heat), maps / "000003.heat.ften")
+    (maps / "centers.txt").write_text("1,5,4,0,0.25,0.25,8.0,8.0\n"
+                                      "3,3,2,0,0.5,0.5,6.0,4.0\n")
+    assert run(["decode", "--maps", str(maps), "--out", str(tmp_path / "dec")])[0] == 0
+    rows = parse_mot(tmp_path / "dec" / "det.txt", kind="det")
+    assert {f: [(r.bb_left, r.bb_top, r.bb_width, r.bb_height) for r in recs]
+            for f, recs in rows.items()} == {1: [(17.0, 13.0, 8.0, 8.0)],
+                                             3: [(11.0, 8.0, 6.0, 4.0)]}
+
+
+def test_decode_missing_table_exits_2_naming_file(tmp_path, capsys):
+    _write_maps(tmp_path / "maps")
+    (tmp_path / "maps" / "centers.txt").unlink()
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2
+    assert str(tmp_path / "maps" / "centers.txt") in err
+
+
+def _f32(t):
+    """The tensor as an FTEN file reads it back."""
+    return tensor_from_bytes(tensor_to_bytes(t))
+
+
+_GT_BOX = st.tuples(st.floats(-20, 140), st.floats(-20, 110),
+                    st.floats(1, 60), st.floats(1, 60))
+
+
+@settings(max_examples=25, deadline=None)
+@given(frames=st.lists(st.lists(st.tuples(st.integers(1, 5), _GT_BOX),
+                                min_size=1, max_size=6),
+                       min_size=1, max_size=3))
+def test_table_decode_equals_dense_decode(frames):
+    """encode -> decode through centers.txt gives the det.txt that decode
+    gives on the dense heads of encode_targets, read back through float32."""
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        gt_path, maps, dets = d / "gt.txt", d / "maps", d / "dets"
+        gt_path.write_text("".join(
+            format_gt_line(MotRecord(f, tid, *box)) + "\n"
+            for f, objs in enumerate(frames, start=1) for tid, box in objs))
+        assert run(["encode", "--gt", str(gt_path), "--out", str(maps),
+                    "--image-w", "128", "--image-h", "96"])[0] == 0
+        assert run(["decode", "--maps", str(maps), "--out", str(dets)])[0] == 0
+
+        gt = parse_mot(gt_path, kind="gt")
+        ids = sorted({r.obj_id for recs in gt.values() for r in recs})
+        grid = GridSpec(128, 96, 4)
+        lines = []
+        for frame in sorted(gt):
+            objs = [GtObject(r.to_box(), ids.index(r.obj_id)) for r in gt[frame]]
+            m = encode_targets(objs, grid, len(ids))
+            lines += [format_det_line(frame, det) for det in decode(
+                _f32(m.heatmap), _f32(m.offsets), _f32(m.sizes), None, grid)]
+        assert (dets / "det.txt").read_text() == "\n".join(lines) + "\n"
 
 
 def test_encode_streams_one_frame_at_a_time(tmp_path):
@@ -306,8 +413,8 @@ def test_decoded_score_reaches_track_bit_for_bit(tmp_path):
     off = np.full((2, 16, 16), 0.25, np.float32)
     size = np.full((2, 16, 16), 8.0, np.float32)
     write_tensor(Tensor2D.from_array(heat), maps / "000001.heat.ften")
-    write_tensor(Tensor3D.from_array(off), maps / "000001.off.ften")
-    write_tensor(Tensor3D.from_array(size), maps / "000001.size.ften")
+    (maps / "centers.txt").write_text("1,5,4,0,0.25,0.25,8.0,8.0\n"
+                                      "1,12,10,1,0.25,0.25,8.0,8.0\n")
     assert run(["decode", "--maps", str(maps), "--out", str(dec),
                 "--threshold", "0.1"])[0] == 0
     want = decode(Tensor2D.from_array(heat), Tensor3D.from_array(off),
@@ -392,6 +499,62 @@ def test_reid_eval_iou_outside_unit_interval_exits_1(sim_dir, capsys, iou):
     rc, out = run(["reid-eval", "--in", str(sim_dir), "--iou", iou])
     assert rc == 1 and out == ""
     assert f"--iou must be in (0, 1], got {iou}" in capsys.readouterr().err
+
+
+_DET_TOKENS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e999", "1e300", "-1", "0",
+                     "1.7", "2147483648", "x", "1,5", " 7 "]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789.-+eE ninfa", max_size=6),
+)
+_DET_BOX = st.tuples(st.floats(-50, 600), st.floats(-50, 600),
+                     st.floats(0, 200), st.floats(0, 200), st.floats(0, 1))
+
+
+@st.composite
+def _det_inputs(draw):
+    """det.txt lines for frames 1-3 (some fields mutated), and per frame an
+    emb/*.ften whose row count is right, off by one, missing or corrupt."""
+    lines, embs = [], {}
+    for frame in range(1, 4):
+        boxes = draw(st.lists(_DET_BOX, max_size=4))
+        for l, t, w, h, conf in boxes:
+            fields = [str(frame), "-1", repr(l), repr(t), repr(w), repr(h),
+                      repr(conf), "-1", "-1", "-1"]
+            if draw(st.integers(0, 9)) == 0:
+                fields[draw(st.integers(0, 9))] = draw(_DET_TOKENS)
+            lines.append(",".join(fields))
+        kind = draw(st.sampled_from([0, 0, 0, -1, 1, "missing", "corrupt"]))
+        if kind == "corrupt":
+            embs[frame] = b"FTEN\x01"
+        elif kind != "missing" and len(boxes) + kind >= 1:
+            m = np.tile(np.eye(1, 4), (len(boxes) + kind, 1))
+            m[0] = draw(st.sampled_from([1.0, 0.0, 3e38]))  # unit, zero, overflowing norm
+            embs[frame] = tensor_to_bytes(Tensor2D.from_array(m))
+    return lines, embs
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_det_inputs(), no_reid=st.booleans())
+def test_track_input_fuzz_exits_cleanly(inputs, no_reid):
+    """track --in on mutated det.txt and emb files exits 0, 1 or 2, and an
+    exit 2 names the file (with its line for det.txt)."""
+    lines, embs = inputs
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        (d / "emb").mkdir()
+        (d / "det.txt").write_text("\n".join(lines) + "\n")
+        for frame, data in embs.items():
+            (d / "emb" / f"{frame:06d}.ften").write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, _ = run(["track", "--in", str(d), "--out", str(d / "r.txt"),
+                         *(["--no-reid"] if no_reid else [])])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert re.search(re.escape(f"{d / 'det.txt'}:") + r"\d+: ", err.getvalue()) \
+                or re.search(re.escape(f"{d / 'emb'}/") + r"\d{6}\.ften: ", err.getvalue()), \
+                err.getvalue()
 
 
 def test_track_without_embeddings_needs_no_reid(sim_dir, tmp_path):
@@ -517,3 +680,45 @@ def test_reid_eval_separated_anchors(sim_dir):
     rep = json.loads(out)
     assert rep["tpr"] == 1.0
     assert rep["genuine"] > 0 and rep["impostor"] > 0
+
+
+def _ref_reid_scores(dets, gt, iou):
+    """reid-eval's scoring before Gram matrices: one np.dot per pair."""
+    genuine, impostor = [], []
+    labeled, by_id = {}, {}
+    for frame in sorted(dets):
+        g = gt.get(frame, [])
+        ious = iou_matrix(corners([d.box for d in dets[frame]]),
+                          corners([box for _, box in g]))
+        labeled[frame] = [(g[k][0], d.embedding)
+                          for d, k in zip(dets[frame], best_match(ious, iou)) if k >= 0]
+        for gid, emb in labeled[frame]:
+            by_id.setdefault(gid, []).append(emb)
+    for frame, rows in labeled.items():
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                if rows[i][0] != rows[j][0]:
+                    impostor.append(float(np.dot(rows[i][1], rows[j][1])))
+    for gid, embs in sorted(by_id.items()):
+        for i in range(len(embs)):
+            for j in range(i + 1, len(embs)):
+                genuine.append(float(np.dot(embs[i], embs[j])))
+    return genuine, impostor
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_reid_scores_equal_the_per_pair_loops(tmp_path, seed):
+    seq = tmp_path / "seq"
+    run(sim_args(seq, seed=seed, frames=20, targets=8,
+                 extra=["--emb-noise", "0.3", "--fp-rate", "1", "--dropout", "0.1",
+                        "--box-noise", "2"]))
+    gt = to_frames(parse_mot(seq / "gt.txt", kind="gt"))
+    dets = cli._load_detections(seq, need_emb=True)
+    for iou in (0.3, 0.5, 0.9):
+        got = cli._reid_scores(dets, gt, iou)
+        want = _ref_reid_scores(dets, gt, iou)
+        for g, w in zip(got, want):
+            assert len(g) == len(w) > 0
+            assert np.max(np.abs(np.subtract(g, w))) <= 1e-12
+        for far in (0.01, 0.1, 0.5):
+            assert tpr_at_far(*got, far) == tpr_at_far(*want, far)

@@ -5,13 +5,13 @@ hashes the MOT result lines and the ``evaluate_tracking`` report.  Each
 CLI case runs ``sim -> track`` and ``sim -> encode -> decode -> track
 --no-reid -> eval --json`` through ``cli.main`` and hashes both result
 files and the eval report.  Each map case hashes the tree ``encode``
-writes (every ``*.ften`` and ``centers.txt``, not the manifest) and the
-``det.txt`` that ``decode`` reads back from it.  Each re-ID case hashes
-``reid-eval --json`` on one simulated sequence.  The pinned hashes fix
-the output exactly, so a change meant to keep behaviour (a faster
-kernel, a refactor, a file format change) is shown to keep it byte for
-byte.  A change that alters output on purpose updates the pins and says
-so.
+writes (every heat map and the ``centers.txt`` object table, not the
+manifest) and the ``det.txt`` that ``decode`` reads back from it.  Each
+re-ID case hashes ``reid-eval --json`` on one simulated sequence.  The
+pinned hashes fix the output exactly, so a change meant to keep
+behaviour (a faster kernel, a refactor, a file format change) is shown
+to keep it byte for byte.  A change that alters output on purpose
+updates the pins and says so.
 
 Regenerate the pins with ``python tests/test_corpus.py``.
 """
@@ -190,11 +190,13 @@ def _map_digests(seed: int, root: Path) -> tuple[str, str]:
     return tree.hexdigest()[:16], _sha((dets / "det.txt").read_bytes())
 
 
-# Pinned from the encoder that evaluated every Gaussian over the whole grid.
+# The det.txt hashes were pinned from the encoder that evaluated every
+# Gaussian over the whole grid and wrote dense offset and size maps; the
+# tree hashes from the encoder that writes those values into centers.txt.
 MAP_PINS = {
-    1: ('29647c8d5fcb20af', 'c82d1b71c38a09d4'),
-    2: ('bf40e3abd0249182', 'a7d58cc8180a5b2e'),
-    3: ('6fc13c304032201e', 'eb282aad1556a660'),
+    1: ('2350b0275dcfc604', 'c82d1b71c38a09d4'),
+    2: ('9d5ae4b29c2769a7', 'a7d58cc8180a5b2e'),
+    3: ('45d93ea8079b9b12', 'eb282aad1556a660'),
 }
 
 

@@ -11,7 +11,6 @@ from fairtrack.losses import (
     box_loss,
     focal_loss,
     gradcheck_run,
-    loss_report,
     numeric_gradient,
     reid_loss,
     total_loss,
@@ -232,19 +231,7 @@ def test_total_rejects_non_finite():
         UncertaintyParams(float("inf"), 0.0)
 
 
-# --- combined report and the full gradient check ---------------------------
-
-def test_loss_report_bundles_components():
-    t = _one_object_targets()
-    rng = np.random.default_rng(5)
-    pred = Tensor2D.from_array(rng.uniform(0.1, 0.9, (8, 8)))
-    po = Tensor3D.from_array(rng.uniform(0, 1, (2, 8, 8)))
-    ps = Tensor3D.from_array(rng.uniform(1, 30, (2, 8, 8)))
-    rep = loss_report(pred, po, ps, [rng.normal(size=4)], [0], t)
-    det = rep.heat + rep.box
-    assert rep.total == pytest.approx(0.5 * (det + rep.identity))
-    assert set(rep.grads) == {"heat", "off", "size", "logits", "w1", "w2"}
-
+# --- the full gradient check ----------------------------------------------
 
 def test_gradcheck_run_passes():
     worst = gradcheck_run(seeds=8, size=6, num_classes=5)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,12 @@ from fairtrack.geometry import BBox
 from fairtrack.mot_io import (
     MotFormatError,
     MotRecord,
+    format_centers,
     format_det_line,
     format_gt_line,
     format_mot_line,
     load_config,
+    parse_centers,
     parse_mot,
     to_frames,
 )
@@ -241,6 +244,64 @@ def test_to_frames_produces_metric_input():
     assert tid == 4
     assert box.as_tuple() == (0.0, 0.0, 10.0, 20.0)
 
+
+
+# --- centers.txt, the object table -----------------------------------------
+
+def test_centers_round_trip_float32_values_exactly(tmp_path):
+    values = np.array([[0.1, 0.7, 45.67, 90.0], [0.0, 0.999999, 1e-3, 3e38]])
+    lines = format_centers(3, [5, 0], [4, 9], [2, 0], values)
+    assert lines[0].startswith("3,5,4,2,0.10000000149011612,")
+    p = tmp_path / "centers.txt"
+    p.write_text("\n".join(lines) + "\n")
+    rows = parse_centers(p)[3]
+    assert rows.lines.tolist() == [1, 2]
+    assert rows.cells.tolist() == [[5, 4], [0, 9]]
+    assert rows.values.tolist() == values.astype(np.float32).astype(np.float64).tolist()
+
+
+def test_format_centers_refuses_values_not_finite_as_float32():
+    with pytest.raises(ValueError, match="frame 7: a center value is not finite"):
+        format_centers(7, [1], [1], [0], [[0.5, 0.5, 4e38, 10.0]])
+
+
+def test_parse_centers_empty_table(tmp_path):
+    p = tmp_path / "centers.txt"
+    p.write_text("\n")
+    assert parse_centers(p) == {}
+
+
+_VALID_CENTER = ["1", "5", "4", "0", "0.25", "0.75", "8.0", "16.0"]
+# valid rows (repeats collide), random token lists, and valid rows with
+# one field replaced
+_CENTER_LINES = st.one_of(
+    st.just(",".join(_VALID_CENTER)),
+    st.lists(_TOKENS, min_size=0, max_size=10).map(",".join),
+    st.tuples(st.integers(0, 7), _TOKENS).map(
+        lambda t: ",".join(_VALID_CENTER[:t[0]] + [t[1]] + _VALID_CENTER[t[0] + 1:])))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_CENTER_LINES, min_size=1, max_size=5))
+def test_parse_centers_fuzz_rows_or_located_error(tmp_path, lines):
+    p = tmp_path / "centers.txt"
+    p.write_text("\n".join(lines) + "\n")
+    try:
+        table = parse_centers(p)
+    except MotFormatError as e:
+        lineno = str(e)[len(f"{p}:"):].split(":", 1)[0]
+        assert str(e).startswith(f"{p}:") and lineno.isdigit()
+        assert 1 <= int(lineno) <= len(lines)
+        return
+    for frame, rows in table.items():
+        assert type(frame) is int and -2**31 <= frame < 2**31
+        k = len(rows.lines)
+        assert k >= 1 and rows.lines.min() >= 1 and rows.lines.max() <= len(lines)
+        assert rows.cells.shape == (k, 2) and rows.values.shape == (k, 4)
+        assert np.isfinite(rows.values).all()
+        assert (rows.values[:, 2:] >= 0).all()
+        assert len({tuple(c) for c in rows.cells.tolist()}) == k
 
 # --- config files ----------------------------------------------------------
 

@@ -101,6 +101,19 @@ def test_crossing_targets_meet_mid_sequence():
     assert overlaps[0] == 0.0 and overlaps[-1] == 0.0
 
 
+@pytest.mark.parametrize("image_w", [70, 100, 159, 160, 161, 400])
+def test_crossing_boxes_stay_inside_and_never_part(image_w):
+    cfg = SimConfig(image_w=image_w, image_h=200, scenario="crossing",
+                    frames=10, num_targets=2)
+    gt = trajectories(cfg)
+    gaps = []
+    for f in range(1, cfg.frames // 2 + 1):
+        a, b = dict(gt[f])[1], dict(gt[f])[2]
+        assert 0.0 <= min(a.x1, b.x1) and max(a.x2, b.x2) <= image_w
+        gaps.append(abs(a.center[0] - b.center[0]))
+    assert all(later <= earlier for earlier, later in zip(gaps, gaps[1:]))
+
+
 # --- identity anchors ------------------------------------------------------
 
 def test_anchors_unit_norm_and_separated():
