@@ -338,11 +338,9 @@ def cmd_track(args) -> int:
     lines = []
     for frame in sorted(dets):
         outputs = tracker.step(frame, dets[frame])
-        scores = {t.track_id: t.last_score for t in tracker.tracks}
-        for tid, box in outputs:
+        for (tid, box), score in zip(outputs, tracker.active_scores()):
             lines.append(format_mot_line(MotRecord(
-                frame, tid, box.x1, box.y1, box.width, box.height,
-                conf=scores.get(tid, 1.0))))
+                frame, tid, box.x1, box.y1, box.width, box.height, conf=score)))
 
     out = Path(args.out)
     if out.parent:

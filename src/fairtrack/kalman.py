@@ -8,9 +8,15 @@ The filter works on stacks of states: means ``(T, 8)`` and covariances
 coordinate alone and ``initiate`` starts diagonal, so a covariance is
 exactly four 2x2 (position, velocity) blocks, stored as rows var_p,
 cov_pv and var_v by columns cx, cy, a and h; every step is elementwise.
-``predict`` advances every state in one pass and ``gate`` returns the
-``(T, N)`` squared Mahalanobis distances to the frame's ``(N, 4)``
-``measurements``.  The single-state functions (``kf_*``,
+``predict`` advances every state in one pass.  ``gate`` is row-aligned:
+it returns the ``(K,)`` squared Mahalanobis distances of ``K`` (state,
+measurement) pairs, so a caller computes it only on the pairs it still
+needs (the tracker: those its appearance cost admits), or on one state
+broadcast against many measurements.  ``measure`` turns ``(N, 4)`` box
+corners into measurements without checking them, and
+``check_measurements`` raises on the first row whose height is not
+positive or whose values leave float32's normal range; ``measurements``
+does both.  The single-state functions (``kf_*``,
 ``gating_distance``, ``state_to_box``) wrap the same code, taking and
 returning a validated ``KalmanState`` with its 8x8 covariance.
 """
@@ -30,6 +36,10 @@ STD_WEIGHT_VELOCITY = 1.0 / 160.0
 # 0.95 quantile of the chi-square distribution with 4 degrees of freedom;
 # the customary gate for box-measurement association.
 GATE_CHI2 = 9.4877
+
+# Measurements are kept within float32's normal range.
+_TINY = float(np.finfo(np.float32).tiny)
+_HUGE = float(np.finfo(np.float32).max)
 
 # (row, column) in the 8x8 covariance of each var_p, cov_pv and var_v entry.
 _ROW = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [4, 5, 6, 7]])
@@ -76,14 +86,42 @@ def _variances(std: np.ndarray, aspect_std: float) -> np.ndarray:
     return np.stack([std, std, np.full_like(std, aspect_std), std], axis=1) ** 2
 
 
-def measurements(boxes: list[BBox]) -> np.ndarray:
-    """(N, 4) measurements (cx, cy, w / h, h) of image boxes."""
-    c = corners(boxes)
+def measure(c: np.ndarray) -> np.ndarray:
+    """(N, 4) measurements (cx, cy, w / h, h) of (N, 4) box corners, unchecked.
+
+    A degenerate row (a height that is not positive, an aspect that
+    overflows) comes out non-finite or out of range without a numpy
+    warning; ``check_measurements`` rejects it before a filter uses it.
+    """
     h = c[:, 3] - c[:, 1]
-    if not (h > 0).all():  # NaN too
+    with np.errstate(all="ignore"):
+        return np.stack([(c[:, 0] + c[:, 2]) / 2.0, (c[:, 1] + c[:, 3]) / 2.0,
+                         (c[:, 2] - c[:, 0]) / h, h], axis=1)
+
+
+def check_measurements(z: np.ndarray) -> None:
+    """Raise ValueError on the first bad measurement row.
+
+    First on a height that is not positive; then on a value outside
+    float32's normal range (a height under its smallest normal number, or
+    a magnitude over its largest), where the filter's variances would
+    underflow to zero or its distances overflow.
+    """
+    h = z[:, 3]
+    if (h >= _TINY).all() and (np.abs(z) <= _HUGE).all():  # False on NaN
+        return
+    if not (h > 0).all():
         raise ValueError(f"box height must be positive, got {h[~(h > 0)][0]}")
-    return np.stack([(c[:, 0] + c[:, 2]) / 2.0, (c[:, 1] + c[:, 3]) / 2.0,
-                     (c[:, 2] - c[:, 0]) / h, h], axis=1)
+    bad = ~((np.abs(z) <= _HUGE).all(axis=1) & (h >= _TINY))
+    raise ValueError(f"box measurement (cx, cy, w / h, h) = "
+                     f"{tuple(z[bad][0].tolist())} is outside float32's normal range")
+
+
+def measurements(boxes: list[BBox]) -> np.ndarray:
+    """(N, 4) measurements (cx, cy, w / h, h) of image boxes, checked."""
+    z = measure(corners(boxes))
+    check_measurements(z)
+    return z
 
 
 def box_corners(mean: np.ndarray) -> np.ndarray:
@@ -133,14 +171,18 @@ def update(mean: np.ndarray, cov: np.ndarray,
 
 
 def gate(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(T, N) squared Mahalanobis distances of measurement centers from the states.
+    """(K,) squared Mahalanobis distances of measurement centers from the states.
 
-    Computed on the position components only, under the projected
-    (innovation) covariance, whose (cx, cy) block is diagonal.
+    Row k pairs state ``mean[k]``, ``cov[k]`` with measurement ``z[k]``; one
+    state (K = 1) broadcasts against every measurement.  Computed on the
+    position components only, under the projected (innovation) covariance,
+    whose (cx, cy) block is diagonal.  Each pair's arithmetic is the same
+    whatever else is in the batch, so a distance is bit-equal however the
+    pairs are grouped.
     """
     s = cov[:, 0, :2] + (STD_WEIGHT_POSITION * mean[:, 3, None]) ** 2
-    w = (z[None, :, :2] - mean[:, None, :2]) / np.sqrt(s)[:, None, :]
-    return w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1]
+    w = (z[:, :2] - mean[:, :2]) / np.sqrt(s)
+    return w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]
 
 
 def _state(mean: np.ndarray, cov: np.ndarray) -> KalmanState:
@@ -171,4 +213,4 @@ def gating_distance(s: KalmanState, boxes: list[BBox]) -> list[float]:
     if not boxes:
         return []
     d = gate(s.mean[None], _blocks(s.covariance[None]), measurements(boxes))
-    return [float(v) for v in d[0]]
+    return [float(v) for v in d]

@@ -19,6 +19,7 @@ written at float64 precision, so they read back exactly.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +67,20 @@ class MotRecord:
                     self.bb_left + self.bb_width, self.bb_top + self.bb_height)
 
 
+def _not_utf8(path, data: bytes, e: UnicodeDecodeError) -> MotFormatError:
+    line = data.count(b"\n", 0, e.start) + 1
+    return MotFormatError(f"{path}:{line}: not UTF-8 text ({e.reason} at byte {e.start})")
+
+
+def _read_text(path) -> str:
+    """The whole file as UTF-8 text; other bytes raise MotFormatError at `path:line`."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, data, e) from e
+
+
 def _int_field(name: str, token: str) -> int:
     value = float(token)
     if not (value.is_integer() and -2**31 <= value < 2**31):
@@ -77,13 +92,15 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
     """Read a MOT text file into frame-grouped records (input order kept).
 
     kind is one of gt / det / result; gt lines additionally carry class
-    and visibility, and non-pedestrian classes are dropped.  A malformed
-    line raises MotFormatError naming `path:line`.
+    and visibility, and non-pedestrian classes are dropped.  A det box
+    must have a positive height, as the tracker's Kalman filter needs.  A
+    malformed line, or bytes that are not UTF-8, raise MotFormatError
+    naming `path:line`.
     """
     if kind not in ("gt", "det", "result"):
         raise ValueError(f"unknown kind {kind!r}")
     out: dict[int, list[MotRecord]] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -100,6 +117,9 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
                 cls = _int_field("class", parts[7])
                 vis = float(parts[8])
             rec = MotRecord(frame, obj_id, l, t, w, h, conf, cls, vis)
+            height = rec.to_box().height
+            if kind == "det" and not height > 0:
+                raise ValueError(f"box height must be positive, got {height}")
         except (ValueError, OverflowError) as e:  # int(inf) overflows
             raise MotFormatError(f"{path}:{lineno}: {e}") from e
         if cls is not None and cls != PEDESTRIAN_CLASS:
@@ -121,13 +141,15 @@ def parse_centers(path) -> dict[int, CenterRows]:
 
     The identity column is checked but not returned: decoding does not
     use it.  A line with other than 8 fields, a non-integer frame, cell or
-    identity, a non-finite value or a negative size raises MotFormatError
-    naming `path:line`; so does the first line that repeats a cell
-    already given for its frame.  Columns are gathered into flat lists
-    and grouped by frame as arrays, with no per-row objects kept.
+    identity, a non-finite value, a negative size or bytes that are not
+    UTF-8 raise MotFormatError naming `path:line`; so does the first line
+    that repeats a cell already given for its frame.  Columns are gathered
+    into flat lists and grouped by frame as arrays, with no per-row objects
+    kept.
     """
     frames, lines, cells, values = [], [], [], []
-    with open(path) as f:
+    # newline=None splits lines as a file opened in text mode does
+    with io.StringIO(_read_text(path), newline=None) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line:
@@ -245,7 +267,7 @@ def load_config(path) -> tuple[TrackerConfig, SimConfig]:
     """Flat `key = value` file with # comments; unknown keys are an error."""
     tracker_kw: dict = {}
     sim_kw: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

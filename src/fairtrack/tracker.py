@@ -7,21 +7,29 @@ recovered through appearance; the overlap stage sees active tracks only.
 Each ingredient (re-ID, IoU, Kalman) can be toggled off to measure its
 contribution.
 
-Each frame works on whole arrays, never on track x detection pairs in
-Python.  The pool keeps its Kalman states as a ``(T, 8)`` mean and a
+The pool is a set of arrays aligned by row, one row per tracklet in id
+order: ids, start frames, the active flag, frames since the last update
+and last scores; the smoothed embeddings as one ``(T, D)`` array with a
+has-embedding mask; the Kalman states as a ``(T, 8)`` mean and a
 ``(T, 3, 4)`` stack of per-coordinate (position, velocity) covariance
-blocks, exact because the filter moves each box coordinate on its own
-(see ``kalman``); row k belongs to the k-th ``Track``, and one call
-predicts every state.  The frame's detections become one
-``(N, 4)`` measurement array, the motion gate is the ``(T, N)`` matrix of
-Mahalanobis distances, applied to the cost as a mask.  Appearance cost is
-one product of the ``(T, D)`` and ``(N, D)`` embedding stacks, overlap
-cost one broadcast over ``(T, 4)`` and ``(N, 4)`` box corners.  Each stage
-passes its threshold to ``hungarian``, which forbids the pairs above it
-(and the gated ones) before solving, so a pair over the threshold never
-takes a track or detection from a valid match; the allowed pairs of a
-crowded frame split into components of a few nodes, each solved on its
-own.
+blocks (see ``kalman``); and one list of the last ``BBox`` objects, which
+``step`` returns.  Each frame works on whole arrays, never on track x
+detection pairs in Python.  The detections become one ``(N, 4)`` corners
+array and one ``(N, 4)`` measurement array, and one call predicts every
+state.  Appearance cost is one product of the pool's and the frame's
+embedding stacks.  The motion gate is evaluated only on the pairs whose
+appearance cost is within ``emb_match_threshold``: ``hungarian`` forbids
+every other pair anyway, so the allowed pairs and their costs are those
+of a full ``(T, N)`` gate, at a cost that grows with the admissible
+pairs, not with T x N.  Overlap cost is one broadcast over ``(T, 4)`` and
+``(N, 4)`` box corners.  Each stage passes its threshold to
+``hungarian``, which forbids the pairs above it (and the gated ones)
+before solving, so a pair over the threshold never takes a track or
+detection from a valid match; the allowed pairs of a crowded frame split
+into components of a few nodes, each solved on its own.  Matching,
+smoothing, aging, loss, removal and birth are masks, fancy-indexed writes
+and concatenations.  ``tracks`` builds ``Track`` copies of the pool on
+demand.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ import numpy as np
 from .assignment import hungarian
 from .decoding import Detection
 from .geometry import BBox, corners, iou_matrix
-from .kalman import GATE_CHI2, box_corners, gate, initiate, measurements, predict, \
-    update
+from .kalman import GATE_CHI2, box_corners, check_measurements, gate, initiate, \
+    measure, predict, update
 
 
 class TrackStatus(enum.Enum):
@@ -74,6 +82,8 @@ class TrackerConfig:
 
 @dataclass
 class Track:
+    """A copy of one tracklet of the pool, as ``OnlineTracker.tracks`` gives it."""
+
     track_id: int
     last_box: BBox
     start_frame: int
@@ -83,19 +93,9 @@ class Track:
     last_score: float = 1.0
 
 
-def cosine_distance_matrix(tracks: list[Track], dets: list[Detection]) -> np.ndarray:
-    """1 - cosine similarity between track and detection embeddings, in [0, 2]."""
-    for j, d in enumerate(dets):
-        if d.embedding is None:
-            raise ValueError(f"detection {j} has no embedding")
-    for t in tracks:
-        if t.smooth_emb is None:
-            raise ValueError(f"track {t.track_id} has no embedding")
-    if not tracks or not dets:
-        return np.zeros((len(tracks), len(dets)))
-    e_t = np.array([t.smooth_emb for t in tracks])
-    e_d = np.array([d.embedding for d in dets])
-    return np.clip(1.0 - e_t @ e_d.T, 0.0, 2.0)
+def cosine_distance_matrix(track_embs: np.ndarray, det_embs: np.ndarray) -> np.ndarray:
+    """1 - cosine similarity between (T, D) and (N, D) unit embeddings, in [0, 2]."""
+    return np.clip(1.0 - track_embs @ det_embs.T, 0.0, 2.0)
 
 
 def iou_distance_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> np.ndarray:
@@ -103,21 +103,61 @@ def iou_distance_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> np.nd
     return 1.0 - iou_matrix(track_boxes, det_boxes)
 
 
+def _embeddings(dets: list[Detection], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, D) embedding stack of the detections and its has-embedding mask.
+
+    Rows without an embedding are zero; with none at all, D is ``width``.
+    """
+    has = np.array([d.embedding is not None for d in dets], dtype=bool)
+    if not has.any():
+        return np.zeros((len(dets), width)), has
+    rows = np.stack([d.embedding for d in dets if d.embedding is not None])
+    if has.all():
+        return rows, has
+    emb = np.zeros((len(dets), rows.shape[1]))
+    emb[has] = rows
+    return emb, has
+
+
 class OnlineTracker:
     """Owns the tracklet pool; step() is called once per frame, in order."""
 
     def __init__(self, cfg: TrackerConfig = TrackerConfig()):
         self.cfg = cfg
-        self._tracks: list[Track] = []
-        # Kalman states of the pool (use_kalman only): row k is self._tracks[k]
+        # the pool, row k of every array being one tracklet, rows in id order
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._start = np.zeros(0, dtype=np.int64)
+        self._active = np.zeros(0, dtype=bool)
+        self._misses = np.zeros(0, dtype=np.int64)  # frames since the last update
+        self._score = np.zeros(0)
+        self._boxes: list[BBox] = []
+        self._emb = np.zeros((0, 0))
+        self._has_emb = np.zeros(0, dtype=bool)
+        # Kalman states (use_kalman only)
         self._mean = np.zeros((0, 8))
         self._cov = np.zeros((0, 3, 4))
+        self._arrays = ("_ids", "_start", "_active", "_misses", "_score", "_emb",
+                        "_has_emb") + (("_mean", "_cov") if cfg.use_kalman else ())
         self._next_id = 1
         self._last_frame: int | None = None
 
     @property
     def tracks(self) -> list[Track]:
-        return list(self._tracks)
+        """Copies of the pool's tracklets as ``Track`` records, in id order."""
+        status = [TrackStatus.ACTIVE if a else TrackStatus.LOST
+                  for a in self._active.tolist()]
+        return [Track(track_id=tid, last_box=box, start_frame=start,
+                      smooth_emb=emb.copy() if has else None, status=st,
+                      frames_since_update=misses, last_score=score)
+                for tid, box, start, emb, has, st, misses, score in zip(
+                    self._ids.tolist(), self._boxes, self._start.tolist(), self._emb,
+                    self._has_emb.tolist(), status, self._misses.tolist(),
+                    self._score.tolist())]
+
+    def active_scores(self) -> list[float]:
+        """Last detection score of each active track: the tracks, in the
+        order, that the last ``step`` returned."""
+        return self._score[self._active].tolist()
 
     def step(self, frame_index: int, dets: list[Detection]) -> list[tuple[int, BBox]]:
         """Associate one frame of detections; returns (id, box) per active track."""
@@ -127,89 +167,103 @@ class OnlineTracker:
                 f"frame index {frame_index} not after {self._last_frame}")
         self._last_frame = frame_index
         kalman = cfg.use_kalman
-        tracks = self._tracks
+        pool = len(self._ids)
 
-        if kalman and tracks:
+        if kalman and pool:
             self._mean, self._cov = predict(self._mean, self._cov)
 
-        matches: list[tuple[int, int]] = []  # (pool row, detection index)
-        det_pool = list(range(len(dets)))
+        boxes = corners([d.box for d in dets])
+        # checked where a filter first uses a row, with measurements' error
+        z = measure(boxes) if kalman else None
+        emb, has_emb = _embeddings(dets, self._emb.shape[1])
+        # a pool holding no embedding takes the width of the first it meets
+        if emb.shape[1] != self._emb.shape[1] and not self._has_emb.any():
+            self._emb = np.zeros((pool, emb.shape[1]))
+        rows = cols = np.zeros(0, dtype=np.int64)  # matches: pool row, detection
+        det_pool = np.arange(len(dets))
 
         # stage 1: appearance, active and lost tracks alike
-        if cfg.use_reid and tracks and dets:
-            cost = cosine_distance_matrix(tracks, dets)
+        if cfg.use_reid and pool and dets:
+            if not has_emb.all():
+                raise ValueError(f"detection {np.argmin(has_emb)} has no embedding")
+            if not self._has_emb.all():
+                raise ValueError(
+                    f"track {self._ids[np.argmin(self._has_emb)]} has no embedding")
+            cost = cosine_distance_matrix(self._emb, emb)
             if kalman:
-                d2 = gate(self._mean, self._cov, measurements([d.box for d in dets]))
-                cost[d2 > cfg.gate_chi2] = np.inf
-            matches, _, det_pool = hungarian(cost, max_cost=cfg.emb_match_threshold)
+                check_measurements(z)
+                r, c = np.nonzero(cost <= cfg.emb_match_threshold)
+                cut = gate(self._mean[r], self._cov[r], z[c]) > cfg.gate_chi2
+                cost[r[cut], c[cut]] = np.inf
+            matches, _, left = hungarian(cost, max_cost=cfg.emb_match_threshold)
+            rows, cols = np.array(matches, dtype=np.int64).reshape(-1, 2).T
+            det_pool = np.array(left, dtype=np.int64)
 
         # stage 2: box overlap, active tracks only
-        if cfg.use_iou and det_pool:
-            done = {k for k, _ in matches}
-            cand = [k for k, t in enumerate(tracks)
-                    if t.status is TrackStatus.ACTIVE and k not in done]
-            if cand:
+        if cfg.use_iou and det_pool.size:
+            open_ = self._active.copy()
+            open_[rows] = False
+            cand = np.flatnonzero(open_)
+            if cand.size:
                 if kalman:
                     track_boxes = box_corners(self._mean[cand])
                 else:
-                    track_boxes = corners([tracks[k].last_box for k in cand])
-                cost = iou_distance_matrix(
-                    track_boxes, corners([dets[j].box for j in det_pool]))
-                pairs, _, left = hungarian(cost, max_cost=cfg.iou_match_threshold)
-                matches = matches + [(cand[i], det_pool[j]) for i, j in pairs]
-                det_pool = [det_pool[j] for j in left]
+                    track_boxes = corners([self._boxes[k] for k in cand.tolist()])
+                pairs, _, left = hungarian(
+                    iou_distance_matrix(track_boxes, boxes[det_pool]),
+                    max_cost=cfg.iou_match_threshold)
+                i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+                rows = np.concatenate([rows, cand[i]])
+                cols = np.concatenate([cols, det_pool[j]])
+                det_pool = det_pool[left]
 
-        if kalman and matches:
-            rows = [k for k, _ in matches]
-            self._mean[rows], self._cov[rows] = update(
-                self._mean[rows], self._cov[rows],
-                measurements([dets[j].box for _, j in matches]))
-        for k, j in matches:
-            t, d = tracks[k], dets[j]
-            t.last_box = d.box
-            t.last_score = d.score
-            t.frames_since_update = 0
-            t.status = TrackStatus.ACTIVE
-            if t.smooth_emb is not None and d.embedding is not None:
-                m = cfg.ema_momentum
-                e = m * t.smooth_emb + (1.0 - m) * d.embedding
-                n = np.linalg.norm(e)
-                if n > 1e-12:
-                    t.smooth_emb = e / n
-
-        matched = {k for k, _ in matches}
-        keep = []
-        for k, t in enumerate(tracks):
-            if k not in matched:
-                t.frames_since_update += 1
-                if t.frames_since_update > cfg.track_buffer:
-                    continue
-                t.status = TrackStatus.LOST
-            keep.append(k)
-        if len(keep) < len(tracks):
-            self._tracks = tracks = [tracks[k] for k in keep]
+        scores = np.array([d.score for d in dets], dtype=np.float64)
+        if rows.size:
             if kalman:
-                self._mean, self._cov = self._mean[keep], self._cov[keep]
+                check_measurements(z[cols])
+                self._mean[rows], self._cov[rows] = update(
+                    self._mean[rows], self._cov[rows], z[cols])
+            for k, j in zip(rows.tolist(), cols.tolist()):
+                self._boxes[k] = dets[j].box
+            self._score[rows] = scores[cols]
+            self._misses[rows] = 0
+            self._active[rows] = True
+            both = self._has_emb[rows] & has_emb[cols]
+            r, c = rows[both], cols[both]
+            m = cfg.ema_momentum
+            e = m * self._emb[r] + (1.0 - m) * emb[c]
+            # one dot per row, as np.linalg.norm takes it, so bit-equal to it
+            n = np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
+            ok = n > 1e-12
+            self._emb[r[ok]] = e[ok] / n[ok, None]
 
-        born = [dets[j] for j in det_pool if dets[j].score > cfg.det_threshold]
-        if kalman and born:
-            mean, cov = initiate(measurements([d.box for d in born]))
-            self._mean = np.concatenate([self._mean, mean])
-            self._cov = np.concatenate([self._cov, cov])
-        for d in born:
-            tracks.append(Track(
-                track_id=self._next_id,
-                last_box=d.box,
-                start_frame=frame_index,
-                smooth_emb=None if d.embedding is None else d.embedding.copy(),
-                last_score=d.score,
-            ))
-            self._next_id += 1
+        missed = np.ones(pool, dtype=bool)
+        missed[rows] = False
+        self._misses[missed] += 1
+        self._active[missed] = False
+        keep = self._misses <= cfg.track_buffer
+        if not keep.all():
+            for name in self._arrays:
+                setattr(self, name, getattr(self, name)[keep])
+            self._boxes = [b for b, k in zip(self._boxes, keep.tolist()) if k]
 
-        out = [(t.track_id, t.last_box) for t in tracks
-               if t.status is TrackStatus.ACTIVE]
-        out.sort(key=lambda pair: pair[0])
-        return out
+        born = det_pool[scores[det_pool] > cfg.det_threshold]
+        if born.size:
+            b = born.size
+            rows = {"_ids": np.arange(self._next_id, self._next_id + b),
+                    "_start": np.full(b, frame_index), "_active": np.ones(b, dtype=bool),
+                    "_misses": np.zeros(b, dtype=np.int64), "_score": scores[born],
+                    "_emb": emb[born], "_has_emb": has_emb[born]}
+            if kalman:
+                check_measurements(z[born])
+                rows["_mean"], rows["_cov"] = initiate(z[born])
+            for name in self._arrays:
+                setattr(self, name, np.concatenate([getattr(self, name), rows[name]]))
+            self._boxes += [dets[j].box for j in born.tolist()]
+            self._next_id += b
+
+        return [(tid, box) for tid, box, active in zip(
+            self._ids.tolist(), self._boxes, self._active.tolist()) if active]
 
 
 def track_sequence(frames: dict[int, list[Detection]],

@@ -446,6 +446,55 @@ def test_track_non_finite_det_box_exits_2(tmp_path, capsys, width):
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("kalman", [[], ["--no-kalman"]])
+@pytest.mark.parametrize("height", ["0", "-0", "0.0"])
+def test_track_zero_height_det_box_exits_2(tmp_path, capsys, height, kalman):
+    d = _det_dir(tmp_path, f"1,-1,10,10,20,{height},0.9,-1,-1,-1")
+    rc, _ = run(["track", "--in", str(d), "--out", str(tmp_path / "r.txt"),
+                 "--no-reid", *kalman])
+    assert rc == 2
+    assert f"{d / 'det.txt'}:2: box height must be positive, got 0.0" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
+def _not_utf8(path, lines=(), lineno=None):
+    """Write text lines, then a line starting with the bytes ff fe; returns
+    the located message prefix the CLI must print."""
+    path.write_bytes("".join(f"{l}\n" for l in lines).encode() + b"\xff\xfe1,2\n")
+    return f"{path}:{len(lines) + 1}: not UTF-8 text"
+
+
+@pytest.mark.parametrize("lines", [(), ("1,-1,0,0,10,10,0.9,-1,-1,-1",)])
+def test_track_non_utf8_det_exits_2(tmp_path, capsys, lines):
+    d = tmp_path / "dets"
+    d.mkdir()
+    want = _not_utf8(d / "det.txt", lines)
+    rc, _ = run(["track", "--in", str(d), "--out", str(tmp_path / "r.txt"), "--no-reid"])
+    assert rc == 2 and want in capsys.readouterr().err
+
+
+def test_decode_non_utf8_table_exits_2(tmp_path, capsys):
+    _write_maps(tmp_path / "maps")
+    want = _not_utf8(tmp_path / "maps" / "centers.txt", ["1,5,4,0,0.25,0.25,8.0,8.0"])
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2 and want in err
+
+
+def test_sim_non_utf8_config_exits_2(tmp_path, capsys):
+    cfgf = tmp_path / "run.cfg"
+    want = _not_utf8(cfgf, ["seed = 3"])
+    rc, _ = run(["sim", "--config", str(cfgf), "--out", str(tmp_path / "seq")])
+    assert rc == 2 and want in capsys.readouterr().err
+
+
+def test_eval_non_utf8_gt_exits_2(sim_dir, tmp_path, capsys):
+    gt = tmp_path / "gt.txt"
+    want = _not_utf8(gt, ["1,1,10,10,20,40,1,1,1.0"])
+    rc, _ = run(["eval", "--gt", str(gt), "--pred", str(sim_dir / "gt.txt")])
+    assert rc == 2 and want in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("left", ["nan", "inf"])
 def test_eval_non_finite_result_box_exits_2(sim_dir, tmp_path, capsys, left):
     res = tmp_path / "res.txt"

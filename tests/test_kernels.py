@@ -7,7 +7,8 @@ per-component assignment is compared to the whole-matrix solver that
 preceded it, kept here as the reference and run with the over-threshold
 entries set to +inf: exactly on continuous costs, and in match count and
 total cost on tie-heavy ones, whose ties may resolve differently.  The batched
-gate is compared to a triangular solve to 1e-9 relative.  The peak filter
+gate is compared to a triangular solve to 1e-9 relative, and its pair form
+to the dense (T, N) form for exact equality.  The peak filter
 is compared for exact equality to scipy's 3x3 maximum filter.  The
 windowed Gaussian stamp is compared to a full-grid stamp in the float32
 bytes the maps are stored in.  The metrics, which read one IoU matrix per frame, are compared
@@ -156,18 +157,54 @@ def test_batched_predict_and_update_equal_the_matrix_forms(seed, count):
         assert np.array_equal(um[k], rm) and np.array_equal(uc[k], rc)
 
 
+def _measurable(boxes):
+    """The boxes the filter takes as measurements (see ``check_measurements``)."""
+    def ok(b):
+        try:
+            measurements([b])
+        except ValueError:
+            return False
+        return True
+    return [b for b in boxes if ok(b)] or [BBox(0, 0, 1, 1)]
+
+
+def _dense_gate(mean, cov, z):
+    """The (T, N) gate of every state against every measurement, as the
+    tracker computed it before it gated only the appearance-admissible pairs."""
+    s = cov[:, 0, :2] + (STD_WEIGHT_POSITION * mean[:, 3, None]) ** 2
+    w = (z[None, :, :2] - mean[:, None, :2]) / np.sqrt(s)[:, None, :]
+    return w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**31), st.integers(1, 8), _boxes(max_size=8))
 def test_batched_gate_matches_per_state_gating(seed, count, boxes):
-    boxes = [b for b in boxes if b.height > 0] or [BBox(0, 0, 1, 1)]
+    boxes = _measurable(boxes)
     mean, cov = _states(seed, count)
-    got = gate(mean, _blocks(cov), measurements(boxes))
-    assert got.shape == (count, len(boxes))
+    z = measurements(boxes)
+    rows, cols = np.indices((count, len(boxes))).reshape(2, -1)
+    got = gate(mean[rows], _blocks(cov)[rows], z[cols]).reshape(count, len(boxes))
     for k in range(count):
-        want = _reference_gate(mean[k], cov[k], measurements(boxes))
+        want = _reference_gate(mean[k], cov[k], z)
         np.testing.assert_allclose(got[k], want, rtol=1e-9, atol=0)
         single = gating_distance(KalmanState(mean[k], cov[k]), boxes)
         np.testing.assert_allclose(got[k], single, rtol=1e-9, atol=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31), st.integers(1, 8), _boxes(max_size=8), st.data())
+def test_pair_gate_equals_dense_gate_on_every_pair(seed, count, boxes, data):
+    boxes = _measurable(boxes)
+    mean, cov = _states(seed, count)
+    blocks, z = _blocks(cov), measurements(boxes)
+    dense = _dense_gate(mean, blocks, z)
+    rows, cols = np.indices(dense.shape).reshape(2, -1)
+    assert np.array_equal(gate(mean[rows], blocks[rows], z[cols]), dense.ravel())
+    # any subset, in any order, gives the same bits pair for pair
+    pick = np.array(data.draw(st.lists(st.integers(0, rows.size - 1), max_size=20)),
+                    dtype=np.int64)
+    assert np.array_equal(gate(mean[rows[pick]], blocks[rows[pick]], z[cols[pick]]),
+                          dense[rows[pick], cols[pick]])
 
 
 def test_box_corners_match_state_to_box():
@@ -175,6 +212,22 @@ def test_box_corners_match_state_to_box():
     got = box_corners(mean)
     for k in range(5):
         assert tuple(got[k]) == state_to_box(KalmanState(mean[k], cov[k])).as_tuple()
+
+
+@pytest.mark.parametrize("box", [
+    BBox(0, 0, 4, 2.2250738585072014e-308),  # the aspect overflows
+    BBox(0, 0, 20, 1e-200),  # the variances underflow to zero
+    BBox(0, 0, 1e-300, 1e-300),
+    BBox(1e300, 0, 1e300, 10),
+    BBox(0, 0, 20, 1e300),
+])
+def test_measurement_outside_float32_range_is_rejected(box):
+    with pytest.raises(ValueError, match="outside float32's normal range"):
+        measurements([BBox(0, 0, 5, 10), box])
+    tr = OnlineTracker()
+    tr.step(1, [Detection(BBox(0, 0, 30, 60), 0.9, embedding=np.array([1.0, 0.0]))])
+    with pytest.raises(ValueError, match="outside float32's normal range"):
+        tr.step(2, [Detection(box, 0.9, embedding=np.array([1.0, 0.0]))])
 
 
 def test_zero_height_detection_raises_the_measurement_error():
