@@ -11,17 +11,14 @@ __version__ = "0.1.0"
 from .geometry import BBox, GridSpec, iou
 from .metrics import MetricsReport, evaluate_tracking
 from .sim import SimConfig, generate
-from .tensors import Tensor2D, Tensor3D, read_tensor, write_tensor
+from .tensors import read_tensor
 from .tracker import OnlineTracker, TrackerConfig, track_sequence
 
 __all__ = [
     "BBox",
     "GridSpec",
     "iou",
-    "Tensor2D",
-    "Tensor3D",
     "read_tensor",
-    "write_tensor",
     "MetricsReport",
     "evaluate_tracking",
     "SimConfig",

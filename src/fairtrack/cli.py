@@ -36,12 +36,11 @@ from .encoding import GtObject, encode_targets
 from .geometry import GridSpec, best_match, corners, iou_matrix
 from .losses import gradcheck_run
 from .metrics import clear_mot, detection_ap, idf1, tpr_at_far
-from .mot_io import CenterRows, MotFormatError, MotRecord, format_centers, \
-    format_det_line, format_gt_line, format_mot_line, load_config, \
-    parse_centers, parse_mot, to_frames
+from .mot_io import CenterRows, MotFormatError, MotRecord, _read_text, \
+    format_centers, format_det_line, format_gt_line, format_mot_line, \
+    load_config, parse_centers, parse_mot, to_frames
 from .sim import SimConfig, generate
-from .tensors import FtenFormatError, Tensor2D, Tensor3D, read_tensor, \
-    tensor_to_bytes
+from .tensors import FtenFormatError, read_tensor, tensor_to_bytes
 from .tracker import OnlineTracker, TrackerConfig
 
 
@@ -88,16 +87,38 @@ def _resolve_configs(args) -> tuple[TrackerConfig, SimConfig]:
     return TrackerConfig(), SimConfig()
 
 
-def _read_seqinfo(directory: Path) -> dict | None:
+def _read_seqinfo(directory: Path) -> dict[str, int]:
+    """``imWidth``/``imHeight`` from the ``[Sequence]`` section of seqinfo.ini, where given.
+
+    A file that does not parse, or a size that is not a positive integer,
+    raises MotFormatError naming the file (and the line, when known).
+    """
     ini = directory / "seqinfo.ini"
     if not ini.is_file():
-        return None
-    cp = configparser.ConfigParser()
-    cp.read(ini)
-    if "Sequence" not in cp:
-        return None
-    sec = cp["Sequence"]
-    return {k: sec[k] for k in sec}
+        return {}
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(_read_text(ini))
+    except configparser.MissingSectionHeaderError as e:
+        raise MotFormatError(f"{ini}:{e.lineno}: expected a [section] header") from e
+    except configparser.ParsingError as e:
+        raise MotFormatError(f"{ini}:{e.errors[0][0]}: expected key = value") from e
+    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as e:
+        raise MotFormatError(f"{ini}:{e.lineno}: repeats a section or key") from e
+    if not cp.has_section("Sequence"):
+        return {}
+    size = {}
+    for key in ("imWidth", "imHeight"):
+        value = cp["Sequence"].get(key)
+        if value is None:
+            continue
+        try:
+            size[key] = int(value)
+        except ValueError:
+            size[key] = 0
+        if size[key] <= 0:
+            raise MotFormatError(f"{ini}: {key} must be a positive integer, got {value!r}")
+    return size
 
 
 # ---------------------------------------------------------------- sim
@@ -135,7 +156,7 @@ def cmd_sim(args) -> int:
         if dets:
             rows = np.stack([d.embedding for d in dets])
             path = out / "emb" / f"{frame:06d}.ften"
-            _atomic_write_bytes(path, tensor_to_bytes(Tensor2D.from_array(rows)))
+            _atomic_write_bytes(path, tensor_to_bytes(rows))
             written.append(path)
     _atomic_write_text(out / "det.txt", "\n".join(det_lines) + "\n")
 
@@ -161,11 +182,9 @@ def cmd_encode(args) -> int:
     gt_path = Path(args.gt)
     gt = parse_mot(gt_path, kind="gt")
 
-    width, height = args.image_w, args.image_h
-    info = _read_seqinfo(gt_path.parent)
-    if info is not None:
-        width = width or int(info.get("imwidth", 0)) or None
-        height = height or int(info.get("imheight", 0)) or None
+    size = _read_seqinfo(gt_path.parent)
+    width = args.image_w or size.get("imWidth")
+    height = args.image_h or size.get("imHeight")
     if not width or not height:
         raise ValueError("image size unknown: pass --image-w/--image-h "
                          "or keep a seqinfo.ini next to the ground truth")
@@ -186,8 +205,7 @@ def cmd_encode(args) -> int:
         _atomic_write_bytes(path, tensor_to_bytes(maps.heatmap))
         written.append(path)
         ys, xs = np.nonzero(maps.center_mask)
-        values = np.concatenate([maps.offsets.data[:, ys, xs],
-                                 maps.sizes.data[:, ys, xs]]).T
+        values = np.concatenate([maps.offsets[:, ys, xs], maps.sizes[:, ys, xs]]).T
         center_lines += format_centers(frame, xs, ys,
                                        maps.identity_index[ys, xs], values)
     _atomic_write_text(out / "centers.txt", "\n".join(center_lines) + "\n")
@@ -202,12 +220,12 @@ def cmd_encode(args) -> int:
 
 # ---------------------------------------------------------------- decode
 
-def _read_map(path: Path, ndim: int) -> Tensor2D | Tensor3D:
-    t = read_tensor(path)
-    if t.data.ndim != ndim:
+def _read_map(path: Path, ndim: int) -> np.ndarray:
+    m = read_tensor(path)
+    if m.ndim != ndim:
         raise FtenFormatError(  # the ndim byte of the header
-            f"{path}: expected a {ndim}-d tensor, got {t.data.ndim}-d", 6)
-    return t
+            f"{path}: expected a {ndim}-d tensor, got {m.ndim}-d", 6)
+    return m
 
 
 def _scatter_rows(off: np.ndarray, size: np.ndarray, rows: CenterRows | None,
@@ -256,23 +274,22 @@ def cmd_decode(args) -> int:
     off = size = np.zeros((2, 0, 0))
     for frame in frames:
         heat = _read_map(maps_dir / f"{frame:06d}.heat.ften", 2)
-        if off.shape[1:] != (heat.height, heat.width):
-            off, size = (np.zeros((2, heat.height, heat.width)) for _ in range(2))
+        fh, fw = heat.shape
+        if off.shape[1:] != (fh, fw):
+            off, size = (np.zeros((2, fh, fw)) for _ in range(2))
         cells = _scatter_rows(off, size, table.get(frame), table_path)
         emb_path = maps_dir / f"{frame:06d}.emb.ften"
         emb = _read_map(emb_path, 3) if emb_path.is_file() else None
-        grid = GridSpec(heat.width * args.stride, heat.height * args.stride,
-                        args.stride)
-        dets = decode(heat, Tensor3D.from_array(off), Tensor3D.from_array(size),
-                      emb, grid, threshold=args.threshold, top_k=args.top_k,
-                      sampling=sampling)
+        grid = GridSpec(fw * args.stride, fh * args.stride, args.stride)
+        dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
+                      top_k=args.top_k, sampling=sampling)
         off[cells] = size[cells] = 0.0
         lines.extend(format_det_line(frame, d) for d in dets)
         with_emb = [d for d in dets if d.embedding is not None]
         if with_emb and len(with_emb) == len(dets):
             path = out / "emb" / f"{frame:06d}.ften"
             rows = np.stack([d.embedding for d in dets])
-            _atomic_write_bytes(path, tensor_to_bytes(Tensor2D.from_array(rows)))
+            _atomic_write_bytes(path, tensor_to_bytes(rows))
             written.append(path)
     _atomic_write_text(out / "det.txt", "\n".join(lines) + "\n")
 
@@ -296,11 +313,10 @@ def _load_detections(src: Path, need_emb: bool) -> dict[int, list[Detection]]:
         emb = None
         path = emb_dir / f"{frame:06d}.ften"
         if path.is_file():
-            t = read_tensor(path)
-            if not isinstance(t, Tensor2D) or t.height != len(rows):
+            m = read_tensor(path)
+            if m.ndim != 2 or len(m) != len(rows):
                 raise MotFormatError(
                     f"{path}: expected {len(rows)} embedding rows")
-            m = np.asarray(t)
             norms = np.linalg.norm(m, axis=1, keepdims=True)
             bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
             if bad.size:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BBox, GridSpec
-from .tensors import Tensor2D, Tensor3D
 
 DEFAULT_THRESHOLD = 0.4
 DEFAULT_TOP_K = 128
@@ -47,9 +46,9 @@ class Detection:
             object.__setattr__(self, "embedding", emb)
 
 
-def peak_nms(heatmap: Tensor2D, threshold: float = DEFAULT_THRESHOLD,
+def peak_nms(heatmap, threshold: float = DEFAULT_THRESHOLD,
              top_k: int = DEFAULT_TOP_K) -> list[tuple[int, int, float]]:
-    """Cells equal to their 3x3 neighborhood max and above threshold.
+    """Cells of an (H, W) heatmap equal to their 3x3 neighborhood max and above threshold.
 
     Plateau ties are all kept.  Returns (x, y, score) sorted by
     descending score (then row, column for equal scores), at most top_k.
@@ -58,7 +57,9 @@ def peak_nms(heatmap: Tensor2D, threshold: float = DEFAULT_THRESHOLD,
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    h = np.asarray(heatmap)
+    h = np.asarray(heatmap, dtype=np.float64)
+    if h.ndim != 2:
+        raise ValueError(f"heatmap must be 2-d, got shape {h.shape}")
     # The second max of each pass is taken in place: two scratch planes
     # instead of four.  Decoding a sequence frees this scratch every frame,
     # and a larger scratch is handed back to the OS and faulted in again.
@@ -73,9 +74,11 @@ def peak_nms(heatmap: Tensor2D, threshold: float = DEFAULT_THRESHOLD,
     return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in order[:top_k]]
 
 
-def bilinear_sample(emb: Tensor3D, x: float, y: float) -> np.ndarray:
-    """4-neighbor bilinear blend of each channel at (x, y), border-clamped."""
-    m = np.asarray(emb)
+def bilinear_sample(emb, x: float, y: float) -> np.ndarray:
+    """4-neighbor bilinear blend of each channel of a (C, H, W) map at (x, y), border-clamped."""
+    m = np.asarray(emb, dtype=np.float64)
+    if m.ndim != 3:
+        raise ValueError(f"embedding map must be 3-d, got shape {m.shape}")
     _, h, w = m.shape
     if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
         raise ValueError(f"sample point ({x}, {y}) outside {w}x{h} map")
@@ -90,29 +93,30 @@ def bilinear_sample(emb: Tensor3D, x: float, y: float) -> np.ndarray:
     return (1.0 - fy) * top + fy * bot
 
 
-def decode(heat: Tensor2D, offsets: Tensor3D, sizes: Tensor3D,
-           emb: Tensor3D | None, grid: GridSpec,
+def decode(heat, offsets, sizes, emb, grid: GridSpec,
            threshold: float = DEFAULT_THRESHOLD, top_k: int = DEFAULT_TOP_K,
            sampling: Sampling = Sampling.CENTER) -> list[Detection]:
     """Decode one frame of maps into detections.
 
+    ``heat`` is an (H, W) map, ``offsets`` and ``sizes`` (2, H, W) and
+    ``emb``, if given, (C, H, W), with (H, W) the grid's feature size.
     Box centers are (cell + offset) * stride, extents are the size head's
     image-pixel values, clipped to image bounds.  Candidates whose box
     degenerates after clipping (non-positive extent) are dropped.
     Embeddings are L2-normalized after sampling.
     """
     fh, fw = grid.feat_h, grid.feat_w
-    if heat.height != fh or heat.width != fw:
-        raise ValueError(f"heatmap {heat.height}x{heat.width} does not match "
-                         f"grid {fh}x{fw}")
-    for name, t in (("offsets", offsets), ("sizes", sizes)):
-        if t.height != fh or t.width != fw or t.channels != 2:
+    heat, off, size = (np.asarray(m, dtype=np.float64) for m in (heat, offsets, sizes))
+    if heat.shape != (fh, fw):
+        raise ValueError(f"heatmap shape {heat.shape} does not match grid {fh}x{fw}")
+    for name, m in (("offsets", off), ("sizes", size)):
+        if m.shape != (2, fh, fw):
             raise ValueError(f"{name} map shape mismatch")
-    if emb is not None and (emb.height != fh or emb.width != fw):
-        raise ValueError("embedding map shape mismatch")
+    if emb is not None:
+        emb = np.asarray(emb, dtype=np.float64)
+        if emb.ndim != 3 or emb.shape[1:] != (fh, fw):
+            raise ValueError("embedding map shape mismatch")
 
-    off = np.asarray(offsets)
-    size = np.asarray(sizes)
     out = []
     for x, y, score in peak_nms(heat, threshold, top_k):
         ox, oy = off[0, y, x], off[1, y, x]
@@ -132,7 +136,7 @@ def decode(heat: Tensor2D, offsets: Tensor3D, sizes: Tensor3D,
                 fy = min(max(y + oy, 0.0), fh - 1.0)
                 v = bilinear_sample(emb, fx, fy)
             else:
-                v = np.asarray(emb)[:, y, x]
+                v = emb[:, y, x]
             n = np.linalg.norm(v)
             if n < 1e-12:
                 continue

@@ -10,9 +10,10 @@ Each annotated object contributes:
 Overlapping Gaussians combine with an element-wise max so the heatmap
 stays in [0, 1] and is exactly 1 at every retained center.
 
-`TargetMaps` holds the offset, size and identity as dense grids, the
-shape the losses and `decoding.decode` take.  Only the retained centers
-carry values, so the `encode` CLI writes just the heatmap densely and
+`TargetMaps` holds the heatmap, offset and size heads as plain float64
+numpy arrays, the maps the losses and `decoding.decode` take, beside a
+dense identity grid.  Only the retained centers carry offset, size and
+identity values, so the `encode` CLI writes just the heatmap densely and
 the rest as one ``centers.txt`` row per center (cell, identity, offset,
 size), the sparse per-object form CenterNet and FairMOT train from.
 """
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BBox, GridSpec
-from .tensors import Tensor2D, Tensor3D
 
 MIN_SIGMA = 2.0 / 3.0
 MIN_OVERLAP = 0.7
@@ -54,11 +54,11 @@ class TargetMaps:
     outside the grid.
     """
 
-    heatmap: Tensor2D
-    offsets: Tensor3D
-    sizes: Tensor3D
-    center_mask: np.ndarray
-    identity_index: np.ndarray
+    heatmap: np.ndarray         # (H, W) float64
+    offsets: np.ndarray         # (2, H, W) float64
+    sizes: np.ndarray           # (2, H, W) float64
+    center_mask: np.ndarray     # (H, W) bool
+    identity_index: np.ndarray  # (H, W) int64
     num_objects: int
     collisions: int = 0
     rejected: int = 0
@@ -192,9 +192,9 @@ def encode_targets(objects: list[GtObject], grid: GridSpec, num_identities: int)
         identity[qy, qx] = obj.identity
 
     return TargetMaps(
-        heatmap=Tensor2D(fh, fw, heat),
-        offsets=Tensor3D(2, fh, fw, offsets),
-        sizes=Tensor3D(2, fh, fw, sizes),
+        heatmap=heat,
+        offsets=offsets,
+        sizes=sizes,
         center_mask=mask,
         identity_index=identity,
         num_objects=len(by_cell),

@@ -13,12 +13,13 @@ it returns the ``(K,)`` squared Mahalanobis distances of ``K`` (state,
 measurement) pairs, so a caller computes it only on the pairs it still
 needs (the tracker: those its appearance cost admits), or on one state
 broadcast against many measurements.  ``measure`` turns ``(N, 4)`` box
-corners into measurements without checking them, and
-``check_measurements`` raises on the first row whose height is not
-positive or whose values leave float32's normal range; ``measurements``
-does both.  The single-state functions (``kf_*``,
-``gating_distance``, ``state_to_box``) wrap the same code, taking and
-returning a validated ``KalmanState`` with its 8x8 covariance.
+corners into measurements without checking them; ``measurable`` marks
+the rows whose height is positive and whose values stay within
+float32's normal range, and ``check_measurements`` raises on the first
+row that is not; ``measurements`` measures and checks.  The
+single-state functions (``kf_*``, ``state_to_box``) wrap the same code,
+taking and returning a validated ``KalmanState`` with its 8x8
+covariance.
 """
 
 from __future__ import annotations
@@ -99,22 +100,30 @@ def measure(c: np.ndarray) -> np.ndarray:
                          (c[:, 2] - c[:, 0]) / h, h], axis=1)
 
 
-def check_measurements(z: np.ndarray) -> None:
-    """Raise ValueError on the first bad measurement row.
+def measurable(z: np.ndarray) -> np.ndarray:
+    """(N,) mask of the measurement rows within float32's normal range.
 
-    First on a height that is not positive; then on a value outside
-    float32's normal range (a height under its smallest normal number, or
-    a magnitude over its largest), where the filter's variances would
-    underflow to zero or its distances overflow.
+    A row fails on a height under float32's smallest normal number (so
+    also one that is not positive) or on any magnitude over its largest:
+    there the filter's variances would underflow to zero or its distances
+    overflow.  A NaN fails too.
+    """
+    return (z[:, 3] >= _TINY) & (np.abs(z) <= _HUGE).all(axis=1)
+
+
+def check_measurements(z: np.ndarray) -> None:
+    """Raise ValueError on the first bad measurement row (see ``measurable``).
+
+    A height that is not positive is reported first, wherever it is.
     """
     h = z[:, 3]
     if (h >= _TINY).all() and (np.abs(z) <= _HUGE).all():  # False on NaN
         return
     if not (h > 0).all():
         raise ValueError(f"box height must be positive, got {h[~(h > 0)][0]}")
-    bad = ~((np.abs(z) <= _HUGE).all(axis=1) & (h >= _TINY))
     raise ValueError(f"box measurement (cx, cy, w / h, h) = "
-                     f"{tuple(z[bad][0].tolist())} is outside float32's normal range")
+                     f"{tuple(z[~measurable(z)][0].tolist())} is outside "
+                     "float32's normal range")
 
 
 def measurements(boxes: list[BBox]) -> np.ndarray:
@@ -206,11 +215,3 @@ def kf_update(s: KalmanState, measurement: BBox) -> KalmanState:
 def state_to_box(s: KalmanState) -> BBox:
     """Current mean as an image box (extents floored at a tiny positive value)."""
     return BBox(*(float(v) for v in box_corners(s.mean[None])[0]))
-
-
-def gating_distance(s: KalmanState, boxes: list[BBox]) -> list[float]:
-    """Squared Mahalanobis distance of each box center from the state (see ``gate``)."""
-    if not boxes:
-        return []
-    d = gate(s.mean[None], _blocks(s.covariance[None]), measurements(boxes))
-    return [float(v) for v in d]

@@ -4,6 +4,10 @@ No autodiff and no network here: these are reference implementations
 meant to be checked against finite differences, usable as the loss
 oracle for any external trainer.
 
+Maps come in and go out as plain float64 numpy arrays: a prediction is
+read once as float64 and checked against the target's shape, and each
+gradient is an array of the prediction's shape.
+
 Conventions that matter and are easy to get wrong elsewhere:
   - the heatmap focal loss normalizes by the object count N, not the
     pixel count;
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import TargetMaps
-from .tensors import Tensor2D, Tensor3D
 
 EPS = 1e-7
 
@@ -46,9 +49,9 @@ class UncertaintyParams:
             raise ValueError("uncertainty weights must be finite")
 
 
-def focal_loss(pred: Tensor2D, target: Tensor2D, params: FocalParams = FocalParams(),
-               N: int = 1) -> tuple[float, Tensor2D]:
-    """Penalty-reduced pixel-wise focal loss over a center heatmap.
+def focal_loss(pred, target, params: FocalParams = FocalParams(),
+               N: int = 1) -> tuple[float, np.ndarray]:
+    """Penalty-reduced pixel-wise focal loss over an (H, W) center heatmap.
 
     Cells where the target is exactly 1 are positives; everywhere else
     the target Gaussian value penalty-reduces the negative term.
@@ -56,8 +59,10 @@ def focal_loss(pred: Tensor2D, target: Tensor2D, params: FocalParams = FocalPara
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    p = np.asarray(pred)
-    t = np.asarray(target)
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    if p.ndim != 2:
+        raise ValueError(f"pred must be a 2-d heatmap, got shape {p.shape}")
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch: pred {p.shape} vs target {t.shape}")
     if t.min() < 0 or t.max() > 1:
@@ -80,20 +85,19 @@ def focal_loss(pred: Tensor2D, target: Tensor2D, params: FocalParams = FocalPara
                                - clipped ** a / (1.0 - clipped))
     grad = np.where(pos, d_pos, d_neg) / N
     grad = np.where((p > EPS) & (p < 1.0 - EPS), grad, 0.0)
-    return loss, Tensor2D.from_array(grad)
+    return loss, grad
 
 
-def box_loss(pred_off: Tensor3D, pred_size: Tensor3D,
-             targets: TargetMaps) -> tuple[float, tuple[Tensor3D, Tensor3D]]:
-    """Summed l1 error of offsets and sizes at annotated centers only.
+def box_loss(pred_off, pred_size,
+             targets: TargetMaps) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Summed l1 error of (2, H, W) offsets and sizes at annotated centers only.
 
     Gradients are the l1 subgradient (sign of the residual, zero at
     exact equality), nonzero only where the center mask is set.
     """
-    po = np.asarray(pred_off)
-    ps = np.asarray(pred_size)
-    to = np.asarray(targets.offsets)
-    ts = np.asarray(targets.sizes)
+    po = np.asarray(pred_off, dtype=np.float64)
+    ps = np.asarray(pred_size, dtype=np.float64)
+    to, ts = targets.offsets, targets.sizes
     if po.shape != to.shape or ps.shape != ts.shape:
         raise ValueError("prediction maps do not match target grid")
 
@@ -101,8 +105,7 @@ def box_loss(pred_off: Tensor3D, pred_size: Tensor3D,
     off_res = np.where(m, po - to, 0.0)
     size_res = np.where(m, ps - ts, 0.0)
     loss = float(np.abs(off_res).sum() + np.abs(size_res).sum())
-    return loss, (Tensor3D.from_array(np.sign(off_res)),
-                  Tensor3D.from_array(np.sign(size_res)))
+    return loss, (np.sign(off_res), np.sign(size_res))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -203,24 +206,16 @@ def gradcheck_run(seeds: int = 50, size: int = 8, num_classes: int = 8,
         n = max(targets.num_objects, 1)
 
         pred = rng.uniform(0.05, 0.95, (size, size))
-        _, g = focal_loss(Tensor2D.from_array(pred), targets.heatmap, N=n)
-        num = numeric_gradient(
-            lambda x: focal_loss(Tensor2D.from_array(x), targets.heatmap, N=n)[0],
-            pred, h)
-        worst["focal"] = max(worst["focal"], _rel_err(np.asarray(g), num))
+        _, g = focal_loss(pred, targets.heatmap, N=n)
+        num = numeric_gradient(lambda x: focal_loss(x, targets.heatmap, N=n)[0], pred, h)
+        worst["focal"] = max(worst["focal"], _rel_err(g, num))
 
         po = rng.uniform(-1.0, 2.0, (2, size, size))
         ps = rng.uniform(1.0, 30.0, (2, size, size))
-        _, (go, gs) = box_loss(Tensor3D.from_array(po), Tensor3D.from_array(ps),
-                               targets)
-        num_o = numeric_gradient(
-            lambda x: box_loss(Tensor3D.from_array(x), Tensor3D.from_array(ps),
-                               targets)[0], po, h)
-        num_s = numeric_gradient(
-            lambda x: box_loss(Tensor3D.from_array(po), Tensor3D.from_array(x),
-                               targets)[0], ps, h)
-        worst["box"] = max(worst["box"], _rel_err(np.asarray(go), num_o),
-                           _rel_err(np.asarray(gs), num_s))
+        _, (go, gs) = box_loss(po, ps, targets)
+        num_o = numeric_gradient(lambda x: box_loss(x, ps, targets)[0], po, h)
+        num_s = numeric_gradient(lambda x: box_loss(po, x, targets)[0], ps, h)
+        worst["box"] = max(worst["box"], _rel_err(go, num_o), _rel_err(gs, num_s))
 
         logits = [rng.normal(0, 2.0, num_classes) for _ in range(n)]
         labels = [int(rng.integers(0, num_classes)) for _ in range(n)]

@@ -29,6 +29,7 @@ import numpy as np
 
 from .decoding import Detection
 from .geometry import BBox
+from .kalman import check_measurements, measurable, measure
 from .sim import SimConfig
 from .tracker import TrackerConfig
 
@@ -93,13 +94,15 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
 
     kind is one of gt / det / result; gt lines additionally carry class
     and visibility, and non-pedestrian classes are dropped.  A det box
-    must have a positive height, as the tracker's Kalman filter needs.  A
-    malformed line, or bytes that are not UTF-8, raise MotFormatError
-    naming `path:line`.
+    must be one the tracker's Kalman filter accepts (``kalman.measurable``:
+    a positive height, and a measurement within float32's normal range);
+    that rule runs once over the file's boxes.  A malformed line, or bytes
+    that are not UTF-8, raise MotFormatError naming `path:line`.
     """
     if kind not in ("gt", "det", "result"):
         raise ValueError(f"unknown kind {kind!r}")
     out: dict[int, list[MotRecord]] = {}
+    lines, corners = [], []  # det only: each box's line and (x1, y1, x2, y2)
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -117,14 +120,23 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
                 cls = _int_field("class", parts[7])
                 vis = float(parts[8])
             rec = MotRecord(frame, obj_id, l, t, w, h, conf, cls, vis)
-            height = rec.to_box().height
-            if kind == "det" and not height > 0:
-                raise ValueError(f"box height must be positive, got {height}")
         except (ValueError, OverflowError) as e:  # int(inf) overflows
             raise MotFormatError(f"{path}:{lineno}: {e}") from e
         if cls is not None and cls != PEDESTRIAN_CLASS:
             continue
+        if kind == "det":
+            lines.append(lineno)
+            corners += (l, t, l + w, t + h)  # as MotRecord.to_box builds them
         out.setdefault(frame, []).append(rec)
+    if lines:
+        z = measure(np.array(corners).reshape(-1, 4))
+        bad = np.flatnonzero(~measurable(z))
+        if bad.size:
+            i = bad[0]
+            try:
+                check_measurements(z[i:i + 1])
+            except ValueError as e:
+                raise MotFormatError(f"{path}:{lines[i]}: {e}") from e
     return out
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .decoding import Detection
 from .encoding import GtObject, encode_targets
 from .geometry import BBox, GridSpec
-from .tensors import Tensor2D, Tensor3D
 
 # child-stream tags so generate() and generate_maps() agree on shared draws
 _STREAM_TRAJ = 1
@@ -224,7 +223,7 @@ def generate(cfg: SimConfig) -> SimOutput:
 
 
 def generate_maps(cfg: SimConfig, frame: int,
-                  stride: int = 4) -> tuple[Tensor2D, Tensor3D, Tensor3D, Tensor3D]:
+                  stride: int = 4) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Supervision-style maps for one frame with embeddings planted at centers.
 
     Decoding these maps recovers the frame's ground truth (for
@@ -244,4 +243,4 @@ def generate_maps(cfg: SimConfig, frame: int,
     for y, x in zip(ys, xs):
         ident = int(maps.identity_index[y, x])
         emb[:, y, x] = _noisy_embedding(rng, anchors[ident], cfg.emb_noise_std)
-    return maps.heatmap, maps.offsets, maps.sizes, Tensor3D.from_array(emb)
+    return maps.heatmap, maps.offsets, maps.sizes, emb

@@ -1,4 +1,10 @@
-"""Dense tensor containers and the FTEN binary interchange format.
+"""FTEN, the binary file format of dense maps.
+
+Maps (heatmaps, offset, size and embedding heads, embedding rows) are
+plain float64 numpy arrays, 2-D ``(H, W)`` or 3-D ``(C, H, W)``.  FTEN
+is their file format; its writer and reader check the rank and that no
+dimension is zero, and each function that takes a map checks the shape
+it needs.
 
 FTEN layout, all integers little-endian:
 
@@ -10,16 +16,15 @@ FTEN layout, all integers little-endian:
     then        ndim x 4-byte unsigned dims, order [C,]H,W
     then        payload, row-major (channel-major for 3D), every value finite
 
-Payloads are float32 on disk.  In memory both tensor types hold float64
-arrays so loss/gradient arithmetic keeps full precision; values that are
-exactly representable in float32 round-trip bitwise.
+Payloads are float32 on disk.  ``tensor_from_bytes`` and ``read_tensor``
+return float64 arrays so loss/gradient arithmetic keeps full precision;
+values that are exactly representable in float32 round-trip bitwise.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,85 +43,31 @@ class FtenFormatError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, eq=False)
-class Tensor2D:
-    """Row-major H x W grid of reals. Element (y, x) is ``data[y, x]``."""
+def tensor_to_bytes(array) -> bytes:
+    """FTEN bytes of a 2-D or 3-D array-like, read as float64 and stored as float32.
 
-    height: int
-    width: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.height <= 0 or self.width <= 0:
-            raise ValueError(f"dimensions must be positive, got {self.height}x{self.width}")
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.shape != (self.height, self.width):
-            raise ValueError(f"data shape {arr.shape} != ({self.height}, {self.width})")
-        object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def from_array(cls, arr) -> "Tensor2D":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected 2-d array, got ndim={arr.ndim}")
-        return cls(arr.shape[0], arr.shape[1], arr)
-
-    def __array__(self, dtype=None, copy=None):
-        return self.data if dtype is None else self.data.astype(dtype)
-
-
-@dataclass(frozen=True, eq=False)
-class Tensor3D:
-    """Channel-major C x H x W grid of reals. Element (c, y, x) is ``data[c, y, x]``."""
-
-    channels: int
-    height: int
-    width: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.channels <= 0 or self.height <= 0 or self.width <= 0:
-            raise ValueError(
-                f"dimensions must be positive, got {self.channels}x{self.height}x{self.width}"
-            )
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.shape != (self.channels, self.height, self.width):
-            raise ValueError(
-                f"data shape {arr.shape} != ({self.channels}, {self.height}, {self.width})"
-            )
-        object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def from_array(cls, arr) -> "Tensor3D":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError(f"expected 3-d array, got ndim={arr.ndim}")
-        return cls(arr.shape[0], arr.shape[1], arr.shape[2], arr)
-
-    def __array__(self, dtype=None, copy=None):
-        return self.data if dtype is None else self.data.astype(dtype)
-
-
-def tensor_to_bytes(t: Tensor2D | Tensor3D) -> bytes:
-    if isinstance(t, Tensor2D):
-        dims = (t.height, t.width)
-    elif isinstance(t, Tensor3D):
-        dims = (t.channels, t.height, t.width)
-    else:
-        raise TypeError(f"expected Tensor2D or Tensor3D, got {type(t).__name__}")
-    header = struct.pack("<4sBBBB", MAGIC, VERSION, DTYPE_F32, len(dims), 0)
-    header += struct.pack(f"<{len(dims)}I", *dims)
+    Raises ValueError on any other ndim, a zero-length dimension or a
+    value that is not finite as float32: the reader refuses each of them.
+    """
+    arr = np.asarray(array, dtype=np.float64)
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-d or 3-d array, got ndim={arr.ndim}")
+    if 0 in arr.shape:
+        raise ValueError(f"dimensions must be positive, got shape {arr.shape}")
+    header = struct.pack("<4sBBBB", MAGIC, VERSION, DTYPE_F32, arr.ndim, 0)
+    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(t.data, dtype="<f4")
+        payload = np.ascontiguousarray(arr, dtype="<f4")
     finite = np.isfinite(payload)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"value {float(t.data.flat[i])} at element {i} is not finite "
+        raise ValueError(f"value {float(arr.flat[i])} at element {i} is not finite "
                          "as float32")
     return header + payload.tobytes()
 
 
-def tensor_from_bytes(buf: bytes) -> Tensor2D | Tensor3D:
+def tensor_from_bytes(buf: bytes) -> np.ndarray:
+    """The float64 array, 2-D or 3-D, held in FTEN bytes; FtenFormatError if malformed."""
     if len(buf) < 8:
         raise FtenFormatError(f"truncated header, {len(buf)} bytes", len(buf))
     magic, version, dtype, ndim, reserved = struct.unpack_from("<4sBBBB", buf, 0)
@@ -149,17 +100,10 @@ def tensor_from_bytes(buf: bytes) -> Tensor2D | Tensor3D:
         i = int(np.argmin(finite))
         raise FtenFormatError(f"non-finite value {data[i]} at element {i}",
                               dims_end + 4 * i)
-    data = data.astype(np.float64).reshape(dims)
-    if ndim == 2:
-        return Tensor2D(dims[0], dims[1], data)
-    return Tensor3D(dims[0], dims[1], dims[2], data)
+    return data.astype(np.float64).reshape(dims)
 
 
-def write_tensor(t: Tensor2D | Tensor3D, path) -> None:
-    Path(path).write_bytes(tensor_to_bytes(t))
-
-
-def read_tensor(path) -> Tensor2D | Tensor3D:
+def read_tensor(path) -> np.ndarray:
     try:
         return tensor_from_bytes(Path(path).read_bytes())
     except FtenFormatError as e:

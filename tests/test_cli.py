@@ -21,8 +21,7 @@ from fairtrack.geometry import GridSpec, best_match, corners, iou_matrix
 from fairtrack.metrics import tpr_at_far
 from fairtrack.mot_io import MotRecord, format_det_line, format_gt_line, parse_mot, \
     to_frames
-from fairtrack.tensors import Tensor2D, Tensor3D, read_tensor, tensor_from_bytes, \
-    tensor_to_bytes, write_tensor
+from fairtrack.tensors import read_tensor, tensor_from_bytes, tensor_to_bytes
 
 
 def run(argv):
@@ -229,6 +228,39 @@ def test_encode_requires_image_size(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("text, where, message", [
+    (b"imWidth=640\nimHeight=480\n", ":1", "expected a [section] header"),
+    (b"[Sequence]\nimWidth=abc\nimHeight=480\n", "",
+     "imWidth must be a positive integer, got 'abc'"),
+    (b"[Sequence]\nimWidth=-5\nimHeight=480\n", "",
+     "imWidth must be a positive integer, got '-5'"),
+    (b"\xff\xfe[Sequence]\nimWidth=640\n", ":1", "not UTF-8 text"),
+    (b"[Sequence]\nimWidth=640\nimHeight\n", ":3", "expected key = value"),
+    (b"[Sequence]\nimWidth=640\nimwidth=640\n", ":3", "repeats a section or key"),
+], ids=["no-section-header", "non-integer", "negative", "not-utf8", "not-key-value",
+        "repeated-key"])
+def test_encode_malformed_seqinfo_exits_2_naming_file(tmp_path, capsys, text, where,
+                                                      message):
+    gt = tmp_path / "gt.txt"
+    gt.write_text("1,1,10,10,20,40,1,1,1.0\n")
+    (tmp_path / "seqinfo.ini").write_bytes(text)
+    capsys.readouterr()
+    rc, _ = run(["encode", "--gt", str(gt), "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'seqinfo.ini'}{where}: {message}" in err
+
+
+def test_encode_reads_image_size_from_seqinfo(tmp_path):
+    gt = tmp_path / "gt.txt"
+    gt.write_text("1,1,10,10,20,40,1,1,1.0\n")
+    (tmp_path / "seqinfo.ini").write_text("[Sequence]\nname=%x\nimWidth=64\n"
+                                          "imHeight=32\n")
+    rc, _ = run(["encode", "--gt", str(gt), "--out", str(tmp_path / "m")])
+    assert rc == 0
+    assert read_tensor(tmp_path / "m" / "000001.heat.ften").shape == (8, 16)
+
+
 def test_decode_empty_maps_dir_exits_2(tmp_path):
     empty = tmp_path / "maps"
     empty.mkdir()
@@ -242,7 +274,7 @@ def _write_maps(maps, frames=2):
     heat = np.zeros((16, 16), np.float32)
     heat[4, 5] = 0.7
     for f in range(1, frames + 1):
-        write_tensor(Tensor2D.from_array(heat), maps / f"{f:06d}.heat.ften")
+        (maps / f"{f:06d}.heat.ften").write_bytes(tensor_to_bytes(heat))
     (maps / "centers.txt").write_text(
         "".join(f"{f},5,4,0,0.25,0.25,8.0,8.0\n" for f in range(1, frames + 1)))
 
@@ -257,7 +289,7 @@ def _decode_err(tmp_path, capsys):
 def test_decode_wrong_rank_map_exits_2_naming_file(tmp_path, capsys):
     _write_maps(tmp_path / "maps")
     path = tmp_path / "maps" / "000001.heat.ften"
-    write_tensor(Tensor3D.from_array(np.zeros((1, 16, 16))), path)
+    path.write_bytes(tensor_to_bytes(np.zeros((1, 16, 16))))
     rc, err = _decode_err(tmp_path, capsys)
     assert rc == 2
     assert f"{path}: expected a 2-d tensor, got 3-d (byte offset 6)" in err
@@ -329,7 +361,7 @@ def test_decode_heads_hold_only_each_frames_rows(tmp_path):
     _write_maps(maps, frames=2)  # the same peak on both frames
     heat = np.zeros((8, 12), np.float32)
     heat[2, 3] = 0.9
-    write_tensor(Tensor2D.from_array(heat), maps / "000003.heat.ften")
+    (maps / "000003.heat.ften").write_bytes(tensor_to_bytes(heat))
     (maps / "centers.txt").write_text("1,5,4,0,0.25,0.25,8.0,8.0\n"
                                       "3,3,2,0,0.5,0.5,6.0,4.0\n")
     assert run(["decode", "--maps", str(maps), "--out", str(tmp_path / "dec")])[0] == 0
@@ -348,7 +380,7 @@ def test_decode_missing_table_exits_2_naming_file(tmp_path, capsys):
 
 
 def _f32(t):
-    """The tensor as an FTEN file reads it back."""
+    """The map as an FTEN file reads it back."""
     return tensor_from_bytes(tensor_to_bytes(t))
 
 
@@ -412,14 +444,12 @@ def test_decoded_score_reaches_track_bit_for_bit(tmp_path):
     heat[4, 5], heat[10, 12] = 0.7, 0.123456789  # not representable in 6 decimals
     off = np.full((2, 16, 16), 0.25, np.float32)
     size = np.full((2, 16, 16), 8.0, np.float32)
-    write_tensor(Tensor2D.from_array(heat), maps / "000001.heat.ften")
+    (maps / "000001.heat.ften").write_bytes(tensor_to_bytes(heat))
     (maps / "centers.txt").write_text("1,5,4,0,0.25,0.25,8.0,8.0\n"
                                       "1,12,10,1,0.25,0.25,8.0,8.0\n")
     assert run(["decode", "--maps", str(maps), "--out", str(dec),
                 "--threshold", "0.1"])[0] == 0
-    want = decode(Tensor2D.from_array(heat), Tensor3D.from_array(off),
-                  Tensor3D.from_array(size), None, GridSpec(64, 64, 4),
-                  threshold=0.1)
+    want = decode(heat, off, size, None, GridSpec(64, 64, 4), threshold=0.1)
     got = cli._load_detections(dec, need_emb=False)[1]
     assert [d.score for d in got] == [d.score for d in want]
     assert got[1].score == float(np.float32(0.123456789))
@@ -455,6 +485,21 @@ def test_track_zero_height_det_box_exits_2(tmp_path, capsys, height, kalman):
     assert rc == 2
     assert f"{d / 'det.txt'}:2: box height must be positive, got 0.0" \
         in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("kalman", [[], ["--no-kalman"]])
+@pytest.mark.parametrize("height", ["1e300", "1e-320"])
+def test_track_det_box_outside_float32_range_exits_2(tmp_path, capsys, height, kalman):
+    # the Kalman filter's rule, applied where det.txt is parsed: a huge
+    # height, or a subnormal one whose aspect overflows
+    d = _det_dir(tmp_path, f"1,-1,0,0,20,{height},0.9,-1,-1,-1")
+    rc, _ = run(["track", "--in", str(d), "--out", str(tmp_path / "r.txt"),
+                 "--no-reid", *kalman])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{d / 'det.txt'}:2: box measurement (cx, cy, w / h, h) = " in err
+    assert "is outside float32's normal range" in err
     assert not (tmp_path / "r.txt").exists()
 
 
@@ -579,7 +624,7 @@ def _det_inputs(draw):
         elif kind != "missing" and len(boxes) + kind >= 1:
             m = np.tile(np.eye(1, 4), (len(boxes) + kind, 1))
             m[0] = draw(st.sampled_from([1.0, 0.0, 3e38]))  # unit, zero, overflowing norm
-            embs[frame] = tensor_to_bytes(Tensor2D.from_array(m))
+            embs[frame] = tensor_to_bytes(m)
     return lines, embs
 
 
@@ -648,9 +693,9 @@ def test_track_directly_on_sim_detections(sim_dir, tmp_path):
 
 def test_track_zero_embedding_row_exits_2(sim_dir, tmp_path, capsys):
     path = sim_dir / "emb" / "000002.ften"
-    m = np.asarray(read_tensor(path)).copy()
+    m = read_tensor(path)
     m[0] = 0.0
-    write_tensor(Tensor2D.from_array(m), path)
+    path.write_bytes(tensor_to_bytes(m))
     rc, _ = run(["track", "--in", str(sim_dir), "--out", str(tmp_path / "r.txt")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -10,37 +10,32 @@ from fairtrack.decoding import (
 )
 from fairtrack.encoding import GtObject, encode_targets
 from fairtrack.geometry import BBox, GridSpec
-from fairtrack.tensors import Tensor2D, Tensor3D
-
-
-def _heat(arr):
-    return Tensor2D.from_array(np.asarray(arr, dtype=np.float64))
 
 
 # --- peak extraction -------------------------------------------------------
 
 def test_peaks_empty_map():
-    assert peak_nms(_heat(np.zeros((8, 8)))) == []
+    assert peak_nms(np.zeros((8, 8))) == []
 
 
 def test_peaks_below_threshold_dropped():
     h = np.zeros((8, 8))
     h[3, 4] = 0.39
-    assert peak_nms(_heat(h), threshold=0.4) == []
-    assert peak_nms(_heat(h), threshold=0.3) == [(4, 3, pytest.approx(0.39))]
+    assert peak_nms(h, threshold=0.4) == []
+    assert peak_nms(h, threshold=0.3) == [(4, 3, pytest.approx(0.39))]
 
 
 def test_peaks_lone_maximum():
     h = np.zeros((8, 8))
     h[2, 5] = 0.9
     h[2, 6] = 0.8  # adjacent, suppressed
-    assert peak_nms(_heat(h)) == [(5, 2, 0.9)]
+    assert peak_nms(h) == [(5, 2, 0.9)]
 
 
 def test_peaks_plateau_all_kept():
     h = np.zeros((8, 8))
     h[4, 2] = h[4, 3] = 0.7
-    got = peak_nms(_heat(h))
+    got = peak_nms(h)
     assert got == [(2, 4, 0.7), (3, 4, 0.7)]  # tie broken by (row, col)
 
 
@@ -49,14 +44,14 @@ def test_peaks_sorted_by_score_desc():
     h[1, 1] = 0.5
     h[5, 5] = 0.95
     h[8, 2] = 0.7
-    assert [xy[:2] for xy in peak_nms(_heat(h))] == [(5, 5), (2, 8), (1, 1)]
+    assert [xy[:2] for xy in peak_nms(h)] == [(5, 5), (2, 8), (1, 1)]
 
 
 def test_peaks_top_k_truncates():
     h = np.zeros((12, 12))
     for i, s in zip(range(5), (0.9, 0.8, 0.7, 0.6, 0.5)):
         h[2 * i + 1, 2 * i + 1] = s
-    got = peak_nms(_heat(h), top_k=3)
+    got = peak_nms(h, top_k=3)
     assert len(got) == 3
     assert got[0][2] == 0.9
 
@@ -64,14 +59,14 @@ def test_peaks_top_k_truncates():
 def test_peaks_corner_cell():
     h = np.zeros((6, 6))
     h[0, 0] = 0.8
-    assert peak_nms(_heat(h)) == [(0, 0, 0.8)]
+    assert peak_nms(h) == [(0, 0, 0.8)]
 
 
 def test_peaks_bad_args():
     with pytest.raises(ValueError):
-        peak_nms(_heat(np.zeros((4, 4))), threshold=0.0)
+        peak_nms(np.zeros((4, 4)), threshold=0.0)
     with pytest.raises(ValueError):
-        peak_nms(_heat(np.zeros((4, 4))), top_k=0)
+        peak_nms(np.zeros((4, 4)), top_k=0)
 
 
 # --- bilinear sampling -----------------------------------------------------
@@ -79,26 +74,25 @@ def test_peaks_bad_args():
 def test_bilinear_integer_point_is_identity():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(3, 5, 7))
-    t = Tensor3D.from_array(m)
-    assert np.allclose(bilinear_sample(t, 4.0, 2.0), m[:, 2, 4])
+    assert np.allclose(bilinear_sample(m, 4.0, 2.0), m[:, 2, 4])
 
 
 def test_bilinear_midpoint_average():
     m = np.zeros((1, 2, 2))
     m[0] = [[1.0, 3.0], [5.0, 7.0]]
-    assert bilinear_sample(Tensor3D.from_array(m), 0.5, 0.5)[0] == pytest.approx(4.0)
+    assert bilinear_sample(m, 0.5, 0.5)[0] == pytest.approx(4.0)
 
 
 def test_bilinear_edge_interpolation():
     m = np.zeros((1, 2, 3))
     m[0, 0] = [0.0, 2.0, 4.0]
     m[0, 1] = [0.0, 0.0, 0.0]
-    got = bilinear_sample(Tensor3D.from_array(m), 1.25, 0.0)
+    got = bilinear_sample(m, 1.25, 0.0)
     assert got[0] == pytest.approx(2.5)
 
 
 def test_bilinear_out_of_bounds():
-    t = Tensor3D.from_array(np.zeros((1, 3, 3)))
+    t = np.zeros((1, 3, 3))
     with pytest.raises(ValueError):
         bilinear_sample(t, 3.0, 1.0)
     with pytest.raises(ValueError):
@@ -133,8 +127,7 @@ def _maps_for(objs, grid, emb_dim=0):
     emb = None
     if emb_dim:
         rng = np.random.default_rng(7)
-        e = rng.normal(size=(emb_dim, grid.feat_h, grid.feat_w))
-        emb = Tensor3D.from_array(e)
+        emb = rng.normal(size=(emb_dim, grid.feat_h, grid.feat_w))
     return t, emb
 
 
@@ -170,8 +163,7 @@ def test_decode_clips_to_image():
     off = np.zeros((2, 16, 16))
     size = np.zeros((2, 16, 16))
     size[:, 0, 0] = 40.0  # extends well past the left/top edges
-    dets = decode(_heat(heat), Tensor3D.from_array(off),
-                  Tensor3D.from_array(size), None, grid)
+    dets = decode(heat, off, size, None, grid)
     b = dets[0].box
     assert b.x1 == 0.0 and b.y1 == 0.0
     assert b.x2 == pytest.approx(20.0) and b.y2 == pytest.approx(20.0)
@@ -183,8 +175,7 @@ def test_decode_drops_degenerate_boxes():
     heat[5, 5] = 0.9
     off = np.zeros((2, 16, 16))
     size = np.zeros((2, 16, 16))  # zero extent -> degenerate
-    assert decode(_heat(heat), Tensor3D.from_array(off),
-                  Tensor3D.from_array(size), None, grid) == []
+    assert decode(heat, off, size, None, grid) == []
 
 
 def test_decode_embedding_is_unit_norm():
@@ -219,8 +210,7 @@ def test_decode_center_bi_blends_neighbors():
     e = np.zeros((2, 16, 16))
     e[0, 4, 4] = 1.0
     e[1, 4, 5] = 1.0
-    dets = decode(_heat(heat), Tensor3D.from_array(off),
-                  Tensor3D.from_array(size), Tensor3D.from_array(e), grid,
+    dets = decode(heat, off, size, e, grid,
                   sampling=Sampling.CENTER_BI)
     # equal mix of the two neighbor one-hots, renormalized
     assert np.allclose(dets[0].embedding, [np.sqrt(0.5), np.sqrt(0.5)])
@@ -237,11 +227,21 @@ def test_decode_multiple_objects_count():
     assert all(d.score == 1.0 for d in dets)
 
 
+def test_map_rank_is_checked():
+    with pytest.raises(ValueError, match="heatmap must be 2-d"):
+        peak_nms(np.zeros((1, 4, 4)))
+    with pytest.raises(ValueError, match="embedding map must be 3-d"):
+        bilinear_sample(np.zeros((4, 4)), 1.0, 1.0)
+
+
 def test_decode_shape_validation():
     grid = GridSpec(64, 64, 4)
     t, _ = _maps_for([GtObject(BBox(8, 8, 24, 40), 0)], grid)
     with pytest.raises(ValueError):
         decode(t.heatmap, t.offsets, t.sizes, None, GridSpec(128, 64, 4))
     with pytest.raises(ValueError):
-        decode(t.heatmap, Tensor3D.from_array(np.zeros((3, 16, 16))),
-               t.sizes, None, grid)
+        decode(t.heatmap, np.zeros((3, 16, 16)), t.sizes, None, grid)
+    with pytest.raises(ValueError, match="embedding map shape mismatch"):
+        decode(t.heatmap, t.offsets, t.sizes, np.zeros((4, 16, 15)), grid)
+    with pytest.raises(ValueError, match="embedding map shape mismatch"):
+        decode(t.heatmap, t.offsets, t.sizes, np.zeros((16, 16)), grid)

@@ -6,10 +6,12 @@ from fairtrack.geometry import BBox
 from fairtrack.kalman import (
     GATE_CHI2,
     KalmanState,
-    gating_distance,
+    _blocks,
+    gate,
     kf_init,
     kf_predict,
     kf_update,
+    measurements,
     state_to_box,
 )
 
@@ -149,17 +151,22 @@ def test_covariance_stays_psd_under_noise():
 
 # --- gating ----------------------------------------------------------------
 
+def _gate(s, boxes):
+    """``gate`` of one state broadcast against the measurements of ``boxes``."""
+    return gate(s.mean[None], _blocks(s.covariance[None]), measurements(boxes))
+
+
 def test_gating_zero_at_projected_mean():
     s = kf_predict(kf_init(BBox(10, 20, 30, 60)))
-    d = gating_distance(s, [state_to_box(s)])
+    d = _gate(s, [state_to_box(s)])
     assert d[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_gating_monotone_in_center_offset():
     s = kf_predict(kf_init(BBox(10, 20, 30, 60)))
     boxes = [BBox(10 + dx, 20, 30 + dx, 60) for dx in (0.0, 5.0, 15.0, 40.0)]
-    d = gating_distance(s, boxes)
-    assert d == sorted(d)
+    d = _gate(s, boxes)
+    assert list(d) == sorted(d)
     assert d[0] < d[-1]
 
 
@@ -167,7 +174,7 @@ def test_gating_ignores_size_changes():
     # distance is computed on the center position only
     s = kf_predict(kf_init(BBox(10, 20, 30, 60)))
     same_center_bigger = BBox(0, 0, 40, 80)
-    d = gating_distance(s, [same_center_bigger])
+    d = _gate(s, [same_center_bigger])
     assert d[0] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -177,4 +184,4 @@ def test_gate_threshold_matches_chi2_table():
 
 def test_gating_empty_list():
     s = kf_init(BBox(10, 20, 30, 60))
-    assert gating_distance(s, []) == []
+    assert _gate(s, []).shape == (0,)

@@ -15,36 +15,31 @@ from fairtrack.losses import (
     reid_loss,
     total_loss,
 )
-from fairtrack.tensors import Tensor2D, Tensor3D
 
 GRID8 = GridSpec(32, 32, 4)
-
-
-def _t2(values):
-    return Tensor2D.from_array(np.atleast_2d(np.asarray(values, dtype=np.float64)))
 
 
 # --- focal -----------------------------------------------------------------
 
 def test_focal_near_zero_at_perfect_positive():
-    loss, _ = focal_loss(_t2([[1.0 - 1e-7]]), _t2([[1.0]]), N=1)
+    loss, _ = focal_loss([[1.0 - 1e-7]], [[1.0]], N=1)
     assert loss == pytest.approx(0.0, abs=1e-5)
 
 
 def test_focal_positive_branch_value():
-    loss, _ = focal_loss(_t2([[0.5]]), _t2([[1.0]]), N=1)
+    loss, _ = focal_loss([[0.5]], [[1.0]], N=1)
     assert loss == pytest.approx(-(0.25 * math.log(0.5)), abs=1e-12)
     assert loss == pytest.approx(0.173287, abs=1e-6)
 
 
 def test_focal_negative_branch_value():
-    loss, _ = focal_loss(_t2([[0.5]]), _t2([[0.5]]), N=1)
+    loss, _ = focal_loss([[0.5]], [[0.5]], N=1)
     assert loss == pytest.approx(-(0.5 ** 4 * 0.5 ** 2 * math.log(0.5)), abs=1e-12)
 
 
 def test_focal_n_normalization():
-    pred = _t2([[0.5, 0.5]])
-    target = _t2([[1.0, 1.0]])
+    pred = [[0.5, 0.5]]
+    target = [[1.0, 1.0]]
     l1, _ = focal_loss(pred, target, N=1)
     l2, _ = focal_loss(pred, target, N=2)
     assert l1 == pytest.approx(2 * l2)
@@ -52,12 +47,12 @@ def test_focal_n_normalization():
 
 def test_focal_requires_positive_n():
     with pytest.raises(ValueError):
-        focal_loss(_t2([[0.5]]), _t2([[1.0]]), N=0)
+        focal_loss([[0.5]], [[1.0]], N=0)
 
 
 def test_focal_shape_mismatch():
     with pytest.raises(ValueError):
-        focal_loss(_t2([[0.5]]), _t2([[1.0, 0.0]]), N=1)
+        focal_loss([[0.5]], [[1.0, 0.0]], N=1)
 
 
 def test_focal_non_negative_random():
@@ -65,8 +60,7 @@ def test_focal_non_negative_random():
     for _ in range(20):
         pred = rng.uniform(0.01, 0.99, (5, 5))
         target = np.where(rng.random((5, 5)) < 0.2, 1.0, rng.uniform(0, 0.9, (5, 5)))
-        loss, _ = focal_loss(Tensor2D.from_array(pred), Tensor2D.from_array(target),
-                             N=max(int((target == 1.0).sum()), 1))
+        loss, _ = focal_loss(pred, target, N=max(int((target == 1.0).sum()), 1))
         assert loss >= 0.0
 
 
@@ -74,7 +68,7 @@ def test_focal_zero_iff_exact_binary_match():
     target = np.zeros((3, 3))
     target[1, 1] = 1.0
     pred = np.clip(target, 1e-7, 1 - 1e-7)
-    loss, _ = focal_loss(Tensor2D.from_array(pred), Tensor2D.from_array(target), N=1)
+    loss, _ = focal_loss(pred, target, N=1)
     assert loss == pytest.approx(0.0, abs=1e-5)
 
 
@@ -83,11 +77,9 @@ def test_focal_gradient_matches_fd():
     target = np.where(rng.random((4, 4)) < 0.3, 1.0, rng.uniform(0, 0.95, (4, 4)))
     pred = rng.uniform(0.05, 0.95, (4, 4))
     n = max(int((target == 1.0).sum()), 1)
-    tt = Tensor2D.from_array(target)
-    _, grad = focal_loss(Tensor2D.from_array(pred), tt, N=n)
-    fd = numeric_gradient(
-        lambda x: focal_loss(Tensor2D.from_array(x), tt, N=n)[0], pred)
-    assert np.allclose(np.asarray(grad), fd, rtol=1e-5, atol=1e-8)
+    _, grad = focal_loss(pred, target, N=n)
+    fd = numeric_gradient(lambda x: focal_loss(x, target, N=n)[0], pred)
+    assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
 
 def test_focal_params_validation():
@@ -109,29 +101,29 @@ def test_box_loss_zero_when_equal():
 
 def test_box_loss_hand_value():
     t = _one_object_targets()
-    po = np.asarray(t.offsets).copy()
-    ps = np.asarray(t.sizes).copy()
+    po = t.offsets.copy()
+    ps = t.sizes.copy()
     ys, xs = np.nonzero(t.center_mask)
     y, x = ys[0], xs[0]
     po[0, y, x] += 0.1
     po[1, y, x] -= 0.2
     ps[0, y, x] += 1.0
     ps[1, y, x] -= 3.0
-    loss, (go, gs) = box_loss(Tensor3D.from_array(po), Tensor3D.from_array(ps), t)
+    loss, (go, gs) = box_loss(po, ps, t)
     assert loss == pytest.approx(4.3)
-    assert np.asarray(go)[0, y, x] == 1.0
-    assert np.asarray(go)[1, y, x] == -1.0
-    assert np.asarray(gs)[0, y, x] == 1.0
-    assert np.asarray(gs)[1, y, x] == -1.0
+    assert go[0, y, x] == 1.0
+    assert go[1, y, x] == -1.0
+    assert gs[0, y, x] == 1.0
+    assert gs[1, y, x] == -1.0
 
 
 def test_box_loss_off_mask_errors_ignored():
     t = _one_object_targets()
-    po = np.asarray(t.offsets) + 100.0  # error everywhere, including off-mask
-    ps = np.asarray(t.sizes).copy()
-    loss, (go, _) = box_loss(Tensor3D.from_array(po), Tensor3D.from_array(ps), t)
+    po = t.offsets + 100.0  # error everywhere, including off-mask
+    ps = t.sizes.copy()
+    loss, (go, _) = box_loss(po, ps, t)
     assert loss == pytest.approx(200.0)  # only the two masked offset channels
-    assert (np.asarray(go)[:, ~t.center_mask] == 0.0).all()
+    assert (go[:, ~t.center_mask] == 0.0).all()
 
 
 def test_box_loss_empty_mask():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fairtrack.decoding import Detection
 from fairtrack.geometry import BBox
+from fairtrack.kalman import measurements
 from fairtrack.mot_io import (
     MotFormatError,
     MotRecord,
@@ -130,6 +131,33 @@ def test_parse_rejects_non_finite_numbers(tmp_path, line):
     assert str(exc.value).startswith(f"{p}:2:")
 
 
+def test_parse_det_reports_the_first_box_the_kalman_filter_refuses(tmp_path):
+    p = tmp_path / "det.txt"
+    p.write_text("1,-1,0,0,10,10,0.5,-1,-1,-1\n"
+                 "2,-1,0,0,20,1e300,0.9,-1,-1,-1\n"
+                 "2,-1,10,10,20,0,0.9,-1,-1,-1\n"
+                 "3,-1,0,0,20,1e-320,0.9,-1,-1,-1\n")
+    with pytest.raises(MotFormatError) as exc:
+        parse_mot(p, kind="det")
+    assert str(exc.value) == (f"{p}:2: box measurement (cx, cy, w / h, h) = "
+                              "(10.0, 5e+299, 2e-299, 1e+300) is outside float32's "
+                              "normal range")
+    p.write_text("1,-1,0,0,10,10,0.5,-1,-1,-1\n"
+                 "2,-1,10,10,20,0,0.9,-1,-1,-1\n"
+                 "3,-1,0,0,20,1e-320,0.9,-1,-1,-1\n")
+    with pytest.raises(MotFormatError, match=r":2: box height must be positive, got 0\.0$"):
+        parse_mot(p, kind="det")
+
+
+def test_parse_gt_and_result_keep_boxes_the_kalman_filter_refuses(tmp_path):
+    # only detections reach the tracker's filter
+    p = tmp_path / "res.txt"
+    p.write_text("1,1,0,0,20,1e300,0.9,-1,-1,-1\n1,2,0,0,20,1e-320,0.9,-1,-1,-1\n")
+    assert len(parse_mot(p, kind="result")[1]) == 2
+    p.write_text("1,1,0,0,20,1e300,1,1,1.0\n1,2,0,0,20,0,1,1,1.0\n")
+    assert len(parse_mot(p, kind="gt")[1]) == 2
+
+
 def test_parse_gt_rejects_non_finite_visibility(tmp_path):
     p = tmp_path / "gt.txt"
     p.write_text("1,1,0,0,10,10,1,1,nan\n")
@@ -188,6 +216,8 @@ def test_parse_mot_fuzz_finite_or_located_error(tmp_path, lines, kind):
                 box.x2, box.y2))
             assert r.visibility is None or math.isfinite(r.visibility)
             assert r.cls is None or type(r.cls) is int
+        if kind == "det":  # every det box is one the Kalman filter accepts
+            measurements([r.to_box() for r in recs])
     if kind == "gt":  # every class token read, kept or dropped, was an integer
         for line in lines:
             parts = line.strip().split(",")
