@@ -36,9 +36,8 @@ from .encoding import GtObject, encode_targets
 from .geometry import GridSpec, best_match, corners, iou_matrix
 from .losses import gradcheck_run
 from .metrics import clear_mot, detection_ap, idf1, tpr_at_far
-from .mot_io import CenterRows, MotFormatError, MotRecord, _read_text, \
-    format_centers, format_det_line, format_gt_line, format_mot_line, \
-    load_config, parse_centers, parse_mot, to_frames
+from .mot_io import CenterRows, MotFormatError, _lines, format_centers, format_det_line, \
+    format_gt_line, format_mot_line, load_config, parse_centers, parse_mot, to_frames
 from .sim import SimConfig, generate
 from .tensors import FtenFormatError, read_tensor, tensor_to_bytes
 from .tracker import OnlineTracker, TrackerConfig
@@ -98,7 +97,7 @@ def _read_seqinfo(directory: Path) -> dict[str, int]:
         return {}
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read_string(_read_text(ini))
+        cp.read_string("\n".join(_lines(ini)))
     except configparser.MissingSectionHeaderError as e:
         raise MotFormatError(f"{ini}:{e.lineno}: expected a [section] header") from e
     except configparser.ParsingError as e:
@@ -140,12 +139,8 @@ def cmd_sim(args) -> int:
     (out / "emb").mkdir(parents=True, exist_ok=True)
     res = generate(cfg)
 
-    gt_lines = []
-    for frame in sorted(res.gt):
-        for tid, box in res.gt[frame]:
-            gt_lines.append(format_gt_line(MotRecord(
-                frame, tid, box.x1, box.y1, box.width, box.height,
-                conf=1.0, cls=1, visibility=1.0)))
+    gt_lines = [format_gt_line(frame, tid, box)
+                for frame in sorted(res.gt) for tid, box in res.gt[frame]]
     _atomic_write_text(out / "gt.txt", "\n".join(gt_lines) + "\n")
 
     det_lines = []
@@ -285,8 +280,7 @@ def cmd_decode(args) -> int:
                       top_k=args.top_k, sampling=sampling)
         off[cells] = size[cells] = 0.0
         lines.extend(format_det_line(frame, d) for d in dets)
-        with_emb = [d for d in dets if d.embedding is not None]
-        if with_emb and len(with_emb) == len(dets):
+        if emb is not None and dets:  # decode drops a peak with a zero embedding
             path = out / "emb" / f"{frame:06d}.ften"
             rows = np.stack([d.embedding for d in dets])
             _atomic_write_bytes(path, tensor_to_bytes(rows))
@@ -354,9 +348,8 @@ def cmd_track(args) -> int:
     lines = []
     for frame in sorted(dets):
         outputs = tracker.step(frame, dets[frame])
-        for (tid, box), score in zip(outputs, tracker.active_scores()):
-            lines.append(format_mot_line(MotRecord(
-                frame, tid, box.x1, box.y1, box.width, box.height, conf=score)))
+        lines += [format_mot_line(frame, tid, box, score)
+                  for (tid, box), score in zip(outputs, tracker.active_scores())]
 
     out = Path(args.out)
     if out.parent:
@@ -377,9 +370,8 @@ def cmd_eval(args) -> int:
     if bad:
         raise ValueError(f"unknown metrics: {', '.join(sorted(bad))}")
 
-    gt_recs = parse_mot(args.gt, kind="gt")
+    gt = to_frames(parse_mot(args.gt, kind="gt"))
     pred_recs = parse_mot(args.pred, kind="result")
-    gt = to_frames(gt_recs)
     pred = to_frames(pred_recs)
 
     report: dict[str, float | int] = {}

@@ -94,8 +94,8 @@ def measure(c: np.ndarray) -> np.ndarray:
     overflows) comes out non-finite or out of range without a numpy
     warning; ``check_measurements`` rejects it before a filter uses it.
     """
-    h = c[:, 3] - c[:, 1]
     with np.errstate(all="ignore"):
+        h = c[:, 3] - c[:, 1]
         return np.stack([(c[:, 0] + c[:, 2]) / 2.0, (c[:, 1] + c[:, 3]) / 2.0,
                          (c[:, 2] - c[:, 0]) / h, h], axis=1)
 

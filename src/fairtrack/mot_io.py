@@ -15,13 +15,15 @@ integral within int32 (MOTChallenge's range); an integral float token such as
 integer feature-grid cell, the dense identity index, the sub-cell offset
 and the box size in image pixels.  The four values are float32 numbers
 written at float64 precision, so they read back exactly.
+
+MOT files and the object table are read as columns; the first bad line
+raises MotFormatError.  Lines break at ``\n``, ``\r`` and ``\r\n`` only, so a
+line number is the one a text editor shows.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,8 +42,9 @@ class MotFormatError(ValueError):
     """A text input (MOT file or config file) failed to parse."""
 
 
-@dataclass(frozen=True)
-class MotRecord:
+class MotRecord(NamedTuple):
+    """One MOT line as read; ``cls`` and ``visibility`` only from 9-field gt lines."""
+
     frame: int
     obj_id: int
     bb_left: float
@@ -52,41 +55,80 @@ class MotRecord:
     cls: int | None = None
     visibility: float | None = None
 
-    def __post_init__(self):
-        values = (self.bb_left, self.bb_top, self.bb_width, self.bb_height,
-                  self.bb_left + self.bb_width, self.bb_top + self.bb_height,
-                  self.conf, 0.0 if self.visibility is None else self.visibility)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("box, conf and visibility must be finite")
-        if self.frame < 1:
-            raise ValueError(f"frame must be >= 1, got {self.frame}")
-        if self.bb_width < 0 or self.bb_height < 0:
-            raise ValueError("box extents must be non-negative")
-
     def to_box(self) -> BBox:
         return BBox(self.bb_left, self.bb_top,
                     self.bb_left + self.bb_width, self.bb_top + self.bb_height)
 
 
-def _not_utf8(path, data: bytes, e: UnicodeDecodeError) -> MotFormatError:
-    line = data.count(b"\n", 0, e.start) + 1
-    return MotFormatError(f"{path}:{line}: not UTF-8 text ({e.reason} at byte {e.start})")
+def _split_lines(text: str) -> list[str]:
+    # as a text file splits; str.splitlines also breaks at \x0b-\x0c, \x1c-\x1e, \x85, U+2028-9
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _read_text(path) -> str:
-    """The whole file as UTF-8 text; other bytes raise MotFormatError at `path:line`."""
+def _lines(path) -> list[str]:
+    """The file's lines, as UTF-8 text; other bytes raise MotFormatError at `path:line`."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return _split_lines(data.decode("utf-8"))
     except UnicodeDecodeError as e:
-        raise _not_utf8(path, data, e) from e
+        line = len(_split_lines(data[:e.start].decode("utf-8")))
+        raise MotFormatError(
+            f"{path}:{line}: not UTF-8 text ({e.reason} at byte {e.start})") from e
 
 
-def _int_field(name: str, token: str) -> int:
-    value = float(token)
-    if not (value.is_integer() and -2**31 <= value < 2**31):
-        raise ValueError(f"{name} must be an integer within int32, got {token!r}")
-    return int(value)
+def _error_text(fn, *args) -> str | None:
+    """The text of the ValueError that ``fn(*args)`` raises, if it raises one."""
+    try:
+        fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+class _Table:
+    """A comma-separated file's non-blank lines as columns, and the checks on them.
+
+    ``checks`` holds (mask over lines, message of a row) pairs in the order
+    a line's fields are read.
+    """
+
+    def __init__(self, path, counts: tuple[int, ...]):
+        k = min(counts)
+        numbers, sizes, tokens = [], [], []
+        for lineno, raw in enumerate(_lines(path), start=1):
+            line = raw.strip()
+            if line:
+                fields = line.split(",")
+                numbers.append(lineno)
+                sizes.append(len(fields))
+                tokens.append(fields[:k] + [""] * (k - len(fields)))  # k fields, padded
+        self.path, self.tokens = path, tokens
+        self.lines, self.counts = np.array(numbers), np.array(sizes)
+        try:
+            self.values = np.array(tokens, dtype=np.float64).reshape(len(tokens), k)
+            self.failed = np.zeros(self.values.shape, dtype=bool)
+        except ValueError:  # find the tokens that are not numbers, and read them as NaN
+            self.failed = np.array([[_error_text(float, x) is not None for x in row]
+                                    for row in tokens])
+            self.values = np.where(self.failed, "nan", np.array(tokens, object)).astype(float)
+        self.checks = [(~np.isin(self.counts, counts), lambda i: f"expected "
+                        f"{' or '.join(map(str, counts))} fields, got {sizes[i]}")]
+
+    def field(self, j: int, int_name: str = "") -> None:
+        """Check that field ``j`` is a number and, given ``int_name``, an integer within int32."""
+        self.checks.append((self.failed[:, j], lambda i: _error_text(float, self.tokens[i][j])))
+        if int_name:
+            v = self.values[:, j]
+            self.checks.append((~((v == np.trunc(v)) & (v >= -2**31) & (v < 2**31)),
+                                lambda i: f"{int_name} must be an integer within int32, "
+                                          f"got {self.tokens[i][j]!r}"))
+
+    def raise_first(self) -> None:
+        """Raise MotFormatError at the first line a check marks, with its first check's text."""
+        bad = np.stack([mask for mask, _ in self.checks], axis=1)
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            message = self.checks[np.argmax(bad[rows[0]])][1]
+            raise MotFormatError(f"{self.path}:{self.lines[rows[0]]}: {message(rows[0])}")
 
 
 def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
@@ -95,48 +137,37 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
     kind is one of gt / det / result; gt lines additionally carry class
     and visibility, and non-pedestrian classes are dropped.  A det box
     must be one the tracker's Kalman filter accepts (``kalman.measurable``:
-    a positive height, and a measurement within float32's normal range);
-    that rule runs once over the file's boxes.  A malformed line, or bytes
-    that are not UTF-8, raise MotFormatError naming `path:line`.
+    a positive height, and a measurement within float32's normal range),
+    checked after the line's other fields.  The first malformed line, or
+    bytes that are not UTF-8, raise MotFormatError naming `path:line`.
     """
     if kind not in ("gt", "det", "result"):
         raise ValueError(f"unknown kind {kind!r}")
+    t = _Table(path, (9, 10))
+    v = t.values
+    gt = (t.counts == 9) & (kind == "gt")
+    t.failed[~gt, 7:] = False  # class and visibility are read from 9-field gt lines only
+    v[~gt, 7:] = PEDESTRIAN_CLASS
+    for j, name in enumerate(("frame", "id", "", "", "", "", "", "class", "")):
+        t.field(j, name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = np.stack([v[:, 2], v[:, 3], v[:, 2] + v[:, 4], v[:, 3] + v[:, 5]], axis=1)
+    finite = np.isfinite(corners).all(axis=1) & np.isfinite(v[:, 4:]).all(axis=1)
+    t.checks += [(~finite, lambda i: "box, conf and visibility must be finite"),
+                 (~(v[:, 0] >= 1), lambda i: f"frame must be >= 1, got {int(v[i, 0])}"),
+                 ((v[:, 4] < 0) | (v[:, 5] < 0), lambda i: "box extents must be non-negative")]
+    if kind == "det":
+        z = measure(corners)
+        t.checks.append((~measurable(z), lambda i: _error_text(check_measurements, z[i:i + 1])))
+    t.raise_first()
+
+    cols = v.astype(object)  # Python floats, and ints where a record holds them
+    cols[:, :2] = v[:, :2].astype(np.int64)
+    cols[:, 7] = PEDESTRIAN_CLASS
+    cols[~gt, 7:] = None
     out: dict[int, list[MotRecord]] = {}
-    lines, corners = [], []  # det only: each box's line and (x1, y1, x2, y2)
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) not in (9, 10):
-            raise MotFormatError(
-                f"{path}:{lineno}: expected 9 or 10 fields, got {len(parts)}")
-        try:
-            frame = _int_field("frame", parts[0])
-            obj_id = _int_field("id", parts[1])
-            l, t, w, h, conf = (float(v) for v in parts[2:7])
-            cls = vis = None
-            if kind == "gt" and len(parts) == 9:
-                cls = _int_field("class", parts[7])
-                vis = float(parts[8])
-            rec = MotRecord(frame, obj_id, l, t, w, h, conf, cls, vis)
-        except (ValueError, OverflowError) as e:  # int(inf) overflows
-            raise MotFormatError(f"{path}:{lineno}: {e}") from e
-        if cls is not None and cls != PEDESTRIAN_CLASS:
-            continue
-        if kind == "det":
-            lines.append(lineno)
-            corners += (l, t, l + w, t + h)  # as MotRecord.to_box builds them
-        out.setdefault(frame, []).append(rec)
-    if lines:
-        z = measure(np.array(corners).reshape(-1, 4))
-        bad = np.flatnonzero(~measurable(z))
-        if bad.size:
-            i = bad[0]
-            try:
-                check_measurements(z[i:i + 1])
-            except ValueError as e:
-                raise MotFormatError(f"{path}:{lines[i]}: {e}") from e
+    for record in map(MotRecord._make, cols[v[:, 7] == PEDESTRIAN_CLASS].tolist()):
+        out.setdefault(record.frame, []).append(record)
     return out
 
 
@@ -153,53 +184,27 @@ def parse_centers(path) -> dict[int, CenterRows]:
 
     The identity column is checked but not returned: decoding does not
     use it.  A line with other than 8 fields, a non-integer frame, cell or
-    identity, a non-finite value, a negative size or bytes that are not
-    UTF-8 raise MotFormatError naming `path:line`; so does the first line
-    that repeats a cell already given for its frame.  Columns are gathered
-    into flat lists and grouped by frame as arrays, with no per-row objects
-    kept.
+    identity, a non-finite value, a negative size, a cell already given
+    for its frame, or bytes that are not UTF-8 raise MotFormatError naming
+    the first bad `path:line`.
     """
-    frames, lines, cells, values = [], [], [], []
-    # newline=None splits lines as a file opened in text mode does
-    with io.StringIO(_read_text(path), newline=None) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise MotFormatError(
-                    f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-            try:
-                frame, x, y, _ = (_int_field(name, token) for name, token in
-                                  zip(("frame", "x", "y", "identity"), parts))
-                row = [float(v) for v in parts[4:]]
-                if not all(math.isfinite(v) for v in row):
-                    raise ValueError("offset and size must be finite")
-                if row[2] < 0 or row[3] < 0:
-                    raise ValueError("size must be non-negative")
-            except ValueError as e:
-                raise MotFormatError(f"{path}:{lineno}: {e}") from e
-            frames.append(frame)
-            lines.append(lineno)
-            cells += (x, y)
-            values += row
-    frames = np.array(frames, dtype=np.int64)
-    lines = np.array(lines, dtype=np.int64)
-    cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
-    values = np.array(values, dtype=np.float64).reshape(-1, 4)
+    t = _Table(path, (8,))
+    v = t.values
+    for j, name in enumerate(("frame", "x", "y", "identity", "", "", "", "")):
+        t.field(j, name)
+    order = np.lexsort((t.lines, v[:, 2], v[:, 1], v[:, 0]))
+    repeats = np.zeros(len(v), dtype=bool)
+    repeats[order[1:][(v[order[1:], :3] == v[order[:-1], :3]).all(axis=1)]] = True
+    t.checks += [(~np.isfinite(v[:, 4:]).all(axis=1), lambda i: "offset and size must be finite"),
+                 ((v[:, 6] < 0) | (v[:, 7] < 0), lambda i: "size must be non-negative"),
+                 (repeats, lambda i: f"cell ({int(v[i, 1])}, {int(v[i, 2])}) "
+                                     f"repeated in frame {int(v[i, 0])}")]
+    t.raise_first()
 
-    order = np.lexsort((lines, cells[:, 1], cells[:, 0], frames))
-    key = np.stack([frames, cells[:, 0], cells[:, 1]], axis=1)[order]
-    repeats = order[1:][(key[1:] == key[:-1]).all(axis=1)]
-    if repeats.size:
-        i = repeats[np.argmin(lines[repeats])]
-        raise MotFormatError(f"{path}:{lines[i]}: cell ({cells[i, 0]}, {cells[i, 1]}) "
-                             f"repeated in frame {frames[i]}")
-
+    frames = v[:, 0].astype(np.int64)
     order = np.argsort(frames, kind="stable")
     keys, starts = np.unique(frames[order], return_index=True)
-    return {int(frame): CenterRows(lines[g], cells[g], values[g])
+    return {int(frame): CenterRows(t.lines[g], v[g, 1:3].astype(np.int64), v[g, 4:])
             for frame, g in zip(keys, np.split(order, starts[1:]))}
 
 
@@ -220,28 +225,29 @@ def format_centers(frame: int, xs, ys, identities, values) -> list[str]:
                                         rounded.tolist())]
 
 
-def _box_fields(rec: MotRecord) -> str:
-    return (f"{rec.frame},{rec.obj_id},{rec.bb_left:.2f},{rec.bb_top:.2f},"
-            f"{rec.bb_width:.2f},{rec.bb_height:.2f}")
+def _box_fields(frame: int, obj_id: int, box: BBox, score: float) -> str:
+    """The six fields every MOT line starts with; raises ValueError where its reader would."""
+    if frame < 1 or not all(map(math.isfinite, (box.x1, box.y1, box.width, box.height,
+                                               box.x1 + box.width, box.y1 + box.height, score))):
+        raise ValueError(f"frame {frame}: a MOT line needs a frame >= 1, "
+                         "and a box and score that are finite")
+    return (f"{frame},{obj_id},{box.x1:.2f},{box.y1:.2f},"
+            f"{box.width:.2f},{box.height:.2f}")
 
 
-def format_mot_line(rec: MotRecord) -> str:
-    """10-field result line; conf is rounded to 2 decimals."""
-    return f"{_box_fields(rec)},{rec.conf:.2f},-1,-1,-1"
+def format_mot_line(frame: int, obj_id: int, box: BBox, score: float) -> str:
+    """10-field result line; the score is rounded to 2 decimals."""
+    return f"{_box_fields(frame, obj_id, box, score)},{score:.2f},-1,-1,-1"
 
 
 def format_det_line(frame: int, det: Detection) -> str:
     """10-field detection line (id -1); the score keeps full precision."""
-    b = det.box
-    rec = MotRecord(frame, -1, b.x1, b.y1, b.width, b.height, det.score)
-    return f"{_box_fields(rec)},{float(det.score)!r},-1,-1,-1"
+    return f"{_box_fields(frame, -1, det.box, det.score)},{float(det.score)!r},-1,-1,-1"
 
 
-def format_gt_line(rec: MotRecord) -> str:
-    """9-field ground-truth line with class and visibility columns."""
-    cls = PEDESTRIAN_CLASS if rec.cls is None else rec.cls
-    vis = 1.0 if rec.visibility is None else rec.visibility
-    return f"{_box_fields(rec)},{int(rec.conf)},{cls},{vis:.2f}"
+def format_gt_line(frame: int, obj_id: int, box: BBox) -> str:
+    """9-field ground-truth line: conf 1, the pedestrian class, visibility 1."""
+    return f"{_box_fields(frame, obj_id, box, 1.0)},1,{PEDESTRIAN_CLASS},1.00"
 
 
 def to_frames(parsed: dict[int, list[MotRecord]]) -> dict[int, list[tuple[int, BBox]]]:
@@ -279,7 +285,7 @@ def load_config(path) -> tuple[TrackerConfig, SimConfig]:
     """Flat `key = value` file with # comments; unknown keys are an error."""
     tracker_kw: dict = {}
     sim_kw: dict = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

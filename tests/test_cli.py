@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from fairtrack import cli
 from fairtrack.decoding import decode
 from fairtrack.encoding import GtObject, encode_targets
-from fairtrack.geometry import GridSpec, best_match, corners, iou_matrix
+from fairtrack.geometry import BBox, GridSpec, best_match, corners, iou_matrix
 from fairtrack.metrics import tpr_at_far
-from fairtrack.mot_io import MotRecord, format_det_line, format_gt_line, parse_mot, \
-    to_frames
+from fairtrack.mot_io import format_det_line, format_gt_line, parse_mot, to_frames
 from fairtrack.tensors import read_tensor, tensor_from_bytes, tensor_to_bytes
 
 
@@ -399,8 +398,8 @@ def test_table_decode_equals_dense_decode(frames):
         d = Path(d)
         gt_path, maps, dets = d / "gt.txt", d / "maps", d / "dets"
         gt_path.write_text("".join(
-            format_gt_line(MotRecord(f, tid, *box)) + "\n"
-            for f, objs in enumerate(frames, start=1) for tid, box in objs))
+            format_gt_line(f, tid, BBox(l, t, l + w, t + h)) + "\n"
+            for f, objs in enumerate(frames, start=1) for tid, (l, t, w, h) in objs))
         assert run(["encode", "--gt", str(gt_path), "--out", str(maps),
                     "--image-w", "128", "--image-h", "96"])[0] == 0
         assert run(["decode", "--maps", str(maps), "--out", str(dets)])[0] == 0
@@ -501,6 +500,56 @@ def test_track_det_box_outside_float32_range_exits_2(tmp_path, capsys, height, k
     assert f"{d / 'det.txt'}:2: box measurement (cx, cy, w / h, h) = " in err
     assert "is outside float32's normal range" in err
     assert not (tmp_path / "r.txt").exists()
+
+
+# A form feed ends no line, and the first bad line wins over a later one:
+# each case names line 2, as an editor shows it.
+_FORM_FEED_DET = "1,-1,0,0,10,10,0.9,-1,-1,-1\x0c\n1,-1,0,0,oops,10,0.9,-1,-1,-1\n"
+_REFUSED_FIRST_DET = ("1,-1,0,0,10,10,0.9,-1,-1,-1\n1,-1,0,0,20,1e300,0.9,-1,-1,-1\n"
+                      "2,-1,0,0,10,10,0.9,-1,-1,-1\n3,-1,0,0,10,10,0.9,-1,-1,-1\noops\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (_FORM_FEED_DET, "could not convert string to float: 'oops'"),
+    (_REFUSED_FIRST_DET, "box measurement (cx, cy, w / h, h) = "),
+], ids=["form-feed", "refused-box-first"])
+def test_track_names_the_first_bad_det_line(tmp_path, capsys, text, message):
+    d = tmp_path / "dets"
+    d.mkdir()
+    (d / "det.txt").write_bytes(text.encode())
+    rc, _ = run(["track", "--in", str(d), "--out", str(tmp_path / "r.txt"), "--no-reid"])
+    assert rc == 2
+    assert f"{d / 'det.txt'}:2: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,5,4,0,0.25,0.25,8.0,8.0\x0c\n2,5,4,0,0.25,0.25,-8.0,8.0\n", "size must be non-negative"),
+    ("1,5,4,0,0.25,0.25,8.0,8.0\n1,5,4,1,0.5,0.5,9.0,9.0\n2,5,4,0,0.25,0.25,8.0,8.0\n"
+     "2,6,4,0,0.25,0.25,8.0,8.0\n2,5\n", "cell (5, 4) repeated in frame 1"),
+], ids=["form-feed", "repeat-first"])
+def test_decode_names_the_first_bad_table_line(tmp_path, capsys, text, message):
+    _write_maps(tmp_path / "maps")
+    path = tmp_path / "maps" / "centers.txt"
+    path.write_bytes(text.encode())
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2
+    assert f"{path}:2: {message}" in err
+
+
+def test_config_form_feed_ends_no_line(tmp_path, capsys):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_bytes("seed = 3\x0c\nwarp_speed = 9\n".encode())
+    rc, _ = run(["sim", "--config", str(cfgf), "--out", str(tmp_path / "seq")])
+    assert rc == 2
+    assert f"{cfgf}:2: unknown key 'warp_speed'" in capsys.readouterr().err
+
+
+def test_encode_reads_seqinfo_with_carriage_return_line_ends(tmp_path):
+    gt = tmp_path / "gt.txt"
+    gt.write_text("1,1,10,10,20,40,1,1,1.0\n")
+    (tmp_path / "seqinfo.ini").write_bytes(b"[Sequence]\rimWidth=128\rimHeight=96\r")
+    assert run(["encode", "--gt", str(gt), "--out", str(tmp_path / "maps")])[0] == 0
+    assert read_tensor(tmp_path / "maps" / "000001.heat.ften").shape == (24, 32)
 
 
 def _not_utf8(path, lines=(), lineno=None):

@@ -4,13 +4,14 @@ Each library case runs ``track_sequence`` on one seeded sequence and
 hashes the MOT result lines and the ``evaluate_tracking`` report.  Each
 CLI case runs ``sim -> track`` and ``sim -> encode -> decode -> track
 --no-reid -> eval --json`` through ``cli.main`` and hashes both result
-files and the eval report.  Each map case hashes the tree ``encode``
-writes (every heat map and the ``centers.txt`` object table, not the
-manifest) and the ``det.txt`` that ``decode`` reads back from it.  Each
-re-ID case hashes ``reid-eval --json`` on one simulated sequence.  The
-pinned hashes fix the output exactly, so a change meant to keep
-behaviour (a faster kernel, a refactor, a file format change) is shown
-to keep it byte for byte.  A change that alters output on purpose
+files and the eval report.  Each sim case hashes the ``gt.txt``,
+``det.txt`` and ``emb/`` tree that ``sim`` writes.  Each map case hashes
+the tree ``encode`` writes (every heat map and the ``centers.txt`` object
+table, not the manifest) and the ``det.txt`` that ``decode`` reads back
+from it.  Each re-ID case hashes ``reid-eval --json`` on one simulated
+sequence.  The pinned hashes fix the output exactly, so a change meant
+to keep behaviour (a faster kernel, a refactor, a file format change) is
+shown to keep it byte for byte.  A change that alters output on purpose
 updates the pins and says so.
 
 Regenerate the pins with ``python tests/test_corpus.py``.
@@ -31,7 +32,7 @@ import pytest
 
 from fairtrack import cli
 from fairtrack.metrics import evaluate_tracking
-from fairtrack.mot_io import MotRecord, format_mot_line
+from fairtrack.mot_io import format_mot_line
 from fairtrack.sim import SimConfig, SimOutput, generate
 from fairtrack.tracker import TrackerConfig, track_sequence
 
@@ -65,7 +66,7 @@ def _digests(seed: int, scenario: str, mode: str) -> tuple[str, str]:
     sim = _sequence(seed, scenario)
     result = track_sequence(sim.dets, TrackerConfig(**MODES[mode]))
     lines = "\n".join(
-        format_mot_line(MotRecord(f, tid, b.x1, b.y1, b.width, b.height))
+        format_mot_line(f, tid, b, 1.0)
         for f in sorted(result) for tid, b in result[f])
     report = evaluate_tracking(sim.gt, result)
     return (hashlib.sha256(lines.encode()).hexdigest()[:16],
@@ -143,6 +144,30 @@ def _sim(seed: int, seq: Path) -> None:
     _cli("sim", "--seed", seed, "--frames", FRAMES, "--targets", 8,
          "--image-w", 512, "--image-h", 512, "--emb-noise", 0.1,
          "--fp-rate", 1, "--dropout", 0.05, "--box-noise", 1, "--out", seq)
+
+
+def _sim_digests(seed: int, root: Path) -> tuple[str, str, str]:
+    """Hashes of the ``gt.txt``, ``det.txt`` and ``emb/`` tree (names and bytes) of ``sim``."""
+    seq = root / "seq"
+    _sim(seed, seq)
+    tree = hashlib.sha256()
+    for path in sorted((seq / "emb").glob("*.ften")):
+        tree.update(path.name.encode() + b"\0" + path.read_bytes())
+    return (_sha((seq / "gt.txt").read_bytes()), _sha((seq / "det.txt").read_bytes()),
+            tree.hexdigest()[:16])
+
+
+# Pinned from the sim whose writers took a validated MotRecord per line.
+SIM_PINS = {
+    1: ('1c0b6f00af3b95c5', '2eb63f705e551ddb', '4aa8aacaaea3cdfc'),
+    2: ('15da7c31a10e17af', 'bfabd58c23a55bb2', 'bc0a8c8724fd46ae'),
+    3: ('5f8401dda6f1bc00', '7a0de9f00aca0caa', '395136889d52d4d7'),
+}
+
+
+@pytest.mark.parametrize("seed", CLI_SEEDS)
+def test_sim_output_matches_pin(seed, tmp_path):
+    assert _sim_digests(seed, tmp_path) == SIM_PINS[seed]
 
 
 def _cli_digests(seed: int, root: Path) -> tuple[str, str, str, str]:
@@ -228,6 +253,9 @@ def test_reid_eval_matches_pin(seed, tmp_path):
 if __name__ == "__main__":
     for s, sc, m in CASES:
         print(f'    "{sc}-{m}-{s}": {_digests(s, sc, m)!r},')
+    for seed in CLI_SEEDS:
+        with tempfile.TemporaryDirectory() as d:
+            print(f"    {seed}: {_sim_digests(seed, Path(d))!r},")
     for seed in CLI_SEEDS:
         with tempfile.TemporaryDirectory() as d:
             print(f"    {seed}: {_cli_digests(seed, Path(d))!r},")

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from fairtrack.decoding import Detection
 from fairtrack.geometry import BBox
-from fairtrack.kalman import measurements
+from fairtrack.kalman import check_measurements, measurable, measure, measurements
 from fairtrack.mot_io import (
+    PEDESTRIAN_CLASS,
+    CenterRows,
     MotFormatError,
     MotRecord,
     format_centers,
@@ -33,25 +37,38 @@ def test_record_to_box():
     assert (b.x1, b.y1, b.x2, b.y2) == (100.0, 40.0, 140.0, 120.0)
 
 
-def test_record_validation():
-    with pytest.raises(ValueError):
-        MotRecord(0, 1, 0, 0, 10, 10)
-    with pytest.raises(ValueError):
-        MotRecord(1, 1, 0, 0, -1, 10)
+def test_record_validation(tmp_path):
+    p = tmp_path / "res.txt"
+    for line, message in [("0,1,0,0,10,10,1,-1,-1,-1", "frame must be >= 1, got 0"),
+                          ("1,1,0,0,-1,10,1,-1,-1,-1", "box extents must be non-negative"),
+                          ("1,1,0,0,10,-1,1,-1,-1,-1", "box extents must be non-negative")]:
+        p.write_text(line + "\n")
+        with pytest.raises(MotFormatError) as exc:
+            parse_mot(p)
+        assert str(exc.value) == f"{p}:1: {message}"
 
 
 @pytest.mark.parametrize("field", [2, 3, 4, 5, 6, 8])  # not class (int)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_record_rejects_non_finite(field, bad):
-    values = [1, 1, 0.0, 0.0, 10.0, 10.0, 1.0, 1, 1.0]
-    values[field] = bad
-    with pytest.raises(ValueError, match="finite"):
-        MotRecord(*values)
+def test_record_rejects_non_finite(tmp_path, field, bad):
+    values = ["1", "1", "0.0", "0.0", "10.0", "10.0", "1.0", "1", "1.0"]
+    values[field] = repr(bad)
+    p = tmp_path / "gt.txt"
+    p.write_text(",".join(values) + "\n")
+    with pytest.raises(MotFormatError) as exc:
+        parse_mot(p, kind="gt")
+    assert str(exc.value) == f"{p}:1: box, conf and visibility must be finite"
 
 
-def test_record_rejects_overflowing_corner():
-    with pytest.raises(ValueError, match="finite"):
-        MotRecord(1, 1, 1e308, 0.0, 1e308, 10.0)
+def test_record_rejects_overflowing_corner(tmp_path):
+    # each value is finite, but the right or bottom edge is not
+    p = tmp_path / "res.txt"
+    for line in ["1,1,1e308,0.0,1e308,10.0,1,-1,-1,-1",
+                 "1,1,0.0,-1e308,10.0,-1e308,1,-1,-1,-1"]:
+        p.write_text(line + "\n")
+        with pytest.raises(MotFormatError) as exc:
+            parse_mot(p)
+        assert str(exc.value) == f"{p}:1: box, conf and visibility must be finite"
 
 
 # --- parsing ---------------------------------------------------------------
@@ -236,8 +253,7 @@ def test_parse_rejects_unknown_kind(tmp_path):
 # --- serialization ---------------------------------------------------------
 
 def test_format_mot_line_two_decimals():
-    r = MotRecord(3, 7, 1.005, 2.0, 10.125, 20.0, 0.875)
-    line = format_mot_line(r)
+    line = format_mot_line(3, 7, BBox(1.005, 2.0, 11.125, 22.0), 0.875)
     assert line == "3,7,1.00,2.00,10.12,20.00,0.88,-1,-1,-1"
 
 
@@ -249,22 +265,40 @@ def test_format_det_line_keeps_full_score():
 
 
 def test_format_gt_line_layout():
-    r = MotRecord(1, 2, 5.0, 6.0, 10.0, 20.0, 1.0, cls=1, visibility=0.5)
-    assert format_gt_line(r) == "1,2,5.00,6.00,10.00,20.00,1,1,0.50"
+    line = format_gt_line(1, 2, BBox(5.0, 6.0, 15.0, 26.0))
+    assert line == "1,2,5.00,6.00,10.00,20.00,1,1,1.00"
+
+
+@pytest.mark.parametrize("frame, box, score", [
+    (1, BBox(0.0, 0.0, math.nan, 10.0), 0.5),
+    (1, BBox(0.0, math.inf, 10.0, math.inf), 0.5),
+    (1, BBox(-1e308, 0.0, 1e308, 10.0), 0.5),  # the width overflows
+    (1, BBox(0.0, 0.0, 10.0, 10.0), math.nan),
+    (0, BBox(0.0, 0.0, 10.0, 10.0), 0.5),
+], ids=["nan-x2", "inf-y", "huge-width", "nan-score", "frame-0"])
+def test_writers_refuse_what_the_reader_rejects(frame, box, score):
+    message = "a MOT line needs a frame >= 1, and a box and score that are finite"
+    with pytest.raises(ValueError, match=message):
+        format_mot_line(frame, 1, box, score)
+    if math.isfinite(score):  # Detection refuses a NaN score itself; gt lines carry none
+        with pytest.raises(ValueError, match=message):
+            format_det_line(frame, Detection(box, score))
+        with pytest.raises(ValueError, match=message):
+            format_gt_line(frame, 1, box)
 
 
 def test_round_trip_through_text(tmp_path):
-    frames = {1: [MotRecord(1, 4, 10.25, 20.5, 30.75, 40.0, 0.95)],
-              2: [MotRecord(2, 4, 11.25, 21.5, 30.75, 40.0, 0.9)]}
+    frames = {1: [(4, BBox(10.25, 20.5, 41.0, 60.5), 0.95)],
+              2: [(4, BBox(11.25, 21.5, 42.0, 61.5), 0.9)]}
     p = tmp_path / "out.txt"
-    p.write_text("".join(format_mot_line(r) + "\n"
-                         for f in sorted(frames) for r in frames[f]))
+    p.write_text("".join(format_mot_line(f, *row) + "\n"
+                         for f in sorted(frames) for row in frames[f]))
     back = parse_mot(p)
     for f in frames:
-        for a, b in zip(frames[f], back[f]):
-            assert a.obj_id == b.obj_id
-            assert a.bb_left == b.bb_left  # .25 survives %.2f exactly
-            assert a.conf == pytest.approx(b.conf, abs=1e-9)
+        for (tid, box, score), r in zip(frames[f], back[f]):
+            assert r.obj_id == tid
+            assert r.to_box() == box  # .25 and .5 survive %.2f exactly
+            assert r.conf == pytest.approx(score, abs=1e-9)
 
 
 def test_to_frames_produces_metric_input():
@@ -273,7 +307,6 @@ def test_to_frames_produces_metric_input():
     tid, box = frames[1][0]
     assert tid == 4
     assert box.as_tuple() == (0.0, 0.0, 10.0, 20.0)
-
 
 
 # --- centers.txt, the object table -----------------------------------------
@@ -332,6 +365,108 @@ def test_parse_centers_fuzz_rows_or_located_error(tmp_path, lines):
         assert np.isfinite(rows.values).all()
         assert (rows.values[:, 2:] >= 0).all()
         assert len({tuple(c) for c in rows.cells.tolist()}) == k
+
+# --- one line rule, and the first bad line wins ----------------------------
+
+# Each input is a valid first line ending in ``end``, then a bad line; only
+# \n, \r and \r\n end a line, so the bad line is line 2 as an editor shows it.
+_ENDS = ["\x0c\n", "\x85\n", "\u2028\n", "\r\n", "\r", "\n\x0c"]
+_ENDS_IDS = ["form-feed", "nel", "line-separator", "crlf", "cr", "form-feed-leads"]
+
+
+@pytest.mark.parametrize("end", _ENDS, ids=_ENDS_IDS)
+def test_det_lines_split_as_a_text_file_does(tmp_path, end):
+    p = tmp_path / "det.txt"
+    p.write_bytes(("1,-1,0,0,10,10,0.5,-1,-1,-1" + end
+                   + "1,-1,0,0,oops,10,0.5,-1,-1,-1\n").encode())
+    with pytest.raises(MotFormatError) as exc:
+        parse_mot(p, kind="det")
+    assert str(exc.value) == f"{p}:2: could not convert string to float: 'oops'"
+
+
+@pytest.mark.parametrize("end", _ENDS, ids=_ENDS_IDS)
+def test_centers_lines_split_as_a_text_file_does(tmp_path, end):
+    p = tmp_path / "centers.txt"
+    p.write_bytes(("1,5,4,0,0.25,0.75,8.0,16.0" + end + "1,6,4,0,0.25,0.75,-8.0,16.0\n").encode())
+    with pytest.raises(MotFormatError) as exc:
+        parse_centers(p)
+    assert str(exc.value) == f"{p}:2: size must be non-negative"
+
+
+@pytest.mark.parametrize("end", _ENDS, ids=_ENDS_IDS)
+def test_config_lines_split_as_a_text_file_does(tmp_path, end):
+    p = tmp_path / "cfg.txt"
+    p.write_bytes(("seed = 3" + end + "warp_speed = 9\n").encode())
+    with pytest.raises(MotFormatError) as exc:
+        load_config(p)
+    assert str(exc.value) == f"{p}:2: unknown key 'warp_speed'"
+
+
+def test_a_form_feed_inside_a_line_does_not_end_it(tmp_path):
+    p = tmp_path / "det.txt"
+    p.write_bytes("1,-1,0,0,10,10,0.5,-1,-1,-1\x0c2,-1,0,0,10,10,0.5,-1,-1,-1\n".encode())
+    with pytest.raises(MotFormatError, match=r":1: expected 9 or 10 fields, got 19$"):
+        parse_mot(p, kind="det")
+    p.write_bytes("seed = 3\u2028frames = 4\n".encode())
+    with pytest.raises(MotFormatError, match=r":1: bad value for 'seed'"):
+        load_config(p)
+
+
+def test_not_utf8_line_counts_every_line_break(tmp_path):
+    p = tmp_path / "det.txt"
+    p.write_bytes(b"1,-1,0,0,10,10,0.5,-1,-1,-1\r2,-1,0,0,10,10,0.5,-1,-1,-1\r\n\xff\n")
+    with pytest.raises(MotFormatError, match=r":3: not UTF-8 text"):
+        parse_mot(p, kind="det")
+
+
+def test_det_reports_a_refused_box_before_a_later_malformed_line(tmp_path):
+    p = tmp_path / "det.txt"
+    p.write_text("1,-1,0,0,10,10,0.5,-1,-1,-1\n"
+                 "1,-1,0,0,20,1e300,0.9,-1,-1,-1\n"
+                 "2,-1,0,0,10,10,0.5,-1,-1,-1\n"
+                 "3,-1,0,0,10,10,0.5,-1,-1,-1\n"
+                 "oops\n")
+    with pytest.raises(MotFormatError) as exc:
+        parse_mot(p, kind="det")
+    assert str(exc.value) == (f"{p}:2: box measurement (cx, cy, w / h, h) = "
+                              "(10.0, 5e+299, 2e-299, 1e+300) is outside float32's "
+                              "normal range")
+
+
+def test_centers_reports_a_repeated_cell_before_a_later_malformed_line(tmp_path):
+    p = tmp_path / "centers.txt"
+    p.write_text("1,5,4,0,0.25,0.75,8.0,16.0\n"
+                 "1,5,4,1,0.5,0.5,9.0,9.0\n"
+                 "2,5,4,0,0.25,0.75,8.0,16.0\n"
+                 "3,5,4,0,0.25,0.75,8.0,16.0\n"
+                 "4,5,4,0,0.25\n")
+    with pytest.raises(MotFormatError) as exc:
+        parse_centers(p)
+    assert str(exc.value) == f"{p}:2: cell (5, 4) repeated in frame 1"
+
+
+def test_a_line_reports_its_first_failing_field(tmp_path):
+    p = tmp_path / "gt.txt"
+    # the frame is read before the box, and the box before the class
+    p.write_text("1,1,0,0,10,10,1,1,1.0\n1.5,1,0,0,x,10,1,7.5,1.0\n")
+    with pytest.raises(MotFormatError,
+                       match=r":2: frame must be an integer within int32, got '1\.5'$"):
+        parse_mot(p, kind="gt")
+    p.write_text("1,1,0,0,10,10,1,1,1.0\n1,1,0,0,x,10,1,7.5,1.0\n")
+    with pytest.raises(MotFormatError, match=r":2: could not convert string to float: 'x'$"):
+        parse_mot(p, kind="gt")
+
+
+def test_mixed_field_counts_keep_file_order(tmp_path):
+    p = tmp_path / "gt.txt"
+    p.write_text("2,1,0,0,10,10,1,1,0.5\n"
+                 "1,2,0,0,10,10,1,-1,-1,-1\n"
+                 "2,3,0,0,10,10,1,7,1.0\n"  # class 7: dropped
+                 "2,4,0,0,10,10,1,-1,-1,-1\n")
+    frames = parse_mot(p, kind="gt")
+    assert list(frames) == [2, 1]
+    assert [(r.obj_id, r.cls, r.visibility) for r in frames[2]] == [(1, 1, 0.5), (4, None, None)]
+
 
 # --- config files ----------------------------------------------------------
 
@@ -467,3 +602,215 @@ def test_noise_at_the_cap_generates():
                     emb_noise_std=1e6, fp_rate=2.0, det_dropout_prob=0.5)
     out = generate(sim)
     assert sorted(out.gt) == [1, 2]
+
+
+# --- the parsers that preceded the columnar reader, as references -----------
+
+# Kept verbatim apart from the ``_ref`` names: one Python loop per line and
+# a record that checks itself.  Their line rule is str.splitlines, so the
+# differential tests below use no line break but \n.
+
+@dataclasses.dataclass(frozen=True)
+class _RefRecord:
+    frame: int
+    obj_id: int
+    bb_left: float
+    bb_top: float
+    bb_width: float
+    bb_height: float
+    conf: float = 1.0
+    cls: int | None = None
+    visibility: float | None = None
+
+    def __post_init__(self):
+        values = (self.bb_left, self.bb_top, self.bb_width, self.bb_height,
+                  self.bb_left + self.bb_width, self.bb_top + self.bb_height,
+                  self.conf, 0.0 if self.visibility is None else self.visibility)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("box, conf and visibility must be finite")
+        if self.frame < 1:
+            raise ValueError(f"frame must be >= 1, got {self.frame}")
+        if self.bb_width < 0 or self.bb_height < 0:
+            raise ValueError("box extents must be non-negative")
+
+
+def _ref_not_utf8(path, data: bytes, e: UnicodeDecodeError) -> MotFormatError:
+    line = data.count(b"\n", 0, e.start) + 1
+    return MotFormatError(f"{path}:{line}: not UTF-8 text ({e.reason} at byte {e.start})")
+
+
+def _ref_read_text(path) -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise _ref_not_utf8(path, data, e) from e
+
+
+def _ref_int_field(name: str, token: str) -> int:
+    value = float(token)
+    if not (value.is_integer() and -2**31 <= value < 2**31):
+        raise ValueError(f"{name} must be an integer within int32, got {token!r}")
+    return int(value)
+
+
+def _ref_parse_mot(path, kind: str = "result") -> dict[int, list[_RefRecord]]:
+    if kind not in ("gt", "det", "result"):
+        raise ValueError(f"unknown kind {kind!r}")
+    out: dict[int, list[_RefRecord]] = {}
+    lines, corners = [], []  # det only: each box's line and (x1, y1, x2, y2)
+    for lineno, raw in enumerate(_ref_read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) not in (9, 10):
+            raise MotFormatError(
+                f"{path}:{lineno}: expected 9 or 10 fields, got {len(parts)}")
+        try:
+            frame = _ref_int_field("frame", parts[0])
+            obj_id = _ref_int_field("id", parts[1])
+            l, t, w, h, conf = (float(v) for v in parts[2:7])
+            cls = vis = None
+            if kind == "gt" and len(parts) == 9:
+                cls = _ref_int_field("class", parts[7])
+                vis = float(parts[8])
+            rec = _RefRecord(frame, obj_id, l, t, w, h, conf, cls, vis)
+        except (ValueError, OverflowError) as e:  # int(inf) overflows
+            raise MotFormatError(f"{path}:{lineno}: {e}") from e
+        if cls is not None and cls != PEDESTRIAN_CLASS:
+            continue
+        if kind == "det":
+            lines.append(lineno)
+            corners += (l, t, l + w, t + h)  # as _RefRecord.to_box builds them
+        out.setdefault(frame, []).append(rec)
+    if lines:
+        z = measure(np.array(corners).reshape(-1, 4))
+        bad = np.flatnonzero(~measurable(z))
+        if bad.size:
+            i = bad[0]
+            try:
+                check_measurements(z[i:i + 1])
+            except ValueError as e:
+                raise MotFormatError(f"{path}:{lines[i]}: {e}") from e
+    return out
+
+
+def _ref_parse_centers(path) -> dict[int, CenterRows]:
+    frames, lines, cells, values = [], [], [], []
+    # newline=None splits lines as a file opened in text mode does
+    with io.StringIO(_ref_read_text(path), newline=None) as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 8:
+                raise MotFormatError(
+                    f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
+            try:
+                frame, x, y, _ = (_ref_int_field(name, token) for name, token in
+                                  zip(("frame", "x", "y", "identity"), parts))
+                row = [float(v) for v in parts[4:]]
+                if not all(math.isfinite(v) for v in row):
+                    raise ValueError("offset and size must be finite")
+                if row[2] < 0 or row[3] < 0:
+                    raise ValueError("size must be non-negative")
+            except ValueError as e:
+                raise MotFormatError(f"{path}:{lineno}: {e}") from e
+            frames.append(frame)
+            lines.append(lineno)
+            cells += (x, y)
+            values += row
+    frames = np.array(frames, dtype=np.int64)
+    lines = np.array(lines, dtype=np.int64)
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    values = np.array(values, dtype=np.float64).reshape(-1, 4)
+
+    order = np.lexsort((lines, cells[:, 1], cells[:, 0], frames))
+    key = np.stack([frames, cells[:, 0], cells[:, 1]], axis=1)[order]
+    repeats = order[1:][(key[1:] == key[:-1]).all(axis=1)]
+    if repeats.size:
+        i = repeats[np.argmin(lines[repeats])]
+        raise MotFormatError(f"{path}:{lines[i]}: cell ({cells[i, 0]}, {cells[i, 1]}) "
+                             f"repeated in frame {frames[i]}")
+
+    order = np.argsort(frames, kind="stable")
+    keys, starts = np.unique(frames[order], return_index=True)
+    return {int(frame): CenterRows(lines[g], cells[g], values[g])
+            for frame, g in zip(keys, np.split(order, starts[1:]))}
+
+
+def _outcome(parse, path, *args):
+    """(result, None), or (None, the MotFormatError's text)."""
+    try:
+        return parse(path, *args), None
+    except MotFormatError as e:
+        return None, str(e)
+
+
+def _error_line(path, message: str) -> int:
+    return int(message[len(f"{path}:"):].split(":", 1)[0])
+
+
+def _assert_same_outcome(path, lines, parse, ref, *args):
+    """``parse`` and ``ref`` agree on the file of ``lines``.
+
+    Both accept it, or both reject it.  A rejection names the same line
+    with the same text, or an earlier line: one whose box or cell ``ref``
+    checked only after reading every line, so ``ref`` gives that error on
+    the file cut after that line.
+    """
+    got, error = _outcome(parse, path, *args)
+    want, ref_error = _outcome(ref, path, *args)
+    assert (error is None) == (ref_error is None), (error, ref_error)
+    if error is None:
+        return got, want
+    line, ref_line = _error_line(path, error), _error_line(path, ref_error)
+    assert line <= ref_line
+    if line < ref_line:
+        path.write_text("\n".join(lines[:line]) + "\n")
+        ref_error = _outcome(ref, path, *args)[1]
+    assert error == ref_error
+    return None, None
+
+
+_VALID_DET = ["1", "-1", "10", "10", "20", "40", "0.9", "-1", "-1", "-1"]
+# the fuzz lines above, valid det lines with one field replaced, and
+# valid lines of a few frames, so that records group and interleave
+_MIXED_LINES = st.one_of(
+    _LINES,
+    st.tuples(st.integers(0, 9), _TOKENS).map(
+        lambda t: ",".join(_VALID_DET[:t[0]] + [t[1]] + _VALID_DET[t[0] + 1:])),
+    st.tuples(st.integers(1, 3), st.booleans()).map(
+        lambda t: ",".join([str(t[0])] + (_VALID_GT if t[1] else _VALID_DET)[1:])),
+    st.just(""),
+)
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_MIXED_LINES, min_size=1, max_size=6),
+       kind=st.sampled_from(["gt", "det", "result"]))
+def test_parse_mot_matches_the_reference(tmp_path, lines, kind):
+    p = tmp_path / "fuzz.txt"
+    p.write_text("\n".join(lines) + "\n")
+    got, want = _assert_same_outcome(p, lines, parse_mot, _ref_parse_mot, kind)
+    if got is not None:
+        assert list(got) == list(want)
+        assert {f: [repr(tuple(r)) for r in recs] for f, recs in got.items()} == \
+            {f: [repr(dataclasses.astuple(r)) for r in recs] for f, recs in want.items()}
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.one_of(_CENTER_LINES, st.just("")), min_size=1, max_size=6))
+def test_parse_centers_matches_the_reference(tmp_path, lines):
+    p = tmp_path / "centers.txt"
+    p.write_text("\n".join(lines) + "\n")
+    got, want = _assert_same_outcome(p, lines, parse_centers, _ref_parse_centers)
+    if got is not None:
+        assert list(got) == list(want)
+        for frame, rows in got.items():
+            for a, b in zip(rows, want[frame]):
+                assert a.dtype == b.dtype and repr(a.tolist()) == repr(b.tolist())
