@@ -9,9 +9,10 @@ the run and get byte-identical outputs.
 object table for the sequence (``centers.txt``: cell, identity, offset
 and size of every retained center).  `decode` reads the table once and
 scatters each frame's rows into the dense offset and size heads that
-`decoding.decode` takes.  Both stream one frame at a time: each frame's
-maps or detections are computed and written before the next frame is
-read, so only one frame's maps are held in memory at a time.
+`decoding.decode` takes.  Both hold one frame's maps at a time.  `sim`
+and `decode` write detections to ``det.txt`` and their embeddings, if
+any, to ``emb.ften`` beside it: row k of that ``(N, D)`` array belongs to
+the k-th detection in frame order, which is ``det.txt``'s file order.
 
 Exit codes: 0 success, 1 validation failure (bad flags or values),
 2 I/O or file-format failure.
@@ -59,6 +60,17 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode())
+
+
+def _write_detections(out: Path, lines: list[str], rows: list[np.ndarray]) -> list[Path]:
+    """Write ``det.txt`` and, given embedding ``rows`` (row k for line k), ``emb.ften``."""
+    det, emb = out / "det.txt", out / "emb.ften"
+    _atomic_write_text(det, "\n".join(lines) + "\n")
+    if not rows:  # FTEN holds no empty array
+        emb.unlink(missing_ok=True)  # one from an earlier run would not line up
+        return [det]
+    _atomic_write_bytes(emb, tensor_to_bytes(np.stack(rows)))
+    return [det, emb]
 
 
 def _write_manifest(anchor: Path, subcommand: str, args, *, config=None,
@@ -136,24 +148,18 @@ def cmd_sim(args) -> int:
         base, **{k: v for k, v in overrides.items() if v is not None})
 
     out = Path(args.out)
-    (out / "emb").mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     res = generate(cfg)
 
     gt_lines = [format_gt_line(frame, tid, box)
                 for frame in sorted(res.gt) for tid, box in res.gt[frame]]
     _atomic_write_text(out / "gt.txt", "\n".join(gt_lines) + "\n")
 
-    det_lines = []
-    written = [out / "gt.txt", out / "det.txt", out / "seqinfo.ini"]
+    det_lines, rows = [], []
     for frame in sorted(res.dets):
-        dets = res.dets[frame]
-        det_lines.extend(format_det_line(frame, d) for d in dets)
-        if dets:
-            rows = np.stack([d.embedding for d in dets])
-            path = out / "emb" / f"{frame:06d}.ften"
-            _atomic_write_bytes(path, tensor_to_bytes(rows))
-            written.append(path)
-    _atomic_write_text(out / "det.txt", "\n".join(det_lines) + "\n")
+        det_lines += [format_det_line(frame, d) for d in res.dets[frame]]
+        rows += [d.embedding for d in res.dets[frame]]
+    written = [out / "gt.txt", *_write_detections(out, det_lines, rows), out / "seqinfo.ini"]
 
     _atomic_write_text(out / "seqinfo.ini", (
         "[Sequence]\n"
@@ -247,7 +253,13 @@ def _scatter_rows(off: np.ndarray, size: np.ndarray, rows: CenterRows | None,
 def cmd_decode(args) -> int:
     started = time.monotonic()
     maps_dir = Path(args.maps)
-    frames = sorted(int(p.name.split(".")[0]) for p in maps_dir.glob("*.heat.ften"))
+    frames = []
+    for path in sorted(maps_dir.glob("*.heat.ften")):
+        digits = path.name.removesuffix(".heat.ften")
+        frames.append(int(digits) if digits.isascii() and digits.isdigit() else 0)
+        if not (0 < frames[-1] < 2**31 and f"{frames[-1]:06d}" == digits):
+            raise MotFormatError(f"{path}: not a map name encode writes "
+                                 "(NNNNNN.heat.ften, a frame >= 1 within int32)")
     if not frames:
         raise MotFormatError(f"no *.heat.ften maps found in {maps_dir}")
     table_path = maps_dir / "centers.txt"
@@ -257,13 +269,14 @@ def cmd_decode(args) -> int:
     if stray:
         line, frame = min(stray)
         raise MotFormatError(f"{table_path}:{line}: frame {frame} has no heat map")
+    # an embedding map for every frame or for none, all with the first one's channels
+    with_emb, channels = (maps_dir / f"{frames[0]:06d}.emb.ften").is_file(), None
 
     sampling = Sampling.CENTER_BI if args.sampling == "center-bi" else Sampling.CENTER
 
     out = Path(args.out)
-    (out / "emb").mkdir(parents=True, exist_ok=True)
-    lines = []
-    written = [out / "det.txt"]
+    out.mkdir(parents=True, exist_ok=True)
+    lines, embeddings = [], []
     # One pair of heads serves every frame of a size: each frame's cells are
     # cleared after it decodes, so no dense plane is allocated per frame.
     off = size = np.zeros((2, 0, 0))
@@ -274,18 +287,24 @@ def cmd_decode(args) -> int:
             off, size = (np.zeros((2, fh, fw)) for _ in range(2))
         cells = _scatter_rows(off, size, table.get(frame), table_path)
         emb_path = maps_dir / f"{frame:06d}.emb.ften"
-        emb = _read_map(emb_path, 3) if emb_path.is_file() else None
+        if emb_path.is_file() != with_emb:
+            raise MotFormatError(f"{emb_path}: {'missing' if with_emb else 'found'}, but decode "
+                                 "takes an embedding map for every frame or for none")
+        emb = None
+        if with_emb:
+            emb = _read_map(emb_path, 3)
+            channels = channels or len(emb)
+            if emb.shape != (channels, fh, fw):
+                raise MotFormatError(f"{emb_path}: shape {emb.shape}, "
+                                     f"expected {(channels, fh, fw)}")
         grid = GridSpec(fw * args.stride, fh * args.stride, args.stride)
         dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
                       top_k=args.top_k, sampling=sampling)
         off[cells] = size[cells] = 0.0
         lines.extend(format_det_line(frame, d) for d in dets)
-        if emb is not None and dets:  # decode drops a peak with a zero embedding
-            path = out / "emb" / f"{frame:06d}.ften"
-            rows = np.stack([d.embedding for d in dets])
-            _atomic_write_bytes(path, tensor_to_bytes(rows))
-            written.append(path)
-    _atomic_write_text(out / "det.txt", "\n".join(lines) + "\n")
+        if emb is not None:  # decode drops a peak with a zero embedding
+            embeddings += [d.embedding for d in dets]
+    written = _write_detections(out, lines, embeddings)
 
     _write_manifest(out, "decode", args,
                     config={"threshold": args.threshold, "top_k": args.top_k,
@@ -297,49 +316,39 @@ def cmd_decode(args) -> int:
 # ---------------------------------------------------------------- track
 
 def _load_detections(src: Path, need_emb: bool) -> dict[int, list[Detection]]:
-    """Read det.txt (+ row-aligned emb/*.ften embeddings) from a directory."""
-    per_frame = {frame: [(min(max(r.conf, 0.0), 1.0), r.to_box()) for r in recs]
-                 for frame, recs in parse_mot(src / "det.txt", kind="det").items()}
+    """Read ``det.txt`` and, where present, ``emb.ften`` from a directory.
 
-    emb_dir = src / "emb"
-    out: dict[int, list[Detection]] = {}
-    for frame, rows in per_frame.items():
-        emb = None
-        path = emb_dir / f"{frame:06d}.ften"
-        if path.is_file():
-            m = read_tensor(path)
-            if m.ndim != 2 or len(m) != len(rows):
-                raise MotFormatError(
-                    f"{path}: expected {len(rows)} embedding rows")
-            norms = np.linalg.norm(m, axis=1, keepdims=True)
-            bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
-            if bad.size:
-                raise MotFormatError(
-                    f"{path}: embedding row {bad[0]} has norm {norms[bad[0], 0]}, "
-                    "not a positive finite number")
-            emb = m / norms
-        elif need_emb:
-            raise ValueError(
-                f"re-ID stage enabled but {path} is missing "
-                "(pass --no-reid to track on boxes alone)")
-        out[frame] = [Detection(box=b, score=s,
-                                embedding=None if emb is None else emb[i])
-                      for i, (s, b) in enumerate(rows)]
-    return out
+    Row k of ``emb.ften`` is the k-th detection's embedding, in frame order."""
+    per_frame = {frame: [(min(max(r.conf, 0.0), 1.0), r.to_box()) for r in recs]
+                 for frame, recs in sorted(parse_mot(src / "det.txt", kind="det").items())}
+    n = sum(map(len, per_frame.values()))
+    path = src / "emb.ften"
+    emb = [None] * n
+    if path.is_file():
+        m = read_tensor(path)
+        if m.ndim != 2 or len(m) != n:
+            raise MotFormatError(f"{path}: expected {n} embedding rows, one per "
+                                 f"detection, got shape {m.shape}")
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+        if bad.size:
+            raise MotFormatError(f"{path}: embedding row {bad[0]} has norm "
+                                 f"{norms[bad[0], 0]}, not a positive finite number")
+        emb = m / norms
+    elif need_emb and n:
+        raise ValueError(
+            f"re-ID stage enabled but {path} is missing "
+            "(pass --no-reid to track on boxes alone)")
+    rows = iter(emb)
+    return {frame: [Detection(box=b, score=s, embedding=next(rows)) for s, b in dets]
+            for frame, dets in per_frame.items()}
 
 
 def cmd_track(args) -> int:
     started = time.monotonic()
     tracker_cfg, _ = _resolve_configs(args)
-    toggles = {}
-    if args.no_reid:
-        toggles["use_reid"] = False
-    if args.no_iou:
-        toggles["use_iou"] = False
-    if args.no_kalman:
-        toggles["use_kalman"] = False
-    if toggles:
-        tracker_cfg = dataclasses.replace(tracker_cfg, **toggles)
+    off = {"use_reid": args.no_reid, "use_iou": args.no_iou, "use_kalman": args.no_kalman}
+    tracker_cfg = dataclasses.replace(tracker_cfg, **{k: False for k, v in off.items() if v})
 
     src = Path(args.inp)
     dets = _load_detections(src, need_emb=tracker_cfg.use_reid)
@@ -352,8 +361,7 @@ def cmd_track(args) -> int:
                   for (tid, box), score in zip(outputs, tracker.active_scores())]
 
     out = Path(args.out)
-    if out.parent:
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(out, "\n".join(lines) + "\n")
     _write_manifest(out, "track", args, config=dataclasses.asdict(tracker_cfg),
                     inputs=[src], outputs=[out], started=started)
@@ -518,7 +526,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("track", help="associate detections into tracks")
     s.add_argument("--in", dest="inp", required=True,
-                   help="directory with det.txt and emb/")
+                   help="directory with det.txt and its row-aligned emb.ften")
     s.add_argument("--out", required=True, help="result file (MOT format)")
     s.add_argument("--config", default=None)
     s.add_argument("--no-reid", action="store_true")
@@ -558,10 +566,7 @@ def main(argv=None) -> int:
     args._argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (MotFormatError, FtenFormatError) as e:
-        print(f"fairtrack: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (MotFormatError, FtenFormatError, OSError) as e:
         print(f"fairtrack: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -5,7 +5,9 @@ Ground-truth files carry 9 comma-separated fields per line
 detection and result files carry 10 (the last three are -1 placeholders).
 Boxes are serialized with 2 decimal places.  Detection lines (`det.txt`,
 written by both `sim` and `decode`) carry the score at full precision, so
-it reads back bit for bit; result lines round it to 2 decimals.
+it reads back bit for bit; result lines round it to 2 decimals.  Row k of
+the ``emb.ften`` beside a `det.txt` is the embedding of its k-th detection
+in frame order (one frame's lines in file order).
 Every number read must be finite, and frame, id and gt class fields
 integral within int32 (MOTChallenge's range); an integral float token such as
 ``1.0`` is accepted.
@@ -122,6 +124,13 @@ class _Table:
                                 lambda i: f"{int_name} must be an integer within int32, "
                                           f"got {self.tokens[i][j]!r}"))
 
+    def repeated(self, keys: np.ndarray, among=True) -> np.ndarray:
+        """Mask of the lines, of those ``among`` marks, whose ``keys`` row an earlier one has."""
+        among = np.broadcast_to(among, len(keys))
+        order = np.lexsort((self.lines, *keys.T[::-1], ~among))  # the lines among first
+        later = order[1:][(keys[order[1:]] == keys[order[:-1]]).all(axis=1) & among[order[1:]]]
+        return np.isin(np.arange(len(keys)), later)
+
     def raise_first(self) -> None:
         """Raise MotFormatError at the first line a check marks, with its first check's text."""
         bad = np.stack([mask for mask, _ in self.checks], axis=1)
@@ -138,7 +147,8 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
     and visibility, and non-pedestrian classes are dropped.  A det box
     must be one the tracker's Kalman filter accepts (``kalman.measurable``:
     a positive height, and a measurement within float32's normal range),
-    checked after the line's other fields.  The first malformed line, or
+    checked after the line's other fields, as is a kept gt or result line
+    repeating an earlier one's (frame, id).  The first malformed line, or
     bytes that are not UTF-8, raise MotFormatError naming `path:line`.
     """
     if kind not in ("gt", "det", "result"):
@@ -159,6 +169,9 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
     if kind == "det":
         z = measure(corners)
         t.checks.append((~measurable(z), lambda i: _error_text(check_measurements, z[i:i + 1])))
+    else:  # among the lines returned; every det id is -1
+        t.checks.append((t.repeated(v[:, :2], v[:, 7] == PEDESTRIAN_CLASS), lambda i:
+                         f"id {int(v[i, 1])} repeated in frame {int(v[i, 0])}"))
     t.raise_first()
 
     cols = v.astype(object)  # Python floats, and ints where a record holds them
@@ -192,12 +205,9 @@ def parse_centers(path) -> dict[int, CenterRows]:
     v = t.values
     for j, name in enumerate(("frame", "x", "y", "identity", "", "", "", "")):
         t.field(j, name)
-    order = np.lexsort((t.lines, v[:, 2], v[:, 1], v[:, 0]))
-    repeats = np.zeros(len(v), dtype=bool)
-    repeats[order[1:][(v[order[1:], :3] == v[order[:-1], :3]).all(axis=1)]] = True
     t.checks += [(~np.isfinite(v[:, 4:]).all(axis=1), lambda i: "offset and size must be finite"),
                  ((v[:, 6] < 0) | (v[:, 7] < 0), lambda i: "size must be non-negative"),
-                 (repeats, lambda i: f"cell ({int(v[i, 1])}, {int(v[i, 2])}) "
+                 (t.repeated(v[:, :3]), lambda i: f"cell ({int(v[i, 1])}, {int(v[i, 2])}) "
                                      f"repeated in frame {int(v[i, 0])}")]
     t.raise_first()
 

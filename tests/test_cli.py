@@ -19,7 +19,9 @@ from fairtrack.decoding import decode
 from fairtrack.encoding import GtObject, encode_targets
 from fairtrack.geometry import BBox, GridSpec, best_match, corners, iou_matrix
 from fairtrack.metrics import tpr_at_far
-from fairtrack.mot_io import format_det_line, format_gt_line, parse_mot, to_frames
+from fairtrack.mot_io import format_centers, format_det_line, format_gt_line, parse_mot, \
+    to_frames
+from fairtrack.sim import SimConfig, generate_maps
 from fairtrack.tensors import read_tensor, tensor_from_bytes, tensor_to_bytes
 
 
@@ -107,8 +109,9 @@ def test_sim_writes_expected_layout(tmp_path):
     assert (out / "det.txt").is_file()
     assert (out / "seqinfo.ini").is_file()
     assert (out / "manifest.json").is_file()
-    embs = sorted((out / "emb").glob("*.ften"))
-    assert [p.name for p in embs] == [f"{f:06d}.ften" for f in range(1, 11)]
+    assert not (out / "emb").exists()
+    dets = parse_mot(out / "det.txt", kind="det")
+    assert read_tensor(out / "emb.ften").shape == (sum(map(len, dets.values())), 64)
     gt = parse_mot(out / "gt.txt", kind="gt")
     assert sorted(gt) == list(range(1, 11))
     assert all(len(v) == 3 for v in gt.values())
@@ -131,10 +134,8 @@ def test_sim_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(sim_args(a))
     run(sim_args(b))
-    for name in ("gt.txt", "det.txt", "seqinfo.ini"):
+    for name in ("gt.txt", "det.txt", "emb.ften", "seqinfo.ini"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-    for pa in sorted((a / "emb").glob("*.ften")):
-        assert pa.read_bytes() == (b / "emb" / pa.name).read_bytes()
 
 
 @pytest.mark.parametrize("text", [
@@ -378,6 +379,26 @@ def test_decode_missing_table_exits_2_naming_file(tmp_path, capsys):
     assert str(tmp_path / "maps" / "centers.txt") in err
 
 
+@pytest.mark.parametrize("names, frames, bad", [
+    (["abc.heat.ften"], [], "abc.heat.ften"),
+    (["000000.heat.ften"], [0], "000000.heat.ften"),
+    (["000001.heat.ften", "1.heat.ften"], [1], "1.heat.ften"),
+], ids=["not-a-number", "frame-0", "unpadded-twin"])
+def test_decode_refuses_map_names_encode_does_not_write(tmp_path, capsys, names, frames,
+                                                         bad):
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    heat = np.zeros((16, 16))
+    heat[4, 5] = 0.7
+    for name in names:
+        (maps / name).write_bytes(tensor_to_bytes(heat))
+    (maps / "centers.txt").write_text("".join(f"{f},5,4,0,0.25,0.25,8.0,8.0\n" for f in frames))
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2
+    assert f"{maps / bad}: not a map name encode writes" in err
+    assert not (tmp_path / "dec" / "det.txt").exists()
+
+
 def _f32(t):
     """The map as an FTEN file reads it back."""
     return tensor_from_bytes(tensor_to_bytes(t))
@@ -389,7 +410,7 @@ _GT_BOX = st.tuples(st.floats(-20, 140), st.floats(-20, 110),
 
 @settings(max_examples=25, deadline=None)
 @given(frames=st.lists(st.lists(st.tuples(st.integers(1, 5), _GT_BOX),
-                                min_size=1, max_size=6),
+                                min_size=1, max_size=6, unique_by=lambda obj: obj[0]),
                        min_size=1, max_size=3))
 def test_table_decode_equals_dense_decode(frames):
     """encode -> decode through centers.txt gives the det.txt that decode
@@ -414,6 +435,69 @@ def test_table_decode_equals_dense_decode(frames):
             lines += [format_det_line(frame, det) for det in decode(
                 _f32(m.heatmap), _f32(m.offsets), _f32(m.sizes), None, grid)]
         assert (dets / "det.txt").read_text() == "\n".join(lines) + "\n"
+
+
+_EMB_SIM = SimConfig(seed=2, frames=4, num_targets=5, image_w=256, image_h=256,
+                    emb_dim=16, emb_noise_std=0.1)
+
+
+def _write_emb_maps(maps):
+    """generate_maps' heat and embedding maps for every frame of _EMB_SIM, and
+    its offsets and sizes as the centers.txt object table."""
+    maps.mkdir()
+    table = []
+    for frame in range(1, _EMB_SIM.frames + 1):
+        heat, off, size, emb = generate_maps(_EMB_SIM, frame)
+        (maps / f"{frame:06d}.heat.ften").write_bytes(tensor_to_bytes(heat))
+        (maps / f"{frame:06d}.emb.ften").write_bytes(tensor_to_bytes(emb))
+        ys, xs = np.nonzero(size[0])
+        table += format_centers(frame, xs, ys, np.zeros_like(xs),
+                                np.concatenate([off[:, ys, xs], size[:, ys, xs]]).T)
+    (maps / "centers.txt").write_text("\n".join(table) + "\n")
+
+
+def test_decode_writes_library_embeddings_row_aligned(tmp_path):
+    maps, dec = tmp_path / "maps", tmp_path / "dec"
+    _write_emb_maps(maps)
+    assert run(["decode", "--maps", str(maps), "--out", str(dec)])[0] == 0
+    grid = GridSpec(_EMB_SIM.image_w, _EMB_SIM.image_h, 4)
+    want, lines = [], []
+    for frame in range(1, _EMB_SIM.frames + 1):
+        dets = decode(*map(_f32, generate_maps(_EMB_SIM, frame)), grid)
+        want += [d.embedding for d in dets]
+        lines += [format_det_line(frame, d) for d in dets]
+    assert (dec / "det.txt").read_text() == "\n".join(lines) + "\n"
+    got = read_tensor(dec / "emb.ften")
+    assert got.shape == (len(lines), _EMB_SIM.emb_dim)
+    np.testing.assert_array_equal(got, _f32(np.stack(want)))
+    assert not (dec / "emb").exists()
+
+    rc, _ = run(["track", "--in", str(dec), "--out", str(tmp_path / "r.txt")])
+    assert rc == 0
+    tracks = parse_mot(tmp_path / "r.txt")
+    assert sorted(tracks) == list(range(1, _EMB_SIM.frames + 1))
+    assert {r.obj_id for recs in tracks.values() for r in recs} == set(range(1, 6))
+
+
+@pytest.mark.parametrize("change, bad, message", [
+    ("drop-3", "000003.emb.ften", "missing, but decode takes an embedding map"),
+    ("drop-1", "000002.emb.ften", "found, but decode takes an embedding map"),
+    ("narrow-4", "000004.emb.ften", "shape (8, 64, 64), expected (16, 64, 64)"),
+], ids=["missing", "mixed", "channels"])
+def test_decode_takes_embedding_maps_for_every_frame_or_none(tmp_path, capsys, change,
+                                                             bad, message):
+    maps = tmp_path / "maps"
+    _write_emb_maps(maps)
+    action, frame = change.split("-")
+    path = maps / f"{int(frame):06d}.emb.ften"
+    if action == "drop":
+        path.unlink()
+    else:
+        path.write_bytes(tensor_to_bytes(read_tensor(path)[:8]))
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2
+    assert f"{maps / bad}: {message}" in err
+    assert not (tmp_path / "dec" / "det.txt").exists()
 
 
 def test_encode_streams_one_frame_at_a_time(tmp_path):
@@ -612,6 +696,22 @@ def test_overflowing_frame_or_id_exits_2(sim_dir, tmp_path, capsys, token, field
     _assert_located_exit_2(rc, capsys, d / "det.txt")
 
 
+@pytest.mark.parametrize("sub", ["eval-clear", "eval-ap", "encode", "reid-eval"])
+def test_repeated_frame_and_id_exits_2_at_the_later_line(sim_dir, tmp_path, capsys, sub):
+    gt = sim_dir / "gt.txt"
+    bad = tmp_path / "res.txt" if sub == "eval-ap" else gt
+    lines = gt.read_text().splitlines()
+    bad.write_text("\n".join(lines[:4] + [lines[1]] + lines[4:]) + "\n")
+    argv = {"eval-clear": ["eval", "--gt", gt, "--pred", gt, "--metrics", "clear"],
+            "eval-ap": ["eval", "--gt", gt, "--pred", bad, "--metrics", "ap"],
+            "encode": ["encode", "--gt", gt, "--out", tmp_path / "maps"],
+            "reid-eval": ["reid-eval", "--in", sim_dir]}[sub]
+    rc, out = run([str(a) for a in argv])
+    assert rc == 2 and out == ""
+    frame, obj_id = lines[1].split(",")[:2]
+    assert f"{bad}:5: id {obj_id} repeated in frame {frame}" in capsys.readouterr().err
+
+
 def test_eval_non_integer_gt_id_exits_2(sim_dir, tmp_path, capsys):
     gt = tmp_path / "gt.txt"
     gt.write_text("1,1,10,10,20,40,1,1,1.0\n1,2.5,50,10,20,40,1,1,1.0\n")
@@ -656,39 +756,39 @@ _DET_BOX = st.tuples(st.floats(-50, 600), st.floats(-50, 600),
 
 @st.composite
 def _det_inputs(draw):
-    """det.txt lines for frames 1-3 (some fields mutated), and per frame an
-    emb/*.ften whose row count is right, off by one, missing or corrupt."""
-    lines, embs = [], {}
+    """det.txt lines for frames 1-3 (some fields mutated), and the bytes of an
+    emb.ften whose row count is right or off by one, or of a corrupt or
+    wrong-rank one, or None for no file."""
+    lines = []
     for frame in range(1, 4):
-        boxes = draw(st.lists(_DET_BOX, max_size=4))
-        for l, t, w, h, conf in boxes:
+        for l, t, w, h, conf in draw(st.lists(_DET_BOX, max_size=4)):
             fields = [str(frame), "-1", repr(l), repr(t), repr(w), repr(h),
                       repr(conf), "-1", "-1", "-1"]
             if draw(st.integers(0, 9)) == 0:
                 fields[draw(st.integers(0, 9))] = draw(_DET_TOKENS)
             lines.append(",".join(fields))
-        kind = draw(st.sampled_from([0, 0, 0, -1, 1, "missing", "corrupt"]))
-        if kind == "corrupt":
-            embs[frame] = b"FTEN\x01"
-        elif kind != "missing" and len(boxes) + kind >= 1:
-            m = np.tile(np.eye(1, 4), (len(boxes) + kind, 1))
-            m[0] = draw(st.sampled_from([1.0, 0.0, 3e38]))  # unit, zero, overflowing norm
-            embs[frame] = tensor_to_bytes(m)
-    return lines, embs
+    kind = draw(st.sampled_from([0, 0, 0, -1, 1, "missing", "corrupt", "rank"]))
+    rows = len(lines) + (kind if isinstance(kind, int) else 0)
+    if kind == "corrupt":
+        return lines, b"FTEN\x01"
+    if kind == "missing" or rows < 1:
+        return lines, None
+    m = np.tile(np.eye(1, 4), (rows, 1))
+    m[0] = draw(st.sampled_from([1.0, 0.0, 3e38]))  # unit, zero, overflowing norm
+    return lines, tensor_to_bytes(m[None] if kind == "rank" else m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(inputs=_det_inputs(), no_reid=st.booleans())
 def test_track_input_fuzz_exits_cleanly(inputs, no_reid):
-    """track --in on mutated det.txt and emb files exits 0, 1 or 2, and an
-    exit 2 names the file (with its line for det.txt)."""
-    lines, embs = inputs
+    """track --in on mutated det.txt and emb.ften files exits 0, 1 or 2, and
+    an exit 2 names the file (with its line for det.txt)."""
+    lines, emb = inputs
     with tempfile.TemporaryDirectory() as d:
         d = Path(d)
-        (d / "emb").mkdir()
         (d / "det.txt").write_text("\n".join(lines) + "\n")
-        for frame, data in embs.items():
-            (d / "emb" / f"{frame:06d}.ften").write_bytes(data)
+        if emb is not None:
+            (d / "emb.ften").write_bytes(emb)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc, _ = run(["track", "--in", str(d), "--out", str(d / "r.txt"),
@@ -696,8 +796,7 @@ def test_track_input_fuzz_exits_cleanly(inputs, no_reid):
         assert rc in (0, 1, 2)
         if rc == 2:
             assert re.search(re.escape(f"{d / 'det.txt'}:") + r"\d+: ", err.getvalue()) \
-                or re.search(re.escape(f"{d / 'emb'}/") + r"\d{6}\.ften: ", err.getvalue()), \
-                err.getvalue()
+                or f"{d / 'emb.ften'}: " in err.getvalue(), err.getvalue()
 
 
 def test_track_without_embeddings_needs_no_reid(sim_dir, tmp_path):
@@ -741,18 +840,17 @@ def test_track_directly_on_sim_detections(sim_dir, tmp_path):
 
 
 def test_track_zero_embedding_row_exits_2(sim_dir, tmp_path, capsys):
-    path = sim_dir / "emb" / "000002.ften"
+    path = sim_dir / "emb.ften"
     m = read_tensor(path)
-    m[0] = 0.0
+    m[4] = 0.0
     path.write_bytes(tensor_to_bytes(m))
     rc, _ = run(["track", "--in", str(sim_dir), "--out", str(tmp_path / "r.txt")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "000002.ften" in err and "row 0" in err
+    assert f"{path}: embedding row 4 has norm 0.0" in capsys.readouterr().err
 
 
 def test_track_corrupt_embedding_file_error_names_file(sim_dir, tmp_path, capsys):
-    path = sim_dir / "emb" / "000003.ften"
+    path = sim_dir / "emb.ften"
     path.write_bytes(path.read_bytes()[:-1])
     rc, _ = run(["track", "--in", str(sim_dir), "--out", str(tmp_path / "r.txt")])
     assert rc == 2

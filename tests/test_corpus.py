@@ -5,7 +5,7 @@ hashes the MOT result lines and the ``evaluate_tracking`` report.  Each
 CLI case runs ``sim -> track`` and ``sim -> encode -> decode -> track
 --no-reid -> eval --json`` through ``cli.main`` and hashes both result
 files and the eval report.  Each sim case hashes the ``gt.txt``,
-``det.txt`` and ``emb/`` tree that ``sim`` writes.  Each map case hashes
+``det.txt`` and ``emb.ften`` that ``sim`` writes.  Each map case hashes
 the tree ``encode`` writes (every heat map and the ``centers.txt`` object
 table, not the manifest) and the ``det.txt`` that ``decode`` reads back
 from it.  Each re-ID case hashes ``reid-eval --json`` on one simulated
@@ -147,21 +147,21 @@ def _sim(seed: int, seq: Path) -> None:
 
 
 def _sim_digests(seed: int, root: Path) -> tuple[str, str, str]:
-    """Hashes of the ``gt.txt``, ``det.txt`` and ``emb/`` tree (names and bytes) of ``sim``."""
+    """Hashes of the ``gt.txt``, ``det.txt`` and ``emb.ften`` of ``sim``."""
     seq = root / "seq"
     _sim(seed, seq)
-    tree = hashlib.sha256()
-    for path in sorted((seq / "emb").glob("*.ften")):
-        tree.update(path.name.encode() + b"\0" + path.read_bytes())
-    return (_sha((seq / "gt.txt").read_bytes()), _sha((seq / "det.txt").read_bytes()),
-            tree.hexdigest()[:16])
+    return tuple(_sha((seq / name).read_bytes()) for name in ("gt.txt", "det.txt", "emb.ften"))
 
 
-# Pinned from the sim whose writers took a validated MotRecord per line.
+# The gt.txt and det.txt hashes were pinned from the sim whose writers took a
+# validated MotRecord per line.  The emb.ften hashes were computed from the
+# per-frame emb/NNNNNN.ften files that sim wrote before: the FTEN header of
+# the stacked (N, D) shape, then their payloads in frame order, so every
+# stored value is the one those files held.
 SIM_PINS = {
-    1: ('1c0b6f00af3b95c5', '2eb63f705e551ddb', '4aa8aacaaea3cdfc'),
-    2: ('15da7c31a10e17af', 'bfabd58c23a55bb2', 'bc0a8c8724fd46ae'),
-    3: ('5f8401dda6f1bc00', '7a0de9f00aca0caa', '395136889d52d4d7'),
+    1: ('1c0b6f00af3b95c5', '2eb63f705e551ddb', 'e2226d2704e6f2e4'),
+    2: ('15da7c31a10e17af', 'bfabd58c23a55bb2', '1e754ae57e0bbab5'),
+    3: ('5f8401dda6f1bc00', '7a0de9f00aca0caa', '504e3f1f608a06f5'),
 }
 
 

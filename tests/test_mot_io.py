@@ -445,6 +445,31 @@ def test_centers_reports_a_repeated_cell_before_a_later_malformed_line(tmp_path)
     assert str(exc.value) == f"{p}:2: cell (5, 4) repeated in frame 1"
 
 
+@pytest.mark.parametrize("kind", ["gt", "result"])
+def test_parse_refuses_a_repeated_frame_and_id_at_the_later_line(tmp_path, kind):
+    p = tmp_path / "mot.txt"
+    p.write_text("1,1,0,0,10,10,1,1,1.0\n"
+                 "1,2,0,0,10,10,1,1,1.0\n"
+                 "2,1,0,0,10,10,1,1,1.0\n"
+                 "1,1,5,5,10,10,1,-1,-1,-1\n"  # a result-style line is kept by gt too
+                 "3,1,0,0,10,10,1,1,1.0\n")
+    with pytest.raises(MotFormatError) as exc:
+        parse_mot(p, kind=kind)
+    assert str(exc.value) == f"{p}:4: id 1 repeated in frame 1"
+
+
+def test_parse_repeat_rule_spares_det_and_dropped_gt_lines(tmp_path):
+    p = tmp_path / "mot.txt"
+    p.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n1,-1,5,5,10,10,0.8,-1,-1,-1\n")
+    assert len(parse_mot(p, kind="det")[1]) == 2
+    p.write_text("1,1,0,0,10,10,1,7,1.0\n1,1,0,0,10,10,1,1,1.0\n1,1,0,0,10,10,1,7,1.0\n")
+    assert len(parse_mot(p, kind="gt")[1]) == 1  # class 7 lines are dropped, not counted
+    # a repeated line that is malformed reports its malformed field first
+    p.write_text("1,1,0,0,10,10,1,1,1.0\n1,1,0,0,-10,10,1,1,1.0\n")
+    with pytest.raises(MotFormatError, match=r":2: box extents must be non-negative$"):
+        parse_mot(p, kind="gt")
+
+
 def test_a_line_reports_its_first_failing_field(tmp_path):
     p = tmp_path / "gt.txt"
     # the frame is read before the box, and the box before the class
@@ -753,18 +778,42 @@ def _error_line(path, message: str) -> int:
     return int(message[len(f"{path}:"):].split(":", 1)[0])
 
 
-def _assert_same_outcome(path, lines, parse, ref, *args):
+def _ref_repeat(records) -> str | None:
+    """The message for a repeated (frame, id) among ``_ref_parse_mot`` records, or None."""
+    for frame, recs in records.items():
+        ids = [r.obj_id for r in recs]
+        for i in ids:
+            if ids.count(i) > 1:
+                return f"id {i} repeated in frame {frame}"
+    return None
+
+
+def _assert_same_outcome(path, lines, parse, ref, *args, repeat=None):
     """``parse`` and ``ref`` agree on the file of ``lines``.
 
     Both accept it, or both reject it.  A rejection names the same line
     with the same text, or an earlier line: one whose box or cell ``ref``
     checked only after reading every line, so ``ref`` gives that error on
     the file cut after that line.
+
+    ``repeat``, if given, finds the repeated key that ``ref`` accepts and
+    ``parse`` refuses, and gives ``parse``'s message for it.  ``parse`` may
+    then also reject at line L with that message where ``ref`` reads the
+    file cut after line L with a repeated key and cut before it without
+    one; and a file ``parse`` accepts holds no repeated key.
     """
     got, error = _outcome(parse, path, *args)
     want, ref_error = _outcome(ref, path, *args)
+    if repeat is not None and error is not None:
+        line = _error_line(path, error)
+        before, upto = (_cut_outcome(path, lines[:n], ref, *args) for n in (line - 1, line))
+        if upto is not None and error == f"{path}:{line}: {repeat(upto)}":
+            assert before is not None and repeat(before) is None
+            return None, None
+        path.write_text("\n".join(lines) + "\n")
     assert (error is None) == (ref_error is None), (error, ref_error)
     if error is None:
+        assert repeat is None or repeat(want) is None
         return got, want
     line, ref_line = _error_line(path, error), _error_line(path, ref_error)
     assert line <= ref_line
@@ -773,6 +822,12 @@ def _assert_same_outcome(path, lines, parse, ref, *args):
         ref_error = _outcome(ref, path, *args)[1]
     assert error == ref_error
     return None, None
+
+
+def _cut_outcome(path, lines, ref, *args):
+    """``ref``'s result on the file of ``lines``, or None if it rejects it."""
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return _outcome(ref, path, *args)[0]
 
 
 _VALID_DET = ["1", "-1", "10", "10", "20", "40", "0.9", "-1", "-1", "-1"]
@@ -795,7 +850,8 @@ _MIXED_LINES = st.one_of(
 def test_parse_mot_matches_the_reference(tmp_path, lines, kind):
     p = tmp_path / "fuzz.txt"
     p.write_text("\n".join(lines) + "\n")
-    got, want = _assert_same_outcome(p, lines, parse_mot, _ref_parse_mot, kind)
+    got, want = _assert_same_outcome(p, lines, parse_mot, _ref_parse_mot, kind,
+                                     repeat=None if kind == "det" else _ref_repeat)
     if got is not None:
         assert list(got) == list(want)
         assert {f: [repr(tuple(r)) for r in recs] for f, recs in got.items()} == \
