@@ -260,6 +260,7 @@ def cmd_decode(args) -> int:
         if not (0 < frames[-1] < 2**31 and f"{frames[-1]:06d}" == digits):
             raise MotFormatError(f"{path}: not a map name encode writes "
                                  "(NNNNNN.heat.ften, a frame >= 1 within int32)")
+    frames.sort()  # by number: a name of seven digits sorts before 999999's
     if not frames:
         raise MotFormatError(f"no *.heat.ften maps found in {maps_dir}")
     table_path = maps_dir / "centers.txt"
@@ -269,14 +270,12 @@ def cmd_decode(args) -> int:
     if stray:
         line, frame = min(stray)
         raise MotFormatError(f"{table_path}:{line}: frame {frame} has no heat map")
-    # an embedding map for every frame or for none, all with the first one's channels
-    with_emb, channels = (maps_dir / f"{frames[0]:06d}.emb.ften").is_file(), None
 
     sampling = Sampling.CENTER_BI if args.sampling == "center-bi" else Sampling.CENTER
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines, embeddings = [], []
+    lines, embeddings, first = [], [], None  # first: the first frame's embedding channels
     # One pair of heads serves every frame of a size: each frame's cells are
     # cleared after it decodes, so no dense plane is allocated per frame.
     off = size = np.zeros((2, 0, 0))
@@ -287,16 +286,13 @@ def cmd_decode(args) -> int:
             off, size = (np.zeros((2, fh, fw)) for _ in range(2))
         cells = _scatter_rows(off, size, table.get(frame), table_path)
         emb_path = maps_dir / f"{frame:06d}.emb.ften"
-        if emb_path.is_file() != with_emb:
-            raise MotFormatError(f"{emb_path}: {'missing' if with_emb else 'found'}, but decode "
-                                 "takes an embedding map for every frame or for none")
-        emb = None
-        if with_emb:
-            emb = _read_map(emb_path, 3)
-            channels = channels or len(emb)
-            if emb.shape != (channels, fh, fw):
-                raise MotFormatError(f"{emb_path}: shape {emb.shape}, "
-                                     f"expected {(channels, fh, fw)}")
+        emb = _read_map(emb_path, 3) if emb_path.is_file() else None
+        channels = 0 if emb is None else len(emb)  # 0 for no map: FTEN has no empty axis
+        first = channels if first is None else first
+        if channels != first:  # decode checks the map's (H, W) against the heat map's
+            raise MotFormatError(f"{emb_path}: {channels or 'no'} embedding channels, but frame "
+                                 f"{frames[0]} has {first or 'none'}; decode takes one "
+                                 "embedding width for every frame or no embedding map")
         grid = GridSpec(fw * args.stride, fh * args.stride, args.stride)
         dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
                       top_k=args.top_k, sampling=sampling)
@@ -347,8 +343,15 @@ def _load_detections(src: Path, need_emb: bool) -> dict[int, list[Detection]]:
 def cmd_track(args) -> int:
     started = time.monotonic()
     tracker_cfg, _ = _resolve_configs(args)
-    off = {"use_reid": args.no_reid, "use_iou": args.no_iou, "use_kalman": args.no_kalman}
-    tracker_cfg = dataclasses.replace(tracker_cfg, **{k: False for k, v in off.items() if v})
+    toggles = {}
+    if args.no_reid:
+        toggles["use_reid"] = False
+    if args.no_iou:
+        toggles["use_iou"] = False
+    if args.no_kalman:
+        toggles["use_kalman"] = False
+    if toggles:
+        tracker_cfg = dataclasses.replace(tracker_cfg, **toggles)
 
     src = Path(args.inp)
     dets = _load_detections(src, need_emb=tracker_cfg.use_reid)
@@ -566,7 +569,10 @@ def main(argv=None) -> int:
     args._argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (MotFormatError, FtenFormatError, OSError) as e:
+    except (MotFormatError, FtenFormatError) as e:
+        print(f"fairtrack: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
         print(f"fairtrack: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

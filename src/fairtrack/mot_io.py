@@ -148,7 +148,8 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
     must be one the tracker's Kalman filter accepts (``kalman.measurable``:
     a positive height, and a measurement within float32's normal range),
     checked after the line's other fields, as is a kept gt or result line
-    repeating an earlier one's (frame, id).  The first malformed line, or
+    repeating an earlier one's (frame, id), an id of -1 (a det line's
+    placeholder, so a det.txt still reads as a result file) excepted.  The first malformed line, or
     bytes that are not UTF-8, raise MotFormatError naming `path:line`.
     """
     if kind not in ("gt", "det", "result"):
@@ -169,8 +170,9 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
     if kind == "det":
         z = measure(corners)
         t.checks.append((~measurable(z), lambda i: _error_text(check_measurements, z[i:i + 1])))
-    else:  # among the lines returned; every det id is -1
-        t.checks.append((t.repeated(v[:, :2], v[:, 7] == PEDESTRIAN_CLASS), lambda i:
+    else:  # among the lines returned, but for the placeholder id -1 that every det line has
+        among = (v[:, 7] == PEDESTRIAN_CLASS) & (v[:, 1] != -1)
+        t.checks.append((t.repeated(v[:, :2], among), lambda i:
                          f"id {int(v[i, 1])} repeated in frame {int(v[i, 0])}"))
     t.raise_first()
 

@@ -480,9 +480,9 @@ def test_decode_writes_library_embeddings_row_aligned(tmp_path):
 
 
 @pytest.mark.parametrize("change, bad, message", [
-    ("drop-3", "000003.emb.ften", "missing, but decode takes an embedding map"),
-    ("drop-1", "000002.emb.ften", "found, but decode takes an embedding map"),
-    ("narrow-4", "000004.emb.ften", "shape (8, 64, 64), expected (16, 64, 64)"),
+    ("drop-3", "000003.emb.ften", "no embedding channels, but frame 1 has 16"),
+    ("drop-1", "000002.emb.ften", "16 embedding channels, but frame 1 has none"),
+    ("narrow-4", "000004.emb.ften", "8 embedding channels, but frame 1 has 16"),
 ], ids=["missing", "mixed", "channels"])
 def test_decode_takes_embedding_maps_for_every_frame_or_none(tmp_path, capsys, change,
                                                              bad, message):
@@ -498,6 +498,32 @@ def test_decode_takes_embedding_maps_for_every_frame_or_none(tmp_path, capsys, c
     assert rc == 2
     assert f"{maps / bad}: {message}" in err
     assert not (tmp_path / "dec" / "det.txt").exists()
+
+
+def test_decode_orders_frames_by_number_past_six_digits(tmp_path):
+    """Frame 1000000's map name sorts before 999999's; det.txt and emb.ften
+    still follow the frame numbers, and track's reader pairs each row with
+    its own frame's detection."""
+    maps, dec = tmp_path / "maps", tmp_path / "dec"
+    maps.mkdir()
+    table = []
+    for k, frame in enumerate((999999, 1000000)):
+        heat, emb = np.zeros((16, 16)), np.zeros((4, 16, 16))
+        heat[4, 5 + k] = 0.7
+        emb[k, 4, 5 + k] = 1.0
+        (maps / f"{frame:06d}.heat.ften").write_bytes(tensor_to_bytes(heat))
+        (maps / f"{frame:06d}.emb.ften").write_bytes(tensor_to_bytes(emb))
+        table.append(f"{frame},{5 + k},4,0,0.25,0.25,8.0,8.0")
+    (maps / "centers.txt").write_text("\n".join(table) + "\n")
+    assert run(["decode", "--maps", str(maps), "--out", str(dec)])[0] == 0
+    assert [line.split(",")[0] for line in (dec / "det.txt").read_text().splitlines()] == \
+        ["999999", "1000000"]
+    np.testing.assert_array_equal(read_tensor(dec / "emb.ften"), np.eye(2, 4))
+    dets = cli._load_detections(dec, need_emb=True)
+    for k, frame in enumerate((999999, 1000000)):
+        (d,) = dets[frame]
+        assert d.box.x1 == (5 + k + 0.25) * 4 - 4.0  # the frame's own peak
+        np.testing.assert_array_equal(d.embedding, np.eye(1, 4, k)[0])
 
 
 def test_encode_streams_one_frame_at_a_time(tmp_path):
@@ -710,6 +736,13 @@ def test_repeated_frame_and_id_exits_2_at_the_later_line(sim_dir, tmp_path, caps
     assert rc == 2 and out == ""
     frame, obj_id = lines[1].split(",")[:2]
     assert f"{bad}:5: id {obj_id} repeated in frame {frame}" in capsys.readouterr().err
+
+
+def test_eval_scores_a_det_file_for_ap(sim_dir, capsys):
+    """det.txt repeats the placeholder id -1 in a frame and still reads as a prediction."""
+    rc, out = run(["eval", "--gt", str(sim_dir / "gt.txt"),
+                   "--pred", str(sim_dir / "det.txt"), "--metrics", "ap"])
+    assert rc == 0 and re.fullmatch(r"ap=\d\.\d{6}\n", out), (out, capsys.readouterr().err)
 
 
 def test_eval_non_integer_gt_id_exits_2(sim_dir, tmp_path, capsys):

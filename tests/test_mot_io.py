@@ -458,10 +458,15 @@ def test_parse_refuses_a_repeated_frame_and_id_at_the_later_line(tmp_path, kind)
     assert str(exc.value) == f"{p}:4: id 1 repeated in frame 1"
 
 
-def test_parse_repeat_rule_spares_det_and_dropped_gt_lines(tmp_path):
+@pytest.mark.parametrize("kind", ["det", "gt", "result"])
+def test_parse_repeat_rule_spares_the_placeholder_id(tmp_path, kind):
     p = tmp_path / "mot.txt"
     p.write_text("1,-1,0,0,10,10,0.9,-1,-1,-1\n1,-1,5,5,10,10,0.8,-1,-1,-1\n")
-    assert len(parse_mot(p, kind="det")[1]) == 2
+    assert len(parse_mot(p, kind=kind)[1]) == 2
+
+
+def test_parse_repeat_rule_spares_dropped_gt_lines(tmp_path):
+    p = tmp_path / "mot.txt"
     p.write_text("1,1,0,0,10,10,1,7,1.0\n1,1,0,0,10,10,1,1,1.0\n1,1,0,0,10,10,1,7,1.0\n")
     assert len(parse_mot(p, kind="gt")[1]) == 1  # class 7 lines are dropped, not counted
     # a repeated line that is malformed reports its malformed field first
@@ -779,9 +784,10 @@ def _error_line(path, message: str) -> int:
 
 
 def _ref_repeat(records) -> str | None:
-    """The message for a repeated (frame, id) among ``_ref_parse_mot`` records, or None."""
+    """The message for a repeated (frame, id) among ``_ref_parse_mot`` records, or
+    None.  The placeholder id -1 may repeat."""
     for frame, recs in records.items():
-        ids = [r.obj_id for r in recs]
+        ids = [r.obj_id for r in recs if r.obj_id != -1]
         for i in ids:
             if ids.count(i) > 1:
                 return f"id {i} repeated in frame {frame}"
