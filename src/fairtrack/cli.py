@@ -93,9 +93,12 @@ def _write_manifest(anchor: Path, subcommand: str, args, *, config=None,
 
 
 def _resolve_configs(args) -> tuple[TrackerConfig, SimConfig]:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return TrackerConfig(), SimConfig()
+    """The ``--config`` file's configs, or the defaults; each flag given (not None)
+    replaces the value of the field it stores under (its ``dest``, the field's name)."""
+    configs = load_config(args.config) if args.config else (TrackerConfig(), SimConfig())
+    return tuple(dataclasses.replace(cfg, **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
+        if getattr(args, f.name, None) is not None}) for cfg in configs)
 
 
 def _read_seqinfo(directory: Path) -> dict[str, int]:
@@ -136,17 +139,7 @@ def _read_seqinfo(directory: Path) -> dict[str, int]:
 
 def cmd_sim(args) -> int:
     started = time.monotonic()
-    _, base = _resolve_configs(args)
-    overrides = {
-        "seed": args.seed, "frames": args.frames, "num_targets": args.targets,
-        "image_w": args.image_w, "image_h": args.image_h,
-        "scenario": args.scenario, "det_dropout_prob": args.dropout,
-        "fp_rate": args.fp_rate, "box_noise_std": args.box_noise,
-        "emb_dim": args.emb_dim, "emb_noise_std": args.emb_noise,
-    }
-    cfg = dataclasses.replace(
-        base, **{k: v for k, v in overrides.items() if v is not None})
-
+    _, cfg = _resolve_configs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     res = generate(cfg)
@@ -184,9 +177,9 @@ def cmd_encode(args) -> int:
     gt = parse_mot(gt_path, kind="gt")
 
     size = _read_seqinfo(gt_path.parent)
-    width = args.image_w or size.get("imWidth")
-    height = args.image_h or size.get("imHeight")
-    if not width or not height:
+    width = size.get("imWidth") if args.image_w is None else args.image_w
+    height = size.get("imHeight") if args.image_h is None else args.image_h
+    if width is None or height is None:
         raise ValueError("image size unknown: pass --image-w/--image-h "
                          "or keep a seqinfo.ini next to the ground truth")
     grid = GridSpec(width, height, args.stride)
@@ -263,6 +256,11 @@ def cmd_decode(args) -> int:
     frames.sort()  # by number: a name of seven digits sorts before 999999's
     if not frames:
         raise MotFormatError(f"no *.heat.ften maps found in {maps_dir}")
+    names = {f"{frame:06d}.emb.ften" for frame in frames}
+    orphans = [p for p in sorted(maps_dir.glob("*.emb.ften")) if p.name not in names]
+    if orphans:
+        raise MotFormatError(f"{orphans[0]}: not the embedding map of a frame with a heat map "
+                             "(NNNNNN.emb.ften beside NNNNNN.heat.ften)")
     table_path = maps_dir / "centers.txt"
     table = parse_centers(table_path)
     known = set(frames)
@@ -287,12 +285,15 @@ def cmd_decode(args) -> int:
         cells = _scatter_rows(off, size, table.get(frame), table_path)
         emb_path = maps_dir / f"{frame:06d}.emb.ften"
         emb = _read_map(emb_path, 3) if emb_path.is_file() else None
-        channels = 0 if emb is None else len(emb)  # 0 for no map: FTEN has no empty axis
-        first = channels if first is None else first
-        if channels != first:  # decode checks the map's (H, W) against the heat map's
-            raise MotFormatError(f"{emb_path}: {channels or 'no'} embedding channels, but frame "
-                                 f"{frames[0]} has {first or 'none'}; decode takes one "
-                                 "embedding width for every frame or no embedding map")
+        shape = (0, fh, fw) if emb is None else emb.shape  # 0 channels: FTEN has no empty axis
+        first = shape[0] if first is None else first
+        if shape != (first, fh, fw):
+            raise MotFormatError(f"{emb_path}: " + (
+                f"embedding map of shape {shape}, but its heat map has shape {heat.shape}"
+                if shape[0] == first
+                else f"{shape[0] or 'no'} embedding channels, but frame {frames[0]} has "
+                f"{first or 'none'}; decode takes one embedding width for every frame "
+                "or no embedding map"))
         grid = GridSpec(fw * args.stride, fh * args.stride, args.stride)
         dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
                       top_k=args.top_k, sampling=sampling)
@@ -343,16 +344,6 @@ def _load_detections(src: Path, need_emb: bool) -> dict[int, list[Detection]]:
 def cmd_track(args) -> int:
     started = time.monotonic()
     tracker_cfg, _ = _resolve_configs(args)
-    toggles = {}
-    if args.no_reid:
-        toggles["use_reid"] = False
-    if args.no_iou:
-        toggles["use_iou"] = False
-    if args.no_kalman:
-        toggles["use_kalman"] = False
-    if toggles:
-        tracker_cfg = dataclasses.replace(tracker_cfg, **toggles)
-
     src = Path(args.inp)
     dets = _load_detections(src, need_emb=tracker_cfg.use_reid)
 
@@ -496,15 +487,15 @@ def build_parser() -> _Parser:
     s = sub.add_parser("sim", help="generate a synthetic sequence")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--frames", type=int, default=None)
-    s.add_argument("--targets", type=int, default=None)
+    s.add_argument("--targets", dest="num_targets", type=int, default=None)
     s.add_argument("--image-w", type=int, default=None)
     s.add_argument("--image-h", type=int, default=None)
     s.add_argument("--scenario", choices=["random", "crossing"], default=None)
-    s.add_argument("--dropout", type=float, default=None)
+    s.add_argument("--dropout", dest="det_dropout_prob", type=float, default=None)
     s.add_argument("--fp-rate", type=float, default=None)
-    s.add_argument("--box-noise", type=float, default=None)
+    s.add_argument("--box-noise", dest="box_noise_std", type=float, default=None)
     s.add_argument("--emb-dim", type=int, default=None)
-    s.add_argument("--emb-noise", type=float, default=None)
+    s.add_argument("--emb-noise", dest="emb_noise_std", type=float, default=None)
     s.add_argument("--config", default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sim)
@@ -532,9 +523,9 @@ def build_parser() -> _Parser:
                    help="directory with det.txt and its row-aligned emb.ften")
     s.add_argument("--out", required=True, help="result file (MOT format)")
     s.add_argument("--config", default=None)
-    s.add_argument("--no-reid", action="store_true")
-    s.add_argument("--no-iou", action="store_true")
-    s.add_argument("--no-kalman", action="store_true")
+    s.add_argument("--no-reid", dest="use_reid", action="store_false", default=None)
+    s.add_argument("--no-iou", dest="use_iou", action="store_false", default=None)
+    s.add_argument("--no-kalman", dest="use_kalman", action="store_false", default=None)
     s.set_defaults(func=cmd_track)
 
     s = sub.add_parser("eval", help="score a result file against ground truth")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -279,24 +279,18 @@ def _to_bool(s: str) -> bool:
         raise ValueError(f"expected a boolean, got {s!r}")
 
 
-_TRACKER_KEYS = {
-    "det_threshold": float, "emb_match_threshold": float,
-    "iou_match_threshold": float, "track_buffer": int,
-    "ema_momentum": float, "gate_chi2": float,
-    "use_reid": _to_bool, "use_iou": _to_bool, "use_kalman": _to_bool,
-}
-_SIM_KEYS = {
-    "seed": int, "frames": int, "num_targets": int,
-    "image_w": int, "image_h": int, "scenario": str,
-    "det_dropout_prob": float, "fp_rate": float, "box_noise_std": float,
-    "emb_dim": int, "emb_noise_std": float,
-}
+_CASTERS = {int: int, float: float, str: str, bool: _to_bool}
 
 
 def load_config(path) -> tuple[TrackerConfig, SimConfig]:
-    """Flat `key = value` file with # comments; unknown keys are an error."""
-    tracker_kw: dict = {}
-    sim_kw: dict = {}
+    """Flat `key = value` file with # comments; unknown keys are an error.
+
+    Every int, float, str or bool field of TrackerConfig and SimConfig is a
+    key, cast by its type (``occlusions`` is not).
+    """
+    kwargs: dict = {TrackerConfig: {}, SimConfig: {}}
+    keys = {name: (_CASTERS[hint], sink) for cls, sink in kwargs.items()
+            for name, hint in get_type_hints(cls).items() if hint in _CASTERS}
     for lineno, raw in enumerate(_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -306,18 +300,15 @@ def load_config(path) -> tuple[TrackerConfig, SimConfig]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _TRACKER_KEYS:
-            caster, sink = _TRACKER_KEYS[key], tracker_kw
-        elif key in _SIM_KEYS:
-            caster, sink = _SIM_KEYS[key], sim_kw
-        else:
+        if key not in keys:
             raise MotFormatError(f"{path}:{lineno}: unknown key {key!r}")
+        caster, sink = keys[key]
         try:
             sink[key] = caster(value)
         except ValueError as e:
             raise MotFormatError(
                 f"{path}:{lineno}: bad value for {key!r}: {e}") from e
     try:
-        return TrackerConfig(**tracker_kw), SimConfig(**sim_kw)
+        return TrackerConfig(**kwargs[TrackerConfig]), SimConfig(**kwargs[SimConfig])
     except ValueError as e:
         raise MotFormatError(f"{path}: {e}") from e

@@ -195,6 +195,50 @@ def test_sim_respects_config_file(tmp_path):
     assert len(gt[1]) == 2
 
 
+_SIM_FLAGS = [  # flag, the field it sets, a value for the config file, one for the flag
+    ("--seed", "seed", 1, 2),
+    ("--frames", "frames", 2, 3),
+    ("--targets", "num_targets", 2, 3),
+    ("--image-w", "image_w", 256, 320),
+    ("--image-h", "image_h", 256, 192),
+    ("--scenario", "scenario", "random", "crossing"),
+    ("--dropout", "det_dropout_prob", 0.1, 0.2),
+    ("--fp-rate", "fp_rate", 0.5, 1.0),
+    ("--box-noise", "box_noise_std", 0.5, 1.5),
+    ("--emb-dim", "emb_dim", 8, 4),
+    ("--emb-noise", "emb_noise_std", 0.05, 0.25),
+]
+
+
+@pytest.mark.parametrize("flag, field, in_file, given", _SIM_FLAGS,
+                         ids=[flag for flag, *_ in _SIM_FLAGS])
+def test_sim_flag_takes_precedence_over_config(tmp_path, flag, field, in_file, given):
+    settings = {"frames": 2, "num_targets": 2, "image_w": 256, "image_h": 256,
+                "emb_dim": 8, field: in_file}
+    cfgf = tmp_path / "cfg.txt"
+    cfgf.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    out = tmp_path / "seq"
+    rc, _ = run(["sim", "--config", str(cfgf), flag, str(given), "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "manifest.json").read_text())["config"][field] == given
+
+
+@pytest.mark.parametrize("text, flags, field, want", [
+    ("use_reid = true\n", ["--no-reid"], "use_reid", False),
+    ("use_kalman = false\n", [], "use_kalman", False),
+], ids=["no-reid-over-file", "file-without-flag"])
+def test_track_flag_takes_precedence_over_config(sim_dir, tmp_path, text, flags, field,
+                                                 want):
+    cfgf = tmp_path / "cfg.txt"
+    cfgf.write_text(text)
+    res = tmp_path / "r.txt"
+    rc, _ = run(["track", "--in", str(sim_dir), "--out", str(res), "--config", str(cfgf),
+                 *flags])
+    assert rc == 0
+    config = json.loads(res.with_name("r.txt.manifest.json").read_text())["config"]
+    assert config[field] is want
+
+
 # --- encode / decode -------------------------------------------------------
 
 @pytest.fixture()
@@ -249,6 +293,18 @@ def test_encode_malformed_seqinfo_exits_2_naming_file(tmp_path, capsys, text, wh
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{tmp_path / 'seqinfo.ini'}{where}: {message}" in err
+
+
+def test_encode_zero_image_size_flag_is_not_overridden_by_seqinfo(tmp_path, capsys):
+    gt = tmp_path / "gt.txt"
+    gt.write_text("1,1,10,10,20,40,1,1,1.0\n")
+    (tmp_path / "seqinfo.ini").write_text("[Sequence]\nimWidth=640\nimHeight=480\n")
+    capsys.readouterr()
+    rc, _ = run(["encode", "--gt", str(gt), "--out", str(tmp_path / "m"),
+                 "--image-w", "0", "--image-h", "0"])
+    assert rc == 1
+    assert "image size must be positive, got 0x0" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_encode_reads_image_size_from_seqinfo(tmp_path):
@@ -483,7 +539,9 @@ def test_decode_writes_library_embeddings_row_aligned(tmp_path):
     ("drop-3", "000003.emb.ften", "no embedding channels, but frame 1 has 16"),
     ("drop-1", "000002.emb.ften", "16 embedding channels, but frame 1 has none"),
     ("narrow-4", "000004.emb.ften", "8 embedding channels, but frame 1 has 16"),
-], ids=["missing", "mixed", "channels"])
+    ("crop-2", "000002.emb.ften",
+     "embedding map of shape (16, 32, 64), but its heat map has shape (64, 64)"),
+], ids=["missing", "mixed", "channels", "height-width"])
 def test_decode_takes_embedding_maps_for_every_frame_or_none(tmp_path, capsys, change,
                                                              bad, message):
     maps = tmp_path / "maps"
@@ -492,12 +550,30 @@ def test_decode_takes_embedding_maps_for_every_frame_or_none(tmp_path, capsys, c
     path = maps / f"{int(frame):06d}.emb.ften"
     if action == "drop":
         path.unlink()
-    else:
+    elif action == "narrow":
         path.write_bytes(tensor_to_bytes(read_tensor(path)[:8]))
+    else:
+        path.write_bytes(tensor_to_bytes(read_tensor(path)[:, :32]))
     rc, err = _decode_err(tmp_path, capsys)
     assert rc == 2
     assert f"{maps / bad}: {message}" in err
     assert not (tmp_path / "dec" / "det.txt").exists()
+
+
+@pytest.mark.parametrize("names, bad", [
+    (["000007.emb.ften", "abc.emb.ften"], "000007.emb.ften"),
+    (["abc.emb.ften"], "abc.emb.ften"),
+    (["000001.emb.ften", "1.emb.ften"], "1.emb.ften"),
+], ids=["no-frame-7", "not-a-frame", "unpadded"])
+def test_decode_refuses_embedding_maps_of_no_heat_map(tmp_path, capsys, names, bad):
+    maps = tmp_path / "maps"
+    _write_maps(maps, frames=1)
+    for name in names:
+        (maps / name).write_bytes(tensor_to_bytes(np.ones((4, 16, 16))))
+    rc, err = _decode_err(tmp_path, capsys)
+    assert rc == 2
+    assert f"{maps / bad}: not the embedding map of a frame with a heat map" in err
+    assert not (tmp_path / "dec").exists()
 
 
 def test_decode_orders_frames_by_number_past_six_digits(tmp_path):
