@@ -367,10 +367,12 @@ def cmd_track(args) -> int:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    known = {"clear", "idf1", "ap"}
-    bad = set(wanted) - known
+    known = ("clear", "idf1", "ap")
+    bad = set(wanted) - set(known)
     if bad:
         raise ValueError(f"unknown metrics: {', '.join(sorted(bad))}")
+    if not wanted:
+        raise ValueError(f"no metric named; choose from {', '.join(known)}")
 
     gt = to_frames(parse_mot(args.gt, kind="gt"))
     pred_recs = parse_mot(args.pred, kind="result")

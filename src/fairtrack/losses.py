@@ -187,6 +187,14 @@ def gradcheck_run(seeds: int = 50, size: int = 8, num_classes: int = 8,
     uncertainty weights.  Components below 1e-4 in magnitude are compared
     on that absolute scale instead (finite-difference noise floor).
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if size < 4:  # boxes up to 16 px wide must fit in the 4*size px image
+        raise ValueError(f"size must be >= 4, got {size}")
+    if num_classes < 1:
+        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"h must be a positive finite number, got {h}")
     from .encoding import GtObject, encode_targets
     from .geometry import BBox, GridSpec
 

@@ -8,28 +8,30 @@ Each ingredient (re-ID, IoU, Kalman) can be toggled off to measure its
 contribution.
 
 The pool is a set of arrays aligned by row, one row per tracklet in id
-order: ids, start frames, the active flag, frames since the last update
-and last scores; the smoothed embeddings as one ``(T, D)`` array with a
-has-embedding mask; the Kalman states as a ``(T, 8)`` mean and a
+order, holding only what the enabled stages read: ids, start frames, the
+active flag, frames since the last update, last scores, the ``(T, 4)``
+corners of the last matched boxes and the detection each row matched or
+was born from in this step (``step`` returns that detection's own
+``BBox``); with re-ID on, the smoothed embeddings as one ``(T, D)``
+array; and with Kalman on, the states as a ``(T, 8)`` mean and a
 ``(T, 3, 4)`` stack of per-coordinate (position, velocity) covariance
-blocks (see ``kalman``); and one list of the last ``BBox`` objects, which
-``step`` returns.  Each frame works on whole arrays, never on track x
-detection pairs in Python.  The detections become one ``(N, 4)`` corners
-array and one ``(N, 4)`` measurement array, and one call predicts every
-state.  Appearance cost is one product of the pool's and the frame's
-embedding stacks.  The motion gate is evaluated only on the pairs whose
-appearance cost is within ``emb_match_threshold``: ``hungarian`` forbids
-every other pair anyway, so the allowed pairs and their costs are those
-of a full ``(T, N)`` gate, at a cost that grows with the admissible
-pairs, not with T x N.  Overlap cost is one broadcast over ``(T, 4)`` and
-``(N, 4)`` box corners.  Each stage passes its threshold to
-``hungarian``, which forbids the pairs above it (and the gated ones)
-before solving, so a pair over the threshold never takes a track or
-detection from a valid match; the allowed pairs of a crowded frame split
-into components of a few nodes, each solved on its own.  Matching,
-smoothing, aging, loss, removal and birth are masks, fancy-indexed writes
-and concatenations.  ``tracks`` builds ``Track`` copies of the pool on
-demand.
+blocks (see ``kalman``).  Each frame works on whole arrays, never on
+track x detection pairs in Python.  The detections become one ``(N, 4)``
+corners array and one ``(N, 4)`` measurement array, and one call
+predicts every state.  Appearance cost is one product of the pool's and
+the frame's embedding stacks.  The motion gate is evaluated only on the
+pairs whose appearance cost is within ``emb_match_threshold``:
+``hungarian`` forbids every other pair anyway, so the allowed pairs and
+their costs are those of a full ``(T, N)`` gate, at a cost that grows
+with the admissible pairs, not with T x N.  Overlap cost is one
+broadcast over ``(T, 4)`` and ``(N, 4)`` box corners.  Each stage passes
+its threshold to ``hungarian``, which forbids the pairs above it (and the
+gated ones) before solving, so a pair over the threshold never takes a
+track or detection from a valid match; the allowed pairs of a crowded
+frame split into components of a few nodes, each solved on its own.
+Matching, smoothing, aging, loss, removal and birth are masks,
+fancy-indexed writes and concatenations.  ``tracks`` builds ``Track``
+copies of the pool on demand.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class TrackerConfig:
 
 @dataclass
 class Track:
-    """A copy of one tracklet of the pool, as ``OnlineTracker.tracks`` gives it."""
+    """A copy of one tracklet of the pool, as ``OnlineTracker.tracks`` gives it:
+    ``last_box`` is rebuilt from its corners, ``smooth_emb`` is None without re-ID."""
 
     track_id: int
     last_box: BBox
@@ -103,22 +106,6 @@ def iou_distance_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> np.nd
     return 1.0 - iou_matrix(track_boxes, det_boxes)
 
 
-def _embeddings(dets: list[Detection], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, D) embedding stack of the detections and its has-embedding mask.
-
-    Rows without an embedding are zero; with none at all, D is ``width``.
-    """
-    has = np.array([d.embedding is not None for d in dets], dtype=bool)
-    if not has.any():
-        return np.zeros((len(dets), width)), has
-    rows = np.stack([d.embedding for d in dets if d.embedding is not None])
-    if has.all():
-        return rows, has
-    emb = np.zeros((len(dets), rows.shape[1]))
-    emb[has] = rows
-    return emb, has
-
-
 class OnlineTracker:
     """Owns the tracklet pool; step() is called once per frame, in order."""
 
@@ -130,14 +117,15 @@ class OnlineTracker:
         self._active = np.zeros(0, dtype=bool)
         self._misses = np.zeros(0, dtype=np.int64)  # frames since the last update
         self._score = np.zeros(0)
-        self._boxes: list[BBox] = []
-        self._emb = np.zeros((0, 0))
-        self._has_emb = np.zeros(0, dtype=bool)
+        self._box = np.zeros((0, 4))  # corners of the last matched box
+        self._det = np.zeros(0, dtype=np.int64)  # its detection in this step
+        self._emb = np.zeros((0, 0))  # smoothed embeddings (use_reid only)
         # Kalman states (use_kalman only)
         self._mean = np.zeros((0, 8))
         self._cov = np.zeros((0, 3, 4))
-        self._arrays = ("_ids", "_start", "_active", "_misses", "_score", "_emb",
-                        "_has_emb") + (("_mean", "_cov") if cfg.use_kalman else ())
+        self._arrays = ("_ids", "_start", "_active", "_misses", "_score", "_box",
+                        "_det") + (("_emb",) if cfg.use_reid else ()) \
+            + (("_mean", "_cov") if cfg.use_kalman else ())
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -146,13 +134,13 @@ class OnlineTracker:
         """Copies of the pool's tracklets as ``Track`` records, in id order."""
         status = [TrackStatus.ACTIVE if a else TrackStatus.LOST
                   for a in self._active.tolist()]
-        return [Track(track_id=tid, last_box=box, start_frame=start,
-                      smooth_emb=emb.copy() if has else None, status=st,
+        embs = self._emb if self.cfg.use_reid else [None] * len(self._ids)
+        return [Track(track_id=tid, last_box=BBox(*box), start_frame=start,
+                      smooth_emb=None if emb is None else emb.copy(), status=st,
                       frames_since_update=misses, last_score=score)
-                for tid, box, start, emb, has, st, misses, score in zip(
-                    self._ids.tolist(), self._boxes, self._start.tolist(), self._emb,
-                    self._has_emb.tolist(), status, self._misses.tolist(),
-                    self._score.tolist())]
+                for tid, box, start, emb, st, misses, score in zip(
+                    self._ids.tolist(), self._box.tolist(), self._start.tolist(), embs,
+                    status, self._misses.tolist(), self._score.tolist())]
 
     def active_scores(self) -> list[float]:
         """Last detection score of each active track: the tracks, in the
@@ -165,9 +153,16 @@ class OnlineTracker:
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
                 f"frame index {frame_index} not after {self._last_frame}")
+        pool = len(self._ids)
+        if cfg.use_reid and dets:
+            for j, d in enumerate(dets):
+                if d.embedding is None:
+                    raise ValueError(f"detection {j} has no embedding")
+            emb = np.stack([d.embedding for d in dets])
+            if not pool:  # an empty pool takes the frame's width
+                self._emb = np.zeros((0, emb.shape[1]))
         self._last_frame = frame_index
         kalman = cfg.use_kalman
-        pool = len(self._ids)
 
         if kalman and pool:
             self._mean, self._cov = predict(self._mean, self._cov)
@@ -175,20 +170,11 @@ class OnlineTracker:
         boxes = corners([d.box for d in dets])
         # checked where a filter first uses a row, with measurements' error
         z = measure(boxes) if kalman else None
-        emb, has_emb = _embeddings(dets, self._emb.shape[1])
-        # a pool holding no embedding takes the width of the first it meets
-        if emb.shape[1] != self._emb.shape[1] and not self._has_emb.any():
-            self._emb = np.zeros((pool, emb.shape[1]))
         rows = cols = np.zeros(0, dtype=np.int64)  # matches: pool row, detection
         det_pool = np.arange(len(dets))
 
         # stage 1: appearance, active and lost tracks alike
         if cfg.use_reid and pool and dets:
-            if not has_emb.all():
-                raise ValueError(f"detection {np.argmin(has_emb)} has no embedding")
-            if not self._has_emb.all():
-                raise ValueError(
-                    f"track {self._ids[np.argmin(self._has_emb)]} has no embedding")
             cost = cosine_distance_matrix(self._emb, emb)
             if kalman:
                 check_measurements(z)
@@ -205,10 +191,7 @@ class OnlineTracker:
             open_[rows] = False
             cand = np.flatnonzero(open_)
             if cand.size:
-                if kalman:
-                    track_boxes = box_corners(self._mean[cand])
-                else:
-                    track_boxes = corners([self._boxes[k] for k in cand.tolist()])
+                track_boxes = box_corners(self._mean[cand]) if kalman else self._box[cand]
                 pairs, _, left = hungarian(
                     iou_distance_matrix(track_boxes, boxes[det_pool]),
                     max_cost=cfg.iou_match_threshold)
@@ -223,19 +206,18 @@ class OnlineTracker:
                 check_measurements(z[cols])
                 self._mean[rows], self._cov[rows] = update(
                     self._mean[rows], self._cov[rows], z[cols])
-            for k, j in zip(rows.tolist(), cols.tolist()):
-                self._boxes[k] = dets[j].box
+            self._box[rows] = boxes[cols]
+            self._det[rows] = cols
             self._score[rows] = scores[cols]
             self._misses[rows] = 0
             self._active[rows] = True
-            both = self._has_emb[rows] & has_emb[cols]
-            r, c = rows[both], cols[both]
-            m = cfg.ema_momentum
-            e = m * self._emb[r] + (1.0 - m) * emb[c]
-            # one dot per row, as np.linalg.norm takes it, so bit-equal to it
-            n = np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
-            ok = n > 1e-12
-            self._emb[r[ok]] = e[ok] / n[ok, None]
+            if cfg.use_reid:
+                m = cfg.ema_momentum
+                e = m * self._emb[rows] + (1.0 - m) * emb[cols]
+                # one dot per row, as np.linalg.norm takes it, so bit-equal to it
+                n = np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
+                ok = n > 1e-12
+                self._emb[rows[ok]] = e[ok] / n[ok, None]
 
         missed = np.ones(pool, dtype=bool)
         missed[rows] = False
@@ -245,7 +227,6 @@ class OnlineTracker:
         if not keep.all():
             for name in self._arrays:
                 setattr(self, name, getattr(self, name)[keep])
-            self._boxes = [b for b, k in zip(self._boxes, keep.tolist()) if k]
 
         born = det_pool[scores[det_pool] > cfg.det_threshold]
         if born.size:
@@ -253,17 +234,19 @@ class OnlineTracker:
             rows = {"_ids": np.arange(self._next_id, self._next_id + b),
                     "_start": np.full(b, frame_index), "_active": np.ones(b, dtype=bool),
                     "_misses": np.zeros(b, dtype=np.int64), "_score": scores[born],
-                    "_emb": emb[born], "_has_emb": has_emb[born]}
+                    "_box": boxes[born], "_det": born}
+            if cfg.use_reid:
+                rows["_emb"] = emb[born]
             if kalman:
                 check_measurements(z[born])
                 rows["_mean"], rows["_cov"] = initiate(z[born])
             for name in self._arrays:
                 setattr(self, name, np.concatenate([getattr(self, name), rows[name]]))
-            self._boxes += [dets[j].box for j in born.tolist()]
             self._next_id += b
 
-        return [(tid, box) for tid, box, active in zip(
-            self._ids.tolist(), self._boxes, self._active.tolist()) if active]
+        act = self._active
+        return [(tid, dets[j].box) for tid, j in zip(
+            self._ids[act].tolist(), self._det[act].tolist())]
 
 
 def track_sequence(frames: dict[int, list[Detection]],

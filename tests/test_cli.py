@@ -846,6 +846,17 @@ def test_eval_iou_outside_unit_interval_exits_1(sim_dir, capsys, iou, metric):
     assert f"got {iou}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("metrics", ["", ",", " , "])
+def test_eval_without_a_metric_exits_1_before_reading(tmp_path, capsys, metrics):
+    # the inputs do not exist: reading either would exit 2
+    report = tmp_path / "report.txt"
+    rc, out = run(["eval", "--gt", str(tmp_path / "gt.txt"), "--pred",
+                   str(tmp_path / "res.txt"), "--metrics", metrics, "--out", str(report)])
+    assert rc == 1 and out == ""
+    assert "choose from clear, idf1, ap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("iou", ["nan", "-1", "0", "2"])
 def test_reid_eval_iou_outside_unit_interval_exits_1(sim_dir, capsys, iou):
     rc, out = run(["reid-eval", "--in", str(sim_dir), "--iou", iou])
@@ -1022,6 +1033,16 @@ def test_gradcheck_impossible_tolerance_fails():
                    "--tol", "0"])
     assert rc == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--seeds", "0"], "seeds"), (["--seeds", "-3"], "seeds"),
+    (["--step", "0"], "h"), (["--step", "inf"], "h"),
+    (["--size", "3"], "size"), (["--classes", "0"], "num_classes")])
+def test_gradcheck_refuses_parameters_it_cannot_check(capsys, argv, name):
+    rc, out = run(["gradcheck", "--seeds", "2", "--size", "4", *argv])
+    assert rc == 1 and out == ""
+    assert capsys.readouterr().err.startswith(f"fairtrack: {name} must be ")
 
 
 def test_reid_eval_separated_anchors(sim_dir):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,10 +54,8 @@ def test_cosine_distance_requires_embeddings():
     tr.step(1, [_det(BBox(0, 0, 10, 10), emb=[1, 0])])
     with pytest.raises(ValueError, match="detection 0 has no embedding"):
         tr.step(2, [_det(BBox(0, 0, 10, 10))])
-    bare = OnlineTracker()
-    bare.step(1, [_det(BBox(0, 0, 10, 10))])  # born without an embedding
-    with pytest.raises(ValueError, match="track 1 has no embedding"):
-        bare.step(2, [_det(BBox(0, 0, 10, 10), emb=[1, 0])])
+    with pytest.raises(ValueError, match="detection 0 has no embedding"):
+        OnlineTracker().step(1, [_det(BBox(0, 0, 10, 10))])  # nothing to match yet
 
 
 def test_iou_distance_identity_and_disjoint():
@@ -127,6 +127,18 @@ def test_frame_indices_must_increase():
         tr.step(5, [])
     with pytest.raises(ValueError):
         tr.step(4, [])
+
+
+def test_frame_missing_an_embedding_is_rejected_before_it_changes_anything():
+    first = [_walk(0, 1, [1, 0]), _walk(1, 1, [0, 1])]
+    second = [_walk(0, 2, [1, 0]), _walk(1, 2, [0, 1])]
+    tr = OnlineTracker()
+    with pytest.raises(ValueError, match="detection 0 has no embedding"):
+        tr.step(1, [_det(BBox(0, 0, 10, 10))])
+    assert tr.step(1, first) == OnlineTracker().step(1, first)
+    with pytest.raises(ValueError, match="detection 1 has no embedding"):
+        tr.step(2, [second[0], replace(second[1], embedding=None)])
+    assert tr.step(2, second) == track_sequence({1: first, 2: second})[2]
 
 
 # --- embedding smoothing ---------------------------------------------------
@@ -435,14 +447,35 @@ def test_array_pool_equals_per_track_reference(seed, cfg):
                     g.frames_since_update, g.last_score) == \
                 (w.track_id, w.last_box, w.start_frame, w.status,
                  w.frames_since_update, w.last_score)
-            assert (g.smooth_emb is None) == (w.smooth_emb is None)
-            if w.smooth_emb is not None:
-                assert g.smooth_emb.tobytes() == w.smooth_emb.tobytes()
+            if cfg.use_reid:
+                assert (g.smooth_emb is None) == (w.smooth_emb is None)
+                if w.smooth_emb is not None:
+                    assert g.smooth_emb.tobytes() == w.smooth_emb.tobytes()
         assert new.active_scores() == [t.last_score for t in want
                                        if t.status is TrackStatus.ACTIVE]
         if cfg.use_kalman:
             assert new._mean.tobytes() == ref._mean.tobytes()
             assert new._cov.tobytes() == ref._cov.tobytes()
+
+
+def _track(frames, cfg):
+    try:  # a zero-height box is refused by the Kalman filter
+        return track_sequence(frames, cfg)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cfg=_configs().filter(lambda c: not c.use_reid))
+def test_tracking_without_reid_reads_no_embedding(seed, cfg):
+    frames = dict(enumerate(_sequence(seed, cfg), start=1))
+    rng = np.random.default_rng(seed)
+    bare = {f: [replace(d, embedding=None) for d in dets] for f, dets in frames.items()}
+    redrawn = {f: [replace(d, embedding=_unit(rng.normal(size=f % 7 + 1))) for d in dets]
+               for f, dets in frames.items()}  # the width changes every frame
+    want = _track(frames, cfg)
+    assert _track(bare, cfg) == want
+    assert _track(redrawn, cfg) == want
 
 
 def test_tracks_view_is_a_copy():
