@@ -161,6 +161,9 @@ class OnlineTracker:
             emb = np.stack([d.embedding for d in dets])
             if not pool:  # an empty pool takes the frame's width
                 self._emb = np.zeros((0, emb.shape[1]))
+            elif emb.shape[1] != self._emb.shape[1]:
+                raise ValueError(f"embedding width {emb.shape[1]} differs from "
+                                 f"the pool's {self._emb.shape[1]}")
         self._last_frame = frame_index
         kalman = cfg.use_kalman
 

@@ -846,6 +846,18 @@ def test_eval_iou_outside_unit_interval_exits_1(sim_dir, capsys, iou, metric):
     assert f"got {iou}" in capsys.readouterr().err
 
 
+def test_eval_tiny_iou_never_matches_disjoint_boxes(tmp_path):
+    gt, res = tmp_path / "gt.txt", tmp_path / "res.txt"
+    gt.write_text("1,1,10,10,20,40,1,1,1.0\n")
+    res.write_text("1,1,500,500,20,40,0.9,-1,-1,-1\n")
+    rc, out = run(["eval", "--gt", str(gt), "--pred", str(res), "--metrics", "clear,idf1,ap",
+                   "--iou", "1e-17", "--json"])
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["mota"], report["fp"], report["fn"]) == (-1.0, 1, 1)
+    assert (report["idf1"], report["ap"]) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("metrics", ["", ",", " , "])
 def test_eval_without_a_metric_exits_1_before_reading(tmp_path, capsys, metrics):
     # the inputs do not exist: reading either would exit 2

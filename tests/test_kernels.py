@@ -11,11 +11,15 @@ gate is compared to a triangular solve to 1e-9 relative, and its pair form
 to the dense (T, N) form for exact equality.  The peak filter
 is compared for exact equality to scipy's 3x3 maximum filter.  The
 windowed Gaussian stamp is compared to a full-grid stamp in the float32
-bytes the maps are stored in.  The metrics, which read one IoU matrix per frame, are compared
-for exact equality to per-pair reference implementations kept here.
+bytes the maps are stored in.  The metrics' overlap pass is compared to
+the positive entries of per-frame IoU matrices, value for value, and the
+metrics that read it are compared for exact equality to per-pair
+reference implementations kept here, on small and on crowded frames.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fairtrack import assignment
+from fairtrack import assignment, metrics
 from fairtrack.assignment import hungarian
 from fairtrack.decoding import Detection, peak_nms
 from fairtrack.encoding import MIN_SIGMA, stamp_gaussian
-from fairtrack.geometry import BBox, iou, iou_matrix
+from fairtrack.geometry import BBox, corners, iou, iou_matrix
 from fairtrack.kalman import (
     STD_WEIGHT_POSITION,
     STD_WEIGHT_VELOCITY,
@@ -571,3 +575,92 @@ def test_metrics_equal_the_per_pair_reference(gt, pred, thresh, data):
               for f, pairs in pred.items()}
     assert (detection_ap(boxes, scored, thresh)
             == _ref_detection_ap(boxes, scored, thresh))
+
+
+# --- the overlap pass --------------------------------------------------------
+
+def _dense_triples(a_frames, b_frames):
+    """The positive entries of each frame's iou_matrix, as (a row, b row, IoU)
+    with rows numbered across frames in order."""
+    frames = sorted(set(a_frames) | set(b_frames))
+    out, ra, rb = [], 0, 0
+    for f in frames:
+        a, b = a_frames.get(f, []), b_frames.get(f, [])
+        if a and b:
+            m = iou_matrix(corners(a), corners(b))
+            out += [(ra + i, rb + j, m[i, j]) for i, j in zip(*np.nonzero(m > 0.0))]
+        ra, rb = ra + len(a), rb + len(b)
+    return out
+
+
+def _pass_triples(a_frames, b_frames, cells=None):
+    frames = sorted(set(a_frames) | set(b_frames))
+    a_start, a = metrics._flatten(a_frames, frames)
+    b_start, b = metrics._flatten(b_frames, frames)
+    with mock.patch.object(metrics, "_CHUNK_CELLS", cells or metrics._CHUNK_CELLS):
+        ra, rb, v = metrics._overlaps(a_start, metrics._corners(a),
+                                      b_start, metrics._corners(b))
+    return list(zip(ra.tolist(), rb.tolist(), v.tolist()))
+
+
+def _assert_pass_is_dense(a_frames, b_frames, cells=None):
+    got = _pass_triples(a_frames, b_frames, cells)
+    want = _dense_triples(a_frames, b_frames)
+    assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]  # once each, in order
+    assert np.array_equal(np.array([v for *_, v in got]), np.array([v for *_, v in want]))
+    return got
+
+
+_box_frames = st.dictionaries(st.integers(1, 8), _boxes(max_size=7), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_box_frames, _box_frames, st.sampled_from([1, 5, 40, None]))
+def test_overlap_pass_yields_each_positive_iou_matrix_entry_once(a, b, cells):
+    _assert_pass_is_dense(a, b, cells)
+
+
+def test_overlap_pass_edge_frames():
+    sq = BBox(0, 0, 4, 4)
+    a = {1: [sq], 3: [BBox(0, 0, 4, 4), BBox(10, 10, 12, 12)], 4: [sq] * 3, 6: [sq]}
+    b = {2: [sq],                                     # pred-only frame
+         3: [BBox(4, 0, 8, 4),                        # touching: IoU 0
+             BBox(1, 1, 3, 3),                        # nested: IoU 4 / 16
+             BBox(2, 2, 2, 5),                        # zero width
+             BBox(10, 11, 12, 11)],                   # zero height
+         4: [BBox(2, 0, 6, 4)] * 3,
+         5: [sq]}                                     # frame 1 gt-only, 6 gt-only
+    # 4 cells: frame 3 (2 x 4) and frame 4 (3 x 3) each pass the budget alone;
+    # 12 cells: frames split mid-sequence; None: one chunk
+    for cells in (4, 12, None):
+        got = _assert_pass_is_dense(a, b, cells)
+        assert got == [(1, 2, 0.25)] + [(3 + i, 5 + j, 1 / 3) for i in range(3) for j in range(3)]
+
+
+_crowd_box = st.tuples(*[st.integers(0, 30)] * 2, *[st.integers(0, 8)] * 2).map(
+    lambda t: BBox(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+
+@st.composite
+def _crowd_sequence(draw):
+    """Frames 1-4 of up to 60 ids on a 38 x 38 grid."""
+    frames = {}
+    for f in draw(st.lists(st.integers(1, 4), unique=True, min_size=1, max_size=4)):
+        ids = draw(st.lists(st.integers(1, 80), unique=True, max_size=60))
+        frames[f] = [(i, draw(_crowd_box)) for i in ids]
+    return frames
+
+
+@settings(max_examples=25, deadline=None)
+@given(_crowd_sequence(), _crowd_sequence(), st.sampled_from([0.5, 0.3, 1.0, 1e-9]),
+       st.sampled_from([700, 4000, None]), st.data())
+def test_metrics_equal_the_per_pair_reference_on_crowded_frames(gt, pred, thresh, cells, data):
+    """Up to 60 x 60 pairs a frame, with chunks of one frame or of several."""
+    with mock.patch.object(metrics, "_CHUNK_CELLS", cells or metrics._CHUNK_CELLS):
+        assert clear_mot(gt, pred, thresh) == _ref_clear_mot(gt, pred, thresh)
+        assert idf1(gt, pred, thresh) == _ref_idf1(gt, pred, thresh)
+        boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
+        scored = {f: [(data.draw(st.sampled_from([0.2, 0.5, 0.9])), b) for _, b in pairs]
+                  for f, pairs in pred.items()}
+        assert (detection_ap(boxes, scored, thresh)
+                == _ref_detection_ap(boxes, scored, thresh))

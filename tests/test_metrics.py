@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,32 @@ def test_duplicate_id_message_names_kind_and_frame():
         idf1(dup, {})
     with pytest.raises(ValueError, match="^duplicate pred id 1 in frame 3$"):
         clear_mot({}, dup)
+
+
+@pytest.mark.parametrize("call", ["clear_mot", "idf1", "evaluate_tracking"])
+def test_duplicate_id_first_offender_is_in_the_earliest_frame(call):
+    """A pred repeat in frame 1 is reported before a gt repeat in frame 2;
+    within a side the earliest repeat wins, and gt before pred in one frame."""
+    metric = {"clear_mot": clear_mot, "idf1": idf1, "evaluate_tracking": evaluate_tracking}[call]
+    gt = {1: [(1, _b(0.0))], 2: [(4, _b(0.0)), (4, _b(20.0))]}
+    pred = {1: [(7, _b(0.0)), (5, _b(20.0)), (5, _b(40.0)), (7, _b(60.0))], 2: []}
+    with pytest.raises(ValueError, match="^duplicate pred id 5 in frame 1$"):
+        metric(gt, pred)
+    gt[1] += [(1, _b(80.0))]
+    with pytest.raises(ValueError, match="^duplicate gt id 1 in frame 1$"):
+        metric(gt, pred)
+
+
+@pytest.mark.parametrize("thresh", [1e-17, 1e-9])
+def test_tiny_threshold_never_matches_disjoint_boxes(thresh):
+    """1 - 1e-17 rounds to 1.0, which once let an IoU-0 pair match."""
+    gt = {1: [(1, _b(0.0))]}
+    pred = {1: [(1, _b(500.0))]}
+    r = clear_mot(gt, pred, thresh)
+    assert (r.mota, r.fp, r.fn, r.id_switches) == (-1.0, 1, 1, 0)
+    assert idf1(gt, pred, thresh) == 0.0
+    assert evaluate_tracking(gt, pred, thresh) == replace(r, idf1=0.0)
+    assert detection_ap({1: [_b(0.0)]}, {1: [(0.9, _b(500.0))]}, thresh) == 0.0
 
 
 @pytest.mark.parametrize("thresh", [float("nan"), -1.0, 0.0, 2.0])

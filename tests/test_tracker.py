@@ -141,6 +141,19 @@ def test_frame_missing_an_embedding_is_rejected_before_it_changes_anything():
     assert tr.step(2, second) == track_sequence({1: first, 2: second})[2]
 
 
+def test_embedding_width_change_is_refused_before_it_changes_anything():
+    first = [_walk(0, 1, [1, 0]), _walk(1, 1, [0, 1])]
+    second = [_walk(0, 2, [1, 0]), _walk(1, 2, [0, 1])]
+    tr = OnlineTracker()
+    tr.step(1, first)
+    before = {name: getattr(tr, name).copy() for name in tr._arrays}
+    wide = [_walk(0, 2, [1, 0, 0]), _walk(1, 2, [0, 1, 0])]
+    with pytest.raises(ValueError, match="^embedding width 3 differs from the pool's 2$"):
+        tr.step(2, wide)
+    assert all(np.array_equal(getattr(tr, name), a) for name, a in before.items())
+    assert tr.step(2, second) == track_sequence({1: first, 2: second})[2]
+
+
 # --- embedding smoothing ---------------------------------------------------
 
 def _ema_cfg(momentum):
