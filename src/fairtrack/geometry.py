@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -76,26 +78,31 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+_box_corners = attrgetter("x1", "y1", "x2", "y2")
+
+
 def corners(boxes: list[BBox]) -> np.ndarray:
-    """(N, 4) array of the boxes' (x1, y1, x2, y2) corners."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    """(N, 4) float64 array of the boxes' (x1, y1, x2, y2) corners."""
+    flat = chain.from_iterable(map(_box_corners, boxes))
+    return np.fromiter(flat, np.float64, 4 * len(boxes)).reshape(-1, 4)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(T, N) IoU between (T, 4) and (N, 4) corner arrays.
-
-    Element for element the same arithmetic as ``iou``, so the values are
-    bit-equal to it.
-    """
-    a = a[:, None, :]
-    b = b[None, :, :]
+def _iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of broadcastable (..., 4) corner arrays, element for element the
+    same arithmetic as ``iou``; float64 for integer corners."""
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
     union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
              + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
     ok = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
-    return np.divide(inter, union, out=np.zeros_like(inter), where=ok)
+    out = np.zeros(inter.shape, np.result_type(inter, 0.0))
+    return np.divide(inter, union, out=out, where=ok)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(T, N) IoU between (T, 4) and (N, 4) corner arrays, bit-equal to ``iou``."""
+    return _iou_kernel(a[:, None, :], b[None, :, :])
 
 
 def best_match(ious: np.ndarray, thresh: float) -> np.ndarray:

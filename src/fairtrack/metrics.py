@@ -10,8 +10,8 @@ frame-ordered columns: per-frame row offsets, ids and an ``(N, 4)``
 corner array.  Same-frame pairs are tested for overlapping x and y
 extents in chunks of consecutive frames, one broadcast over a chunk's
 padded frames x rows x columns cells, and IoU is computed for the pairs
-that pass with ``iou_matrix``'s element arithmetic, so each value is
-bit-equal to the dense entry.  The metrics read the resulting
+that pass by the elementwise kernel behind ``iou_matrix``, so each value
+is bit-equal to the dense entry.  The metrics read the resulting
 (row, column, IoU) triples with IoU > 0; a pair left out has IoU 0,
 which no threshold in (0, 1] admits.
 """
@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
 from .assignment import hungarian
-from .geometry import BBox
+from .geometry import BBox, _iou_kernel, corners
 
 Frames = dict[int, list[tuple[int, BBox]]]
 
@@ -38,9 +37,6 @@ Frames = dict[int, list[tuple[int, BBox]]]
 # frames (3.6 ms on the first), and 2^18 is at most 11% faster while its
 # peak grows to 1.2 and 1.6 MB.
 _CHUNK_CELLS = 1 << 16
-
-_box_corners = attrgetter("x1", "y1", "x2", "y2")
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -69,11 +65,6 @@ def _flatten(side: dict, frames: list[int]) -> tuple[np.ndarray, list]:
     return start, list(chain.from_iterable(per_frame))
 
 
-def _corners(boxes: list[BBox]) -> np.ndarray:
-    flat = chain.from_iterable(map(_box_corners, boxes))
-    return np.fromiter(flat, np.float64, 4 * len(boxes)).reshape(-1, 4)
-
-
 def _padded(start: np.ndarray, box: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows and corners of consecutive frames, each padded to ``width`` rows,
     as (frame, row) and (corner, frame, row) arrays.
@@ -82,22 +73,11 @@ def _padded(start: np.ndarray, box: np.ndarray, width: int) -> tuple[np.ndarray,
     the corners (inf, inf, -inf, -inf): no extent test passes on them.
     """
     rows = start[:-1, None] + np.arange(width)
-    corners = box[np.minimum(rows, len(box) - 1)]
-    x1, y1, x2, y2 = corners.transpose(2, 0, 1)
-    corners[(rows >= start[1:, None]) | ~(x1 < x2) | ~(y1 < y2)] = (
+    padded = box[np.minimum(rows, len(box) - 1)]
+    x1, y1, x2, y2 = padded.transpose(2, 0, 1)
+    padded[(rows >= start[1:, None]) | ~(x1 < x2) | ~(y1 < y2)] = (
         np.inf, np.inf, -np.inf, -np.inf)
-    return rows, corners.transpose(2, 0, 1)
-
-
-def _pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of row-aligned (K, 4) corner arrays, with ``iou_matrix``'s element arithmetic."""
-    ix = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-    iy = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
-    inter = ix * iy
-    union = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-             + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) - inter)
-    ok = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
-    return np.divide(inter, union, out=np.zeros_like(inter), where=ok)
+    return rows, padded.transpose(2, 0, 1)
 
 
 def _overlaps(a_start: np.ndarray, a_box: np.ndarray,
@@ -134,7 +114,7 @@ def _overlaps(a_start: np.ndarray, a_box: np.ndarray,
         first = end
     ra = np.concatenate(found_a) if found_a else np.zeros(0, dtype=np.int64)
     rb = np.concatenate(found_b) if found_b else np.zeros(0, dtype=np.int64)
-    iou = _pair_iou(a_box[ra], b_box[rb])
+    iou = _iou_kernel(a_box[ra], b_box[rb])
     keep = iou > 0.0
     return ra[keep], rb[keep], iou[keep]
 
@@ -184,7 +164,7 @@ def _tracking_pass(gt: Frames, pred: Frames) -> _Pass:
         if repeat is not None:  # frames in order, gt before pred within one
             f, row = repeat
             offences.append((f, rank, f"duplicate {kind} id {ids[row]} in frame {frames[f]}"))
-        sides.append((start, code, len(unique), _corners(boxes)))
+        sides.append((start, code, len(unique), corners(boxes)))
     if offences:
         raise ValueError(min(offences)[2])
     (g_start, g_id, n_gid, g_box), (p_start, p_id, n_pid, p_box) = sides
@@ -226,7 +206,7 @@ def _clear_mot(ov: _Pass, iou_thresh: float) -> MetricsReport:
             kp = {pid_l[k] for k in kept}
             free = [k for k in range(lo, hi) if gid_l[k] not in kg and pid_l[k] not in kp]
             if len({gid_l[k] for k in free}) == len(free) == len({pid_l[k] for k in free}):
-                kept += free  # no two share a row or a column: hungarian matches all
+                kept += free  # no two share a row or a column: hungarian would match all
             else:
                 kept += _rematch(ov, f, free, g, p, iou, kg, kp)
         prev = {key[k] for k in kept}
@@ -325,7 +305,7 @@ def detection_ap(gt_boxes: dict[int, list[BBox]],
     # by score, ties in frame and row order
     ranked = sorted(range(len(scores)), key=lambda r: (-scores[r], r))
 
-    p, g, iou = _overlaps(p_start, _corners(boxes), g_start, _corners(g_rows))
+    p, g, iou = _overlaps(p_start, corners(boxes), g_start, corners(g_rows))
     hit = iou >= iou_thresh
     at = np.searchsorted(p[hit], np.arange(len(scores) + 1)).tolist()  # per prediction
     g, iou = g[hit].tolist(), iou[hit].tolist()

@@ -89,6 +89,11 @@ def test_iou_matrix_edge_cases():
     assert got.tolist() == [[0.0, 0.0625, 0.0, 1.0]]
 
 
+def test_iou_matrix_of_integer_corners_is_float():
+    got = iou_matrix(np.array([[0, 0, 4, 4]]), np.array([[1, 1, 3, 3], [4, 0, 8, 4]]))
+    assert got.dtype == np.float64 and got.tolist() == [[0.25, 0.0]]
+
+
 # --- Kalman ------------------------------------------------------------------
 
 _F = np.eye(8) + np.eye(8, k=4)
@@ -598,8 +603,7 @@ def _pass_triples(a_frames, b_frames, cells=None):
     a_start, a = metrics._flatten(a_frames, frames)
     b_start, b = metrics._flatten(b_frames, frames)
     with mock.patch.object(metrics, "_CHUNK_CELLS", cells or metrics._CHUNK_CELLS):
-        ra, rb, v = metrics._overlaps(a_start, metrics._corners(a),
-                                      b_start, metrics._corners(b))
+        ra, rb, v = metrics._overlaps(a_start, corners(a), b_start, corners(b))
     return list(zip(ra.tolist(), rb.tolist(), v.tolist()))
 
 
