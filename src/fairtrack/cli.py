@@ -7,9 +7,11 @@ the run and get byte-identical outputs.
 
 `encode` writes one dense heatmap per frame (``*.heat.ften``) and one
 object table for the sequence (``centers.txt``: cell, identity, offset
-and size of every retained center).  `decode` reads the table once and
-scatters each frame's rows into the dense offset and size heads that
-`decoding.decode` takes.  Both hold one frame's maps at a time.  `sim`
+and size of every retained center), straight from each frame's sparse
+center table.  `decode` reads the table once and scatters each frame's
+rows into the dense offset and size heads that `decoding.decode` takes;
+it refuses maps whose encode manifest records another stride than its
+own.  Both hold one frame's maps at a time.  `sim`
 and `decode` write detections to ``det.txt`` and their embeddings, if
 any, to ``emb.ften`` beside it: row k of that ``(N, D)`` array belongs to
 the k-th detection in frame order, which is ``det.txt``'s file order.
@@ -37,8 +39,8 @@ from .encoding import GtObject, encode_targets
 from .geometry import GridSpec, best_match, corners, iou_matrix
 from .losses import gradcheck_run
 from .metrics import clear_mot, detection_ap, idf1, tpr_at_far
-from .mot_io import CenterRows, MotFormatError, _lines, format_centers, format_det_line, \
-    format_gt_line, format_mot_line, load_config, parse_centers, parse_mot, to_frames
+from .mot_io import CenterRows, MotFormatError, _lines, format_centers, format_mot, load_config, \
+    parse_centers, parse_mot, to_frames
 from .sim import SimConfig, generate
 from .tensors import FtenFormatError, read_tensor, tensor_to_bytes
 from .tracker import OnlineTracker, TrackerConfig
@@ -60,6 +62,11 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode())
+
+
+def _det_lines(frame: int, dets: list[Detection]) -> list[str]:
+    """One frame's ``det.txt`` lines."""
+    return format_mot("det", frame, -1, corners([d.box for d in dets]), [d.score for d in dets])
 
 
 def _write_detections(out: Path, lines: list[str], rows: list[np.ndarray]) -> list[Path]:
@@ -144,13 +151,17 @@ def cmd_sim(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     res = generate(cfg)
 
-    gt_lines = [format_gt_line(frame, tid, box)
-                for frame in sorted(res.gt) for tid, box in res.gt[frame]]
+    # one frame at a time: whole-file columns would grow the heap for the stages after
+    gt_lines = []
+    for frame in sorted(res.gt):
+        pairs = res.gt[frame]
+        gt_lines += format_mot("gt", frame, [tid for tid, _ in pairs],
+                               corners([box for _, box in pairs]))
     _atomic_write_text(out / "gt.txt", "\n".join(gt_lines) + "\n")
 
     det_lines, rows = [], []
     for frame in sorted(res.dets):
-        det_lines += [format_det_line(frame, d) for d in res.dets[frame]]
+        det_lines += _det_lines(frame, res.dets[frame])
         rows += [d.embedding for d in res.dets[frame]]
     written = [out / "gt.txt", *_write_detections(out, det_lines, rows), out / "seqinfo.ini"]
 
@@ -198,10 +209,7 @@ def cmd_encode(args) -> int:
         path = out / f"{frame:06d}.heat.ften"
         _atomic_write_bytes(path, tensor_to_bytes(maps.heatmap))
         written.append(path)
-        ys, xs = np.nonzero(maps.center_mask)
-        values = np.concatenate([maps.offsets[:, ys, xs], maps.sizes[:, ys, xs]]).T
-        center_lines += format_centers(frame, xs, ys,
-                                       maps.identity_index[ys, xs], values)
+        center_lines += format_centers(frame, *maps.cells.T, maps.identities, maps.values)
     _atomic_write_text(out / "centers.txt", "\n".join(center_lines) + "\n")
     written.append(out / "centers.txt")
 
@@ -243,9 +251,28 @@ def _scatter_rows(off: np.ndarray, size: np.ndarray, rows: CenterRows | None,
     return np.s_[:, y, x]
 
 
+def _check_encoded_stride(maps_dir: Path, stride: int) -> None:
+    """Refuse maps whose encode manifest records a stride other than ``stride``.
+
+    Maps without a manifest are taken as they are.
+    """
+    manifest = maps_dir / "manifest.json"
+    if not manifest.is_file():
+        return
+    try:
+        encoded = json.loads(manifest.read_bytes())["config"]["stride"]
+    except (ValueError, LookupError, TypeError) as e:
+        raise MotFormatError(f"{manifest}: not a manifest recording the stride "
+                             "the maps were encoded at") from e
+    if encoded != stride:
+        raise MotFormatError(f"{manifest}: the maps were encoded at stride {encoded}, "
+                             f"but decode runs at --stride {stride}")
+
+
 def cmd_decode(args) -> int:
     started = time.monotonic()
     maps_dir = Path(args.maps)
+    _check_encoded_stride(maps_dir, args.stride)
     frames = []
     for path in sorted(maps_dir.glob("*.heat.ften")):
         digits = path.name.removesuffix(".heat.ften")
@@ -298,7 +325,7 @@ def cmd_decode(args) -> int:
         dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
                       top_k=args.top_k, sampling=sampling)
         off[cells] = size[cells] = 0.0
-        lines.extend(format_det_line(frame, d) for d in dets)
+        lines += _det_lines(frame, dets)
         if emb is not None:  # decode drops a peak with a zero embedding
             embeddings += [d.embedding for d in dets]
     written = _write_detections(out, lines, embeddings)
@@ -348,11 +375,14 @@ def cmd_track(args) -> int:
     dets = _load_detections(src, need_emb=tracker_cfg.use_reid)
 
     tracker = OnlineTracker(tracker_cfg)
-    lines = []
+    frames, ids, boxes, scores = [], [], [], []
     for frame in sorted(dets):
         outputs = tracker.step(frame, dets[frame])
-        lines += [format_mot_line(frame, tid, box, score)
-                  for (tid, box), score in zip(outputs, tracker.active_scores())]
+        frames += [frame] * len(outputs)
+        ids += [tid for tid, _ in outputs]
+        boxes += [box for _, box in outputs]
+        scores += tracker.active_scores()
+    lines = format_mot("result", frames, ids, corners(boxes), scores)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -10,22 +10,26 @@ Each annotated object contributes:
 Overlapping Gaussians combine with an element-wise max so the heatmap
 stays in [0, 1] and is exactly 1 at every retained center.
 
-`TargetMaps` holds the heatmap, offset and size heads as plain float64
-numpy arrays, the maps the losses and `decoding.decode` take, beside a
-dense identity grid.  Only the retained centers carry offset, size and
-identity values, so the `encode` CLI writes just the heatmap densely and
-the rest as one ``centers.txt`` row per center (cell, identity, offset,
-size), the sparse per-object form CenterNet and FairMOT train from.
+`TargetMaps` holds a frame as the dense float64 heatmap plus one sparse
+center table: the cell, identity index, offset and size of each retained
+object, one row per center in row-major cell order.  That table is the
+representation; the dense offset, size, mask and identity planes that
+the losses and `decoding.decode` take are scattered from it on first
+use.  The `encode` CLI writes the heatmap densely and the table as it is,
+one ``centers.txt`` row per center, the sparse per-object form CenterNet
+and FairMOT train from.  Each object's Gaussian window is evaluated once
+per sigma and kept in a small read-only cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import BBox, GridSpec
+from .geometry import BBox, GridSpec, corners
 
 MIN_SIGMA = 2.0 / 3.0
 MIN_OVERLAP = 0.7
@@ -45,23 +49,54 @@ class GtObject:
 
 @dataclass(frozen=True, eq=False)
 class TargetMaps:
-    """Supervision bundle for one frame.
+    """Supervision bundle for one frame: the heatmap and the center table.
 
-    ``center_mask`` has exactly one true cell per retained object;
-    ``identity_index`` is -1 everywhere the mask is false.  ``collisions``
-    counts objects dropped because another (larger) object claimed the
-    same cell, ``rejected`` counts objects whose quantized center fell
-    outside the grid.
+    Row k of the table is one retained object: its feature-grid cell
+    ``cells[k]`` (x, y), its identity index ``identities[k]`` and
+    ``values[k]`` (off_x, off_y, w, h), the sub-cell center offset and the
+    box size in image pixels.  Rows are in the row-major cell order that
+    ``np.nonzero`` gives.  ``offsets``, ``sizes``, ``center_mask`` and
+    ``identity_index`` are the dense (2, H, W) and (H, W) planes the losses
+    and ``decoding.decode`` take, scattered from the table on first use:
+    zero, false or -1 off the centers.  ``collisions`` counts objects
+    dropped because another (larger) object claimed the same cell,
+    ``rejected`` counts objects whose quantized center fell outside the
+    grid.
     """
 
-    heatmap: np.ndarray         # (H, W) float64
-    offsets: np.ndarray         # (2, H, W) float64
-    sizes: np.ndarray           # (2, H, W) float64
-    center_mask: np.ndarray     # (H, W) bool
-    identity_index: np.ndarray  # (H, W) int64
-    num_objects: int
+    heatmap: np.ndarray     # (H, W) float64
+    cells: np.ndarray       # (K, 2) int64
+    identities: np.ndarray  # (K,) int64
+    values: np.ndarray      # (K, 4) float64
     collisions: int = 0
     rejected: int = 0
+
+    @property
+    def num_objects(self) -> int:
+        return len(self.cells)
+
+    def _dense(self, column: np.ndarray, fill, dtype) -> np.ndarray:
+        """A (K,) or (K, C) table column on the grid, as (H, W) or (C, H, W)."""
+        plane = np.full(column.shape[1:] + self.heatmap.shape, fill, dtype=dtype)
+        x, y = self.cells.T
+        plane[..., y, x] = column.T
+        return plane
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return self._dense(self.values[:, :2], 0.0, np.float64)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return self._dense(self.values[:, 2:], 0.0, np.float64)
+
+    @cached_property
+    def center_mask(self) -> np.ndarray:
+        return self._dense(np.ones(len(self.cells), dtype=bool), False, bool)
+
+    @cached_property
+    def identity_index(self) -> np.ndarray:
+        return self._dense(self.identities, -1, np.int64)
 
 
 def quantize_center(box: BBox, grid: GridSpec) -> tuple[int, int, tuple[float, float]]:
@@ -125,6 +160,33 @@ def gaussian_radius_sigma(size: tuple[float, float], grid: GridSpec,
     return max(max(r, 0.0) / 3.0, min_sigma)
 
 
+_KERNEL_CACHE_SIZE = 64  # sigmas whose windows are kept
+# a wider window is evaluated over its on-grid part only, so a cached one
+# holds at most 129 x 129 float64 (133 kB) and the cache at most 8.5 MB
+_MAX_KERNEL_RADIUS = 64
+
+
+def _window_radius(sigma: float) -> int:
+    return math.ceil(math.sqrt(208.0) * sigma) + 1
+
+
+def _gaussian(xs: range, ys: range, sigma: float) -> np.ndarray:
+    """exp(-(dx^2 + dy^2) / (2 sigma^2)) at the integer offsets ``xs`` (columns)
+    and ``ys`` (rows) from the center."""
+    dx = np.arange(xs.start, xs.stop, dtype=np.float64)[None, :]
+    dy = np.arange(ys.start, ys.stop, dtype=np.float64)[:, None]
+    return np.exp(-(dx ** 2 + dy ** 2) / (2.0 * sigma * sigma))
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _kernel(sigma: float) -> np.ndarray:
+    """The whole read-only window of ``sigma``, centered: (2r + 1, 2r + 1)."""
+    r = _window_radius(sigma)
+    kernel = _gaussian(range(-r, r + 1), range(-r, r + 1), sigma)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def stamp_gaussian(heatmap: np.ndarray, cx: int, cy: int, sigma: float) -> None:
     """Max a unit-peak Gaussian centered on cell (cx, cy) into ``heatmap`` in place.
 
@@ -133,71 +195,67 @@ def stamp_gaussian(heatmap: np.ndarray, cx: int, cy: int, sigma: float) -> None:
     value below exp(-104) ~ 6.8e-46, which rounds to 0 in float32 (half
     the smallest subnormal is 7.0e-46), so the stored maps are the same as
     for a full-grid stamp; cells outside the window keep their old value.
+    A window of radius up to 64 is evaluated once per sigma and cached;
+    the values are the same float expression on the same integer offsets,
+    so they equal a fresh evaluation bit for bit.
     """
     h, w = heatmap.shape
-    r = math.ceil(math.sqrt(208.0) * sigma) + 1
+    r = _window_radius(sigma)
     y0, y1 = max(cy - r, 0), min(cy + r + 1, h)
     x0, x1 = max(cx - r, 0), min(cx + r + 1, w)
     if y0 >= y1 or x0 >= x1:  # window off the grid; a negative stop would wrap
         return
-    ys = np.arange(y0, y1, dtype=np.float64)[:, None]
-    xs = np.arange(x0, x1, dtype=np.float64)[None, :]
-    g = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
+    if r <= _MAX_KERNEL_RADIUS:
+        g = _kernel(sigma)[y0 - cy + r:y1 - cy + r, x0 - cx + r:x1 - cx + r]
+    else:
+        g = _gaussian(range(x0 - cx, x1 - cx), range(y0 - cy, y1 - cy), sigma)
     window = heatmap[y0:y1, x0:x1]
     np.maximum(window, g, out=window)
 
 
 def encode_targets(objects: list[GtObject], grid: GridSpec, num_identities: int) -> TargetMaps:
-    """Build the full supervision bundle for one frame.
+    """Build the supervision bundle for one frame.
 
-    Objects whose quantized center falls outside the grid are dropped and
-    counted in ``rejected``.  When two objects claim the same cell the
-    larger-area one is kept and the loser counted in ``collisions``.
+    Objects whose quantized center falls outside the grid (or is not a
+    number) are dropped and counted in ``rejected``.  When several objects
+    claim one cell the largest-area one is kept, the earliest of equals,
+    and the others are counted in ``collisions``.  Centers are quantized
+    as ``quantize_center`` does, on whole columns.
     """
-    fh, fw = grid.feat_h, grid.feat_w
-    heat = np.zeros((fh, fw), dtype=np.float64)
-    offsets = np.zeros((2, fh, fw), dtype=np.float64)
-    sizes = np.zeros((2, fh, fw), dtype=np.float64)
-    mask = np.zeros((fh, fw), dtype=bool)
-    identity = np.full((fh, fw), -1, dtype=np.int64)
+    n = len(objects)
+    boxes = corners([obj.box for obj in objects])
+    identity = np.fromiter((obj.identity for obj in objects), np.int64, n)
+    over = np.flatnonzero(identity >= num_identities)
+    if over.size:
+        raise ValueError(f"identity {identity[over[0]]} out of range for "
+                         f"{num_identities} identities")
 
-    rejected = 0
-    collisions = 0
-    by_cell: dict[tuple[int, int], tuple[GtObject, tuple[float, float]]] = {}
-    for obj in objects:
-        if obj.identity >= num_identities:
-            raise ValueError(
-                f"identity {obj.identity} out of range for {num_identities} identities"
-            )
-        try:
-            qx, qy, off = quantize_center(obj.box, grid)
-        except ValueError:
-            rejected += 1
-            continue
-        prev = by_cell.get((qx, qy))
-        if prev is not None:
-            collisions += 1
-            if obj.box.area <= prev[0].box.area:
-                continue
-        by_cell[(qx, qy)] = (obj, off)
+    x1, y1, x2, y2 = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):  # absurd boxes land off the grid
+        fx, fy = (x1 + x2) / 2.0 / grid.stride, (y1 + y2) / 2.0 / grid.stride
+        w, h = x2 - x1, y2 - y1
+        area = w * h
+    qx, qy = np.floor(fx), np.floor(fy)
+    k = np.flatnonzero((qx >= 0) & (qx < grid.feat_w) & (qy >= 0) & (qy < grid.feat_h))
+    cell = qy[k].astype(np.int64) * grid.feat_w + qx[k].astype(np.int64)
+    order = np.lexsort((k, -area[k], cell))  # by cell, largest area first, then input order
+    starts = np.flatnonzero(np.diff(cell[order], prepend=-1))
+    win = k[order[starts]]  # one object per cell, in row-major cell order
 
-    for (qx, qy), (obj, off) in by_cell.items():
-        sigma = gaussian_radius_sigma((obj.box.width, obj.box.height), grid)
-        stamp_gaussian(heat, qx, qy, sigma)
-        mask[qy, qx] = True
-        offsets[0, qy, qx] = off[0]
-        offsets[1, qy, qx] = off[1]
-        sizes[0, qy, qx] = obj.box.width
-        sizes[1, qy, qx] = obj.box.height
-        identity[qy, qx] = obj.identity
+    heat = np.zeros((grid.feat_h, grid.feat_w), dtype=np.float64)
+    cells = np.stack([qx[win], qy[win]], axis=1).astype(np.int64)
+    # stamped in the order the cells were first claimed, so a zero-size
+    # winner raises where an object-by-object encoder would
+    claimed = np.argsort(np.minimum.reduceat(k[order], starts))
+    for (x, y), i in zip(cells[claimed].tolist(), win[claimed].tolist()):
+        box = objects[i].box
+        stamp_gaussian(heat, x, y, gaussian_radius_sigma((box.width, box.height), grid))
 
     return TargetMaps(
         heatmap=heat,
-        offsets=offsets,
-        sizes=sizes,
-        center_mask=mask,
-        identity_index=identity,
-        num_objects=len(by_cell),
-        collisions=collisions,
-        rejected=rejected,
+        cells=cells,
+        identities=identity[win],
+        values=np.stack([fx[win] - qx[win], fy[win] - qy[win], w[win], h[win]], axis=1),
+        collisions=k.size - win.size,
+        rejected=n - k.size,
     )

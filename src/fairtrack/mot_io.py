@@ -3,11 +3,13 @@
 Ground-truth files carry 9 comma-separated fields per line
 (frame, id, left, top, width, height, conf, class, visibility);
 detection and result files carry 10 (the last three are -1 placeholders).
-Boxes are serialized with 2 decimal places.  Detection lines (`det.txt`,
-written by both `sim` and `decode`) carry the score at full precision, so
-it reads back bit for bit; result lines round it to 2 decimals.  Row k of
-the ``emb.ften`` beside a `det.txt` is the embedding of its k-th detection
-in frame order (one frame's lines in file order).
+One columnar writer, ``format_mot``, formats all three kinds from frame,
+id, corner and score columns.  Boxes are serialized with 2 decimal
+places.  Detection lines (`det.txt`, written by both `sim` and `decode`)
+carry the score at full precision, so it reads back bit for bit; result
+lines round it to 2 decimals.  Row k of the ``emb.ften`` beside a
+`det.txt` is the embedding of its k-th detection in frame order (one
+frame's lines in file order).
 Every number read must be finite, and frame, id and gt class fields
 integral within int32 (MOTChallenge's range); an integral float token such as
 ``1.0`` is accepted.
@@ -25,13 +27,11 @@ line number is the one a text editor shows.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .decoding import Detection
 from .geometry import BBox
 from .kalman import check_measurements, measurable, measure
 from .sim import SimConfig
@@ -237,29 +237,46 @@ def format_centers(frame: int, xs, ys, identities, values) -> list[str]:
                                         rounded.tolist())]
 
 
-def _box_fields(frame: int, obj_id: int, box: BBox, score: float) -> str:
-    """The six fields every MOT line starts with; raises ValueError where its reader would."""
-    if frame < 1 or not all(map(math.isfinite, (box.x1, box.y1, box.width, box.height,
-                                               box.x1 + box.width, box.y1 + box.height, score))):
-        raise ValueError(f"frame {frame}: a MOT line needs a frame >= 1, "
+_ROW_FORMATS = {
+    "result": "%d,%d,%.2f,%.2f,%.2f,%.2f,%.2f,-1,-1,-1",
+    "det": "%d,%d,%.2f,%.2f,%.2f,%.2f,%r,-1,-1,-1",
+    "gt": f"%d,%d,%.2f,%.2f,%.2f,%.2f,1,{PEDESTRIAN_CLASS},1.00",
+}
+
+
+def format_mot(kind: str, frames, ids, boxes, scores=1.0) -> list[str]:
+    """MOT lines of one kind, one per row of ``boxes``, formatted as columns.
+
+    ``boxes`` holds (N, 4) corners (x1, y1, x2, y2); ``frames``, ``ids``
+    and ``scores`` hold one value per row, or one value for every row.
+    Each line gives the box as left, top, width and height with 2
+    decimals.  A result line (``kind`` "result") then gives the score
+    rounded to 2 decimals, a detection line ("det", whose id is -1 by
+    convention) the score at full precision, so it reads back bit for bit,
+    and a ground-truth line ("gt") conf 1, the pedestrian class and
+    visibility 1, ignoring ``scores``.  A row with a frame below 1, or a
+    box or score that is not finite (a width that overflows included),
+    raises ValueError naming the first such row's frame, so no line is
+    written that its reader would reject.
+    """
+    if kind not in _ROW_FORMATS:
+        raise ValueError(f"unknown kind {kind!r}")
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    n = len(boxes)
+    frames, ids = (np.broadcast_to(np.asarray(c, dtype=np.int64), n) for c in (frames, ids))
+    scores = np.broadcast_to(np.asarray(1.0 if kind == "gt" else scores, dtype=np.float64), n)
+    x, y = boxes[:, 0], boxes[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, h = boxes[:, 2] - x, boxes[:, 3] - y
+        finite = np.isfinite(np.stack([x, y, w, h, x + w, y + h, scores])).all(axis=0)
+    bad = np.flatnonzero(~finite | (frames < 1))
+    if bad.size:
+        raise ValueError(f"frame {frames[bad[0]]}: a MOT line needs a frame >= 1, "
                          "and a box and score that are finite")
-    return (f"{frame},{obj_id},{box.x1:.2f},{box.y1:.2f},"
-            f"{box.width:.2f},{box.height:.2f}")
-
-
-def format_mot_line(frame: int, obj_id: int, box: BBox, score: float) -> str:
-    """10-field result line; the score is rounded to 2 decimals."""
-    return f"{_box_fields(frame, obj_id, box, score)},{score:.2f},-1,-1,-1"
-
-
-def format_det_line(frame: int, det: Detection) -> str:
-    """10-field detection line (id -1); the score keeps full precision."""
-    return f"{_box_fields(frame, -1, det.box, det.score)},{float(det.score)!r},-1,-1,-1"
-
-
-def format_gt_line(frame: int, obj_id: int, box: BBox) -> str:
-    """9-field ground-truth line: conf 1, the pedestrian class, visibility 1."""
-    return f"{_box_fields(frame, obj_id, box, 1.0)},1,{PEDESTRIAN_CLASS},1.00"
+    columns = [frames.tolist(), ids.tolist(), x.tolist(), y.tolist(), w.tolist(), h.tolist()]
+    if kind != "gt":
+        columns.append(scores.tolist())
+    return list(map(_ROW_FORMATS[kind].__mod__, zip(*columns)))
 
 
 def to_frames(parsed: dict[int, list[MotRecord]]) -> dict[int, list[tuple[int, BBox]]]:

@@ -239,8 +239,6 @@ def generate_maps(cfg: SimConfig, frame: int,
     anchors = identity_anchors(cfg)
     rng = _rng(cfg, _STREAM_MAPS, frame)
     emb = np.zeros((cfg.emb_dim, grid.feat_h, grid.feat_w))
-    ys, xs = np.nonzero(maps.center_mask)
-    for y, x in zip(ys, xs):
-        ident = int(maps.identity_index[y, x])
+    for (x, y), ident in zip(maps.cells.tolist(), maps.identities.tolist()):
         emb[:, y, x] = _noisy_embedding(rng, anchors[ident], cfg.emb_noise_std)
     return maps.heatmap, maps.offsets, maps.sizes, emb

@@ -148,7 +148,12 @@ class OnlineTracker:
         return self._score[self._active].tolist()
 
     def step(self, frame_index: int, dets: list[Detection]) -> list[tuple[int, BBox]]:
-        """Associate one frame of detections; returns (id, box) per active track."""
+        """Associate one frame of detections; returns (id, box) per active track.
+
+        A frame refused with ValueError (a frame index not after the last
+        one, a missing or resized embedding, a box the Kalman filter cannot
+        measure) leaves the tracker as it was, so the frame can be retried.
+        """
         cfg = self.cfg
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
@@ -159,16 +164,14 @@ class OnlineTracker:
                 if d.embedding is None:
                     raise ValueError(f"detection {j} has no embedding")
             emb = np.stack([d.embedding for d in dets])
-            if not pool:  # an empty pool takes the frame's width
-                self._emb = np.zeros((0, emb.shape[1]))
-            elif emb.shape[1] != self._emb.shape[1]:
+            if pool and emb.shape[1] != self._emb.shape[1]:
                 raise ValueError(f"embedding width {emb.shape[1]} differs from "
                                  f"the pool's {self._emb.shape[1]}")
-        self._last_frame = frame_index
         kalman = cfg.use_kalman
-
-        if kalman and pool:
-            self._mean, self._cov = predict(self._mean, self._cov)
+        # Everything up to the commit below works on locals, so a refused
+        # frame leaves the pool as it was: predicted states, then matches.
+        mean, cov = predict(self._mean, self._cov) if kalman and pool \
+            else (self._mean, self._cov)
 
         boxes = corners([d.box for d in dets])
         # checked where a filter first uses a row, with measurements' error
@@ -182,7 +185,7 @@ class OnlineTracker:
             if kalman:
                 check_measurements(z)
                 r, c = np.nonzero(cost <= cfg.emb_match_threshold)
-                cut = gate(self._mean[r], self._cov[r], z[c]) > cfg.gate_chi2
+                cut = gate(mean[r], cov[r], z[c]) > cfg.gate_chi2
                 cost[r[cut], c[cut]] = np.inf
             matches, _, left = hungarian(cost, max_cost=cfg.emb_match_threshold)
             rows, cols = np.array(matches, dtype=np.int64).reshape(-1, 2).T
@@ -194,7 +197,7 @@ class OnlineTracker:
             open_[rows] = False
             cand = np.flatnonzero(open_)
             if cand.size:
-                track_boxes = box_corners(self._mean[cand]) if kalman else self._box[cand]
+                track_boxes = box_corners(mean[cand]) if kalman else self._box[cand]
                 pairs, _, left = hungarian(
                     iou_distance_matrix(track_boxes, boxes[det_pool]),
                     max_cost=cfg.iou_match_threshold)
@@ -204,9 +207,19 @@ class OnlineTracker:
                 det_pool = det_pool[left]
 
         scores = np.array([d.score for d in dets], dtype=np.float64)
+        born = det_pool[scores[det_pool] > cfg.det_threshold]
+        if kalman and rows.size:
+            check_measurements(z[cols])
+        if kalman and born.size:
+            check_measurements(z[born])
+
+        # commit
+        self._last_frame = frame_index
+        self._mean, self._cov = mean, cov
+        if cfg.use_reid and dets and not pool:  # an empty pool takes the frame's width
+            self._emb = np.zeros((0, emb.shape[1]))
         if rows.size:
             if kalman:
-                check_measurements(z[cols])
                 self._mean[rows], self._cov[rows] = update(
                     self._mean[rows], self._cov[rows], z[cols])
             self._box[rows] = boxes[cols]
@@ -231,20 +244,18 @@ class OnlineTracker:
             for name in self._arrays:
                 setattr(self, name, getattr(self, name)[keep])
 
-        born = det_pool[scores[det_pool] > cfg.det_threshold]
         if born.size:
             b = born.size
-            rows = {"_ids": np.arange(self._next_id, self._next_id + b),
-                    "_start": np.full(b, frame_index), "_active": np.ones(b, dtype=bool),
-                    "_misses": np.zeros(b, dtype=np.int64), "_score": scores[born],
-                    "_box": boxes[born], "_det": born}
+            new = {"_ids": np.arange(self._next_id, self._next_id + b),
+                   "_start": np.full(b, frame_index), "_active": np.ones(b, dtype=bool),
+                   "_misses": np.zeros(b, dtype=np.int64), "_score": scores[born],
+                   "_box": boxes[born], "_det": born}
             if cfg.use_reid:
-                rows["_emb"] = emb[born]
+                new["_emb"] = emb[born]
             if kalman:
-                check_measurements(z[born])
-                rows["_mean"], rows["_cov"] = initiate(z[born])
+                new["_mean"], new["_cov"] = initiate(z[born])
             for name in self._arrays:
-                setattr(self, name, np.concatenate([getattr(self, name), rows[name]]))
+                setattr(self, name, np.concatenate([getattr(self, name), new[name]]))
             self._next_id += b
 
         act = self._active

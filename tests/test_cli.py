@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from fairtrack import cli
 from fairtrack.decoding import decode
 from fairtrack.encoding import GtObject, encode_targets
-from fairtrack.geometry import BBox, GridSpec, best_match, corners, iou_matrix
+from fairtrack.geometry import GridSpec, best_match, corners, iou_matrix
 from fairtrack.metrics import tpr_at_far
-from fairtrack.mot_io import format_centers, format_det_line, format_gt_line, parse_mot, \
-    to_frames
+from fairtrack.mot_io import format_centers, format_mot, parse_mot, to_frames
 from fairtrack.sim import SimConfig, generate_maps
 from fairtrack.tensors import read_tensor, tensor_from_bytes, tensor_to_bytes
 
@@ -460,6 +459,10 @@ def _f32(t):
     return tensor_from_bytes(tensor_to_bytes(t))
 
 
+def _det_lines(frame, dets):
+    return format_mot("det", frame, -1, corners([d.box for d in dets]), [d.score for d in dets])
+
+
 _GT_BOX = st.tuples(st.floats(-20, 140), st.floats(-20, 110),
                     st.floats(1, 60), st.floats(1, 60))
 
@@ -474,9 +477,11 @@ def test_table_decode_equals_dense_decode(frames):
     with tempfile.TemporaryDirectory() as d:
         d = Path(d)
         gt_path, maps, dets = d / "gt.txt", d / "maps", d / "dets"
-        gt_path.write_text("".join(
-            format_gt_line(f, tid, BBox(l, t, l + w, t + h)) + "\n"
-            for f, objs in enumerate(frames, start=1) for tid, (l, t, w, h) in objs))
+        rows = [(f, tid, (l, t, l + w, t + h))
+                for f, objs in enumerate(frames, start=1) for tid, (l, t, w, h) in objs]
+        gt_path.write_text("".join(line + "\n" for line in format_mot(
+            "gt", [f for f, _, _ in rows], [tid for _, tid, _ in rows],
+            [box for _, _, box in rows])))
         assert run(["encode", "--gt", str(gt_path), "--out", str(maps),
                     "--image-w", "128", "--image-h", "96"])[0] == 0
         assert run(["decode", "--maps", str(maps), "--out", str(dets)])[0] == 0
@@ -488,8 +493,8 @@ def test_table_decode_equals_dense_decode(frames):
         for frame in sorted(gt):
             objs = [GtObject(r.to_box(), ids.index(r.obj_id)) for r in gt[frame]]
             m = encode_targets(objs, grid, len(ids))
-            lines += [format_det_line(frame, det) for det in decode(
-                _f32(m.heatmap), _f32(m.offsets), _f32(m.sizes), None, grid)]
+            lines += _det_lines(frame, decode(
+                _f32(m.heatmap), _f32(m.offsets), _f32(m.sizes), None, grid))
         assert (dets / "det.txt").read_text() == "\n".join(lines) + "\n"
 
 
@@ -521,7 +526,7 @@ def test_decode_writes_library_embeddings_row_aligned(tmp_path):
     for frame in range(1, _EMB_SIM.frames + 1):
         dets = decode(*map(_f32, generate_maps(_EMB_SIM, frame)), grid)
         want += [d.embedding for d in dets]
-        lines += [format_det_line(frame, d) for d in dets]
+        lines += _det_lines(frame, dets)
     assert (dec / "det.txt").read_text() == "\n".join(lines) + "\n"
     got = read_tensor(dec / "emb.ften")
     assert got.shape == (len(lines), _EMB_SIM.emb_dim)
@@ -600,6 +605,38 @@ def test_decode_orders_frames_by_number_past_six_digits(tmp_path):
         (d,) = dets[frame]
         assert d.box.x1 == (5 + k + 0.25) * 4 - 4.0  # the frame's own peak
         np.testing.assert_array_equal(d.embedding, np.eye(1, 4, k)[0])
+
+
+def test_decode_refuses_maps_encoded_at_another_stride(sim_dir, tmp_path, capsys):
+    maps = tmp_path / "maps"
+    assert run(["encode", "--gt", str(sim_dir / "gt.txt"), "--out", str(maps),
+                "--stride", "8"])[0] == 0
+    capsys.readouterr()
+    assert run(["decode", "--maps", str(maps), "--out", str(tmp_path / "d4")])[0] == 2
+    assert capsys.readouterr().err == (
+        f"fairtrack: {maps / 'manifest.json'}: the maps were encoded at stride 8, "
+        "but decode runs at --stride 4\n")
+    assert not (tmp_path / "d4").exists()
+    assert run(["decode", "--maps", str(maps), "--out", str(tmp_path / "d8"),
+                "--stride", "8"])[0] == 0
+    gt, dets = (to_frames(parse_mot(path, kind)) for path, kind in (
+        (sim_dir / "gt.txt", "gt"), (tmp_path / "d8" / "det.txt", "det")))
+    assert sum(map(len, dets.values())) == sum(map(len, gt.values()))
+
+
+@pytest.mark.parametrize("manifest", ["{", "[]", '{"config": {}}'])
+def test_decode_refuses_a_manifest_without_a_stride(tmp_path, capsys, manifest):
+    maps = tmp_path / "maps"
+    maps.mkdir()
+    (maps / "000001.heat.ften").write_bytes(tensor_to_bytes(np.zeros((4, 4), np.float32)))
+    (maps / "centers.txt").write_text("\n")
+    (maps / "manifest.json").write_text(manifest)
+    assert run(["decode", "--maps", str(maps), "--out", str(tmp_path / "d")])[0] == 2
+    assert capsys.readouterr().err == (
+        f"fairtrack: {maps / 'manifest.json'}: not a manifest recording the stride "
+        "the maps were encoded at\n")
+    (maps / "manifest.json").unlink()  # maps without a manifest decode as they are
+    assert run(["decode", "--maps", str(maps), "--out", str(tmp_path / "d")])[0] == 0
 
 
 def test_encode_streams_one_frame_at_a_time(tmp_path):

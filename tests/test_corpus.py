@@ -32,7 +32,8 @@ import pytest
 
 from fairtrack import cli
 from fairtrack.metrics import evaluate_tracking
-from fairtrack.mot_io import format_mot_line
+from fairtrack.geometry import corners
+from fairtrack.mot_io import format_mot
 from fairtrack.sim import SimConfig, SimOutput, generate
 from fairtrack.tracker import TrackerConfig, track_sequence
 
@@ -65,9 +66,9 @@ def _sequence(seed: int, scenario: str) -> SimOutput:
 def _digests(seed: int, scenario: str, mode: str) -> tuple[str, str]:
     sim = _sequence(seed, scenario)
     result = track_sequence(sim.dets, TrackerConfig(**MODES[mode]))
-    lines = "\n".join(
-        format_mot_line(f, tid, b, 1.0)
-        for f in sorted(result) for tid, b in result[f])
+    rows = [(f, tid, b) for f in sorted(result) for tid, b in result[f]]
+    lines = "\n".join(format_mot("result", [f for f, _, _ in rows], [tid for _, tid, _ in rows],
+                                  corners([b for _, _, b in rows]), 1.0))
     report = evaluate_tracking(sim.gt, result)
     return (hashlib.sha256(lines.encode()).hexdigest()[:16],
             hashlib.sha256(json.dumps(dataclasses.asdict(report),
@@ -203,12 +204,13 @@ def test_cli_output_matches_pin(seed, tmp_path):
     assert _cli_digests(seed, tmp_path) == CLI_PINS[seed]
 
 
-def _map_digests(seed: int, root: Path) -> tuple[str, str]:
-    """Hashes of encode's output tree (names and bytes) and of decode's det.txt."""
+def _map_digests(seed: int, root: Path, stride: int = 4) -> tuple[str, str]:
+    """Hashes of encode's output tree (names and bytes) and of decode's det.txt,
+    both run at ``stride``."""
     seq, maps, dets = root / "seq", root / "maps", root / "dets"
     _sim(seed, seq)
-    _cli("encode", "--gt", seq / "gt.txt", "--out", maps)
-    _cli("decode", "--maps", maps, "--out", dets)
+    _cli("encode", "--gt", seq / "gt.txt", "--out", maps, "--stride", stride)
+    _cli("decode", "--maps", maps, "--out", dets, "--stride", stride)
     tree = hashlib.sha256()
     for path in sorted(maps.glob("*.ften")) + [maps / "centers.txt"]:
         tree.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -228,6 +230,26 @@ MAP_PINS = {
 @pytest.mark.parametrize("seed", CLI_SEEDS)
 def test_encode_maps_match_pin(seed, tmp_path):
     assert _map_digests(seed, tmp_path) == MAP_PINS[seed]
+
+
+# At stride 4 every object of these sequences gets the floor sigma 2/3; at
+# strides 1 and 2 each sequence stamps 6 to 8 distinct sigmas.  Pinned from
+# the encoder that built dense offset, size, mask and identity planes and
+# evaluated each object's Gaussian window afresh.
+STRIDE_PINS = {
+    (1, 1): ('ea2174f0e1ff7e62', '9119fc26e2bdf0cd'),
+    (1, 2): ('0fbc31dbd3482d16', '9119fc26e2bdf0cd'),
+    (2, 1): ('fdd34e8f837b6f7c', '16228673d265f9e5'),
+    (2, 2): ('ea58ea982546acc1', '6ab87ec7a23210ce'),
+    (3, 1): ('a496027920498241', '5714d6a27c5057c9'),
+    (3, 2): ('04dbc8b05a153712', 'eb282aad1556a660'),
+}
+
+
+@pytest.mark.parametrize("seed,stride", list(STRIDE_PINS),
+                         ids=[f"{seed}-stride{stride}" for seed, stride in STRIDE_PINS])
+def test_encode_maps_at_fine_strides_match_pin(seed, stride, tmp_path):
+    assert _map_digests(seed, tmp_path, stride) == STRIDE_PINS[seed, stride]
 
 
 def _reid_digest(seed: int, root: Path) -> str:
@@ -262,6 +284,9 @@ if __name__ == "__main__":
     for seed in CLI_SEEDS:
         with tempfile.TemporaryDirectory() as d:
             print(f"    {seed}: {_map_digests(seed, Path(d))!r},")
+    for seed, stride in STRIDE_PINS:
+        with tempfile.TemporaryDirectory() as d:
+            print(f"    ({seed}, {stride}): {_map_digests(seed, Path(d), stride)!r},")
     for seed in CLI_SEEDS:
         with tempfile.TemporaryDirectory() as d:
             print(f"    {seed}: {_reid_digest(seed, Path(d))!r},")

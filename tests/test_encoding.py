@@ -1,11 +1,14 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairtrack import encoding
 from fairtrack.encoding import (
     MIN_SIGMA,
     GtObject,
-    TargetMaps,
     encode_targets,
     gaussian_radius_sigma,
     quantize_center,
@@ -193,3 +196,145 @@ def test_encode_invariants(objs):
         assert 0.0 <= off[1, y, x] < 1.0
         assert maps.identity_index[y, x] >= 0
     assert (maps.identity_index[~maps.center_mask] == -1).all()
+
+
+# --- the center table against the dense encoder it replaced -----------------
+
+def _ref_stamp_gaussian(heatmap, cx, cy, sigma):
+    """The window stamp evaluated afresh on every call."""
+    h, w = heatmap.shape
+    r = math.ceil(math.sqrt(208.0) * sigma) + 1
+    y0, y1 = max(cy - r, 0), min(cy + r + 1, h)
+    x0, x1 = max(cx - r, 0), min(cx + r + 1, w)
+    if y0 >= y1 or x0 >= x1:  # window off the grid; a negative stop would wrap
+        return
+    ys = np.arange(y0, y1, dtype=np.float64)[:, None]
+    xs = np.arange(x0, x1, dtype=np.float64)[None, :]
+    g = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
+    window = heatmap[y0:y1, x0:x1]
+    np.maximum(window, g, out=window)
+
+
+def _ref_encode_targets(objects, grid, num_identities):
+    """The object-by-object encoder that filled five dense planes."""
+    fh, fw = grid.feat_h, grid.feat_w
+    heat = np.zeros((fh, fw), dtype=np.float64)
+    offsets = np.zeros((2, fh, fw), dtype=np.float64)
+    sizes = np.zeros((2, fh, fw), dtype=np.float64)
+    mask = np.zeros((fh, fw), dtype=bool)
+    identity = np.full((fh, fw), -1, dtype=np.int64)
+
+    rejected = 0
+    collisions = 0
+    by_cell = {}
+    for obj in objects:
+        if obj.identity >= num_identities:
+            raise ValueError(
+                f"identity {obj.identity} out of range for {num_identities} identities"
+            )
+        try:
+            qx, qy, off = quantize_center(obj.box, grid)
+        except ValueError:
+            rejected += 1
+            continue
+        prev = by_cell.get((qx, qy))
+        if prev is not None:
+            collisions += 1
+            if obj.box.area <= prev[0].box.area:
+                continue
+        by_cell[(qx, qy)] = (obj, off)
+
+    for (qx, qy), (obj, off) in by_cell.items():
+        sigma = gaussian_radius_sigma((obj.box.width, obj.box.height), grid)
+        _ref_stamp_gaussian(heat, qx, qy, sigma)
+        mask[qy, qx] = True
+        offsets[0, qy, qx] = off[0]
+        offsets[1, qy, qx] = off[1]
+        sizes[0, qy, qx] = obj.box.width
+        sizes[1, qy, qx] = obj.box.height
+        identity[qy, qx] = obj.identity
+
+    return SimpleNamespace(heatmap=heat, offsets=offsets, sizes=sizes, center_mask=mask,
+                           identity_index=identity, num_objects=len(by_cell),
+                           collisions=collisions, rejected=rejected)
+
+
+# (8, 16) and (16, 8) have equal areas; 0 x 8 and 8 x 0 have none, and raise,
+# each with its own message, if they win their cells
+_SIZES = st.one_of(st.sampled_from([(8.0, 16.0), (16.0, 8.0), (0.0, 8.0), (8.0, 0.0),
+                                    (2.0, 2.0)]),
+                   st.tuples(st.floats(0.5, 400), st.floats(0.5, 400)))
+
+
+@st.composite
+def _frame(draw):
+    stride = draw(st.sampled_from([1, 2, 4, 8]))
+    grid = GridSpec(draw(st.integers(stride, 160)), draw(st.integers(stride, 160)), stride)
+    objs = []
+    for i in range(draw(st.integers(0, 8))):
+        # a cell on the grid, at a border, or just off it, and a point in it:
+        # few cells, so objects often share one
+        cell = [draw(st.one_of(st.sampled_from([-1, 0, n - 1, n]), st.integers(0, n - 1)))
+                for n in (grid.feat_w, grid.feat_h)]
+        cx, cy = ((c + draw(st.sampled_from([0.0, 0.5, 0.999]))) * stride for c in cell)
+        w, h = draw(_SIZES)
+        objs.append(GtObject(BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), i))
+    return grid, objs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frame())
+def test_center_table_equals_the_dense_reference(case):
+    grid, objs = case
+    got = _outcome(encode_targets, objs, grid, len(objs))
+    want = _outcome(_ref_encode_targets, objs, grid, len(objs))
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("heatmap", "offsets", "sizes", "center_mask", "identity_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (got.num_objects, got.collisions, got.rejected) == \
+        (want.num_objects, want.collisions, want.rejected)
+    ys, xs = np.nonzero(want.center_mask)  # the table is in this order
+    assert got.cells.tolist() == np.stack([xs, ys], axis=1).tolist()
+
+
+def test_the_first_claimed_zero_size_winner_is_named():
+    # cell (0, 2) is claimed first, cell (2, 0) comes first in row-major order
+    objs = [GtObject(BBox(2, 6, 2, 10), 0), GtObject(BBox(4, 0, 12, 0), 1)]
+    assert _outcome(encode_targets, objs, GRID, 2) == \
+        _outcome(_ref_encode_targets, objs, GRID, 2) == \
+        "ValueError: object size must be positive, got 0x4"
+
+
+def test_encoder_refuses_an_identity_out_of_range_before_anything_else():
+    objs = [GtObject(BBox(-50, -50, -40, -40), 0), GtObject(BBox(0, 0, 8, 8), 7)]
+    with pytest.raises(ValueError, match="identity 7 out of range for 2 identities"):
+        encode_targets(objs, GRID, 2)
+
+
+def test_cached_kernel_refuses_writes():
+    stamp_gaussian(np.zeros((8, 8)), 4, 4, MIN_SIGMA)
+    kernel = encoding._kernel(MIN_SIGMA)
+    assert kernel is encoding._kernel(MIN_SIGMA)
+    assert kernel.shape == (23, 23) and kernel[11, 11] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        kernel[11, 11] = 0.0
+
+
+def test_wide_windows_are_evaluated_on_the_grid_only():
+    sigma = 10.0  # radius 146, beyond the cached windows
+    before = encoding._kernel.cache_info()
+    heat, want = np.zeros((40, 50)), np.zeros((40, 50))
+    stamp_gaussian(heat, 3, 37, sigma)
+    _ref_stamp_gaussian(want, 3, 37, sigma)
+    assert heat.tobytes() == want.tobytes()
+    assert encoding._kernel.cache_info() == before

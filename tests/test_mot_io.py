@@ -17,9 +17,7 @@ from fairtrack.mot_io import (
     MotFormatError,
     MotRecord,
     format_centers,
-    format_det_line,
-    format_gt_line,
-    format_mot_line,
+    format_mot,
     load_config,
     parse_centers,
     parse_mot,
@@ -252,53 +250,124 @@ def test_parse_rejects_unknown_kind(tmp_path):
 
 # --- serialization ---------------------------------------------------------
 
-def test_format_mot_line_two_decimals():
-    line = format_mot_line(3, 7, BBox(1.005, 2.0, 11.125, 22.0), 0.875)
-    assert line == "3,7,1.00,2.00,10.12,20.00,0.88,-1,-1,-1"
+def _ref_box_fields(frame, obj_id, box, score):
+    """The per-line writers' shared prefix, which the columnar writer replaced."""
+    if frame < 1 or not all(map(math.isfinite, (box.x1, box.y1, box.width, box.height,
+                                               box.x1 + box.width, box.y1 + box.height, score))):
+        raise ValueError(f"frame {frame}: a MOT line needs a frame >= 1, "
+                         "and a box and score that are finite")
+    return (f"{frame},{obj_id},{box.x1:.2f},{box.y1:.2f},"
+            f"{box.width:.2f},{box.height:.2f}")
 
 
-def test_format_det_line_keeps_full_score():
+def _ref_format_mot_line(frame, obj_id, box, score):
+    return f"{_ref_box_fields(frame, obj_id, box, score)},{score:.2f},-1,-1,-1"
+
+
+def _ref_format_det_line(frame, det):
+    return f"{_ref_box_fields(frame, -1, det.box, det.score)},{float(det.score)!r},-1,-1,-1"
+
+
+def _ref_format_gt_line(frame, obj_id, box):
+    return f"{_ref_box_fields(frame, obj_id, box, 1.0)},1,{PEDESTRIAN_CLASS},1.00"
+
+
+def test_result_lines_round_to_two_decimals():
+    assert format_mot("result", 3, 7, [[1.005, 2.0, 11.125, 22.0]], 0.875) == [
+        "3,7,1.00,2.00,10.12,20.00,0.88,-1,-1,-1"]
+
+
+def test_det_lines_keep_the_full_score():
     score = 0.699999988079071  # float32 0.7, which 2 or 6 decimals would round
-    line = format_det_line(4, Detection(BBox(1.25, 2.0, 11.5, 22.0), score))
+    line, = format_mot("det", 4, -1, [[1.25, 2.0, 11.5, 22.0]], score)
     assert line == "4,-1,1.25,2.00,10.25,20.00,0.699999988079071,-1,-1,-1"
     assert float(line.split(",")[6]) == score
 
 
-def test_format_gt_line_layout():
-    line = format_gt_line(1, 2, BBox(5.0, 6.0, 15.0, 26.0))
-    assert line == "1,2,5.00,6.00,10.00,20.00,1,1,1.00"
+def test_gt_line_layout():
+    assert format_mot("gt", 1, 2, [[5.0, 6.0, 15.0, 26.0]]) == [
+        "1,2,5.00,6.00,10.00,20.00,1,1,1.00"]
+
+
+def test_writer_takes_a_value_per_row_or_one_for_all():
+    boxes = [[0.0, 0.0, 1.0, 2.0], [1.0, 1.0, 3.0, 5.0]]
+    assert format_mot("result", [1, 2], [5, 6], boxes, [0.5, 0.25]) == [
+        "1,5,0.00,0.00,1.00,2.00,0.50,-1,-1,-1", "2,6,1.00,1.00,2.00,4.00,0.25,-1,-1,-1"]
+    assert format_mot("gt", 3, [5, 6], boxes) == [
+        "3,5,0.00,0.00,1.00,2.00,1,1,1.00", "3,6,1.00,1.00,2.00,4.00,1,1,1.00"]
+    assert format_mot("det", 1, -1, np.zeros((0, 4)), []) == []
+    with pytest.raises(ValueError, match="unknown kind 'results'"):
+        format_mot("results", 1, 1, boxes)
 
 
 @pytest.mark.parametrize("frame, box, score", [
-    (1, BBox(0.0, 0.0, math.nan, 10.0), 0.5),
-    (1, BBox(0.0, math.inf, 10.0, math.inf), 0.5),
-    (1, BBox(-1e308, 0.0, 1e308, 10.0), 0.5),  # the width overflows
-    (1, BBox(0.0, 0.0, 10.0, 10.0), math.nan),
-    (0, BBox(0.0, 0.0, 10.0, 10.0), 0.5),
+    (1, (0.0, 0.0, math.nan, 10.0), 0.5),
+    (1, (0.0, math.inf, 10.0, math.inf), 0.5),
+    (1, (-1e308, 0.0, 1e308, 10.0), 0.5),  # the width overflows
+    (1, (0.0, 0.0, 10.0, 10.0), math.nan),
+    (0, (0.0, 0.0, 10.0, 10.0), 0.5),
 ], ids=["nan-x2", "inf-y", "huge-width", "nan-score", "frame-0"])
 def test_writers_refuse_what_the_reader_rejects(frame, box, score):
-    message = "a MOT line needs a frame >= 1, and a box and score that are finite"
-    with pytest.raises(ValueError, match=message):
-        format_mot_line(frame, 1, box, score)
-    if math.isfinite(score):  # Detection refuses a NaN score itself; gt lines carry none
-        with pytest.raises(ValueError, match=message):
-            format_det_line(frame, Detection(box, score))
-        with pytest.raises(ValueError, match=message):
-            format_gt_line(frame, 1, box)
+    message = f"frame {frame}: a MOT line needs a frame >= 1, and a box and score that are finite"
+    kinds = ("result", "det") if math.isfinite(score) else ("result",)  # gt lines carry none
+    for kind in kinds + ("gt",) * math.isfinite(score):
+        with pytest.raises(ValueError) as exc:
+            format_mot(kind, [2, frame], 1, [[0.0, 0.0, 1.0, 1.0], box], [0.5, score])
+        assert str(exc.value) == message
+
+
+# values that round at .xx5, signed zeros, huge finite values and non-finite ones
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 0.005, 0.015, 0.125, 1.005, 2.675, -0.005,
+                                    -2.675, 1e300, -1e300, 1.7e308, -1.7e308, 5e-324]),
+                   st.floats(-1e4, 1e4), st.floats(allow_nan=True, allow_infinity=True))
+_SCORE = st.one_of(st.sampled_from([0.0, -0.0, 0.005, 0.125, 0.875, 0.699999988079071, 1.0]),
+                   st.floats(0.0, 1.0))
+_ROWS = st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 2**31 - 1),
+                           st.tuples(_COORD, _COORD, _COORD, _COORD), _SCORE), max_size=8)
+
+
+def _ordered(x1, y1, x2, y2):
+    """Corners a BBox accepts: each pair in order, a pair with a NaN as drawn."""
+    (x1, x2), (y1, y2) = (sorted(p) if not any(map(math.isnan, p)) else p
+                          for p in ((x1, x2), (y1, y2)))
+    return x1, y1, x2, y2
+
+
+def _lines_or_error(fn):
+    try:
+        return fn()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS, st.sampled_from(["result", "det", "gt"]))
+def test_columnar_writer_equals_the_per_line_reference(rows, kind):
+    rows = [(f, i, _ordered(*c), s) for f, i, c, s in rows]
+    boxes = [BBox(*c) for _, _, c, _ in rows]
+    ref = {"result": lambda f, i, b, s: _ref_format_mot_line(f, i, b, s),
+           "det": lambda f, i, b, s: _ref_format_det_line(f, Detection(b, s)),
+           "gt": lambda f, i, b, s: _ref_format_gt_line(f, i, b)}[kind]
+    want = _lines_or_error(lambda: [ref(f, i, b, s) for (f, i, _, s), b in zip(rows, boxes)])
+    ids = -1 if kind == "det" else [i for _, i, _, _ in rows]
+    got = _lines_or_error(lambda: format_mot(
+        kind, [f for f, _, _, _ in rows], ids,
+        np.array([c for _, _, c, _ in rows]).reshape(-1, 4), [s for _, _, _, s in rows]))
+    assert got == want
 
 
 def test_round_trip_through_text(tmp_path):
-    frames = {1: [(4, BBox(10.25, 20.5, 41.0, 60.5), 0.95)],
-              2: [(4, BBox(11.25, 21.5, 42.0, 61.5), 0.9)]}
+    rows = [(1, 4, (10.25, 20.5, 41.0, 60.5), 0.95), (2, 4, (11.25, 21.5, 42.0, 61.5), 0.9)]
     p = tmp_path / "out.txt"
-    p.write_text("".join(format_mot_line(f, *row) + "\n"
-                         for f in sorted(frames) for row in frames[f]))
+    p.write_text("".join(line + "\n" for line in format_mot(
+        "result", [f for f, _, _, _ in rows], [i for _, i, _, _ in rows],
+        [c for _, _, c, _ in rows], [s for _, _, _, s in rows])))
     back = parse_mot(p)
-    for f in frames:
-        for (tid, box, score), r in zip(frames[f], back[f]):
-            assert r.obj_id == tid
-            assert r.to_box() == box  # .25 and .5 survive %.2f exactly
-            assert r.conf == pytest.approx(score, abs=1e-9)
+    for frame, tid, box, score in rows:
+        r, = back[frame]
+        assert r.obj_id == tid
+        assert r.to_box() == BBox(*box)  # .25 and .5 survive %.2f exactly
+        assert r.conf == pytest.approx(score, abs=1e-9)
 
 
 def test_to_frames_produces_metric_input():

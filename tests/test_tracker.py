@@ -452,7 +452,10 @@ def _step(tracker, frame, dets):
 def test_array_pool_equals_per_track_reference(seed, cfg):
     ref, new = _RefTracker(cfg), OnlineTracker(cfg)
     for f, dets in enumerate(_sequence(seed, cfg), start=1):
-        assert _step(new, f, dets) == _step(ref, f, dets)
+        out = _step(new, f, dets)
+        assert out == _step(ref, f, dets)
+        if isinstance(out, str):  # refused: the reference moved its states, the pool did not
+            break
         got, want = new.tracks, ref.tracks
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -469,6 +472,40 @@ def test_array_pool_equals_per_track_reference(seed, cfg):
         if cfg.use_kalman:
             assert new._mean.tobytes() == ref._mean.tobytes()
             assert new._cov.tobytes() == ref._cov.tobytes()
+
+
+def _state(tracker):
+    return ([(a.shape, a.tobytes()) for a in map(tracker.__getattribute__, tracker._arrays)],
+            tracker._last_frame, tracker._next_id)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cfg=_configs())
+def test_a_refused_frame_leaves_the_tracker_as_it_was(seed, cfg):
+    """A tracker that retries each refused frame without its zero-height boxes
+    equals one that was only ever given the frames it accepted."""
+    retried, clean = OnlineTracker(cfg), OnlineTracker(cfg)
+    for f, dets in enumerate(_sequence(seed, cfg), start=1):
+        before = _state(retried)
+        accepted = dets
+        try:
+            out = retried.step(f, dets)
+        except ValueError:
+            assert _state(retried) == before
+            accepted = [d for d in dets if d.box.height > 0]
+            out = retried.step(f, accepted)
+        assert out == clean.step(f, accepted)
+        assert _state(retried) == _state(clean)
+
+
+def test_a_refused_box_moves_neither_the_states_nor_the_frame():
+    tracker = OnlineTracker(TrackerConfig(use_reid=False))
+    tracker.step(1, [_det(BBox(0, 0, 10, 20))])
+    before = _state(tracker)
+    with pytest.raises(ValueError, match="box height must be positive, got 0.0"):
+        tracker.step(2, [_det(BBox(0, 0, 10, 0))])
+    assert _state(tracker) == before and tracker._last_frame == 1
+    assert tracker.step(2, [_det(BBox(1, 0, 11, 20))]) == [(1, BBox(1, 0, 11, 20))]
 
 
 def _track(frames, cfg):
