@@ -417,7 +417,7 @@ def cmd_eval(args) -> int:
         report["idf1"] = idf1(gt, pred, args.iou)
     if "ap" in wanted:
         gt_boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
-        preds = {f: [(r.conf, r.to_box()) for r in recs]
+        preds = {f: [(r.conf, box) for r, (_, box) in zip(recs, pred[f])]
                  for f, recs in pred_recs.items()}
         report["ap"] = detection_ap(gt_boxes, preds, args.iou)
 
