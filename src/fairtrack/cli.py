@@ -16,6 +16,14 @@ and `decode` write detections to ``det.txt`` and their embeddings, if
 any, to ``emb.ften`` beside it: row k of that ``(N, D)`` array belongs to
 the k-th detection in frame order, which is ``det.txt``'s file order.
 
+`encode`, `track`, `eval` and `reid-eval` read each MOT file once into a
+``mot_io.MotTable`` and hand its per-frame slices on as they are: `encode`
+passes corner rows and dense identity indices to ``encode_targets``,
+`track` passes ``DetectionColumns`` (corners, scores clipped to [0, 1],
+unit embeddings) to ``OnlineTracker.step`` and writes each output from
+the table row it matched, and `eval` passes the two tables to the
+metrics.
+
 Exit codes: 0 success, 1 validation failure (bad flags or values),
 2 I/O or file-format failure.
 """
@@ -35,15 +43,15 @@ import numpy as np
 
 from . import __version__
 from .decoding import Detection, Sampling, decode
-from .encoding import GtObject, encode_targets
+from .encoding import encode_targets
 from .geometry import GridSpec, best_match, corners, iou_matrix
 from .losses import gradcheck_run
 from .metrics import clear_mot, detection_ap, idf1, tpr_at_far
-from .mot_io import CenterRows, MotFormatError, _lines, format_centers, format_mot, load_config, \
-    parse_centers, parse_mot, to_frames
+from .mot_io import CenterRows, MotFormatError, MotTable, _lines, format_centers, format_mot, \
+    load_config, parse_centers, read_mot
 from .sim import SimConfig, generate
 from .tensors import FtenFormatError, read_tensor, tensor_to_bytes
-from .tracker import OnlineTracker, TrackerConfig
+from .tracker import DetectionColumns, OnlineTracker, TrackerConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,7 +193,7 @@ def cmd_sim(args) -> int:
 def cmd_encode(args) -> int:
     started = time.monotonic()
     gt_path = Path(args.gt)
-    gt = parse_mot(gt_path, kind="gt")
+    gt = read_mot(gt_path, kind="gt")
 
     size = _read_seqinfo(gt_path.parent)
     width = size.get("imWidth") if args.image_w is None else args.image_w
@@ -195,17 +203,15 @@ def cmd_encode(args) -> int:
                          "or keep a seqinfo.ini next to the ground truth")
     grid = GridSpec(width, height, args.stride)
 
-    ids = sorted({r.obj_id for recs in gt.values() for r in recs})
-    index = {tid: i for i, tid in enumerate(ids)}
+    ids, identities = np.unique(gt.ids, return_inverse=True)  # dense, in id order
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     written = []
     center_lines = []
-    for frame in sorted(gt):
-        objs = [GtObject(r.to_box(), index[r.obj_id]) for r in gt[frame]]
-        maps = encode_targets(objs, grid, len(ids))
+    for frame, rows in gt.by_frame():
+        maps = encode_targets((gt.boxes[rows], identities[rows]), grid, len(ids))
         path = out / f"{frame:06d}.heat.ften"
         _atomic_write_bytes(path, tensor_to_bytes(maps.heatmap))
         written.append(path)
@@ -339,50 +345,53 @@ def cmd_decode(args) -> int:
 
 # ---------------------------------------------------------------- track
 
-def _load_detections(src: Path, need_emb: bool) -> dict[int, list[Detection]]:
+def _read_detections(src: Path, need_emb: bool) -> tuple[MotTable, np.ndarray | None]:
     """Read ``det.txt`` and, where present, ``emb.ften`` from a directory.
 
-    Row k of ``emb.ften`` is the k-th detection's embedding, in frame order."""
-    per_frame = {frame: [(min(max(r.conf, 0.0), 1.0), r.to_box()) for r in recs]
-                 for frame, recs in sorted(parse_mot(src / "det.txt", kind="det").items())}
-    n = sum(map(len, per_frame.values()))
+    Row k of ``emb.ften`` is the k-th detection's embedding, in frame
+    order, which is the table's row order; the rows are returned as
+    float64 unit vectors.  A row of norm zero or not finite raises
+    MotFormatError.
+    """
+    dets = read_mot(src / "det.txt", kind="det")
+    n = len(dets.ids)
     path = src / "emb.ften"
-    emb = [None] * n
-    if path.is_file():
-        m = read_tensor(path)
-        if m.ndim != 2 or len(m) != n:
-            raise MotFormatError(f"{path}: expected {n} embedding rows, one per "
-                                 f"detection, got shape {m.shape}")
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
-        if bad.size:
-            raise MotFormatError(f"{path}: embedding row {bad[0]} has norm "
-                                 f"{norms[bad[0], 0]}, not a positive finite number")
-        emb = m / norms
-    elif need_emb and n:
-        raise ValueError(
-            f"re-ID stage enabled but {path} is missing "
-            "(pass --no-reid to track on boxes alone)")
-    rows = iter(emb)
-    return {frame: [Detection(box=b, score=s, embedding=next(rows)) for s, b in dets]
-            for frame, dets in per_frame.items()}
+    if not path.is_file():
+        if need_emb and n:
+            raise ValueError(
+                f"re-ID stage enabled but {path} is missing "
+                "(pass --no-reid to track on boxes alone)")
+        return dets, None
+    m = read_tensor(path)
+    if m.ndim != 2 or len(m) != n:
+        raise MotFormatError(f"{path}: expected {n} embedding rows, one per "
+                             f"detection, got shape {m.shape}")
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+    if bad.size:
+        raise MotFormatError(f"{path}: embedding row {bad[0]} has norm "
+                             f"{norms[bad[0], 0]}, not a positive finite number")
+    # float32 values read as float64 square to normal numbers, so each row
+    # divides to a unit vector within float64 rounding
+    return dets, m / norms
 
 
 def cmd_track(args) -> int:
     started = time.monotonic()
     tracker_cfg, _ = _resolve_configs(args)
     src = Path(args.inp)
-    dets = _load_detections(src, need_emb=tracker_cfg.use_reid)
+    dets, emb = _read_detections(src, need_emb=tracker_cfg.use_reid)
+    scores = np.clip(dets.conf, 0.0, 1.0)
 
     tracker = OnlineTracker(tracker_cfg)
-    frames, ids, boxes, scores = [], [], [], []
-    for frame in sorted(dets):
-        outputs = tracker.step(frame, dets[frame])
+    frames, ids, rows = [], [], []  # rows: the detection each output track matched
+    for frame, r in dets.by_frame():
+        outputs = tracker.step(frame, DetectionColumns(
+            dets.boxes[r], scores[r], None if emb is None else emb[r]))
         frames += [frame] * len(outputs)
         ids += [tid for tid, _ in outputs]
-        boxes += [box for _, box in outputs]
-        scores += tracker.active_scores()
-    lines = format_mot("result", frames, ids, corners(boxes), scores)
+        rows += [r.start + j for _, j in outputs]
+    lines = format_mot("result", frames, ids, dets.boxes[rows], scores[rows])
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -404,9 +413,8 @@ def cmd_eval(args) -> int:
     if not wanted:
         raise ValueError(f"no metric named; choose from {', '.join(known)}")
 
-    gt = to_frames(parse_mot(args.gt, kind="gt"))
-    pred_recs = parse_mot(args.pred, kind="result")
-    pred = to_frames(pred_recs)
+    gt = read_mot(args.gt, kind="gt")
+    pred = read_mot(args.pred, kind="result")
 
     report: dict[str, float | int] = {}
     if "clear" in wanted:
@@ -416,10 +424,7 @@ def cmd_eval(args) -> int:
     if "idf1" in wanted:
         report["idf1"] = idf1(gt, pred, args.iou)
     if "ap" in wanted:
-        gt_boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
-        preds = {f: [(r.conf, box) for r, (_, box) in zip(recs, pred[f])]
-                 for f, recs in pred_recs.items()}
-        report["ap"] = detection_ap(gt_boxes, preds, args.iou)
+        report["ap"] = detection_ap(gt, pred, args.iou)
 
     if args.json:
         text = json.dumps(report) + "\n"
@@ -455,37 +460,36 @@ def cmd_gradcheck(args) -> int:
 
 # ---------------------------------------------------------------- reid-eval
 
-def _reid_scores(dets: dict[int, list[Detection]], gt, iou: float
+def _reid_scores(dets: MotTable, emb: np.ndarray, gt: MotTable, iou: float
                  ) -> tuple[list[float], list[float]]:
     """Genuine and impostor cosine scores of GT-labelled detections.
 
-    Each detection takes the GT identity it overlaps best.  Impostor
-    pairs are different identities within one frame, genuine pairs one
-    identity across frames; both are read off the upper triangle of a
-    Gram matrix, per frame and per identity, in row-major pair order.
+    ``emb`` holds one embedding per row of ``dets``.  Each detection takes
+    the GT identity it overlaps best.  Impostor pairs are different
+    identities within one frame, genuine pairs one identity across frames;
+    both are read off the upper triangle of a Gram matrix, per frame and
+    per identity, in row-major pair order.
     """
     impostor: list[np.ndarray] = []
-    by_id: dict[int, list[np.ndarray]] = {}
-    for frame in sorted(dets):
-        g = gt.get(frame, [])
-        ious = iou_matrix(corners([d.box for d in dets[frame]]),
-                          corners([box for _, box in g]))
-        labeled = [(g[k][0], d.embedding)
-                   for d, k in zip(dets[frame], best_match(ious, iou)) if k >= 0]
-        if not labeled:
+    by_id: dict[int, list[int]] = {}  # the detection rows of each GT id, in frame order
+    gt_rows = dict(gt.by_frame())
+    for frame, rows in dets.by_frame():
+        g = gt_rows.get(frame, slice(0, 0))
+        k = best_match(iou_matrix(dets.boxes[rows], gt.boxes[g]), iou)
+        hit = np.flatnonzero(k >= 0)
+        if not hit.size:
             continue
-        ids = np.array([gid for gid, _ in labeled])
-        emb = np.stack([e for _, e in labeled])
+        ids, e = gt.ids[g][k[hit]], emb[rows][hit]
         i, j = np.triu_indices(len(ids), 1)
         keep = ids[i] != ids[j]
-        impostor.append((emb @ emb.T)[i[keep], j[keep]])
-        for gid, e in labeled:
-            by_id.setdefault(gid, []).append(e)
+        impostor.append((e @ e.T)[i[keep], j[keep]])
+        for gid, row in zip(ids.tolist(), (rows.start + hit).tolist()):
+            by_id.setdefault(gid, []).append(row)
     genuine = []
-    for _, embs in sorted(by_id.items()):
-        emb = np.stack(embs)
-        i, j = np.triu_indices(len(embs), 1)
-        genuine.append((emb @ emb.T)[i, j])
+    for _, group in sorted(by_id.items()):
+        e = emb[group]
+        i, j = np.triu_indices(len(group), 1)
+        genuine.append((e @ e.T)[i, j])
     return (np.concatenate(genuine or [np.empty(0)]).tolist(),
             np.concatenate(impostor or [np.empty(0)]).tolist())
 
@@ -494,9 +498,9 @@ def cmd_reid_eval(args) -> int:
     if not 0.0 < args.iou <= 1.0:
         raise ValueError(f"--iou must be in (0, 1], got {args.iou}")
     src = Path(args.inp)
-    gt = to_frames(parse_mot(src / "gt.txt", kind="gt"))
-    dets = _load_detections(src, need_emb=True)
-    genuine, impostor = _reid_scores(dets, gt, args.iou)
+    gt = read_mot(src / "gt.txt", kind="gt")
+    dets, emb = _read_detections(src, need_emb=True)
+    genuine, impostor = _reid_scores(dets, emb, gt, args.iou)
 
     tpr = tpr_at_far(genuine, impostor, args.far)
     if args.json:

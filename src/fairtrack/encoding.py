@@ -155,7 +155,7 @@ def gaussian_radius_sigma(size: tuple[float, float], grid: GridSpec,
     """
     w, h = size
     if w <= 0 or h <= 0:
-        raise ValueError(f"object size must be positive, got {w}x{h}")
+        raise ValueError(f"object size must be positive, got {w:g}x{h:g}")
     r = _min_overlap_radius(w / grid.stride, h / grid.stride, min_overlap)
     return max(max(r, 0.0) / 3.0, min_sigma)
 
@@ -213,19 +213,25 @@ def stamp_gaussian(heatmap: np.ndarray, cx: int, cy: int, sigma: float) -> None:
     np.maximum(window, g, out=window)
 
 
-def encode_targets(objects: list[GtObject], grid: GridSpec, num_identities: int) -> TargetMaps:
+def encode_targets(objects: list[GtObject] | tuple[np.ndarray, np.ndarray], grid: GridSpec,
+                   num_identities: int) -> TargetMaps:
     """Build the supervision bundle for one frame.
 
-    Objects whose quantized center falls outside the grid (or is not a
-    number) are dropped and counted in ``rejected``.  When several objects
-    claim one cell the largest-area one is kept, the earliest of equals,
-    and the others are counted in ``collisions``.  Centers are quantized
-    as ``quantize_center`` does, on whole columns.
+    ``objects`` is a list of ``GtObject``, or the same objects as a pair
+    of columns: (N, 4) box corners (x1, y1, x2, y2) and (N,) identity
+    indices.  Objects whose quantized center falls outside the grid (or
+    is not a number) are dropped and counted in ``rejected``.  When
+    several objects claim one cell the largest-area one is kept, the
+    earliest of equals, and the others are counted in ``collisions``.
+    Centers are quantized as ``quantize_center`` does, on whole columns.
     """
-    n = len(objects)
-    boxes = corners([obj.box for obj in objects])
-    identity = np.fromiter((obj.identity for obj in objects), np.int64, n)
-    over = np.flatnonzero(identity >= num_identities)
+    if isinstance(objects, tuple):
+        boxes, identity = objects
+    else:
+        boxes = corners([obj.box for obj in objects])
+        identity = np.fromiter((obj.identity for obj in objects), np.int64, len(objects))
+    n = len(boxes)
+    over = np.flatnonzero((identity < 0) | (identity >= num_identities))
     if over.size:
         raise ValueError(f"identity {identity[over[0]]} out of range for "
                          f"{num_identities} identities")
@@ -247,9 +253,9 @@ def encode_targets(objects: list[GtObject], grid: GridSpec, num_identities: int)
     # stamped in the order the cells were first claimed, so a zero-size
     # winner raises where an object-by-object encoder would
     claimed = np.argsort(np.minimum.reduceat(k[order], starts))
-    for (x, y), i in zip(cells[claimed].tolist(), win[claimed].tolist()):
-        box = objects[i].box
-        stamp_gaussian(heat, x, y, gaussian_radius_sigma((box.width, box.height), grid))
+    for (x, y), size in zip(cells[claimed].tolist(),
+                            np.stack([w, h], axis=1)[win[claimed]].tolist()):
+        stamp_gaussian(heat, x, y, gaussian_radius_sigma(size, grid))
 
     return TargetMaps(
         heatmap=heat,

@@ -1,17 +1,19 @@
 """Tracking and verification metrics.
 
-Frame data is exchanged as ``{frame: [(id, BBox), ...]}`` for tracking
-metrics, ``{frame: [BBox, ...]}`` and ``{frame: [(score, BBox), ...]}``
-for detection AP.  Correspondence uses IoU >= 0.5 unless stated; the
-threshold must lie in (0, 1].
+Each side of a call is a ``mot_io.MotTable`` (the tracking metrics read
+its ids, detection AP the predictions' conf as scores), or a dict of
+frames: ``{frame: [(id, BBox), ...]}`` for tracking metrics,
+``{frame: [BBox, ...]}`` and ``{frame: [(score, BBox), ...]}`` for
+detection AP, which becomes the same columns on entry.  Correspondence
+uses IoU >= 0.5 unless stated; the threshold must lie in (0, 1].
 
-Every call makes one overlap pass.  Each side is flattened once into
-frame-ordered columns: per-frame row offsets, ids and an ``(N, 4)``
-corner array.  Same-frame pairs are tested for overlapping x and y
-extents in chunks of consecutive frames, one broadcast over a chunk's
-padded frames x rows x columns cells, and IoU is computed for the pairs
-that pass by the elementwise kernel behind ``iou_matrix``, so each value
-is bit-equal to the dense entry.  The metrics read the resulting
+Every call makes one overlap pass.  Both sides' frame-ordered columns
+(row offsets per frame, ids and an ``(N, 4)`` corner array) are aligned
+on the union of their frames.  Same-frame pairs are tested for
+overlapping x and y extents in chunks of consecutive frames, one
+broadcast over a chunk's padded frames x rows x columns cells, and IoU
+is computed for the pairs that pass by the elementwise kernel behind
+``iou_matrix``, so each value is bit-equal to the dense entry.  The metrics read the resulting
 (row, column, IoU) triples with IoU > 0; a pair left out has IoU 0,
 which no threshold in (0, 1] admits.
 """
@@ -26,8 +28,10 @@ import numpy as np
 
 from .assignment import hungarian
 from .geometry import BBox, _iou_kernel, corners
+from .mot_io import MotTable
 
 Frames = dict[int, list[tuple[int, BBox]]]
+Side = Frames | MotTable  # a tracking metric's input: (id, box) pairs per frame, or a table
 
 # Most padded (frames x rows x columns) cells that one chunk of the overlap
 # pass tests at once; a frame larger than this is a chunk of its own.
@@ -57,12 +61,38 @@ def _check_thresh(iou_thresh: float) -> None:
         raise ValueError(f"IoU threshold must be in (0, 1], got {iou_thresh}")
 
 
-def _flatten(side: dict, frames: list[int]) -> tuple[np.ndarray, list]:
-    """Row offsets per frame of ``frames``, and the side's entries in frame order."""
-    per_frame = [side.get(f, ()) for f in frames]
+def _table(side: dict | MotTable, kind: str) -> MotTable:
+    """A metric input as a table: a ``MotTable`` as it is, or a dict of
+    frames, whose entries are (id, box) pairs (``kind`` "ids"), (score,
+    box) pairs ("scores") or boxes ("boxes")."""
+    if not isinstance(side, dict):
+        return side
+    frames = sorted(side)
     start = np.zeros(len(frames) + 1, dtype=np.int64)
-    np.cumsum([len(rows) for rows in per_frame], out=start[1:])
-    return start, list(chain.from_iterable(per_frame))
+    np.cumsum([len(side[f]) for f in frames], out=start[1:])
+    rows = list(chain.from_iterable(side[f] for f in frames))
+    unread = np.broadcast_to(0.0, len(rows))  # a column the metric does not read, not stored
+    if kind == "boxes":
+        values, boxes = unread, rows
+    else:
+        values, boxes = np.array([v for v, _ in rows]), [box for _, box in rows]
+    return MotTable(np.array(frames, dtype=np.int64), start, values if kind == "ids" else unread,
+                    corners(boxes), values if kind == "scores" else unread)
+
+
+def _aligned(a: MotTable, b: MotTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted union of two tables' frames, and each table's row offsets over it."""
+    # not np.union1d: its plain np.unique imports numpy.ma (about 1 MB) on first use
+    frames = np.sort(np.concatenate([a.frames, b.frames]))
+    first = np.ones(len(frames), dtype=bool)
+    first[1:] = frames[1:] != frames[:-1]
+    frames = frames[first]
+    starts = []
+    for side in (a, b):
+        counts = np.zeros(len(frames), dtype=np.int64)
+        counts[np.searchsorted(frames, side.frames)] = np.diff(side.start)
+        starts.append(np.concatenate([[0], np.cumsum(counts)]))
+    return frames, *starts
 
 
 def _padded(start: np.ndarray, box: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,21 +180,21 @@ def _first_repeat(start: np.ndarray, code: np.ndarray) -> tuple[int, int] | None
     return int(frame[row]), row
 
 
-def _tracking_pass(gt: Frames, pred: Frames) -> _Pass:
-    """Flatten both sides, refuse a repeated id within a frame, find the overlaps."""
-    frames = sorted(set(gt) | set(pred))
+def _tracking_pass(gt: Side, pred: Side) -> _Pass:
+    """Align both sides on their frames, refuse a repeated id within a
+    frame, find the overlaps."""
+    gt, pred = _table(gt, "ids"), _table(pred, "ids")
+    frames, g_start, p_start = _aligned(gt, pred)
     sides, offences = [], []
-    for rank, (kind, side) in enumerate((("gt", gt), ("pred", pred))):
-        start, rows = _flatten(side, frames)
-        ids = [oid for oid, _ in rows]
-        boxes = [box for _, box in rows]
-        unique, code = np.unique(np.array(ids), return_inverse=True)
+    for rank, (kind, side, start) in enumerate((("gt", gt, g_start), ("pred", pred, p_start))):
+        unique, code = np.unique(side.ids, return_inverse=True)
         code = code.reshape(-1)
         repeat = _first_repeat(start, code)
         if repeat is not None:  # frames in order, gt before pred within one
             f, row = repeat
-            offences.append((f, rank, f"duplicate {kind} id {ids[row]} in frame {frames[f]}"))
-        sides.append((start, code, len(unique), corners(boxes)))
+            offences.append((f, rank, f"duplicate {kind} id {side.ids[row]} "
+                                      f"in frame {frames[f]}"))
+        sides.append((start, code, len(unique), side.boxes))
     if offences:
         raise ValueError(min(offences)[2])
     (g_start, g_id, n_gid, g_box), (p_start, p_id, n_pid, p_box) = sides
@@ -262,7 +292,7 @@ def _idf1(ov: _Pass, iou_thresh: float) -> float:
     return 2.0 * idtp / (total_gt + total_pred)
 
 
-def clear_mot(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> MetricsReport:
+def clear_mot(gt: Side, pred: Side, iou_thresh: float = 0.5) -> MetricsReport:
     """MOTA and its event counts, with MT/ML trajectory coverage.
 
     Correspondences persist frame to frame while their IoU stays at or
@@ -275,7 +305,7 @@ def clear_mot(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> MetricsRepor
     return _clear_mot(_tracking_pass(gt, pred), iou_thresh)
 
 
-def idf1(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> float:
+def idf1(gt: Side, pred: Side, iou_thresh: float = 0.5) -> float:
     """Identity F1: global trajectory-to-trajectory matching.
 
     Each (gt trajectory, pred trajectory) pair scores the number of
@@ -286,28 +316,26 @@ def idf1(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> float:
     return _idf1(_tracking_pass(gt, pred), iou_thresh)
 
 
-def detection_ap(gt_boxes: dict[int, list[BBox]],
-                 preds: dict[int, list[tuple[float, BBox]]],
+def detection_ap(gt_boxes: dict[int, list[BBox]] | MotTable,
+                 preds: dict[int, list[tuple[float, BBox]]] | MotTable,
                  iou_thresh: float = 0.5) -> float:
     """All-point interpolated average precision at one IoU threshold.
 
-    Predictions are ranked globally by score; each claims at most one
-    unclaimed ground-truth box (best IoU above threshold) in its frame.
+    Predictions are ranked globally by score (a table's ``conf``); each
+    claims at most one unclaimed ground-truth box (best IoU above
+    threshold) in its frame.
     """
     _check_thresh(iou_thresh)
-    frames = sorted(set(preds) | set(gt_boxes))
-    p_start, p_rows = _flatten(preds, frames)
-    g_start, g_rows = _flatten(gt_boxes, frames)
-    if not p_rows or not g_rows:
+    gt, pred = _table(gt_boxes, "boxes"), _table(preds, "scores")
+    if not len(pred.conf) or not len(gt.boxes):
         return 0.0
-    scores = [score for score, _ in p_rows]
-    boxes = [box for _, box in p_rows]
+    _, p_start, g_start = _aligned(pred, gt)
     # by score, ties in frame and row order
-    ranked = sorted(range(len(scores)), key=lambda r: (-scores[r], r))
+    ranked = np.argsort(-pred.conf, kind="stable").tolist()
 
-    p, g, iou = _overlaps(p_start, corners(boxes), g_start, corners(g_rows))
+    p, g, iou = _overlaps(p_start, pred.boxes, g_start, gt.boxes)
     hit = iou >= iou_thresh
-    at = np.searchsorted(p[hit], np.arange(len(scores) + 1)).tolist()  # per prediction
+    at = np.searchsorted(p[hit], np.arange(len(ranked) + 1)).tolist()  # per prediction
     g, iou = g[hit].tolist(), iou[hit].tolist()
     claimed: set[int] = set()
     tp = np.zeros(len(ranked))
@@ -321,7 +349,7 @@ def detection_ap(gt_boxes: dict[int, list[BBox]],
             tp[k] = 1.0
 
     tp_cum = np.cumsum(tp)
-    recall = tp_cum / len(g_rows)
+    recall = tp_cum / len(gt.boxes)
     precision = tp_cum / np.arange(1, len(ranked) + 1)
     # precision envelope, then area under the stepwise curve
     env = np.maximum.accumulate(precision[::-1])[::-1]
@@ -352,7 +380,7 @@ def tpr_at_far(genuine: list[float], impostor: list[float], far: float = 0.1) ->
     return sum(1 for s in genuine if s > cutoff) / len(genuine)
 
 
-def evaluate_tracking(gt: Frames, pred: Frames, iou_thresh: float = 0.5) -> MetricsReport:
+def evaluate_tracking(gt: Side, pred: Side, iou_thresh: float = 0.5) -> MetricsReport:
     """CLEAR counts plus IDF1 in one report, from one overlap pass."""
     _check_thresh(iou_thresh)
     ov = _tracking_pass(gt, pred)

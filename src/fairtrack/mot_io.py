@@ -22,7 +22,11 @@ written at float64 precision, so they read back exactly.
 
 MOT files and the object table are read as columns; the first bad line
 raises MotFormatError.  Lines break at ``\n``, ``\r`` and ``\r\n`` only, so a
-line number is the one a text editor shows.
+line number is the one a text editor shows.  ``read_mot`` returns a MOT
+file as one ``MotTable``: sorted frames with per-frame row offsets, ids,
+``(N, 4)`` corners and conf, the form the encoder, the tracker and the
+metrics take.  ``parse_mot`` returns the same checked lines as
+``{frame: [MotRecord]}``.
 """
 
 from __future__ import annotations
@@ -117,12 +121,13 @@ class _Table:
 
     def field(self, j: int, int_name: str = "") -> None:
         """Check that field ``j`` is a number and, given ``int_name``, an integer within int32."""
-        self.checks.append((self.failed[:, j], lambda i: _error_text(float, self.tokens[i][j])))
+        tokens = self.tokens  # not self: a cycle would keep the tokens until a collection
+        self.checks.append((self.failed[:, j], lambda i: _error_text(float, tokens[i][j])))
         if int_name:
             v = self.values[:, j]
             self.checks.append((~((v == np.trunc(v)) & (v >= -2**31) & (v < 2**31)),
                                 lambda i: f"{int_name} must be an integer within int32, "
-                                          f"got {self.tokens[i][j]!r}"))
+                                          f"got {tokens[i][j]!r}"))
 
     def repeated(self, keys: np.ndarray, among=True) -> np.ndarray:
         """Mask of the lines, of those ``among`` marks, whose ``keys`` row an earlier one has."""
@@ -140,18 +145,28 @@ class _Table:
             raise MotFormatError(f"{self.path}:{self.lines[rows[0]]}: {message(rows[0])}")
 
 
-def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
-    """Read a MOT text file into frame-grouped records (input order kept).
+class MotTable(NamedTuple):
+    """A MOT file's kept lines as columns, in frame order, one frame's lines in file order.
 
-    kind is one of gt / det / result; gt lines additionally carry class
-    and visibility, and non-pedestrian classes are dropped.  A det box
-    must be one the tracker's Kalman filter accepts (``kalman.measurable``:
-    a positive height, and a measurement within float32's normal range),
-    checked after the line's other fields, as is a kept gt or result line
-    repeating an earlier one's (frame, id), an id of -1 (a det line's
-    placeholder, so a det.txt still reads as a result file) excepted.  The first malformed line, or
-    bytes that are not UTF-8, raise MotFormatError naming `path:line`.
+    Frame ``frames[k]`` holds rows ``start[k]:start[k + 1]``.
     """
+
+    frames: np.ndarray  # (F,) int64, sorted and distinct
+    start: np.ndarray   # (F + 1,) int64 row offsets
+    ids: np.ndarray     # (N,) int64
+    boxes: np.ndarray   # (N, 4) float64 corners (x1, y1, x2, y2)
+    conf: np.ndarray    # (N,) float64
+
+    def by_frame(self):
+        """(frame, slice of its rows) for each frame, in order."""
+        start = self.start.tolist()
+        return zip(self.frames.tolist(), map(slice, start[:-1], start[1:]))
+
+
+def _checked(path, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A MOT file's lines as checked columns: the (N, 9) field values, with
+    class 1 where a line carries none, the (N, 4) corners, and the mask of
+    9-field gt lines, whose class and visibility are read."""
     if kind not in ("gt", "det", "result"):
         raise ValueError(f"unknown kind {kind!r}")
     t = _Table(path, (9, 10))
@@ -175,7 +190,36 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
         t.checks.append((t.repeated(v[:, :2], among), lambda i:
                          f"id {int(v[i, 1])} repeated in frame {int(v[i, 0])}"))
     t.raise_first()
+    return v, corners, gt
 
+
+def read_mot(path, kind: str = "result") -> MotTable:
+    """Read a MOT text file into one table of its kept lines.
+
+    kind is one of gt / det / result; gt lines additionally carry class
+    and visibility, and non-pedestrian classes are dropped.  A det box
+    must be one the tracker's Kalman filter accepts (``kalman.measurable``:
+    a positive height, and a measurement within float32's normal range),
+    checked after the line's other fields, as is a kept gt or result line
+    repeating an earlier one's (frame, id), an id of -1 (a det line's
+    placeholder, so a det.txt still reads as a result file) excepted.  The
+    first malformed line, or bytes that are not UTF-8, raise MotFormatError
+    naming `path:line`.  Each corner is ``left + width`` (``top + height``)
+    as read.
+    """
+    v, corners, _ = _checked(path, kind)
+    kept = np.flatnonzero(v[:, 7] == PEDESTRIAN_CLASS)
+    rows = kept[np.argsort(v[kept, 0], kind="stable")]
+    frames, counts = np.unique(v[rows, 0].astype(np.int64), return_counts=True)
+    start = np.zeros(len(frames) + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    return MotTable(frames, start, v[rows, 1].astype(np.int64), corners[rows], v[rows, 6])
+
+
+def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
+    """The lines ``read_mot`` keeps, as frame-grouped records (input order
+    kept), with the same checks and messages."""
+    v, _, gt = _checked(path, kind)
     cols = v.astype(object)  # Python floats, and ints where a record holds them
     cols[:, :2] = v[:, :2].astype(np.int64)
     cols[:, 7] = PEDESTRIAN_CLASS
@@ -277,12 +321,6 @@ def format_mot(kind: str, frames, ids, boxes, scores=1.0) -> list[str]:
     if kind != "gt":
         columns.append(scores.tolist())
     return list(map(_ROW_FORMATS[kind].__mod__, zip(*columns)))
-
-
-def to_frames(parsed: dict[int, list[MotRecord]]) -> dict[int, list[tuple[int, BBox]]]:
-    """Drop to the (id, box) pairing the metrics take."""
-    return {f: [(r.obj_id, r.to_box()) for r in recs]
-            for f, recs in parsed.items()}
 
 
 _BOOL = {"true": True, "1": True, "yes": True,

@@ -11,13 +11,15 @@ The pool is a set of arrays aligned by row, one row per tracklet in id
 order, holding only what the enabled stages read: ids, start frames, the
 active flag, frames since the last update, last scores, the ``(T, 4)``
 corners of the last matched boxes and the detection each row matched or
-was born from in this step (``step`` returns that detection's own
-``BBox``); with re-ID on, the smoothed embeddings as one ``(T, D)``
-array; and with Kalman on, the states as a ``(T, 8)`` mean and a
+was born from in this step (``step`` returns its row, or that
+detection's own ``BBox``); with re-ID on, the smoothed embeddings as one
+``(T, D)`` array; and with Kalman on, the states as a ``(T, 8)`` mean and a
 ``(T, 3, 4)`` stack of per-coordinate (position, velocity) covariance
 blocks (see ``kalman``).  Each frame works on whole arrays, never on
-track x detection pairs in Python.  The detections become one ``(N, 4)``
-corners array and one ``(N, 4)`` measurement array, and one call
+track x detection pairs in Python.  ``step`` takes the frame as
+``DetectionColumns`` (``(N, 4)`` corners, scores and an ``(N, D)``
+embedding array), or as ``Detection`` objects whose columns it builds on
+entry; the boxes become one ``(N, 4)`` measurement array, and one call
 predicts every state.  Appearance cost is one product of the pool's and
 the frame's embedding stacks.  The motion gate is evaluated only on the
 pairs whose appearance cost is within ``emb_match_threshold``:
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +49,14 @@ from .decoding import Detection
 from .geometry import BBox, corners, iou_matrix
 from .kalman import GATE_CHI2, box_corners, check_measurements, gate, initiate, \
     measure, predict, update
+
+
+class DetectionColumns(NamedTuple):
+    """One frame's detections as columns, row k being detection k."""
+
+    boxes: np.ndarray              # (N, 4) float64 corners (x1, y1, x2, y2)
+    scores: np.ndarray             # (N,) float64
+    embeddings: np.ndarray | None  # (N, D) unit rows, or None
 
 
 class TrackStatus(enum.Enum):
@@ -142,28 +153,41 @@ class OnlineTracker:
                     self._ids.tolist(), self._box.tolist(), self._start.tolist(), embs,
                     status, self._misses.tolist(), self._score.tolist())]
 
-    def active_scores(self) -> list[float]:
-        """Last detection score of each active track: the tracks, in the
-        order, that the last ``step`` returned."""
-        return self._score[self._active].tolist()
+    def step(self, frame_index: int, dets: list[Detection] | DetectionColumns) -> list[tuple]:
+        """Associate one frame of detections; returns (id, detection) per active track.
 
-    def step(self, frame_index: int, dets: list[Detection]) -> list[tuple[int, BBox]]:
-        """Associate one frame of detections; returns (id, box) per active track.
-
-        A frame refused with ValueError (a frame index not after the last
-        one, a missing or resized embedding, a box the Kalman filter cannot
+        ``dets`` is one frame's ``DetectionColumns`` or a list of
+        ``Detection`` objects, whose columns are built on entry.  Each
+        active track is paired with the detection it matched or was born
+        from: its row in the columns, or its ``BBox`` in the list.  A frame
+        refused with ValueError (a frame index not after the last one, a
+        missing or resized embedding, a box the Kalman filter cannot
         measure) leaves the tracker as it was, so the frame can be retried.
         """
-        cfg = self.cfg
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
                 f"frame index {frame_index} not after {self._last_frame}")
-        pool = len(self._ids)
-        if cfg.use_reid and dets:
+        if isinstance(dets, DetectionColumns):
+            return list(zip(*self._associate(frame_index, *dets)))
+        emb = None
+        if self.cfg.use_reid and dets:
             for j, d in enumerate(dets):
                 if d.embedding is None:
                     raise ValueError(f"detection {j} has no embedding")
             emb = np.stack([d.embedding for d in dets])
+        ids, rows = self._associate(frame_index, corners([d.box for d in dets]),
+                                    np.array([d.score for d in dets], dtype=np.float64), emb)
+        return [(tid, dets[j].box) for tid, j in zip(ids, rows)]
+
+    def _associate(self, frame_index: int, boxes: np.ndarray, scores: np.ndarray,
+                   emb: np.ndarray | None) -> tuple[list[int], list[int]]:
+        """``step`` on columns: the active tracks' ids, and the detection row
+        each matched or was born from."""
+        cfg = self.cfg
+        n, pool = len(boxes), len(self._ids)
+        if cfg.use_reid and n:
+            if emb is None:
+                raise ValueError("detection 0 has no embedding")
             if pool and emb.shape[1] != self._emb.shape[1]:
                 raise ValueError(f"embedding width {emb.shape[1]} differs from "
                                  f"the pool's {self._emb.shape[1]}")
@@ -173,14 +197,13 @@ class OnlineTracker:
         mean, cov = predict(self._mean, self._cov) if kalman and pool \
             else (self._mean, self._cov)
 
-        boxes = corners([d.box for d in dets])
         # checked where a filter first uses a row, with measurements' error
         z = measure(boxes) if kalman else None
         rows = cols = np.zeros(0, dtype=np.int64)  # matches: pool row, detection
-        det_pool = np.arange(len(dets))
+        det_pool = np.arange(n)
 
         # stage 1: appearance, active and lost tracks alike
-        if cfg.use_reid and pool and dets:
+        if cfg.use_reid and pool and n:
             cost = cosine_distance_matrix(self._emb, emb)
             if kalman:
                 check_measurements(z)
@@ -206,7 +229,6 @@ class OnlineTracker:
                 cols = np.concatenate([cols, det_pool[j]])
                 det_pool = det_pool[left]
 
-        scores = np.array([d.score for d in dets], dtype=np.float64)
         born = det_pool[scores[det_pool] > cfg.det_threshold]
         if kalman and rows.size:
             check_measurements(z[cols])
@@ -216,7 +238,7 @@ class OnlineTracker:
         # commit
         self._last_frame = frame_index
         self._mean, self._cov = mean, cov
-        if cfg.use_reid and dets and not pool:  # an empty pool takes the frame's width
+        if cfg.use_reid and n and not pool:  # an empty pool takes the frame's width
             self._emb = np.zeros((0, emb.shape[1]))
         if rows.size:
             if kalman:
@@ -259,8 +281,7 @@ class OnlineTracker:
             self._next_id += b
 
         act = self._active
-        return [(tid, dets[j].box) for tid, j in zip(
-            self._ids[act].tolist(), self._det[act].tolist())]
+        return self._ids[act].tolist(), self._det[act].tolist()
 
 
 def track_sequence(frames: dict[int, list[Detection]],

@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairtrack import cli
-from fairtrack.decoding import decode
+from fairtrack.decoding import Detection, decode
 from fairtrack.encoding import GtObject, encode_targets
 from fairtrack.geometry import GridSpec, best_match, corners, iou_matrix
 from fairtrack.metrics import tpr_at_far
-from fairtrack.mot_io import format_centers, format_mot, parse_mot, to_frames
+from fairtrack.mot_io import format_centers, format_mot, parse_mot, read_mot
 from fairtrack.sim import SimConfig, generate_maps
 from fairtrack.tensors import read_tensor, tensor_from_bytes, tensor_to_bytes
 
@@ -600,11 +600,12 @@ def test_decode_orders_frames_by_number_past_six_digits(tmp_path):
     assert [line.split(",")[0] for line in (dec / "det.txt").read_text().splitlines()] == \
         ["999999", "1000000"]
     np.testing.assert_array_equal(read_tensor(dec / "emb.ften"), np.eye(2, 4))
-    dets = cli._load_detections(dec, need_emb=True)
-    for k, frame in enumerate((999999, 1000000)):
-        (d,) = dets[frame]
-        assert d.box.x1 == (5 + k + 0.25) * 4 - 4.0  # the frame's own peak
-        np.testing.assert_array_equal(d.embedding, np.eye(1, 4, k)[0])
+    dets, emb = cli._read_detections(dec, need_emb=True)
+    assert dets.frames.tolist() == [999999, 1000000]
+    for k, (frame, rows) in enumerate(dets.by_frame()):
+        (x1,) = dets.boxes[rows, 0]
+        assert x1 == (5 + k + 0.25) * 4 - 4.0  # the frame's own peak
+        np.testing.assert_array_equal(emb[rows], np.eye(1, 4, k))
 
 
 def test_decode_refuses_maps_encoded_at_another_stride(sim_dir, tmp_path, capsys):
@@ -619,9 +620,9 @@ def test_decode_refuses_maps_encoded_at_another_stride(sim_dir, tmp_path, capsys
     assert not (tmp_path / "d4").exists()
     assert run(["decode", "--maps", str(maps), "--out", str(tmp_path / "d8"),
                 "--stride", "8"])[0] == 0
-    gt, dets = (to_frames(parse_mot(path, kind)) for path, kind in (
+    gt, dets = (read_mot(path, kind) for path, kind in (
         (sim_dir / "gt.txt", "gt"), (tmp_path / "d8" / "det.txt", "det")))
-    assert sum(map(len, dets.values())) == sum(map(len, gt.values()))
+    assert len(dets.ids) == len(gt.ids)
 
 
 @pytest.mark.parametrize("manifest", ["{", "[]", '{"config": {}}'])
@@ -672,9 +673,11 @@ def test_decoded_score_reaches_track_bit_for_bit(tmp_path):
     assert run(["decode", "--maps", str(maps), "--out", str(dec),
                 "--threshold", "0.1"])[0] == 0
     want = decode(heat, off, size, None, GridSpec(64, 64, 4), threshold=0.1)
-    got = cli._load_detections(dec, need_emb=False)[1]
-    assert [d.score for d in got] == [d.score for d in want]
-    assert got[1].score == float(np.float32(0.123456789))
+    dets, _ = cli._read_detections(dec, need_emb=False)
+    assert dets.frames.tolist() == [1]
+    got = dets.conf.tolist()
+    assert got == [d.score for d in want]
+    assert got[1] == float(np.float32(0.123456789))
 
 
 def _det_dir(tmp_path, line):
@@ -1132,11 +1135,17 @@ def test_reid_scores_equal_the_per_pair_loops(tmp_path, seed):
     run(sim_args(seq, seed=seed, frames=20, targets=8,
                  extra=["--emb-noise", "0.3", "--fp-rate", "1", "--dropout", "0.1",
                         "--box-noise", "2"]))
-    gt = to_frames(parse_mot(seq / "gt.txt", kind="gt"))
-    dets = cli._load_detections(seq, need_emb=True)
+    m = read_tensor(seq / "emb.ften")
+    unit = iter(m / np.linalg.norm(m, axis=1, keepdims=True))
+    ref_dets = {f: [Detection(r.to_box(), r.conf, next(unit)) for r in recs]
+                for f, recs in sorted(parse_mot(seq / "det.txt", kind="det").items())}
+    ref_gt = {f: [(r.obj_id, r.to_box()) for r in recs]
+              for f, recs in parse_mot(seq / "gt.txt", kind="gt").items()}
+    gt = read_mot(seq / "gt.txt", kind="gt")
+    dets, emb = cli._read_detections(seq, need_emb=True)
     for iou in (0.3, 0.5, 0.9):
-        got = cli._reid_scores(dets, gt, iou)
-        want = _ref_reid_scores(dets, gt, iou)
+        got = cli._reid_scores(dets, emb, gt, iou)
+        want = _ref_reid_scores(ref_dets, ref_gt, iou)
         for g, w in zip(got, want):
             assert len(g) == len(w) > 0
             assert np.max(np.abs(np.subtract(g, w))) <= 1e-12

@@ -599,11 +599,10 @@ def _dense_triples(a_frames, b_frames):
 
 
 def _pass_triples(a_frames, b_frames, cells=None):
-    frames = sorted(set(a_frames) | set(b_frames))
-    a_start, a = metrics._flatten(a_frames, frames)
-    b_start, b = metrics._flatten(b_frames, frames)
+    a, b = (metrics._table(side, "boxes") for side in (a_frames, b_frames))
+    _, a_start, b_start = metrics._aligned(a, b)
     with mock.patch.object(metrics, "_CHUNK_CELLS", cells or metrics._CHUNK_CELLS):
-        ra, rb, v = metrics._overlaps(a_start, corners(a), b_start, corners(b))
+        ra, rb, v = metrics._overlaps(a_start, a.boxes, b_start, b.boxes)
     return list(zip(ra.tolist(), rb.tolist(), v.tolist()))
 
 

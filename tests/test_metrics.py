@@ -13,6 +13,7 @@ from fairtrack.metrics import (
     idf1,
     tpr_at_far,
 )
+from fairtrack.mot_io import MotTable
 
 
 def _b(x, y=0.0, w=10.0, h=10.0):
@@ -325,3 +326,59 @@ def test_evaluate_tracking_bundles_idf1():
     assert r.mota == 1.0
     assert r.idf1 == 1.0
     assert r.ap is None and r.tpr_at_far is None
+
+
+# --- tables ------------------------------------------------------------------
+
+_tiny_box = st.tuples(*[st.integers(0, 4)] * 2, *[st.integers(0, 3)] * 2).map(
+    lambda t: BBox(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+
+@st.composite
+def _side(draw):
+    """Frames 1-5 of (id, box), each side's frames drawn on their own, so
+    that some frames are on one side only; an id may repeat in a frame."""
+    frames = {}
+    for f in draw(st.lists(st.integers(1, 5), unique=True, max_size=4)):
+        ids = draw(st.lists(st.integers(1, 5), max_size=5,
+                            unique=draw(st.sampled_from([True, True, False]))))
+        frames[f] = [(i, draw(_tiny_box)) for i in ids]
+    return frames
+
+
+def _as_table(frames: dict, scores: dict | None = None) -> MotTable:
+    """A dict of nonempty frames as the table ``read_mot`` returns."""
+    keys = sorted(f for f in frames if frames[f])
+    rows = [(i, box) for f in keys for i, box in frames[f]]
+    conf = [s for f in keys for s in scores[f]] if scores else [1.0] * len(rows)
+    return MotTable(np.array(keys, dtype=np.int64),
+                    np.cumsum([0] + [len(frames[f]) for f in keys]),
+                    np.array([i for i, _ in rows], dtype=np.int64),
+                    np.array([b.as_tuple() for _, b in rows], dtype=np.float64).reshape(-1, 4),
+                    np.array(conf, dtype=np.float64))
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_side(), _side(), st.sampled_from([0.5, 0.3, 1.0]), st.data())
+def test_metrics_on_tables_equal_the_metrics_on_dicts(gt, pred, thresh, data):
+    """Each metric gives the same report, or the same duplicate-id
+    message, on tables, on dicts and on one of each."""
+    gt_table, pred_table = _as_table(gt), _as_table(pred)
+    for fn in (clear_mot, idf1, evaluate_tracking):
+        want = _result(fn, gt, pred, thresh)
+        assert _result(fn, gt_table, pred_table, thresh) == want
+        assert _result(fn, gt, pred_table, thresh) == want
+        assert _result(fn, gt_table, pred, thresh) == want
+    scores = {f: [data.draw(st.sampled_from([0.2, 0.5, 0.9])) for _ in pairs]
+              for f, pairs in pred.items()}
+    boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
+    scored = {f: list(zip(scores[f], [b for _, b in pairs])) for f, pairs in pred.items()}
+    assert detection_ap(gt_table, _as_table(pred, scores), thresh) == \
+        detection_ap(boxes, scored, thresh)

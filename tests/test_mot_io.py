@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fairtrack.decoding import Detection
 from fairtrack.geometry import BBox
 from fairtrack.kalman import check_measurements, measurable, measure, measurements
+from fairtrack.metrics import clear_mot
 from fairtrack.mot_io import (
     PEDESTRIAN_CLASS,
     CenterRows,
@@ -21,7 +22,7 @@ from fairtrack.mot_io import (
     load_config,
     parse_centers,
     parse_mot,
-    to_frames,
+    read_mot,
 )
 from fairtrack.sim import SimConfig, generate
 from fairtrack.tracker import TrackerConfig
@@ -370,12 +371,14 @@ def test_round_trip_through_text(tmp_path):
         assert r.conf == pytest.approx(score, abs=1e-9)
 
 
-def test_to_frames_produces_metric_input():
-    parsed = {1: [MotRecord(1, 4, 0.0, 0.0, 10.0, 20.0)]}
-    frames = to_frames(parsed)
-    tid, box = frames[1][0]
-    assert tid == 4
-    assert box.as_tuple() == (0.0, 0.0, 10.0, 20.0)
+def test_table_is_metric_input(tmp_path):
+    p = tmp_path / "res.txt"
+    p.write_text("1,4,0,0,10,20,0.5,-1,-1,-1\n")
+    table = read_mot(p)
+    assert table.ids.tolist() == [4]
+    assert table.boxes.tolist() == [[0.0, 0.0, 10.0, 20.0]]
+    report = clear_mot(table, {1: [(4, BBox(0.0, 0.0, 10.0, 20.0))]})
+    assert (report.mota, report.fp, report.fn) == (1.0, 0, 0)
 
 
 # --- centers.txt, the object table -----------------------------------------
@@ -945,3 +948,31 @@ def test_parse_centers_matches_the_reference(tmp_path, lines):
         for frame, rows in got.items():
             for a, b in zip(rows, want[frame]):
                 assert a.dtype == b.dtype and repr(a.tolist()) == repr(b.tolist())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_MIXED_LINES, min_size=1, max_size=6),
+       kind=st.sampled_from(["gt", "det", "result"]))
+def test_table_holds_the_records_parse_mot_returns(tmp_path, lines, kind):
+    """``read_mot`` and ``parse_mot`` refuse a file with the same text, or
+    keep the same lines: the table's rows are the records, frames sorted,
+    one frame's lines in file order, with bit-equal values."""
+    p = tmp_path / "fuzz.txt"
+    p.write_text("\n".join(lines) + "\n")
+    table, error = _outcome(read_mot, p, kind)
+    records, want_error = _outcome(parse_mot, p, kind)
+    assert error == want_error
+    if error is not None:
+        return
+    frames = sorted(records)
+    rows = [r for f in frames for r in records[f]]
+    assert table.frames.dtype == table.start.dtype == table.ids.dtype == np.int64
+    assert table.frames.tolist() == frames
+    assert table.start.tolist() == np.cumsum([0] + [len(records[f]) for f in frames]).tolist()
+    assert table.ids.tolist() == [r.obj_id for r in rows]
+    assert table.boxes.shape == (len(rows), 4)
+    assert repr(table.boxes.tolist()) == repr([list(r.to_box().as_tuple()) for r in rows])
+    assert repr(table.conf.tolist()) == repr([r.conf for r in rows])
+    assert [(f, (s.start, s.stop)) for f, s in table.by_frame()] == \
+        list(zip(frames, zip(table.start.tolist()[:-1], table.start.tolist()[1:])))

@@ -11,6 +11,7 @@ from fairtrack.geometry import BBox, corners
 from fairtrack.kalman import GATE_CHI2, STD_WEIGHT_POSITION, box_corners, initiate, \
     measurements, predict, update
 from fairtrack.tracker import (
+    DetectionColumns,
     OnlineTracker,
     Track,
     TrackerConfig,
@@ -467,8 +468,8 @@ def test_array_pool_equals_per_track_reference(seed, cfg):
                 assert (g.smooth_emb is None) == (w.smooth_emb is None)
                 if w.smooth_emb is not None:
                     assert g.smooth_emb.tobytes() == w.smooth_emb.tobytes()
-        assert new.active_scores() == [t.last_score for t in want
-                                       if t.status is TrackStatus.ACTIVE]
+        assert new._score[new._active].tolist() == [t.last_score for t in want
+                                                    if t.status is TrackStatus.ACTIVE]
         if cfg.use_kalman:
             assert new._mean.tobytes() == ref._mean.tobytes()
             assert new._cov.tobytes() == ref._cov.tobytes()
@@ -506,6 +507,44 @@ def test_a_refused_box_moves_neither_the_states_nor_the_frame():
         tracker.step(2, [_det(BBox(0, 0, 10, 0))])
     assert _state(tracker) == before and tracker._last_frame == 1
     assert tracker.step(2, [_det(BBox(1, 0, 11, 20))]) == [(1, BBox(1, 0, 11, 20))]
+
+
+def _columns(dets):
+    """One frame's detections as the columns ``step`` takes; embeddings only
+    when every detection has one."""
+    embs = [d.embedding for d in dets]
+    return DetectionColumns(corners([d.box for d in dets]),
+                            np.array([d.score for d in dets], dtype=np.float64),
+                            np.stack(embs) if dets and all(e is not None for e in embs)
+                            else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cfg=_configs())
+def test_step_on_columns_equals_step_on_detections(seed, cfg):
+    """The same frames as Detection lists and as columns give equal outputs
+    (a row standing for its detection's box), equal refusals and pools equal
+    byte for byte after every frame.  Besides the sequences' zero-height
+    boxes, some frames with re-ID on lose every embedding or carry them at
+    another width; a refused frame leaves both pools as they were."""
+    rng = np.random.default_rng(seed)
+    on_lists, on_columns = OnlineTracker(cfg), OnlineTracker(cfg)
+    for f, dets in enumerate(_sequence(seed, cfg), start=1):
+        fault = rng.choice(["none", "bare", "wide"], p=[0.8, 0.1, 0.1])
+        if cfg.use_reid and dets and fault == "bare":
+            dets = [replace(d, embedding=None) for d in dets]
+        elif cfg.use_reid and dets and fault == "wide":
+            width = len(dets[0].embedding) + 1
+            dets = [replace(d, embedding=_unit(rng.normal(size=width))) for d in dets]
+        before = _state(on_lists)
+        want = _step(on_lists, f, dets)
+        got = _step(on_columns, f, _columns(dets))
+        if isinstance(want, str):
+            assert got == want
+            assert _state(on_lists) == before
+        else:
+            assert [(tid, dets[j].box) for tid, j in got] == want
+        assert _state(on_columns) == _state(on_lists)
 
 
 def _track(frames, cfg):
