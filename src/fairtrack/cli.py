@@ -42,14 +42,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decoding import Detection, Sampling, decode
+from .decoding import Detection, Sampling, check_peak_args, decode
 from .encoding import encode_targets
 from .geometry import GridSpec, best_match, corners, iou_matrix
 from .losses import gradcheck_run
 from .metrics import clear_mot, detection_ap, idf1, tpr_at_far
 from .mot_io import CenterRows, MotFormatError, MotTable, _lines, format_centers, format_mot, \
     load_config, parse_centers, read_mot
-from .sim import SimConfig, generate
+from .sim import SimConfig, frame_columns
 from .tensors import FtenFormatError, read_tensor, tensor_to_bytes
 from .tracker import DetectionColumns, OnlineTracker, TrackerConfig
 
@@ -78,13 +78,18 @@ def _det_lines(frame: int, dets: list[Detection]) -> list[str]:
 
 
 def _write_detections(out: Path, lines: list[str], rows: list[np.ndarray]) -> list[Path]:
-    """Write ``det.txt`` and, given embedding ``rows`` (row k for line k), ``emb.ften``."""
+    """Write ``det.txt`` and, given embeddings for its lines, ``emb.ften``.
+
+    ``rows`` holds the embeddings in line order, as single rows or as
+    ``(n, D)`` blocks of consecutive lines.
+    """
     det, emb = out / "det.txt", out / "emb.ften"
     _atomic_write_text(det, "\n".join(lines) + "\n")
-    if not rows:  # FTEN holds no empty array
+    stacked = np.vstack(rows) if rows else np.empty((0, 0))
+    if not len(stacked):  # FTEN holds no empty array
         emb.unlink(missing_ok=True)  # one from an earlier run would not line up
         return [det]
-    _atomic_write_bytes(emb, tensor_to_bytes(np.stack(rows)))
+    _atomic_write_bytes(emb, tensor_to_bytes(stacked))
     return [det, emb]
 
 
@@ -157,20 +162,14 @@ def cmd_sim(args) -> int:
     _, cfg = _resolve_configs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    res = generate(cfg)
 
     # one frame at a time: whole-file columns would grow the heap for the stages after
-    gt_lines = []
-    for frame in sorted(res.gt):
-        pairs = res.gt[frame]
-        gt_lines += format_mot("gt", frame, [tid for tid, _ in pairs],
-                               corners([box for _, box in pairs]))
+    gt_lines, det_lines, rows = [], [], []
+    for frame, truth, dets in frame_columns(cfg):
+        gt_lines += format_mot("gt", frame, np.arange(1, len(truth) + 1), truth)
+        det_lines += format_mot("det", frame, -1, dets.boxes, dets.scores)
+        rows.append(dets.embeddings)
     _atomic_write_text(out / "gt.txt", "\n".join(gt_lines) + "\n")
-
-    det_lines, rows = [], []
-    for frame in sorted(res.dets):
-        det_lines += _det_lines(frame, res.dets[frame])
-        rows += [d.embedding for d in res.dets[frame]]
     written = [out / "gt.txt", *_write_detections(out, det_lines, rows), out / "seqinfo.ini"]
 
     _atomic_write_text(out / "seqinfo.ini", (
@@ -277,6 +276,7 @@ def _check_encoded_stride(maps_dir: Path, stride: int) -> None:
 
 def cmd_decode(args) -> int:
     started = time.monotonic()
+    check_peak_args(args.threshold, args.top_k)  # before any map is read or --out made
     maps_dir = Path(args.maps)
     _check_encoded_stride(maps_dir, args.stride)
     frames = []

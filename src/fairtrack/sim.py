@@ -6,17 +6,25 @@ Each identity owns a fixed unit anchor vector; detection embeddings are
 the anchor plus Gaussian noise, renormalized.  Everything derives from
 named child generators of the config seed, so equal configs give
 bit-identical output and any frame can be regenerated in isolation.
+
+``frame_columns`` yields the sequence one frame at a time as columns:
+the ground-truth corners and the frame's ``DetectionColumns``.  The
+random draws are made per detection, in a fixed order, and the
+arithmetic runs on the frame's arrays; ``generate`` builds its ``BBox``
+and ``Detection`` objects from these columns frame by frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .decoding import Detection
+from .decoding import Detection, row_norms
 from .encoding import GtObject, encode_targets
 from .geometry import BBox, GridSpec
+from .tracker import DetectionColumns
 
 # child-stream tags so generate() and generate_maps() agree on shared draws
 _STREAM_TRAJ = 1
@@ -147,33 +155,33 @@ def _initial_states(cfg: SimConfig) -> np.ndarray:
     return states
 
 
-def _reflect(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float]:
-    if pos < lo:
-        return 2 * lo - pos, -vel
-    if pos > hi:
-        return 2 * hi - pos, -vel
-    return pos, vel
+def _truth(cfg: SimConfig) -> Iterator[np.ndarray]:
+    """Exact ground truth, one (num_targets, 4) corner array per frame from frame 1.
+
+    Row i is target i + 1.  Each coordinate of each target steps on its
+    own, so stepping them as (num_targets, 2) columns gives the values of
+    a per-target, per-axis loop.
+    """
+    cx, cy, vx, vy, w, h = _initial_states(cfg).T
+    pos, vel = np.stack([cx, cy], axis=1), np.stack([vx, vy], axis=1)
+    half = np.stack([w / 2, h / 2], axis=1)
+    lo, hi = half, np.stack([cfg.image_w - w / 2, cfg.image_h - h / 2], axis=1)
+    for _ in range(cfg.frames):
+        yield np.concatenate([pos - half, pos + half], axis=1)
+        pos = pos + vel
+        below, above = pos < lo, pos > hi  # reflect off the borders
+        pos = np.where(below, 2 * lo - pos, np.where(above, 2 * hi - pos, pos))
+        vel = np.where(below | above, -vel, vel)
+
+
+def _boxes(truth: np.ndarray) -> list[tuple[int, BBox]]:
+    """(1-based id, box) per row, the corners as numpy float64 scalars."""
+    return [(i, BBox(*b)) for i, b in enumerate(truth, 1)]
 
 
 def trajectories(cfg: SimConfig) -> dict[int, list[tuple[int, BBox]]]:
     """Exact ground truth, frame -> [(1-based id, box)]."""
-    states = _initial_states(cfg)
-    out: dict[int, list[tuple[int, BBox]]] = {}
-    for f in range(cfg.frames):
-        rows = []
-        for i in range(cfg.num_targets):
-            cx, cy, vx, vy, w, h = states[i]
-            rows.append((i + 1, BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)))
-            cx, vx = _reflect(cx + vx, vx, w / 2, cfg.image_w - w / 2)
-            cy, vy = _reflect(cy + vy, vy, h / 2, cfg.image_h - h / 2)
-            states[i] = (cx, cy, vx, vy, w, h)
-        out[f + 1] = rows
-    return out
-
-
-def _occluded(cfg: SimConfig, target_id: int, frame: int) -> bool:
-    return any(tid == target_id and first <= frame <= last
-               for tid, first, last in cfg.occlusions)
+    return {f: _boxes(truth) for f, truth in enumerate(_truth(cfg), 1)}
 
 
 def _noisy_embedding(rng: np.random.Generator, anchor: np.ndarray,
@@ -182,43 +190,83 @@ def _noisy_embedding(rng: np.random.Generator, anchor: np.ndarray,
     return v / np.linalg.norm(v)
 
 
+def _detections(cfg: SimConfig, frame: int, truth: np.ndarray,
+                anchors: np.ndarray) -> tuple[DetectionColumns, int]:
+    """One frame's detector output as columns, and how many of its rows are targets.
+
+    The rows are the detected targets in id order, then the false
+    positives.  The random draws are made row by row, in the order of a
+    per-detection loop (a target's dropout, box noise, score and
+    embedding noise; a false positive's size, centre, embedding and
+    score), so the streams and the values are those of that loop; the
+    arithmetic then runs on the frame's columns.
+    """
+    rng = _rng(cfg, _STREAM_DET, frame)
+    box_std, emb_std, dim = cfg.box_noise_std, cfg.emb_noise_std, cfg.emb_dim
+    hidden = np.zeros(len(truth), dtype=bool)
+    for tid, first, last in cfg.occlusions:
+        if first <= frame <= last and 1 <= tid <= len(truth):
+            hidden[tid - 1] = True
+    kept, box_noise, scores, emb_noise = [], [], [], []
+    for i in np.flatnonzero(~hidden).tolist():
+        if cfg.det_dropout_prob > 0 and rng.random() < cfg.det_dropout_prob:
+            continue
+        kept.append(i)
+        if box_std > 0:
+            box_noise.append(rng.normal(0, box_std, size=4))  # cx, cy, w, h
+        scores.append(rng.uniform(0.75, 1.0))
+        if emb_std > 0:
+            emb_noise.append(rng.normal(0.0, emb_std, size=dim))
+    boxes, emb = truth[kept], anchors[kept]
+    if box_noise:
+        n = np.array(box_noise)
+        lo, hi = boxes[:, :2], boxes[:, 2:]
+        center = (lo + hi) / 2.0 + n[:, :2]
+        size = (hi - lo) + n[:, 2:]
+        half = np.where(4.0 > size, 4.0, size) / 2  # max(size, 4.0) / 2
+        boxes = np.concatenate([center - half, center + half], axis=1)
+    if emb_noise:
+        emb = emb + np.array(emb_noise)
+    fp_boxes, fp_emb = [], []
+    for _ in range(rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0 else 0):
+        w = rng.uniform(25.0, FP_MAX_W)
+        h = rng.uniform(50.0, FP_MAX_H)
+        cx = rng.uniform(w / 2, cfg.image_w - w / 2)
+        cy = rng.uniform(h / 2, cfg.image_h - h / 2)
+        fp_boxes.append((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+        fp_emb.append(rng.normal(size=dim))
+        scores.append(rng.uniform(0.45, 0.95))
+    if fp_boxes:
+        boxes = np.concatenate([boxes, np.array(fp_boxes)])
+        emb = np.concatenate([emb, np.array(fp_emb)])
+    return DetectionColumns(boxes, np.array(scores, dtype=np.float64),
+                            emb / row_norms(emb)[:, None]), len(kept)
+
+
+def frame_columns(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, DetectionColumns]]:
+    """The sequence one frame at a time: (frame, ground-truth corners, detections).
+
+    Ground-truth row i is target i + 1.  These are the values ``generate``
+    builds its objects from.
+    """
+    anchors = identity_anchors(cfg)
+    for frame, truth in enumerate(_truth(cfg), 1):
+        yield frame, truth, _detections(cfg, frame, truth, anchors)[0]
+
+
 def generate(cfg: SimConfig) -> SimOutput:
     """Ground truth plus detector output for the whole sequence."""
-    gt = trajectories(cfg)
     anchors = identity_anchors(cfg)
+    gt: dict[int, list[tuple[int, BBox]]] = {}
     dets: dict[int, list[Detection]] = {}
-    for frame in sorted(gt):
-        rng = _rng(cfg, _STREAM_DET, frame)
-        rows: list[Detection] = []
-        for tid, box in gt[frame]:
-            if _occluded(cfg, tid, frame):
-                continue
-            if cfg.det_dropout_prob > 0 and rng.random() < cfg.det_dropout_prob:
-                continue
-            if cfg.box_noise_std > 0:
-                cx, cy = box.center
-                cx += rng.normal(0, cfg.box_noise_std)
-                cy += rng.normal(0, cfg.box_noise_std)
-                w = max(box.width + rng.normal(0, cfg.box_noise_std), 4.0)
-                h = max(box.height + rng.normal(0, cfg.box_noise_std), 4.0)
-                det_box = BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-            else:
-                det_box = box  # bit-exact pass-through
-            score = rng.uniform(0.75, 1.0)
-            emb = _noisy_embedding(rng, anchors[tid - 1], cfg.emb_noise_std)
-            rows.append(Detection(box=det_box, score=score, embedding=emb))
-        if cfg.fp_rate > 0:
-            for _ in range(rng.poisson(cfg.fp_rate)):
-                w = rng.uniform(25.0, FP_MAX_W)
-                h = rng.uniform(50.0, FP_MAX_H)
-                cx = rng.uniform(w / 2, cfg.image_w - w / 2)
-                cy = rng.uniform(h / 2, cfg.image_h - h / 2)
-                v = rng.normal(size=cfg.emb_dim)
-                rows.append(Detection(
-                    box=BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                    score=rng.uniform(0.45, 0.95),
-                    embedding=v / np.linalg.norm(v)))
-        dets[frame] = rows
+    for frame, truth in enumerate(_truth(cfg), 1):
+        (boxes, scores, emb), targets = _detections(cfg, frame, truth, anchors)
+        gt[frame] = _boxes(truth)
+        # a target's corners are numpy float64 scalars, a false positive's
+        # Python floats, as the arithmetic of each row gives them; repr tells
+        rows = [*boxes[:targets], *boxes[targets:].tolist()]
+        dets[frame] = [Detection(BBox(*b), s, e)
+                       for b, s, e in zip(rows, scores.tolist(), emb)]
     return SimOutput(gt=gt, dets=dets, anchors=anchors)
 
 

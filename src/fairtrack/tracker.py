@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .assignment import hungarian
-from .decoding import Detection
+from .decoding import Detection, row_norms
 from .geometry import BBox, corners, iou_matrix
 from .kalman import GATE_CHI2, box_corners, check_measurements, gate, initiate, \
     measure, predict, update
@@ -252,8 +252,7 @@ class OnlineTracker:
             if cfg.use_reid:
                 m = cfg.ema_momentum
                 e = m * self._emb[rows] + (1.0 - m) * emb[cols]
-                # one dot per row, as np.linalg.norm takes it, so bit-equal to it
-                n = np.sqrt((e[:, None, :] @ e[:, :, None])[:, 0, 0])
+                n = row_norms(e)
                 ok = n > 1e-12
                 self._emb[rows[ok]] = e[ok] / n[ok, None]
 

@@ -323,6 +323,25 @@ def test_decode_empty_maps_dir_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--threshold", "1.5", "threshold must be in (0, 1), got 1.5"),
+    ("--threshold", "0", "threshold must be in (0, 1), got 0.0"),
+    ("--top-k", "0", "top_k must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("maps", ["valid", "missing"])
+def test_decode_bad_peak_args_exit_1_before_reading_or_writing(tmp_path, capsys, flag,
+                                                               value, message, maps):
+    """Checked first: a usage error, whether or not --maps holds maps, and no --out made."""
+    if maps == "valid":
+        _write_maps(tmp_path / "maps")
+    capsys.readouterr()
+    rc, _ = run(["decode", "--maps", str(tmp_path / "maps"),
+                 "--out", str(tmp_path / "dec"), flag, value])
+    assert rc == 1
+    assert f"fairtrack: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "dec").exists()
+
+
 def _write_maps(maps, frames=2):
     """Valid 16x16 heat maps with one peak per frame, and its centers.txt row."""
     maps.mkdir()

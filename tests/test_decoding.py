@@ -1,15 +1,82 @@
+"""Peak picking, sampling and decoding.
+
+``decode`` gathers each frame's peaks as columns.  It is compared bit for
+bit to the per-peak loop it replaced, kept here as ``_ref_decode`` with
+its per-point bilinear sampler ``_ref_bilinear_sample``.
+"""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairtrack.decoding import (
     Detection,
     Sampling,
-    bilinear_sample,
     decode,
     peak_nms,
+    row_norms,
 )
 from fairtrack.encoding import GtObject, encode_targets
 from fairtrack.geometry import BBox, GridSpec
+
+
+def _ref_bilinear_sample(emb, x: float, y: float) -> np.ndarray:
+    """4-neighbor bilinear blend of each channel of a (C, H, W) map at (x, y), border-clamped."""
+    m = np.asarray(emb, dtype=np.float64)
+    if m.ndim != 3:
+        raise ValueError(f"embedding map must be 3-d, got shape {m.shape}")
+    _, h, w = m.shape
+    if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
+        raise ValueError(f"sample point ({x}, {y}) outside {w}x{h} map")
+    x0 = int(np.floor(x))
+    y0 = int(np.floor(y))
+    x1 = min(x0 + 1, w - 1)
+    y1 = min(y0 + 1, h - 1)
+    fx = x - x0
+    fy = y - y0
+    top = (1.0 - fx) * m[:, y0, x0] + fx * m[:, y0, x1]
+    bot = (1.0 - fx) * m[:, y1, x0] + fx * m[:, y1, x1]
+    return (1.0 - fy) * top + fy * bot
+
+
+def _ref_decode(heat, offsets, sizes, emb, grid: GridSpec,
+                threshold: float = 0.4, top_k: int = 128,
+                sampling: Sampling = Sampling.CENTER) -> list[Detection]:
+    """The per-peak decode loop."""
+    fh, fw = grid.feat_h, grid.feat_w
+    heat, off, size = (np.asarray(m, dtype=np.float64) for m in (heat, offsets, sizes))
+    if emb is not None:
+        emb = np.asarray(emb, dtype=np.float64)
+
+    out = []
+    for x, y, score in peak_nms(heat, threshold, top_k):
+        ox, oy = off[0, y, x], off[1, y, x]
+        sw, sh = size[0, y, x], size[1, y, x]
+        cx = (x + ox) * grid.stride
+        cy = (y + oy) * grid.stride
+        x1 = max(cx - sw / 2.0, 0.0)
+        y1 = max(cy - sh / 2.0, 0.0)
+        x2 = min(cx + sw / 2.0, float(grid.image_w))
+        y2 = min(cy + sh / 2.0, float(grid.image_h))
+        if x2 <= x1 or y2 <= y1:
+            continue
+        e = None
+        if emb is not None:
+            if sampling is Sampling.CENTER_BI:
+                fx = min(max(x + ox, 0.0), fw - 1.0)
+                fy = min(max(y + oy, 0.0), fh - 1.0)
+                v = _ref_bilinear_sample(emb, fx, fy)
+            else:
+                v = emb[:, y, x]
+            n = np.linalg.norm(v)
+            if n < 1e-12:
+                continue
+            e = v / n
+        out.append(Detection(box=BBox(x1, y1, x2, y2), score=min(score, 1.0),
+                             embedding=e, center_feat=(x + ox, y + oy)))
+    return out
 
 
 # --- peak extraction -------------------------------------------------------
@@ -69,34 +136,34 @@ def test_peaks_bad_args():
         peak_nms(np.zeros((4, 4)), top_k=0)
 
 
-# --- bilinear sampling -----------------------------------------------------
+# --- bilinear sampling (the reference's sampler) -----------------------------
 
 def test_bilinear_integer_point_is_identity():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(3, 5, 7))
-    assert np.allclose(bilinear_sample(m, 4.0, 2.0), m[:, 2, 4])
+    assert np.allclose(_ref_bilinear_sample(m, 4.0, 2.0), m[:, 2, 4])
 
 
 def test_bilinear_midpoint_average():
     m = np.zeros((1, 2, 2))
     m[0] = [[1.0, 3.0], [5.0, 7.0]]
-    assert bilinear_sample(m, 0.5, 0.5)[0] == pytest.approx(4.0)
+    assert _ref_bilinear_sample(m, 0.5, 0.5)[0] == pytest.approx(4.0)
 
 
 def test_bilinear_edge_interpolation():
     m = np.zeros((1, 2, 3))
     m[0, 0] = [0.0, 2.0, 4.0]
     m[0, 1] = [0.0, 0.0, 0.0]
-    got = bilinear_sample(m, 1.25, 0.0)
+    got = _ref_bilinear_sample(m, 1.25, 0.0)
     assert got[0] == pytest.approx(2.5)
 
 
 def test_bilinear_out_of_bounds():
     t = np.zeros((1, 3, 3))
     with pytest.raises(ValueError):
-        bilinear_sample(t, 3.0, 1.0)
+        _ref_bilinear_sample(t, 3.0, 1.0)
     with pytest.raises(ValueError):
-        bilinear_sample(t, -0.1, 1.0)
+        _ref_bilinear_sample(t, -0.1, 1.0)
 
 
 # --- detection container ---------------------------------------------------
@@ -231,7 +298,7 @@ def test_map_rank_is_checked():
     with pytest.raises(ValueError, match="heatmap must be 2-d"):
         peak_nms(np.zeros((1, 4, 4)))
     with pytest.raises(ValueError, match="embedding map must be 3-d"):
-        bilinear_sample(np.zeros((4, 4)), 1.0, 1.0)
+        _ref_bilinear_sample(np.zeros((4, 4)), 1.0, 1.0)
 
 
 def test_decode_shape_validation():
@@ -245,3 +312,57 @@ def test_decode_shape_validation():
         decode(t.heatmap, t.offsets, t.sizes, np.zeros((4, 16, 15)), grid)
     with pytest.raises(ValueError, match="embedding map shape mismatch"):
         decode(t.heatmap, t.offsets, t.sizes, np.zeros((16, 16)), grid)
+
+
+# --- columns against the per-peak loop ---------------------------------------
+
+# Few heat levels make plateaus and neighbouring ties common; 1.5 is
+# clipped to a score of 1.  Sizes from 0 (degenerate) to past the image
+# (clipped), negative ones degenerate too; offsets push centres off the
+# grid, where CENTER_BI clamps its sample point.  Zero cells of the
+# embedding maps give zero-norm samples, which decode drops.
+_heat_level = st.sampled_from([0.0, 0.3, 0.45, 0.7, 0.7, 0.9, 1.0, 1.5])
+_offset = st.one_of(st.sampled_from([0.0, 0.5, -1.0]), st.floats(-1.5, 1.5))
+_extent = st.one_of(st.floats(1.0, 60.0), st.sampled_from([0.0, 4.0, 200.0, -3.0]))
+
+
+@st.composite
+def _frames(draw):
+    fh, fw = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    stride = draw(st.sampled_from([1, 4]))
+    heat = draw(arrays(np.float64, (fh, fw), elements=_heat_level))
+    off = draw(arrays(np.float64, (2, fh, fw), elements=_offset))
+    size = draw(arrays(np.float64, (2, fh, fw), elements=_extent))
+    channels, emb = draw(st.sampled_from([0, 1, 3, 8])), None
+    if channels:  # each cell takes one of four vectors, the first of them zero
+        palette = draw(arrays(np.float64, (4, channels), elements=st.floats(-2.0, 2.0)))
+        palette[0] = 0.0
+        pick = draw(arrays(np.int64, (fh, fw), elements=st.integers(0, 3)))
+        emb = np.ascontiguousarray(palette[pick].transpose(2, 0, 1))
+    return heat, off, size, emb, GridSpec(fw * stride, fh * stride, stride)
+
+
+def _bits(d: Detection) -> tuple:
+    emb = b"" if d.embedding is None else d.embedding.tobytes()
+    return (np.array(d.box.as_tuple()).tobytes(), np.float64(d.score).tobytes(), emb,
+            np.array(d.center_feat, dtype=np.float64).tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frames(), st.sampled_from([0.2, 0.5, 0.95]), st.sampled_from([1, 2, 3, 128]),
+       st.sampled_from(list(Sampling)))
+def test_decode_equals_the_per_peak_reference(frame, threshold, top_k, sampling):
+    heat, off, size, emb, grid = frame
+    got = decode(heat, off, size, emb, grid, threshold, top_k, sampling)
+    want = _ref_decode(heat, off, size, emb, grid, threshold, top_k, sampling)
+    assert [_bits(d) for d in got] == [_bits(d) for d in want]
+    assert all((d.embedding is None) == (emb is None) for d in got)
+
+
+def test_row_norms_equal_np_linalg_norm_of_each_row():
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3, 7, 16, 17, 33, 64, 65, 128, 257):
+        v = rng.normal(size=(50, dim)) * rng.uniform(1e-3, 1e3, size=(50, 1))
+        want = np.array([np.linalg.norm(r) for r in v])
+        assert row_norms(v).tobytes() == want.tobytes()
+        assert row_norms(v.T.copy().T).tobytes() == want.tobytes()  # a strided row

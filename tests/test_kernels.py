@@ -8,8 +8,9 @@ preceded it, kept here as the reference and run with the over-threshold
 entries set to +inf: exactly on continuous costs, and in match count and
 total cost on tie-heavy ones, whose ties may resolve differently.  The batched
 gate is compared to a triangular solve to 1e-9 relative, and its pair form
-to the dense (T, N) form for exact equality.  The peak filter
-is compared for exact equality to scipy's 3x3 maximum filter.  The
+to the dense (T, N) form for exact equality.  The threshold-first peak
+search is compared for exact equality to scipy's 3x3 maximum filter, and
+on grids with NaN cells to the dense whole-plane filter it replaced.  The
 windowed Gaussian stamp is compared to a full-grid stamp in the float32
 bytes the maps are stored in.  The metrics' overlap pass is compared to
 the positive entries of per-frame IoU matrices, value for value, and the
@@ -257,17 +258,42 @@ def _ref_peak_nms(h, threshold, top_k):
     return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in order[:top_k]]
 
 
-# Few distinct integer levels make plateaus and ties between neighbours the
-# common case; single rows and columns exercise the -inf border on both sides.
+def _dense_peak_nms(heatmap, threshold, top_k):
+    """The dense 3x3 maximum filter over the whole plane that preceded the
+    threshold-first search: a NaN anywhere in a window makes its maximum NaN."""
+    h = np.asarray(heatmap, dtype=np.float64)
+    pad = np.pad(h, 1, constant_values=-np.inf)
+    rows = np.maximum(pad[:-2], pad[1:-1])
+    np.maximum(rows, pad[2:], out=rows)
+    local_max = np.maximum(rows[:, :-2], rows[:, 1:-1])
+    np.maximum(local_max, rows[:, 2:], out=local_max)
+    ys, xs = np.nonzero((h == local_max) & (h > threshold))
+    scores = h[ys, xs]
+    order = np.lexsort((xs, ys, -scores))
+    return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in order[:top_k]]
+
+
+# Few distinct levels make plateaus and ties between neighbours the common
+# case, +inf plateaus and -inf cells included; single rows and columns
+# exercise the -inf border on both sides.
 _side = st.one_of(st.just(1), st.integers(1, 12))
+_level = st.one_of(st.integers(-2, 3).map(float), st.sampled_from([np.inf, -np.inf]))
 _tie_grid = st.tuples(_side, _side).flatmap(
-    lambda shape: arrays(np.float64, shape, elements=st.integers(-2, 3).map(float)))
+    lambda shape: arrays(np.float64, shape, elements=_level))
+_nan_grid = st.tuples(_side, _side).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.one_of(_level, st.just(np.nan))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tie_grid, st.sampled_from([0.5, 0.99, 1e-9]), st.sampled_from([1, 3, 10**6]))
 def test_peak_nms_equals_the_maximum_filter_reference(h, threshold, top_k):
     assert peak_nms(h, threshold, top_k) == _ref_peak_nms(h, threshold, top_k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nan_grid, st.sampled_from([0.5, 0.99, 1e-9]), st.sampled_from([1, 3, 10**6]))
+def test_peak_nms_beside_nan_cells_equals_the_dense_filter(h, threshold, top_k):
+    assert peak_nms(h, threshold, top_k) == _dense_peak_nms(h, threshold, top_k)
 
 
 # --- Gaussian stamp ----------------------------------------------------------

@@ -1,16 +1,40 @@
+"""The simulator: configuration, determinism, ground truth and detector output.
+
+``generate`` builds each frame from columns.  It is compared bit for bit
+to the per-target, per-detection loop it replaced, kept here as
+``_ref_generate`` (with its trajectory loop as ``_ref_trajectories``), and
+``sim``'s files to the MOT writer applied to ``generate``'s objects.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairtrack.decoding import decode
-from fairtrack.geometry import GridSpec, iou
+from fairtrack import cli
+from fairtrack.decoding import Detection, decode
+from fairtrack.geometry import BBox, GridSpec, corners, iou
+from fairtrack.mot_io import format_mot
 from fairtrack.sim import (
     ANCHOR_MAX_COS,
+    FP_MAX_H,
+    FP_MAX_W,
     SimConfig,
+    SimOutput,
+    _initial_states,
+    _rng,
+    _STREAM_DET,
     generate,
     generate_maps,
     identity_anchors,
     trajectories,
 )
+from fairtrack.tensors import tensor_to_bytes
 
 
 CLEAN = SimConfig(seed=7, frames=40, num_targets=5)
@@ -240,3 +264,149 @@ def test_generate_maps_deterministic():
     h2, o2, s2, e2 = generate_maps(cfg, 3)
     assert np.array_equal(np.asarray(h1), np.asarray(h2))
     assert np.array_equal(np.asarray(e1), np.asarray(e2))
+
+
+# --- columns against the per-detection loop ----------------------------------
+
+def _ref_reflect(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float]:
+    if pos < lo:
+        return 2 * lo - pos, -vel
+    if pos > hi:
+        return 2 * hi - pos, -vel
+    return pos, vel
+
+
+def _ref_trajectories(cfg: SimConfig) -> dict[int, list[tuple[int, BBox]]]:
+    states = _initial_states(cfg)
+    out: dict[int, list[tuple[int, BBox]]] = {}
+    for f in range(cfg.frames):
+        rows = []
+        for i in range(cfg.num_targets):
+            cx, cy, vx, vy, w, h = states[i]
+            rows.append((i + 1, BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)))
+            cx, vx = _ref_reflect(cx + vx, vx, w / 2, cfg.image_w - w / 2)
+            cy, vy = _ref_reflect(cy + vy, vy, h / 2, cfg.image_h - h / 2)
+            states[i] = (cx, cy, vx, vy, w, h)
+        out[f + 1] = rows
+    return out
+
+
+def _ref_occluded(cfg: SimConfig, target_id: int, frame: int) -> bool:
+    return any(tid == target_id and first <= frame <= last
+               for tid, first, last in cfg.occlusions)
+
+
+def _ref_noisy_embedding(rng: np.random.Generator, anchor: np.ndarray,
+                         std: float) -> np.ndarray:
+    v = anchor + rng.normal(0.0, std, size=anchor.size) if std > 0 else anchor.copy()
+    return v / np.linalg.norm(v)
+
+
+def _ref_generate(cfg: SimConfig) -> SimOutput:
+    gt = _ref_trajectories(cfg)
+    anchors = identity_anchors(cfg)
+    dets: dict[int, list[Detection]] = {}
+    for frame in sorted(gt):
+        rng = _rng(cfg, _STREAM_DET, frame)
+        rows: list[Detection] = []
+        for tid, box in gt[frame]:
+            if _ref_occluded(cfg, tid, frame):
+                continue
+            if cfg.det_dropout_prob > 0 and rng.random() < cfg.det_dropout_prob:
+                continue
+            if cfg.box_noise_std > 0:
+                cx, cy = box.center
+                cx += rng.normal(0, cfg.box_noise_std)
+                cy += rng.normal(0, cfg.box_noise_std)
+                w = max(box.width + rng.normal(0, cfg.box_noise_std), 4.0)
+                h = max(box.height + rng.normal(0, cfg.box_noise_std), 4.0)
+                det_box = BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+            else:
+                det_box = box  # bit-exact pass-through
+            score = rng.uniform(0.75, 1.0)
+            emb = _ref_noisy_embedding(rng, anchors[tid - 1], cfg.emb_noise_std)
+            rows.append(Detection(box=det_box, score=score, embedding=emb))
+        if cfg.fp_rate > 0:
+            for _ in range(rng.poisson(cfg.fp_rate)):
+                w = rng.uniform(25.0, FP_MAX_W)
+                h = rng.uniform(50.0, FP_MAX_H)
+                cx = rng.uniform(w / 2, cfg.image_w - w / 2)
+                cy = rng.uniform(h / 2, cfg.image_h - h / 2)
+                v = rng.normal(size=cfg.emb_dim)
+                rows.append(Detection(
+                    box=BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                    score=rng.uniform(0.45, 0.95),
+                    embedding=v / np.linalg.norm(v)))
+        dets[frame] = rows
+    return SimOutput(gt=gt, dets=dets, anchors=anchors)
+
+
+@st.composite
+def _configs(draw, occlusions=True):
+    targets = draw(st.integers(1, 6))
+    frames = draw(st.integers(1, 8))
+    image = draw(st.sampled_from([(1280, 720), (100, 200), (70, 130)]))  # small: bounces
+    occ = ()
+    if occlusions:
+        occ = tuple(draw(st.lists(st.tuples(
+            st.integers(0, targets + 1), st.integers(1, frames), st.integers(0, frames)),
+            max_size=4)))
+    return SimConfig(
+        seed=draw(st.integers(0, 2**16)), frames=frames, num_targets=targets,
+        image_w=image[0], image_h=image[1],
+        scenario=draw(st.sampled_from(["random", "crossing"] if targets > 1 else ["random"])),
+        det_dropout_prob=draw(st.sampled_from([0.0, 0.3, 0.9])),
+        fp_rate=draw(st.sampled_from([0.0, 0.5, 3.0])),
+        box_noise_std=draw(st.sampled_from([0.0, 1.0, 50.0])),  # 50: widths clamp at 4
+        emb_dim=draw(st.sampled_from([2, 5, 64] if targets <= 3 else [5, 64])),  # packable
+        emb_noise_std=draw(st.sampled_from([0.0, 0.1, 5.0])),
+        occlusions=occ)
+
+
+def _box_bits(box: BBox) -> str:
+    """The corners' repr, which shows their value to the last bit and their type."""
+    return repr(box)
+
+
+def _det_bits(d: Detection) -> tuple:
+    return _box_bits(d.box), np.float64(d.score).tobytes(), d.embedding.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_generate_equals_the_per_detection_reference(cfg):
+    got, want = generate(cfg), _ref_generate(cfg)
+    assert got.anchors.tobytes() == want.anchors.tobytes()
+    assert sorted(got.gt) == sorted(want.gt) == sorted(got.dets) == sorted(want.dets)
+    for f in want.gt:
+        assert [(i, _box_bits(b)) for i, b in got.gt[f]] == \
+            [(i, _box_bits(b)) for i, b in want.gt[f]]
+        assert [_det_bits(d) for d in got.dets[f]] == [_det_bits(d) for d in want.dets[f]]
+    assert trajectories(cfg) == want.gt
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs(occlusions=False))
+def test_sim_files_are_the_mot_lines_of_generate(cfg):
+    res = generate(cfg)
+    gt, det, emb = [], [], []
+    for f in sorted(res.gt):
+        gt += format_mot("gt", f, [i for i, _ in res.gt[f]], corners([b for _, b in res.gt[f]]))
+        det += format_mot("det", f, -1, corners([d.box for d in res.dets[f]]),
+                          [d.score for d in res.dets[f]])
+        emb += [d.embedding for d in res.dets[f]]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        argv = ["sim", "--seed", cfg.seed, "--frames", cfg.frames, "--targets", cfg.num_targets,
+                "--image-w", cfg.image_w, "--image-h", cfg.image_h, "--scenario", cfg.scenario,
+                "--dropout", cfg.det_dropout_prob, "--fp-rate", cfg.fp_rate,
+                "--box-noise", cfg.box_noise_std, "--emb-dim", cfg.emb_dim,
+                "--emb-noise", cfg.emb_noise_std, "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([str(a) for a in argv]) == 0
+        assert (out / "gt.txt").read_text() == "\n".join(gt) + "\n"
+        assert (out / "det.txt").read_text() == "\n".join(det) + "\n"
+        if emb:
+            assert (out / "emb.ften").read_bytes() == tensor_to_bytes(np.stack(emb))
+        else:
+            assert not (out / "emb.ften").exists()
