@@ -21,11 +21,19 @@ entry allowed is one component and is solved whole.  Gated tracker costs
 split into components of a few nodes each, so a crowded frame costs many
 tiny solves instead of one large one.
 
+Entry.  One comparison refuses NaN and -inf, and one forbids +inf and
+entries above ``max_cost``.  When every allowed entry is alone in its row
+and column, as in most frames of a sparse scene, every allowed entry is
+matched and the call returns before the union-find.  The unmatched rows
+and columns are read from masks.
+
 Ties.  Ascending scan order resolves equal-cost ties toward lower row and
 column indices within a component, so results are deterministic.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -205,20 +213,25 @@ def hungarian(cost, max_cost: float = np.inf
     n, m = c.shape
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
-    if np.isnan(c).any() or np.isneginf(c).any():
+    if not (c > -np.inf).all():  # False on NaN too
         raise ValueError("cost entries must be finite or +inf")
 
-    allowed = np.isfinite(c) & (c <= max_cost)
-    if allowed.all():
+    allowed = c <= min(max_cost, sys.float_info.max)  # finite and within max_cost
+    rows, cols = allowed.nonzero()
+    per_row = np.bincount(rows, minlength=n)
+    per_col = np.bincount(cols, minlength=m)
+    if per_row.max() <= 1 and per_col.max() <= 1:  # all 1x1 components: all match
+        return (list(zip(rows.tolist(), cols.tolist())),
+                (per_row == 0).nonzero()[0].tolist(), (per_col == 0).nonzero()[0].tolist())
+    if rows.size == n * m:
         matches = _solve_component(c, allowed)
     else:
         matches = _solve_components(c, allowed)
     matches.sort()
-    matched_rows = {i for i, _ in matches}
-    matched_cols = {j for _, j in matches}
-    unmatched_rows = [i for i in range(n) if i not in matched_rows]
-    unmatched_cols = [j for j in range(m) if j not in matched_cols]
-    return matches, unmatched_rows, unmatched_cols
+    free_rows, free_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    i, j = np.array(matches, dtype=np.int64).reshape(-1, 2).T
+    free_rows[i] = free_cols[j] = False
+    return matches, free_rows.nonzero()[0].tolist(), free_cols.nonzero()[0].tolist()
 
 
 def assignment_cost(cost, matches: list[tuple[int, int]]) -> float:

@@ -20,6 +20,16 @@ row that is not; ``measurements`` measures and checks.  The
 single-state functions (``kf_*``, ``state_to_box``) wrap the same code,
 taking and returning a validated ``KalmanState`` with its 8x8
 covariance.
+
+Each kernel builds its result in one preallocated ``np.empty`` or
+``np.zeros`` block, writing slices of it, never joining per-column arrays
+with ``np.stack`` or ``np.concatenate``; a tracker frame calls each one
+once, so numpy's per-call cost, not the arithmetic, is what it spends.
+The sums keep the grouping of the dense matrix products they stand for
+(``((p + pv) + (pv + v)) + Q`` in ``predict``), so they match them bit
+for bit.  ``all_measurable`` tests a whole measurement array in two
+reductions, so a tracker frame tests its boxes once and runs
+``check_measurements`` only when one fails.
 """
 
 from __future__ import annotations
@@ -46,6 +56,15 @@ _HUGE = float(np.finfo(np.float32).max)
 _ROW = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [4, 5, 6, 7]])
 _COL = _ROW[[0, 2, 2]]
 _ON_BLOCK = np.tile(np.eye(4, dtype=bool), (2, 2))
+
+# Noise std per (cx, cy, a, h) column: the height times a weight, but a
+# fixed std for the aspect a.  Initiate's and predict's noise has one row
+# of weights per covariance row it adds to (var_p, then var_v), with these
+# aspect stds; update's has one row, for var_p, with aspect std 1e-1.
+_INITIATE_WEIGHT = np.repeat([[2 * STD_WEIGHT_POSITION], [10 * STD_WEIGHT_VELOCITY]], 4, axis=1)
+_PREDICT_WEIGHT = np.repeat([[STD_WEIGHT_POSITION], [STD_WEIGHT_VELOCITY]], 4, axis=1)
+_UPDATE_WEIGHT = np.full(4, STD_WEIGHT_POSITION)
+_ASPECT_STD = np.array([1e-2, 1e-5])
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +101,13 @@ def _dense(blocks: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _variances(std: np.ndarray, aspect_std: float) -> np.ndarray:
-    """(T, 4) noise variances: std for cx, cy and h, aspect_std for a."""
-    return np.stack([std, std, np.full_like(std, aspect_std), std], axis=1) ** 2
+def _variances(h: np.ndarray, weight: np.ndarray, aspect_std) -> np.ndarray:
+    """Noise variances over a last axis (cx, cy, a, h): the square of
+    ``h * weight``, but of ``aspect_std`` in the aspect column."""
+    var = h * weight
+    var[..., 2] = aspect_std
+    var *= var
+    return var
 
 
 def measure(c: np.ndarray) -> np.ndarray:
@@ -94,10 +117,14 @@ def measure(c: np.ndarray) -> np.ndarray:
     overflows) comes out non-finite or out of range without a numpy
     warning; ``check_measurements`` rejects it before a filter uses it.
     """
+    z = np.empty((len(c), 4))
+    lo, hi = c[:, :2], c[:, 2:]
     with np.errstate(all="ignore"):
-        h = c[:, 3] - c[:, 1]
-        return np.stack([(c[:, 0] + c[:, 2]) / 2.0, (c[:, 1] + c[:, 3]) / 2.0,
-                         (c[:, 2] - c[:, 0]) / h, h], axis=1)
+        z[:, :2] = (lo + hi) / 2.0
+        wh = hi - lo
+        z[:, 2] = wh[:, 0] / wh[:, 1]
+        z[:, 3] = wh[:, 1]
+    return z
 
 
 def measurable(z: np.ndarray) -> np.ndarray:
@@ -111,14 +138,21 @@ def measurable(z: np.ndarray) -> np.ndarray:
     return (z[:, 3] >= _TINY) & (np.abs(z) <= _HUGE).all(axis=1)
 
 
+def all_measurable(z: np.ndarray) -> bool:
+    """Whether every row of ``z`` is ``measurable``, in two reductions."""
+    # min and max carry a NaN through, and every comparison with it is False
+    return (np.minimum.reduce(z[:, 3], initial=np.inf) >= _TINY
+            and np.maximum.reduce(np.abs(z), axis=None, initial=0.0) <= _HUGE)
+
+
 def check_measurements(z: np.ndarray) -> None:
     """Raise ValueError on the first bad measurement row (see ``measurable``).
 
     A height that is not positive is reported first, wherever it is.
     """
-    h = z[:, 3]
-    if (h >= _TINY).all() and (np.abs(z) <= _HUGE).all():  # False on NaN
+    if all_measurable(z):
         return
+    h = z[:, 3]
     if not (h > 0).all():
         raise ValueError(f"box height must be positive, got {h[~(h > 0)][0]}")
     raise ValueError(f"box measurement (cx, cy, w / h, h) = "
@@ -135,48 +169,62 @@ def measurements(boxes: list[BBox]) -> np.ndarray:
 
 def box_corners(mean: np.ndarray) -> np.ndarray:
     """(T, 4) image-box corners of the means (extents floored at a tiny positive value)."""
-    cx, cy = mean[:, 0], mean[:, 1]
     h = np.maximum(mean[:, 3], 1e-6)
-    w = np.maximum(mean[:, 2] * h, 1e-6)
-    return np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
+    half = np.empty((len(mean), 2))  # (w, h) / 2
+    half[:, 0] = np.maximum(mean[:, 2] * h, 1e-6)
+    half[:, 1] = h
+    half /= 2.0
+    center = mean[:, :2]
+    out = np.empty((len(mean), 4))
+    out[:, :2] = center - half
+    out[:, 2:] = center + half
+    return out
 
 
 def initiate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start one filter per (K, 4) measurement row, with zero velocity."""
-    cov = np.stack([_variances(2 * STD_WEIGHT_POSITION * z[:, 3], 1e-2),
-                    np.zeros_like(z),
-                    _variances(10 * STD_WEIGHT_VELOCITY * z[:, 3], 1e-5)], axis=1)
-    return np.concatenate([z, np.zeros_like(z)], axis=1), cov
+    mean = np.zeros((len(z), 8))
+    mean[:, :4] = z
+    cov = np.zeros((len(z), 3, 4))
+    cov[:, ::2] = _variances(z[:, 3, None, None], _INITIATE_WEIGHT, _ASPECT_STD)
+    return mean, cov
 
 
 def predict(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance (T, 8) means and (T, 3, 4) covariances by one frame: P <- F P F^T + Q."""
-    p, pv, v = cov.swapaxes(0, 1)
     new_mean = mean.copy()
     new_mean[:, :4] += mean[:, 4:]
-    # summed in F P F^T's grouping, so the result matches it bit for bit
-    return new_mean, np.stack([
-        ((p + pv) + (pv + v)) + _variances(STD_WEIGHT_POSITION * mean[:, 3], 1e-2),
-        pv + v,
-        v + _variances(STD_WEIGHT_VELOCITY * mean[:, 3], 1e-5)], axis=1)
+    # summed in F P F^T's grouping, ((p + pv) + (pv + v)) + Q, so the
+    # result matches it bit for bit
+    new_cov = np.empty_like(cov)
+    np.add(cov[:, :2], cov[:, 1:], out=new_cov[:, :2])  # p + pv, pv + v
+    np.add(new_cov[:, 0], new_cov[:, 1], out=new_cov[:, 0])
+    new_cov[:, 2] = cov[:, 2]
+    np.add(new_cov[:, ::2], _variances(mean[:, 3, None, None], _PREDICT_WEIGHT, _ASPECT_STD),
+           out=new_cov[:, ::2])
+    return new_mean, new_cov
 
 
 def update(mean: np.ndarray, cov: np.ndarray,
            z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Correct (K, 8) means and (K, 3, 4) covariances with (K, 4) measurements."""
-    p, pv, v = cov.swapaxes(0, 1)
-    s = p + _variances(STD_WEIGHT_POSITION * mean[:, 3], 1e-1)
+    s = cov[:, 0] + _variances(mean[:, 3, None], _UPDATE_WEIGHT, 1e-1)
     # b * (1/sqrt(s)) * (1/sqrt(s)) is how OpenBLAS's Cholesky solve divides by
     # s; b / s or b / sqrt(s) / sqrt(s) would differ from it in the last bit.
-    inv = 1.0 / np.sqrt(s)
-    gp = (p * inv) * inv
-    gv = (pv * inv) * inv
+    inv = 1.0 / np.sqrt(s)[:, None]
+    gain = cov[:, :2] * inv  # (gp, gv): the position and velocity gains
+    np.multiply(gain, inv, out=gain)
     innovation = z - mean[:, :4]
-    new_mean = mean + np.concatenate([gp * innovation, gv * innovation], axis=1)
-    return new_mean, np.stack([
-        p - (gp * s) * gp,
-        0.5 * ((pv - (gp * s) * gv) + (pv - (gv * s) * gp)),
-        v - (gv * s) * gv], axis=1)
+    new_mean = mean + (gain * innovation[:, None]).reshape(-1, 8)
+    gs = gain * s[:, None]
+    new_cov = np.empty_like(cov)
+    # p - (gp s) gp and v - (gv s) gv, then the mean of the two cross terms
+    # pv - (gp s) gv and pv - (gv s) gp
+    np.subtract(cov[:, ::2], gs * gain, out=new_cov[:, ::2])
+    cross = cov[:, 1, None] - gs * gain[:, ::-1]
+    np.add(cross[:, 0], cross[:, 1], out=new_cov[:, 1])
+    np.multiply(new_cov[:, 1], 0.5, out=new_cov[:, 1])
+    return new_mean, new_cov
 
 
 def gate(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:

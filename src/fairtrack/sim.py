@@ -33,6 +33,9 @@ _STREAM_DET = 3
 _STREAM_MAPS = 4
 
 ANCHOR_MAX_COS = 0.3
+# Unit vectors in the plane pairwise at least arccos(ANCHOR_MAX_COS) apart
+# around the circle: at most 4.
+_PLANE_MAX_ANCHORS = int(2.0 * np.pi / np.arccos(ANCHOR_MAX_COS))
 
 # Largest box generate() draws, false positives included (targets reach
 # 60 x 120): the image must hold it for the centre draws to have a range.
@@ -97,10 +100,15 @@ def identity_anchors(cfg: SimConfig) -> np.ndarray:
     """Unit anchor per identity with pairwise cosine <= 0.3.
 
     Random draws, re-drawn (bounded retries) until separated; when the
-    identity count fits the dimension this converges immediately.
+    identity count fits the dimension this converges immediately.  In the
+    plane (``emb_dim`` 2) a count that cannot be separated is refused at
+    once, before any draw.
     """
-    rng = _rng(cfg, _STREAM_ANCHOR)
     k, d = cfg.num_targets, cfg.emb_dim
+    infeasible = f"could not separate {k} anchors in {d} dimensions to cos <= {ANCHOR_MAX_COS}"
+    if d == 2 and k > _PLANE_MAX_ANCHORS:
+        raise ValueError(infeasible)
+    rng = _rng(cfg, _STREAM_ANCHOR)
     anchors = rng.normal(size=(k, d))
     anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
     for _ in range(10_000):
@@ -124,8 +132,7 @@ def identity_anchors(cfg: SimConfig) -> np.ndarray:
         if it % 500 == 499:
             anchors += 0.05 * rng.normal(size=anchors.shape)
         anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
-    raise ValueError(
-        f"could not separate {k} anchors in {d} dimensions to cos <= {ANCHOR_MAX_COS}")
+    raise ValueError(infeasible)
 
 
 def _initial_states(cfg: SimConfig) -> np.ndarray:

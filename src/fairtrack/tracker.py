@@ -8,20 +8,22 @@ Each ingredient (re-ID, IoU, Kalman) can be toggled off to measure its
 contribution.
 
 The pool is a set of arrays aligned by row, one row per tracklet in id
-order, holding only what the enabled stages read: ids, start frames, the
-active flag, frames since the last update, last scores, the ``(T, 4)``
-corners of the last matched boxes and the detection each row matched or
-was born from in this step (``step`` returns its row, or that
-detection's own ``BBox``); with re-ID on, the smoothed embeddings as one
-``(T, D)`` array; and with Kalman on, the states as a ``(T, 8)`` mean and a
-``(T, 3, 4)`` stack of per-coordinate (position, velocity) covariance
-blocks (see ``kalman``).  Each frame works on whole arrays, never on
-track x detection pairs in Python.  ``step`` takes the frame as
-``DetectionColumns`` (``(N, 4)`` corners, scores and an ``(N, D)``
-embedding array), or as ``Detection`` objects whose columns it builds on
-entry; the boxes become one ``(N, 4)`` measurement array, and one call
-predicts every state.  Appearance cost is one product of the pool's and
-the frame's embedding stacks.  The motion gate is evaluated only on the
+order, holding only what the enabled stages read: ids, start frames,
+frames since the last update (zero exactly on the active tracks), last
+scores, the ``(T, 4)`` corners of the last matched boxes and the
+detection each row matched or was born from in this step (``step``
+returns its row, or that detection's own ``BBox``); with re-ID on, the
+smoothed embeddings as one ``(T, D)`` array; and with Kalman on, the
+states as a ``(T, 8)`` mean and a ``(T, 3, 4)`` stack of per-coordinate
+(position, velocity) covariance blocks (see ``kalman``).  Each frame
+works on whole arrays, never on track x detection pairs in Python.
+``step`` takes the frame as ``DetectionColumns`` (``(N, 4)`` corners,
+scores and an ``(N, D)`` embedding array), or as ``Detection`` objects
+whose columns it builds on entry; the boxes become one ``(N, 4)``
+measurement array, tested once for the filter (only a frame holding a
+bad row runs the checks that pick its error), and one call predicts every
+state.  Appearance cost is one product of the pool's and the frame's
+embedding stacks.  The motion gate is evaluated only on the
 pairs whose appearance cost is within ``emb_match_threshold``:
 ``hungarian`` forbids every other pair anyway, so the allowed pairs and
 their costs are those of a full ``(T, N)`` gate, at a cost that grows
@@ -33,7 +35,10 @@ track or detection from a valid match; the allowed pairs of a crowded
 frame split into components of a few nodes, each solved on its own.
 Matching, smoothing, aging, loss, removal and birth are masks,
 fancy-indexed writes and concatenations.  ``tracks`` builds ``Track``
-copies of the pool on demand.
+copies of the pool on demand.  A frame makes about the same numpy calls
+however few its targets, and at ten targets their fixed cost is most of
+its time, so the frame avoids the Python-level helpers (``np.stack``,
+``np.clip``, ``np.flatnonzero``) where a plain call does the same.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ import numpy as np
 from .assignment import hungarian
 from .decoding import Detection, row_norms
 from .geometry import BBox, corners, iou_matrix
-from .kalman import GATE_CHI2, box_corners, check_measurements, gate, initiate, \
-    measure, predict, update
+from .kalman import GATE_CHI2, all_measurable, box_corners, check_measurements, gate, \
+    initiate, measure, predict, update
 
 
 class DetectionColumns(NamedTuple):
@@ -109,12 +114,33 @@ class Track:
 
 def cosine_distance_matrix(track_embs: np.ndarray, det_embs: np.ndarray) -> np.ndarray:
     """1 - cosine similarity between (T, D) and (N, D) unit embeddings, in [0, 2]."""
-    return np.clip(1.0 - track_embs @ det_embs.T, 0.0, 2.0)
+    d = 1.0 - track_embs @ det_embs.T
+    return np.minimum(np.maximum(d, 0.0, out=d), 2.0, out=d)  # np.clip without its wrapper
 
 
 def iou_distance_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> np.ndarray:
     """1 - IoU between (T, 4) and (N, 4) box-corner arrays."""
     return 1.0 - iou_matrix(track_boxes, det_boxes)
+
+
+def _embedding_rows(embeddings: list) -> np.ndarray:
+    """The detections' embeddings as one (N, D) array; ValueError names the
+    first detection with none, else the first whose width is not detection 0's."""
+    try:
+        emb = np.array(embeddings)
+    except ValueError:  # rows of two widths, or rows beside a None
+        emb = None
+    if emb is not None and emb.ndim == 2:
+        return emb
+    for j, e in enumerate(embeddings):
+        if e is None:
+            raise ValueError(f"detection {j} has no embedding")
+    w0 = embeddings[0].size
+    for j, e in enumerate(embeddings):
+        if e.size != w0:
+            raise ValueError(f"detection {j} has embedding width {e.size}, "
+                             f"detection 0 has {w0}")
+    raise ValueError("embeddings do not stack into one (N, D) array")
 
 
 class OnlineTracker:
@@ -125,8 +151,7 @@ class OnlineTracker:
         # the pool, row k of every array being one tracklet, rows in id order
         self._ids = np.zeros(0, dtype=np.int64)
         self._start = np.zeros(0, dtype=np.int64)
-        self._active = np.zeros(0, dtype=bool)
-        self._misses = np.zeros(0, dtype=np.int64)  # frames since the last update
+        self._misses = np.zeros(0, dtype=np.int64)  # frames since the last update; 0: active
         self._score = np.zeros(0)
         self._box = np.zeros((0, 4))  # corners of the last matched box
         self._det = np.zeros(0, dtype=np.int64)  # its detection in this step
@@ -134,7 +159,7 @@ class OnlineTracker:
         # Kalman states (use_kalman only)
         self._mean = np.zeros((0, 8))
         self._cov = np.zeros((0, 3, 4))
-        self._arrays = ("_ids", "_start", "_active", "_misses", "_score", "_box",
+        self._arrays = ("_ids", "_start", "_misses", "_score", "_box",
                         "_det") + (("_emb",) if cfg.use_reid else ()) \
             + (("_mean", "_cov") if cfg.use_kalman else ())
         self._next_id = 1
@@ -143,8 +168,8 @@ class OnlineTracker:
     @property
     def tracks(self) -> list[Track]:
         """Copies of the pool's tracklets as ``Track`` records, in id order."""
-        status = [TrackStatus.ACTIVE if a else TrackStatus.LOST
-                  for a in self._active.tolist()]
+        status = [TrackStatus.LOST if m else TrackStatus.ACTIVE
+                  for m in self._misses.tolist()]
         embs = self._emb if self.cfg.use_reid else [None] * len(self._ids)
         return [Track(track_id=tid, last_box=BBox(*box), start_frame=start,
                       smooth_emb=None if emb is None else emb.copy(), status=st,
@@ -171,10 +196,7 @@ class OnlineTracker:
             return list(zip(*self._associate(frame_index, *dets)))
         emb = None
         if self.cfg.use_reid and dets:
-            for j, d in enumerate(dets):
-                if d.embedding is None:
-                    raise ValueError(f"detection {j} has no embedding")
-            emb = np.stack([d.embedding for d in dets])
+            emb = _embedding_rows([d.embedding for d in dets])
         ids, rows = self._associate(frame_index, corners([d.box for d in dets]),
                                     np.array([d.score for d in dets], dtype=np.float64), emb)
         return [(tid, dets[j].box) for tid, j in zip(ids, rows)]
@@ -197,8 +219,11 @@ class OnlineTracker:
         mean, cov = predict(self._mean, self._cov) if kalman and pool \
             else (self._mean, self._cov)
 
-        # checked where a filter first uses a row, with measurements' error
+        # Checked where a filter first uses a row, with measurements' error.
+        # One mask test covers the frame; only a frame holding a bad row runs
+        # the ordered checks below, which pick the error to raise.
         z = measure(boxes) if kalman else None
+        suspect = kalman and not all_measurable(z)
         rows = cols = np.zeros(0, dtype=np.int64)  # matches: pool row, detection
         det_pool = np.arange(n)
 
@@ -206,8 +231,9 @@ class OnlineTracker:
         if cfg.use_reid and pool and n:
             cost = cosine_distance_matrix(self._emb, emb)
             if kalman:
-                check_measurements(z)
-                r, c = np.nonzero(cost <= cfg.emb_match_threshold)
+                if suspect:
+                    check_measurements(z)
+                r, c = (cost <= cfg.emb_match_threshold).nonzero()
                 cut = gate(mean[r], cov[r], z[c]) > cfg.gate_chi2
                 cost[r[cut], c[cut]] = np.inf
             matches, _, left = hungarian(cost, max_cost=cfg.emb_match_threshold)
@@ -216,9 +242,9 @@ class OnlineTracker:
 
         # stage 2: box overlap, active tracks only
         if cfg.use_iou and det_pool.size:
-            open_ = self._active.copy()
+            open_ = self._misses == 0
             open_[rows] = False
-            cand = np.flatnonzero(open_)
+            cand = open_.nonzero()[0]
             if cand.size:
                 track_boxes = box_corners(mean[cand]) if kalman else self._box[cand]
                 pairs, _, left = hungarian(
@@ -230,9 +256,8 @@ class OnlineTracker:
                 det_pool = det_pool[left]
 
         born = det_pool[scores[det_pool] > cfg.det_threshold]
-        if kalman and rows.size:
+        if suspect:
             check_measurements(z[cols])
-        if kalman and born.size:
             check_measurements(z[born])
 
         # commit
@@ -240,6 +265,7 @@ class OnlineTracker:
         self._mean, self._cov = mean, cov
         if cfg.use_reid and n and not pool:  # an empty pool takes the frame's width
             self._emb = np.zeros((0, emb.shape[1]))
+        self._misses += 1
         if rows.size:
             if kalman:
                 self._mean[rows], self._cov[rows] = update(
@@ -248,18 +274,15 @@ class OnlineTracker:
             self._det[rows] = cols
             self._score[rows] = scores[cols]
             self._misses[rows] = 0
-            self._active[rows] = True
             if cfg.use_reid:
                 m = cfg.ema_momentum
                 e = m * self._emb[rows] + (1.0 - m) * emb[cols]
                 n = row_norms(e)
-                ok = n > 1e-12
-                self._emb[rows[ok]] = e[ok] / n[ok, None]
+                ok = n > 1e-12  # a row of norm zero keeps its embedding
+                if not ok.all():
+                    rows, e, n = rows[ok], e[ok], n[ok]
+                self._emb[rows] = e / n[:, None]
 
-        missed = np.ones(pool, dtype=bool)
-        missed[rows] = False
-        self._misses[missed] += 1
-        self._active[missed] = False
         keep = self._misses <= cfg.track_buffer
         if not keep.all():
             for name in self._arrays:
@@ -268,7 +291,7 @@ class OnlineTracker:
         if born.size:
             b = born.size
             new = {"_ids": np.arange(self._next_id, self._next_id + b),
-                   "_start": np.full(b, frame_index), "_active": np.ones(b, dtype=bool),
+                   "_start": np.full(b, frame_index),
                    "_misses": np.zeros(b, dtype=np.int64), "_score": scores[born],
                    "_box": boxes[born], "_det": born}
             if cfg.use_reid:
@@ -279,7 +302,7 @@ class OnlineTracker:
                 setattr(self, name, np.concatenate([getattr(self, name), new[name]]))
             self._next_id += b
 
-        act = self._active
+        act = self._misses == 0
         return self._ids[act].tolist(), self._det[act].tolist()
 
 

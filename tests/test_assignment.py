@@ -1,7 +1,10 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtrack.assignment import assignment_cost, hungarian
 
@@ -155,6 +158,32 @@ def test_rejects_nan_and_neg_inf():
         hungarian([[-np.inf, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("max_cost", [np.inf, 0.5, sys.float_info.max])
+def test_nan_and_neg_inf_are_refused_whatever_else_is_allowed(bad, max_cost):
+    # beside entries that are each alone in their row and column, and
+    # where max_cost would forbid the entry anyway
+    for cost in ([[bad]], [[0.1, np.inf], [np.inf, bad]], [[0.1, bad], [np.inf, 0.2]]):
+        with pytest.raises(ValueError, match=r"^cost entries must be finite or \+inf$"):
+            hungarian(cost, max_cost=max_cost)
+
+
+def test_max_cost_inf_still_forbids_inf_entries():
+    assert hungarian([[np.inf, 1.0], [2.0, np.inf]], max_cost=np.inf) == \
+        ([(0, 1), (1, 0)], [], [])
+    assert hungarian([[np.inf]], max_cost=np.inf) == ([], [0], [0])
+    assert hungarian([[np.inf, 3.0], [np.inf, 1.0]], max_cost=np.inf) == \
+        ([(1, 1)], [0], [0])
+
+
+def test_max_cost_at_the_largest_float():
+    big = sys.float_info.max
+    assert hungarian([[big, np.inf]], max_cost=big) == ([(0, 0)], [], [1])
+    assert hungarian([[big, np.inf]], max_cost=np.nextafter(big, 0.0)) == ([], [0], [0, 1])
+    assert hungarian([[np.inf, 0.5], [big, np.inf]], max_cost=big) == \
+        ([(0, 1), (1, 0)], [], [])
+
+
 def test_rejects_wrong_ndim():
     with pytest.raises(ValueError):
         hungarian(np.zeros(4))
@@ -206,6 +235,39 @@ def test_matches_brute_force_with_forbidden(seed):
         # for that match count; at full rank they must agree exactly.
         if len(matches) == n:
             assert got == want
+
+
+@st.composite
+def _lone_entries(draw):
+    """A cost matrix whose allowed entries are each alone in their row and
+    column (all components 1x1), with its max_cost; the forbidden entries
+    are +inf or, under a finite max_cost, just over it."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    max_cost = draw(st.sampled_from([np.inf, 25.0]))
+    over = [np.inf] if np.isinf(max_cost) else [np.inf, 26.0, 50.0]
+    cost = np.array(draw(st.lists(st.sampled_from(over), min_size=n * m, max_size=n * m)),
+                    dtype=np.float64).reshape(n, m)
+    k = draw(st.integers(0, min(n, m)))
+    rows = draw(st.permutations(range(n)))[:k]
+    cols = draw(st.permutations(range(m)))[:k]
+    for i, j in zip(rows, cols):
+        cost[i, j] = float(draw(st.integers(0, 25)))
+    return cost, max_cost, sorted(zip(rows, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lone_entries())
+def test_lone_entries_all_match_at_the_brute_force_cost(case):
+    cost, max_cost, lone = case
+    matches, ur, uc = hungarian(cost, max_cost=max_cost)
+    assert matches == lone
+    assert ur == sorted(set(range(cost.shape[0])) - {i for i, _ in lone})
+    assert uc == sorted(set(range(cost.shape[1])) - {j for _, j in lone})
+    forbidden_first = np.where(cost <= max_cost, cost, np.inf)
+    if lone:
+        assert assignment_cost(cost, matches) == _brute_force(forbidden_first)
+    else:
+        assert np.isinf(_brute_force(forbidden_first))
 
 
 def test_matching_is_valid_one_to_one():

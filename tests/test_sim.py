@@ -165,6 +165,17 @@ def test_anchors_raise_when_packing_is_infeasible():
         identity_anchors(cfg)
 
 
+def test_anchors_in_the_plane_separate_four_and_refuse_five_at_once():
+    a = identity_anchors(SimConfig(seed=4, frames=1, num_targets=4, emb_dim=2))
+    gram = a @ a.T
+    np.fill_diagonal(gram, 0.0)
+    assert gram.max() <= ANCHOR_MAX_COS + 1e-12
+    # 72 degrees apart is the widest five get: cos 72 > 0.3
+    with pytest.raises(ValueError, match=r"^could not separate 5 anchors in 2 dimensions "
+                                         r"to cos <= 0\.3$"):
+        identity_anchors(SimConfig(seed=4, frames=1, num_targets=5, emb_dim=2))
+
+
 # --- detector output -------------------------------------------------------
 
 def test_noise_free_detections_equal_gt():

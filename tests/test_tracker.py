@@ -155,6 +155,25 @@ def test_embedding_width_change_is_refused_before_it_changes_anything():
     assert tr.step(2, second) == track_sequence({1: first, 2: second})[2]
 
 
+def test_frame_with_two_embedding_widths_is_refused_before_it_changes_anything():
+    first = [_walk(0, 1, [1, 0]), _walk(1, 1, [0, 1])]
+    second = [_walk(0, 2, [1, 0]), _walk(1, 2, [0, 1])]
+    mixed = [_walk(0, 2, [1, 0]), _walk(1, 2, [0, 1, 0])]
+    width = "^detection 1 has embedding width 3, detection 0 has 2$"
+    with pytest.raises(ValueError, match=width):
+        OnlineTracker().step(1, mixed)
+    tr = OnlineTracker()
+    tr.step(1, first)
+    before = _state(tr)
+    with pytest.raises(ValueError, match=width):
+        tr.step(2, mixed)
+    # a missing embedding is named first, wherever it is
+    with pytest.raises(ValueError, match="^detection 2 has no embedding$"):
+        tr.step(2, mixed + [replace(second[0], embedding=None)])
+    assert _state(tr) == before
+    assert tr.step(2, second) == track_sequence({1: first, 2: second})[2]
+
+
 # --- embedding smoothing ---------------------------------------------------
 
 def _ema_cfg(momentum):
@@ -468,8 +487,8 @@ def test_array_pool_equals_per_track_reference(seed, cfg):
                 assert (g.smooth_emb is None) == (w.smooth_emb is None)
                 if w.smooth_emb is not None:
                     assert g.smooth_emb.tobytes() == w.smooth_emb.tobytes()
-        assert new._score[new._active].tolist() == [t.last_score for t in want
-                                                    if t.status is TrackStatus.ACTIVE]
+        assert new._score[new._misses == 0].tolist() == [
+            t.last_score for t in want if t.status is TrackStatus.ACTIVE]
         if cfg.use_kalman:
             assert new._mean.tobytes() == ref._mean.tobytes()
             assert new._cov.tobytes() == ref._cov.tobytes()
@@ -507,6 +526,22 @@ def test_a_refused_box_moves_neither_the_states_nor_the_frame():
         tracker.step(2, [_det(BBox(0, 0, 10, 0))])
     assert _state(tracker) == before and tracker._last_frame == 1
     assert tracker.step(2, [_det(BBox(1, 0, 11, 20))]) == [(1, BBox(1, 0, 11, 20))]
+
+
+def test_only_a_box_the_filter_would_use_is_measured():
+    """Without re-ID the filter measures only the boxes it matches or starts
+    a track from: a zero-height box scored below det_threshold passes, the
+    same box scored above it is refused."""
+    tracker = OnlineTracker(TrackerConfig(use_reid=False))
+    tracker.step(1, [_det(BBox(0, 0, 10, 20))])
+    flat = BBox(100, 50, 110, 50)
+    assert tracker.step(2, [_det(BBox(1, 0, 11, 20)), _det(flat, score=0.3)]) == \
+        [(1, BBox(1, 0, 11, 20))]
+    before = _state(tracker)
+    with pytest.raises(ValueError, match="^box height must be positive, got 0.0$"):
+        tracker.step(3, [_det(BBox(2, 0, 12, 20)), _det(flat, score=0.9)])
+    assert _state(tracker) == before and tracker._last_frame == 2
+    assert tracker.step(3, [_det(BBox(2, 0, 12, 20))]) == [(1, BBox(2, 0, 12, 20))]
 
 
 def _columns(dets):
