@@ -8,7 +8,7 @@ CLEAR/IDF1 evaluation, and a deterministic sequence simulator.
 
 __version__ = "0.1.0"
 
-from .geometry import BBox, GridSpec, iou
+from .geometry import BBox, GridSpec
 from .metrics import MetricsReport, evaluate_tracking
 from .sim import SimConfig, generate
 from .tensors import read_tensor
@@ -17,7 +17,6 @@ from .tracker import OnlineTracker, TrackerConfig, track_sequence
 __all__ = [
     "BBox",
     "GridSpec",
-    "iou",
     "read_tensor",
     "MetricsReport",
     "evaluate_tracking",

@@ -16,10 +16,12 @@ one column takes its first minimum, and larger components go to a
 self-contained O(k^3) shortest-augmenting-path solver with dual
 potentials.  In the larger components a finite sentinel stands in for the
 forbidden entries; it is large enough that the solver uses as few of them
-as it can, and pairs placed on them are dropped.  A matrix with every
-entry allowed is one component and is solved whole.  Gated tracker costs
-split into components of a few nodes each, so a crowded frame costs many
-tiny solves instead of one large one.
+as it can, and pairs placed on them are dropped.  Costs near the float
+maximum, where the sentinel or the potentials would overflow, are first
+scaled down by a power of two, which is exact.  A matrix with every entry
+allowed is one component and is solved whole.  Gated tracker costs split
+into components of a few nodes each, so a crowded frame costs many tiny
+solves instead of one large one.
 
 Entry.  One comparison refuses NaN and -inf, and one forbids +inf and
 entries above ``max_cost``.  When every allowed entry is alone in its row
@@ -33,6 +35,7 @@ column indices within a component, so results are deterministic.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -146,10 +149,20 @@ def _solve_component(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, i
     if transposed:
         cost, allowed = cost.T, allowed.T
     work = np.ascontiguousarray(cost)
-    if not allowed.all():
+    k = min(work.shape)
+    every = allowed.all()
+    top = np.abs(work if every else work[allowed]).max()
+    # The solver's running sums reach about 2k sentinels, 4k^2 times the
+    # largest cost.  Costs too large for that are scaled down by a power of
+    # two, which is exact: they keep their order and their differences.
+    limit = sys.float_info.max / (16.0 * k * (k + 1))
+    if top > limit:
+        shift = math.frexp(top / limit)[1]
+        work, top = np.ldexp(work, -shift), math.ldexp(top, -shift)
+    if not every:
         # One sentinel edge must outweigh swapping every allowed edge, so
         # the solver uses as few forbidden entries as possible.
-        large = 2.0 * np.abs(work[allowed]).max() * min(work.shape) + 1.0
+        large = 2.0 * top * k + 1.0
         work = np.where(allowed, work, large)
     pairs = [(r, col) for r, col in enumerate(_solve(work))
              if col >= 0 and allowed[r, col]]

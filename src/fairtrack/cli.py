@@ -41,8 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .decoding import Detection, Sampling, check_peak_args, decode
+from . import __version__, decoding
+from .decoding import Sampling, check_peak_args, decode
 from .encoding import encode_targets
 from .geometry import GridSpec, best_match, corners, iou_matrix
 from .losses import gradcheck_run
@@ -70,11 +70,6 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode())
-
-
-def _det_lines(frame: int, dets: list[Detection]) -> list[str]:
-    """One frame's ``det.txt`` lines."""
-    return format_mot("det", frame, -1, corners([d.box for d in dets]), [d.score for d in dets])
 
 
 def _write_detections(out: Path, lines: list[str], rows: list[np.ndarray]) -> list[Path]:
@@ -331,7 +326,8 @@ def cmd_decode(args) -> int:
         dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
                       top_k=args.top_k, sampling=sampling)
         off[cells] = size[cells] = 0.0
-        lines += _det_lines(frame, dets)
+        lines += format_mot("det", frame, -1, corners([d.box for d in dets]),
+                            [d.score for d in dets])
         if emb is not None:  # decode drops a peak with a zero embedding
             embeddings += [d.embedding for d in dets]
     written = _write_detections(out, lines, embeddings)
@@ -452,9 +448,9 @@ def cmd_gradcheck(args) -> int:
                           num_classes=args.classes, h=args.step)
     failed = False
     for name in ("focal", "box", "reid", "total"):
-        status = "ok" if worst[name] <= args.tol else "FAIL"
-        print(f"{name}: worst_rel_err={worst[name]:.3e} {status}")
-        failed |= worst[name] > args.tol
+        ok = worst[name] <= args.tol  # False for a NaN on either side
+        print(f"{name}: worst_rel_err={worst[name]:.3e} {'ok' if ok else 'FAIL'}")
+        failed |= not ok
     return 1 if failed else 0
 
 
@@ -547,8 +543,8 @@ def build_parser() -> _Parser:
     s = sub.add_parser("decode", help="maps to scored detections")
     s.add_argument("--maps", required=True, help="directory of *.ften maps")
     s.add_argument("--out", required=True)
-    s.add_argument("--threshold", type=float, default=0.4)
-    s.add_argument("--top-k", type=int, default=128)
+    s.add_argument("--threshold", type=float, default=decoding.DEFAULT_THRESHOLD)
+    s.add_argument("--top-k", type=int, default=decoding.DEFAULT_TOP_K)
     s.add_argument("--sampling", choices=["center", "center-bi"],
                    default="center")
     s.add_argument("--stride", type=int, default=4)

@@ -65,7 +65,12 @@ def check_peak_args(threshold: float, top_k: int) -> None:
 
 
 def _peaks(heatmap, threshold: float, top_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and scores of the peaks, best first, at most top_k."""
+    """Rows, columns and scores of the peaks of an (H, W) heatmap, at most top_k.
+
+    A peak is a cell above ``threshold`` and equal to its 3x3
+    neighborhood max; plateau ties are all kept.  Peaks come by
+    descending score, then row, then column.
+    """
     check_peak_args(threshold, top_k)
     h = np.asarray(heatmap, dtype=np.float64)
     if h.ndim != 2:
@@ -81,17 +86,6 @@ def _peaks(heatmap, threshold: float, top_k: int) -> tuple[np.ndarray, np.ndarra
     ys, xs, scores = ys[peak], xs[peak], scores[peak]
     order = np.lexsort((xs, ys, -scores))[:top_k]
     return ys[order], xs[order], scores[order]
-
-
-def peak_nms(heatmap, threshold: float = DEFAULT_THRESHOLD,
-             top_k: int = DEFAULT_TOP_K) -> list[tuple[int, int, float]]:
-    """Cells of an (H, W) heatmap equal to their 3x3 neighborhood max and above threshold.
-
-    Plateau ties are all kept.  Returns (x, y, score) sorted by
-    descending score (then row, column for equal scores), at most top_k.
-    """
-    ys, xs, scores = _peaks(heatmap, threshold, top_k)
-    return list(zip(xs.tolist(), ys.tolist(), scores.tolist()))
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:

@@ -13,11 +13,11 @@ stays in [0, 1] and is exactly 1 at every retained center.
 `TargetMaps` holds a frame as the dense float64 heatmap plus one sparse
 center table: the cell, identity index, offset and size of each retained
 object, one row per center in row-major cell order.  That table is the
-representation; the dense offset, size, mask and identity planes that
-the losses and `decoding.decode` take are scattered from it on first
-use.  The `encode` CLI writes the heatmap densely and the table as it is,
-one ``centers.txt`` row per center, the sparse per-object form CenterNet
-and FairMOT train from.  Each object's Gaussian window is evaluated once
+representation; the dense offset, size and mask planes that the losses
+and `decoding.decode` take are scattered from it on first use.  The
+`encode` CLI writes the heatmap densely and the table as it is, one
+``centers.txt`` row per center, the sparse per-object form CenterNet and
+FairMOT train from.  Each object's Gaussian window is evaluated once
 per sigma and kept in a small read-only cache.
 """
 
@@ -55,10 +55,11 @@ class TargetMaps:
     ``cells[k]`` (x, y), its identity index ``identities[k]`` and
     ``values[k]`` (off_x, off_y, w, h), the sub-cell center offset and the
     box size in image pixels.  Rows are in the row-major cell order that
-    ``np.nonzero`` gives.  ``offsets``, ``sizes``, ``center_mask`` and
-    ``identity_index`` are the dense (2, H, W) and (H, W) planes the losses
-    and ``decoding.decode`` take, scattered from the table on first use:
-    zero, false or -1 off the centers.  ``collisions`` counts objects
+    ``np.nonzero`` gives.  ``offsets``, ``sizes`` and ``center_mask`` are
+    the dense (2, H, W) and (H, W) planes the losses and
+    ``decoding.decode`` take, scattered from the table on first use: zero
+    or false off the centers.  The identities stay in the table; the
+    identity loss takes one label per center.  ``collisions`` counts objects
     dropped because another (larger) object claimed the same cell,
     ``rejected`` counts objects whose quantized center fell outside the
     grid.
@@ -94,10 +95,6 @@ class TargetMaps:
     def center_mask(self) -> np.ndarray:
         return self._dense(np.ones(len(self.cells), dtype=bool), False, bool)
 
-    @cached_property
-    def identity_index(self) -> np.ndarray:
-        return self._dense(self.identities, -1, np.int64)
-
 
 def quantize_center(box: BBox, grid: GridSpec) -> tuple[int, int, tuple[float, float]]:
     """Quantize a box center onto the feature grid.
@@ -117,8 +114,8 @@ def quantize_center(box: BBox, grid: GridSpec) -> tuple[int, int, tuple[float, f
     return qx, qy, (cx / grid.stride - qx, cy / grid.stride - qy)
 
 
-def _min_overlap_radius(w: float, h: float, min_overlap: float) -> float:
-    """Largest corner displacement (feature cells) keeping IoU >= min_overlap.
+def _min_overlap_radius(w: float, h: float) -> float:
+    """Largest corner displacement (feature cells) keeping IoU >= MIN_OVERLAP.
 
     Three displacement cases, each a quadratic ``a r^2 - b r + c = 0`` in the
     radius; the meaningful root is taken per case and the tightest case wins.
@@ -126,38 +123,36 @@ def _min_overlap_radius(w: float, h: float, min_overlap: float) -> float:
     # both corners shift inward
     a1 = 1.0
     b1 = h + w
-    c1 = w * h * (1.0 - min_overlap) / (1.0 + min_overlap)
+    c1 = w * h * (1.0 - MIN_OVERLAP) / (1.0 + MIN_OVERLAP)
     r1 = (b1 - math.sqrt(b1 * b1 - 4.0 * a1 * c1)) / (2.0 * a1)
 
     # both corners shift outward
     a2 = 4.0
     b2 = 2.0 * (h + w)
-    c2 = (1.0 - min_overlap) * w * h
+    c2 = (1.0 - MIN_OVERLAP) * w * h
     r2 = (b2 - math.sqrt(b2 * b2 - 4.0 * a2 * c2)) / (2.0 * a2)
 
     # one inward, one outward; c3 < 0 so the roots straddle zero
-    a3 = 4.0 * min_overlap
-    b3 = -2.0 * min_overlap * (h + w)
-    c3 = (min_overlap - 1.0) * w * h
+    a3 = 4.0 * MIN_OVERLAP
+    b3 = -2.0 * MIN_OVERLAP * (h + w)
+    c3 = (MIN_OVERLAP - 1.0) * w * h
     r3 = (b3 + math.sqrt(b3 * b3 - 4.0 * a3 * c3)) / (2.0 * a3)
 
     return min(r1, r2, r3)
 
 
-def gaussian_radius_sigma(size: tuple[float, float], grid: GridSpec,
-                          min_overlap: float = MIN_OVERLAP,
-                          min_sigma: float = MIN_SIGMA) -> float:
+def gaussian_radius_sigma(size: tuple[float, float], grid: GridSpec) -> float:
     """Size-adaptive Gaussian standard deviation on the feature grid.
 
-    The radius comes from the min-overlap corner-displacement bound on the
-    stride-scaled box, floored at 0; sigma is radius/3, clamped below by
-    ``min_sigma``.
+    The radius comes from the ``MIN_OVERLAP`` corner-displacement bound on
+    the stride-scaled box, floored at 0; sigma is radius/3, clamped below
+    by ``MIN_SIGMA``.
     """
     w, h = size
     if w <= 0 or h <= 0:
         raise ValueError(f"object size must be positive, got {w:g}x{h:g}")
-    r = _min_overlap_radius(w / grid.stride, h / grid.stride, min_overlap)
-    return max(max(r, 0.0) / 3.0, min_sigma)
+    r = _min_overlap_radius(w / grid.stride, h / grid.stride)
+    return max(max(r, 0.0) / 3.0, MIN_SIGMA)
 
 
 _KERNEL_CACHE_SIZE = 64  # sigmas whose windows are kept

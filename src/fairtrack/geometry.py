@@ -65,19 +65,6 @@ class GridSpec:
         return self.image_h // self.stride
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0.0 when the union has zero area."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 _box_corners = attrgetter("x1", "y1", "x2", "y2")
 
 
@@ -88,8 +75,10 @@ def corners(boxes: list[BBox]) -> np.ndarray:
 
 
 def _iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of broadcastable (..., 4) corner arrays, element for element the
-    same arithmetic as ``iou``; float64 for integer corners."""
+    """IoU of broadcastable (..., 4) corner arrays; float64 for integer corners.
+
+    A pair is 0.0 unless its overlap has positive width and height and
+    its union positive area."""
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
@@ -101,7 +90,7 @@ def _iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(T, N) IoU between (T, 4) and (N, 4) corner arrays, bit-equal to ``iou``."""
+    """(T, N) IoU between (T, 4) and (N, 4) corner arrays."""
     return _iou_kernel(a[:, None, :], b[None, :, :])
 
 

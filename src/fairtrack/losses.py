@@ -9,8 +9,9 @@ read once as float64 and checked against the target's shape, and each
 gradient is an array of the prediction's shape.
 
 Conventions that matter and are easy to get wrong elsewhere:
-  - the heatmap focal loss normalizes by the object count N, not the
-    pixel count;
+  - the heatmap focal loss has CenterNet's fixed exponents, alpha = 2
+    and beta = 4, and normalizes by the object count N, not the pixel
+    count;
   - the box l1 loss and the identity cross-entropy are *sums* over
     objects, never means;
   - predictions are clipped to [eps, 1-eps] before any log.
@@ -25,16 +26,10 @@ import numpy as np
 from .encoding import TargetMaps
 
 EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class FocalParams:
-    alpha: float = 2.0
-    beta: float = 4.0
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("focal alpha/beta must be non-negative")
+# CenterNet's focal-loss exponents (Zhou et al., Objects as Points), which
+# FairMOT trains with: alpha on the prediction, beta on the Gaussian target
+FOCAL_ALPHA = 2.0
+FOCAL_BETA = 4.0
 
 
 @dataclass(frozen=True)
@@ -49,12 +44,12 @@ class UncertaintyParams:
             raise ValueError("uncertainty weights must be finite")
 
 
-def focal_loss(pred, target, params: FocalParams = FocalParams(),
-               N: int = 1) -> tuple[float, np.ndarray]:
+def focal_loss(pred, target, N: int = 1) -> tuple[float, np.ndarray]:
     """Penalty-reduced pixel-wise focal loss over an (H, W) center heatmap.
 
     Cells where the target is exactly 1 are positives; everywhere else
-    the target Gaussian value penalty-reduces the negative term.
+    the target Gaussian value penalty-reduces the negative term.  The
+    exponents are ``FOCAL_ALPHA`` and ``FOCAL_BETA``.
     Returns (loss, d loss / d pred).
     """
     if N < 1:
@@ -68,7 +63,7 @@ def focal_loss(pred, target, params: FocalParams = FocalParams(),
     if t.min() < 0 or t.max() > 1:
         raise ValueError("target values must lie in [0, 1]")
 
-    a, b = params.alpha, params.beta
+    a, b = FOCAL_ALPHA, FOCAL_BETA
     clipped = np.clip(p, EPS, 1.0 - EPS)
     pos = t == 1.0
 

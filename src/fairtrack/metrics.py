@@ -52,8 +52,6 @@ class MetricsReport:
     ml_ratio: float
     num_gt: int
     idf1: float | None = None
-    ap: float | None = None
-    tpr_at_far: float | None = None
 
 
 def _check_thresh(iou_thresh: float) -> None:

@@ -118,9 +118,11 @@ def cosine_distance_matrix(track_embs: np.ndarray, det_embs: np.ndarray) -> np.n
     return np.minimum(np.maximum(d, 0.0, out=d), 2.0, out=d)  # np.clip without its wrapper
 
 
-def iou_distance_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> np.ndarray:
-    """1 - IoU between (T, 4) and (N, 4) box-corner arrays."""
-    return 1.0 - iou_matrix(track_boxes, det_boxes)
+def _check_finite(boxes: np.ndarray) -> None:
+    """Raise ValueError on the first (K, 4) box-corner row that is not finite."""
+    bad = ~np.isfinite(boxes).all(axis=1)
+    if bad.any():
+        raise ValueError(f"box corners {tuple(boxes[bad][0].tolist())} are not finite")
 
 
 def _embedding_rows(embeddings: list) -> np.ndarray:
@@ -187,7 +189,9 @@ class OnlineTracker:
         from: its row in the columns, or its ``BBox`` in the list.  A frame
         refused with ValueError (a frame index not after the last one, a
         missing or resized embedding, a box the Kalman filter cannot
-        measure) leaves the tracker as it was, so the frame can be retried.
+        measure or, with Kalman off, a box that is not finite) leaves the
+        tracker as it was, so the frame can be retried.  Only the boxes
+        that match a track or start one are checked.
         """
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
@@ -219,11 +223,16 @@ class OnlineTracker:
         mean, cov = predict(self._mean, self._cov) if kalman and pool \
             else (self._mean, self._cov)
 
-        # Checked where a filter first uses a row, with measurements' error.
-        # One mask test covers the frame; only a frame holding a bad row runs
-        # the ordered checks below, which pick the error to raise.
-        z = measure(boxes) if kalman else None
-        suspect = kalman and not all_measurable(z)
+        # Checked where a filter first uses a row, with measurements' error;
+        # with Kalman off, the rows the pool keeps must be finite.  One mask
+        # test covers the frame; only a frame holding a bad row runs the
+        # ordered checks below, which pick the error to raise.
+        if kalman:
+            z = measure(boxes)
+            suspect = not all_measurable(z)
+        else:
+            z = None
+            suspect = not np.isfinite(boxes).all()
         rows = cols = np.zeros(0, dtype=np.int64)  # matches: pool row, detection
         det_pool = np.arange(n)
 
@@ -247,9 +256,8 @@ class OnlineTracker:
             cand = open_.nonzero()[0]
             if cand.size:
                 track_boxes = box_corners(mean[cand]) if kalman else self._box[cand]
-                pairs, _, left = hungarian(
-                    iou_distance_matrix(track_boxes, boxes[det_pool]),
-                    max_cost=cfg.iou_match_threshold)
+                pairs, _, left = hungarian(1.0 - iou_matrix(track_boxes, boxes[det_pool]),
+                                           max_cost=cfg.iou_match_threshold)
                 i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
                 rows = np.concatenate([rows, cand[i]])
                 cols = np.concatenate([cols, det_pool[j]])
@@ -257,8 +265,11 @@ class OnlineTracker:
 
         born = det_pool[scores[det_pool] > cfg.det_threshold]
         if suspect:
-            check_measurements(z[cols])
-            check_measurements(z[born])
+            for kept in (cols, born):
+                if kalman:
+                    check_measurements(z[kept])
+                else:
+                    _check_finite(boxes[kept])
 
         # commit
         self._last_frame = frame_index

@@ -1,10 +1,12 @@
 import itertools
+import math
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairtrack.assignment import assignment_cost, hungarian
 
@@ -182,6 +184,27 @@ def test_max_cost_at_the_largest_float():
     assert hungarian([[big, np.inf]], max_cost=np.nextafter(big, 0.0)) == ([], [0], [0, 1])
     assert hungarian([[np.inf, 0.5], [big, np.inf]], max_cost=big) == \
         ([(0, 1), (1, 0)], [], [])
+    # costs this large would overflow the sentinel and the solver's potentials
+    assert hungarian([[big, big], [big, np.inf]], max_cost=big) == ([(0, 1), (1, 0)], [], [])
+    assert hungarian(np.full((3, 3), big)) == ([(0, 0), (1, 1), (2, 2)], [], [])
+
+
+# Exact binary fractions, negative ones and +inf; few values, so ties are common.
+_scaled_entry = st.sampled_from([-1.5, 0.0, 0.125, 0.5, 1.0, 1.5, 3.0, 7.0, np.inf])
+_scalable = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_scaled_entry))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scalable, st.sampled_from([np.inf, 1.0, 3.0]), st.data())
+def test_power_of_two_scaling_leaves_the_matches(cost, max_cost, data):
+    # every scale up to the largest at which cost and max_cost stay finite
+    finite = np.append(cost[np.isfinite(cost)], max_cost if np.isfinite(max_cost) else 0.0)
+    top = np.abs(finite).max()
+    s_max = 1024 - math.frexp(top)[1] if top else 0
+    want = hungarian(cost, max_cost=max_cost)
+    for s in {data.draw(st.integers(0, s_max)), s_max}:
+        assert hungarian(np.ldexp(cost, s), max_cost=math.ldexp(max_cost, s)) == want, s
 
 
 def test_rejects_wrong_ndim():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtrack import cli
+from fairtrack import cli, decoding
 from fairtrack.decoding import Detection, decode
 from fairtrack.encoding import GtObject, encode_targets
 from fairtrack.geometry import GridSpec, best_match, corners, iou_matrix
@@ -90,6 +90,17 @@ def test_threads_rejected_where_unused(sub):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(_VALID_ARGV[sub] + ["--threads", "2"])
     assert exc.value.code == 1
+
+
+def test_decode_defaults_are_the_decoders(monkeypatch):
+    argv = _VALID_ARGV["decode"]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.threshold, args.top_k) == (decoding.DEFAULT_THRESHOLD, decoding.DEFAULT_TOP_K)
+    # read from those constants, not written out again beside them
+    monkeypatch.setattr(decoding, "DEFAULT_THRESHOLD", 0.25)
+    monkeypatch.setattr(decoding, "DEFAULT_TOP_K", 7)
+    args = cli.build_parser().parse_args(argv)
+    assert (args.threshold, args.top_k) == (0.25, 7)
 
 
 def test_version_flag_exits_0():
@@ -1104,6 +1115,14 @@ def test_gradcheck_impossible_tolerance_fails():
                    "--tol", "0"])
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_gradcheck_nan_tolerance_fails():
+    # no error is within a NaN tolerance: every line reads FAIL, and so does the run
+    rc, out = run(["gradcheck", "--seeds", "2", "--size", "4", "--classes", "3",
+                   "--tol", "nan"])
+    assert [ln.rsplit(" ", 1)[1] for ln in out.strip().splitlines()] == ["FAIL"] * 4
+    assert rc == 1
 
 
 @pytest.mark.parametrize("argv, name", [

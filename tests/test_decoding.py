@@ -12,14 +12,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fairtrack.decoding import (
+    DEFAULT_THRESHOLD,
+    DEFAULT_TOP_K,
     Detection,
     Sampling,
+    _peaks,
     decode,
-    peak_nms,
     row_norms,
 )
 from fairtrack.encoding import GtObject, encode_targets
 from fairtrack.geometry import BBox, GridSpec
+
+
+def _peak_list(heatmap, threshold=DEFAULT_THRESHOLD, top_k=DEFAULT_TOP_K):
+    """The peaks as a list of (x, y, score), best first."""
+    ys, xs, scores = _peaks(heatmap, threshold, top_k)
+    return list(zip(xs.tolist(), ys.tolist(), scores.tolist()))
 
 
 def _ref_bilinear_sample(emb, x: float, y: float) -> np.ndarray:
@@ -51,7 +59,7 @@ def _ref_decode(heat, offsets, sizes, emb, grid: GridSpec,
         emb = np.asarray(emb, dtype=np.float64)
 
     out = []
-    for x, y, score in peak_nms(heat, threshold, top_k):
+    for x, y, score in _peak_list(heat, threshold, top_k):
         ox, oy = off[0, y, x], off[1, y, x]
         sw, sh = size[0, y, x], size[1, y, x]
         cx = (x + ox) * grid.stride
@@ -82,27 +90,27 @@ def _ref_decode(heat, offsets, sizes, emb, grid: GridSpec,
 # --- peak extraction -------------------------------------------------------
 
 def test_peaks_empty_map():
-    assert peak_nms(np.zeros((8, 8))) == []
+    assert _peak_list(np.zeros((8, 8))) == []
 
 
 def test_peaks_below_threshold_dropped():
     h = np.zeros((8, 8))
     h[3, 4] = 0.39
-    assert peak_nms(h, threshold=0.4) == []
-    assert peak_nms(h, threshold=0.3) == [(4, 3, pytest.approx(0.39))]
+    assert _peak_list(h, threshold=0.4) == []
+    assert _peak_list(h, threshold=0.3) == [(4, 3, pytest.approx(0.39))]
 
 
 def test_peaks_lone_maximum():
     h = np.zeros((8, 8))
     h[2, 5] = 0.9
     h[2, 6] = 0.8  # adjacent, suppressed
-    assert peak_nms(h) == [(5, 2, 0.9)]
+    assert _peak_list(h) == [(5, 2, 0.9)]
 
 
 def test_peaks_plateau_all_kept():
     h = np.zeros((8, 8))
     h[4, 2] = h[4, 3] = 0.7
-    got = peak_nms(h)
+    got = _peak_list(h)
     assert got == [(2, 4, 0.7), (3, 4, 0.7)]  # tie broken by (row, col)
 
 
@@ -111,14 +119,14 @@ def test_peaks_sorted_by_score_desc():
     h[1, 1] = 0.5
     h[5, 5] = 0.95
     h[8, 2] = 0.7
-    assert [xy[:2] for xy in peak_nms(h)] == [(5, 5), (2, 8), (1, 1)]
+    assert [xy[:2] for xy in _peak_list(h)] == [(5, 5), (2, 8), (1, 1)]
 
 
 def test_peaks_top_k_truncates():
     h = np.zeros((12, 12))
     for i, s in zip(range(5), (0.9, 0.8, 0.7, 0.6, 0.5)):
         h[2 * i + 1, 2 * i + 1] = s
-    got = peak_nms(h, top_k=3)
+    got = _peak_list(h, top_k=3)
     assert len(got) == 3
     assert got[0][2] == 0.9
 
@@ -126,14 +134,14 @@ def test_peaks_top_k_truncates():
 def test_peaks_corner_cell():
     h = np.zeros((6, 6))
     h[0, 0] = 0.8
-    assert peak_nms(h) == [(0, 0, 0.8)]
+    assert _peak_list(h) == [(0, 0, 0.8)]
 
 
 def test_peaks_bad_args():
     with pytest.raises(ValueError):
-        peak_nms(np.zeros((4, 4)), threshold=0.0)
+        _peak_list(np.zeros((4, 4)), threshold=0.0)
     with pytest.raises(ValueError):
-        peak_nms(np.zeros((4, 4)), top_k=0)
+        _peak_list(np.zeros((4, 4)), top_k=0)
 
 
 # --- bilinear sampling (the reference's sampler) -----------------------------
@@ -296,7 +304,7 @@ def test_decode_multiple_objects_count():
 
 def test_map_rank_is_checked():
     with pytest.raises(ValueError, match="heatmap must be 2-d"):
-        peak_nms(np.zeros((1, 4, 4)))
+        _peak_list(np.zeros((1, 4, 4)))
     with pytest.raises(ValueError, match="embedding map must be 3-d"):
         _ref_bilinear_sample(np.zeros((4, 4)), 1.0, 1.0)
 

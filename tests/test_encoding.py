@@ -14,9 +14,17 @@ from fairtrack.encoding import (
     quantize_center,
     stamp_gaussian,
 )
-from fairtrack.geometry import BBox, GridSpec, iou
+from fairtrack.geometry import BBox, GridSpec, corners, iou_matrix
 
 GRID = GridSpec(1280, 720, 4)
+
+
+def _identity_plane(maps):
+    """The center table's identities on the grid, -1 off the centers."""
+    plane = np.full(maps.heatmap.shape, -1, dtype=np.int64)
+    x, y = maps.cells.T
+    plane[y, x] = maps.identities
+    return plane
 
 
 # --- center quantization ---------------------------------------------------
@@ -89,13 +97,13 @@ def test_radius_keeps_min_overlap():
     # geometries still meets the 0.7 overlap (it is exactly binding)
     for w, h in [(10, 20), (30, 30), (8, 50)]:
         r = _radius_oracle(w, h, 0.7)
-        base = BBox(0, 0, w, h)
-        cases = [
-            iou(base, BBox(r, r, w + r, h + r)),        # translated
-            iou(base, BBox(r, r, w - r, h - r)),        # shrunk
-            iou(base, BBox(-r, -r, w + r, h + r)),      # grown
-        ]
-        assert min(cases) == pytest.approx(0.7, abs=1e-9)
+        base = corners([BBox(0, 0, w, h)])
+        cases = iou_matrix(base, np.array([
+            [r, r, w + r, h + r],        # translated
+            [r, r, w - r, h - r],        # shrunk
+            [-r, -r, w + r, h + r],      # grown
+        ]))
+        assert cases.min() == pytest.approx(0.7, abs=1e-9)
 
 
 # --- full-frame encoding ---------------------------------------------------
@@ -112,7 +120,7 @@ def test_encode_peak_is_exactly_one():
     heat = np.asarray(maps.heatmap)
     assert heat[20, 30] == 1.0
     assert maps.center_mask[20, 30]
-    assert maps.identity_index[20, 30] == 0
+    assert _identity_plane(maps)[20, 30] == 0
     off = np.asarray(maps.offsets)
     size = np.asarray(maps.sizes)
     assert off[0, 20, 30] == 0.0 and off[1, 20, 30] == 0.0
@@ -125,7 +133,7 @@ def test_encode_collision_keeps_larger():
     maps = encode_targets([small, large], GRID, 2)
     assert maps.collisions == 1
     assert maps.num_objects == 1
-    assert maps.identity_index[12, 27] == 1
+    assert _identity_plane(maps)[12, 27] == 1
     assert np.asarray(maps.sizes)[0, 12, 27] == 40.0
 
 
@@ -134,7 +142,7 @@ def test_encode_collision_order_independent():
     large = GtObject(BBox(91, 31, 131, 71), 1)
     a = encode_targets([small, large], GRID, 2)
     b = encode_targets([large, small], GRID, 2)
-    assert a.identity_index[12, 27] == b.identity_index[12, 27] == 1
+    assert _identity_plane(a)[12, 27] == _identity_plane(b)[12, 27] == 1
     assert a.collisions == b.collisions == 1
 
 
@@ -190,12 +198,13 @@ def test_encode_invariants(objs):
     assert maps.num_objects + maps.collisions + maps.rejected == len(objs)
     ys, xs = np.nonzero(maps.center_mask)
     off = np.asarray(maps.offsets)
+    identity = _identity_plane(maps)
     for y, x in zip(ys, xs):
         assert heat[y, x] == 1.0
         assert 0.0 <= off[0, y, x] < 1.0
         assert 0.0 <= off[1, y, x] < 1.0
-        assert maps.identity_index[y, x] >= 0
-    assert (maps.identity_index[~maps.center_mask] == -1).all()
+        assert identity[y, x] >= 0
+    assert (identity[~maps.center_mask] == -1).all()
 
 
 # --- the center table against the dense encoder it replaced -----------------
@@ -298,8 +307,10 @@ def test_center_table_equals_the_dense_reference(case):
     if isinstance(want, str):
         assert got == want
         return
-    for name in ("heatmap", "offsets", "sizes", "center_mask", "identity_index"):
-        a, b = getattr(got, name), getattr(want, name)
+    planes = {name: getattr(got, name) for name in ("heatmap", "offsets", "sizes", "center_mask")}
+    planes["identity_index"] = _identity_plane(got)
+    for name, a in planes.items():
+        b = getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert (got.num_objects, got.collisions, got.rejected) == \
         (want.num_objects, want.collisions, want.rejected)

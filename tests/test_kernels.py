@@ -2,15 +2,16 @@
 
 The batched IoU, the Kalman predict/update on per-coordinate blocks and
 the numpy column scan of the assignment solver do the same arithmetic as
-the scalar code, so they are compared for exact equality.  The
-per-component assignment is compared to the whole-matrix solver that
-preceded it, kept here as the reference and run with the over-threshold
-entries set to +inf: exactly on continuous costs, and in match count and
-total cost on tie-heavy ones, whose ties may resolve differently.  The batched
-gate is compared to a triangular solve to 1e-9 relative, and its pair form
-to the dense (T, N) form for exact equality.  The threshold-first peak
-search is compared for exact equality to scipy's 3x3 maximum filter, and
-on grids with NaN cells to the dense whole-plane filter it replaced.  The
+the scalar code (for IoU, the per-pair ``_ref_iou`` kept here), so they
+are compared for exact equality.  The per-component assignment is
+compared to the whole-matrix solver that preceded it, kept here as the
+reference and run with the over-threshold entries set to +inf: exactly
+on continuous costs, and in match count and total cost on tie-heavy
+ones, whose ties may resolve differently.  The batched gate is compared
+to a triangular solve to 1e-9 relative, and its pair form to the dense
+(T, N) form for exact equality.  The threshold-first peak search is
+compared for exact equality to scipy's 3x3 maximum filter, and on grids
+with NaN cells to the dense whole-plane filter it replaced.  The
 windowed Gaussian stamp is compared to a full-grid stamp in the float32
 bytes the maps are stored in.  The metrics' overlap pass is compared to
 the positive entries of per-frame IoU matrices, value for value, and the
@@ -32,9 +33,9 @@ from hypothesis.extra.numpy import arrays
 
 from fairtrack import assignment, metrics
 from fairtrack.assignment import hungarian
-from fairtrack.decoding import Detection, peak_nms
+from fairtrack.decoding import Detection, _peaks
 from fairtrack.encoding import MIN_SIGMA, stamp_gaussian
-from fairtrack.geometry import BBox, corners, iou, iou_matrix
+from fairtrack.geometry import BBox, corners, iou_matrix
 from fairtrack.kalman import (
     STD_WEIGHT_POSITION,
     STD_WEIGHT_VELOCITY,
@@ -52,6 +53,20 @@ from fairtrack.kalman import (
 from fairtrack.kalman import _blocks, _dense
 from fairtrack.metrics import MetricsReport, clear_mot, detection_ap, idf1
 from fairtrack.tracker import OnlineTracker
+
+
+def _ref_iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two boxes; 0.0 when the union has zero area."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
 
 # Small integer corners make touching, nested, identical and zero-area
 # boxes common; the float strategy covers general positions.
@@ -76,7 +91,7 @@ def _corners(boxes):
 @given(_boxes(), _boxes())
 def test_iou_matrix_is_bit_equal_to_iou(a, b):
     got = iou_matrix(_corners(a), _corners(b))
-    want = np.array([[iou(p, q) for q in b] for p in a])
+    want = np.array([[_ref_iou(p, q) for q in b] for p in a])
     assert np.array_equal(got, want)
 
 
@@ -254,8 +269,8 @@ def _ref_peak_nms(h, threshold, top_k):
     local_max = scipy.ndimage.maximum_filter(h, size=3, mode="constant", cval=-np.inf)
     ys, xs = np.nonzero((h == local_max) & (h > threshold))
     scores = h[ys, xs]
-    order = np.lexsort((xs, ys, -scores))
-    return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in order[:top_k]]
+    order = np.lexsort((xs, ys, -scores))[:top_k]
+    return ys[order], xs[order], scores[order]
 
 
 def _dense_peak_nms(heatmap, threshold, top_k):
@@ -269,8 +284,8 @@ def _dense_peak_nms(heatmap, threshold, top_k):
     np.maximum(local_max, rows[:, 2:], out=local_max)
     ys, xs = np.nonzero((h == local_max) & (h > threshold))
     scores = h[ys, xs]
-    order = np.lexsort((xs, ys, -scores))
-    return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in order[:top_k]]
+    order = np.lexsort((xs, ys, -scores))[:top_k]
+    return ys[order], xs[order], scores[order]
 
 
 # Few distinct levels make plateaus and ties between neighbours the common
@@ -287,13 +302,15 @@ _nan_grid = st.tuples(_side, _side).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(_tie_grid, st.sampled_from([0.5, 0.99, 1e-9]), st.sampled_from([1, 3, 10**6]))
 def test_peak_nms_equals_the_maximum_filter_reference(h, threshold, top_k):
-    assert peak_nms(h, threshold, top_k) == _ref_peak_nms(h, threshold, top_k)
+    got, want = _peaks(h, threshold, top_k), _ref_peak_nms(h, threshold, top_k)
+    assert all(map(np.array_equal, got, want))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_nan_grid, st.sampled_from([0.5, 0.99, 1e-9]), st.sampled_from([1, 3, 10**6]))
 def test_peak_nms_beside_nan_cells_equals_the_dense_filter(h, threshold, top_k):
-    assert peak_nms(h, threshold, top_k) == _dense_peak_nms(h, threshold, top_k)
+    got, want = _peaks(h, threshold, top_k), _dense_peak_nms(h, threshold, top_k)
+    assert all(map(np.array_equal, got, want))
 
 
 # --- Gaussian stamp ----------------------------------------------------------
@@ -474,13 +491,13 @@ def _ref_clear_mot(gt, pred, iou_thresh=0.5):
 
         kept = {}
         for gid, pid in corr.items():
-            if gid in g and pid in p and iou(g[gid], p[pid]) >= iou_thresh:
+            if gid in g and pid in p and _ref_iou(g[gid], p[pid]) >= iou_thresh:
                 kept[gid] = pid
 
         free_g = [gid for gid in g if gid not in kept]
         free_p = [pid for pid in p if pid not in kept.values()]
         if free_g and free_p:
-            cost = np.array([[1.0 - iou(g[a], p[b]) for b in free_p]
+            cost = np.array([[1.0 - _ref_iou(g[a], p[b]) for b in free_p]
                              for a in free_g])
             pairs, _, _ = hungarian(cost, max_cost=1.0 - iou_thresh)
             for i, j in pairs:
@@ -530,7 +547,7 @@ def _ref_idf1(gt, pred, iou_thresh=0.5):
             for pid, pb in p.items():
                 if pid not in pred_ids:
                     pred_ids.append(pid)
-                if iou(gb, pb) >= iou_thresh:
+                if _ref_iou(gb, pb) >= iou_thresh:
                     counts[(gid, pid)] = counts.get((gid, pid), 0) + 1
 
     if total_gt + total_pred == 0:
@@ -561,7 +578,7 @@ def _ref_detection_ap(gt_boxes, preds, iou_thresh=0.5):
         for gi, gb in enumerate(gt_boxes.get(frame, [])):
             if gi in claimed.get(frame, set()):
                 continue
-            v = iou(box, gb)
+            v = _ref_iou(box, gb)
             if v >= best:
                 best, best_i = v, gi
         if best_i >= 0:

@@ -6,7 +6,6 @@ import pytest
 from fairtrack.encoding import GtObject, encode_targets
 from fairtrack.geometry import BBox, GridSpec
 from fairtrack.losses import (
-    FocalParams,
     UncertaintyParams,
     box_loss,
     focal_loss,
@@ -80,11 +79,6 @@ def test_focal_gradient_matches_fd():
     _, grad = focal_loss(pred, target, N=n)
     fd = numeric_gradient(lambda x: focal_loss(x, target, N=n)[0], pred)
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-8)
-
-
-def test_focal_params_validation():
-    with pytest.raises(ValueError):
-        FocalParams(alpha=-1)
 
 
 # --- box -------------------------------------------------------------------

@@ -325,7 +325,6 @@ def test_evaluate_tracking_bundles_idf1():
     r = evaluate_tracking(gt, gt)
     assert r.mota == 1.0
     assert r.idf1 == 1.0
-    assert r.ap is None and r.tpr_at_far is None
 
 
 # --- tables ------------------------------------------------------------------

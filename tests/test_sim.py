@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fairtrack import cli
 from fairtrack.decoding import Detection, decode
-from fairtrack.geometry import BBox, GridSpec, corners, iou
+from fairtrack.geometry import BBox, GridSpec, corners, iou_matrix
 from fairtrack.mot_io import format_mot
 from fairtrack.sim import (
     ANCHOR_MAX_COS,
@@ -119,7 +119,8 @@ def test_crossing_targets_meet_mid_sequence():
     cfg = SimConfig(seed=0, frames=100, num_targets=2, scenario="crossing")
     gt = trajectories(cfg)
     cross = cfg.frames // 2
-    overlaps = [iou(dict(gt[f])[1], dict(gt[f])[2]) for f in sorted(gt)]
+    boxes = [corners([dict(gt[f])[tid] for tid in (1, 2)]) for f in sorted(gt)]
+    overlaps = [iou_matrix(b[:1], b[1:])[0, 0] for b in boxes]
     assert max(overlaps) > 0.9
     assert overlaps[cross] > 0.5
     assert overlaps[0] == 0.0 and overlaps[-1] == 0.0
@@ -253,11 +254,12 @@ def test_generate_maps_round_trip():
     assert len(dets) == len(rows)
     anchors = identity_anchors(cfg)
     matched = set()
-    for d in dets:
-        best = max(rows, key=lambda r: iou(r[1], d.box))
-        assert iou(best[1], d.box) > 0.99
-        assert int(np.argmax(anchors @ d.embedding)) == best[0] - 1
-        matched.add(best[0])
+    ious = iou_matrix(corners([d.box for d in dets]), corners([box for _, box in rows]))
+    for d, row_ious in zip(dets, ious):
+        best = int(np.argmax(row_ious))
+        assert row_ious[best] > 0.99
+        assert int(np.argmax(anchors @ d.embedding)) == rows[best][0] - 1
+        matched.add(rows[best][0])
     assert len(matched) == len(rows)
 
 

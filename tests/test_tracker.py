@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fairtrack.assignment import hungarian
 from fairtrack.decoding import Detection
-from fairtrack.geometry import BBox, corners
+from fairtrack.geometry import BBox, corners, iou_matrix
 from fairtrack.kalman import GATE_CHI2, STD_WEIGHT_POSITION, box_corners, initiate, \
     measurements, predict, update
 from fairtrack.tracker import (
@@ -17,7 +17,6 @@ from fairtrack.tracker import (
     TrackerConfig,
     TrackStatus,
     cosine_distance_matrix,
-    iou_distance_matrix,
     track_sequence,
 )
 
@@ -60,11 +59,12 @@ def test_cosine_distance_requires_embeddings():
 
 
 def test_iou_distance_identity_and_disjoint():
-    t = np.array([[0, 0, 10, 10]], dtype=float)
-    d = np.array([[0, 0, 10, 10], [50, 50, 60, 60]], dtype=float)
-    m = iou_distance_matrix(t, d)
-    assert m[0, 0] == pytest.approx(0.0)
-    assert m[0, 1] == pytest.approx(1.0)
+    # 1 - IoU is 0 for the identical box, which the track takes, and 1 for
+    # the disjoint one, over the 0.5 threshold, so it starts a track
+    tr = OnlineTracker(TrackerConfig(use_reid=False, use_kalman=False))
+    tr.step(1, [_det(BBox(0, 0, 10, 10))])
+    out = tr.step(2, [_det(BBox(50, 50, 60, 60)), _det(BBox(0, 0, 10, 10))])
+    assert out == [(1, BBox(0, 0, 10, 10)), (2, BBox(50, 50, 60, 60))]
 
 
 # --- basic lifecycle -------------------------------------------------------
@@ -340,7 +340,7 @@ class _RefTracker:
                     track_boxes = box_corners(self._mean[cand])
                 else:
                     track_boxes = corners([tracks[k].last_box for k in cand])
-                cost = iou_distance_matrix(
+                cost = 1.0 - iou_matrix(
                     track_boxes, corners([dets[j].box for j in det_pool]))
                 pairs, _, left = hungarian(cost, max_cost=cfg.iou_match_threshold)
                 matches = matches + [(cand[i], det_pool[j]) for i, j in pairs]
@@ -542,6 +542,32 @@ def test_only_a_box_the_filter_would_use_is_measured():
         tracker.step(3, [_det(BBox(2, 0, 12, 20)), _det(flat, score=0.9)])
     assert _state(tracker) == before and tracker._last_frame == 2
     assert tracker.step(3, [_det(BBox(2, 0, 12, 20))]) == [(1, BBox(2, 0, 12, 20))]
+
+
+@pytest.mark.parametrize("as_columns", [False, True])
+def test_kalman_off_refuses_a_non_finite_box_it_would_keep(as_columns):
+    """Without the filter, a box that matches a track or starts one must still
+    be finite: a frame holding one is refused before any state moves, in
+    either input form, and the same box scored below det_threshold passes."""
+    frame = _columns if as_columns else list
+    cfg = TrackerConfig(use_kalman=False)
+    tracker, clean = OnlineTracker(cfg), OnlineTracker(cfg)
+    first = [_det(BBox(0, 0, 10, 20), emb=[1, 0])]
+    tracker.step(1, frame(first))
+    clean.step(1, frame(first))
+    before = _state(tracker)
+    wide = BBox(0, 0, np.inf, 20)
+    refused = r"^box corners \(0.0, 0.0, inf, 20.0\) are not finite$"
+    for dets in ([_det(wide, emb=[1, 0])],  # matches track 1 by appearance
+                 first + [_det(wide, emb=[0, 1])]):  # starts a track
+        with pytest.raises(ValueError, match=refused):
+            tracker.step(2, frame(dets))
+        assert _state(tracker) == before
+    low = first + [_det(wide, emb=[0, 1], score=0.3)]
+    assert tracker.step(2, frame(low)) == clean.step(2, frame(first))
+    with pytest.raises(ValueError, match=r"^box corners \(0.0, 0.0, inf, 10.0\) are not finite$"):
+        OnlineTracker(TrackerConfig(use_reid=False, use_kalman=False)).step(
+            1, frame([Detection(BBox(0, 0, np.inf, 10), 0.9)]))
 
 
 def _columns(dets):
