@@ -1,33 +1,42 @@
 """Minimum-cost bipartite assignment under a match threshold.
 
-Forbidden first.  An entry that is +inf or above ``max_cost`` is
-forbidden before anything is solved: it is never matched, and it cannot
-take a row or column away from an allowed pair.  Over the allowed entries
-the result has maximum cardinality and, among matchings of that size,
-minimum total cost; this is the rule of py-motmetrics' CLEAR MOT.  (lapjv's
-``cost_limit`` rule, which can give up a match to lower the cost, is not
-used.)
+Two entries.  ``solve_pairs(n, m, rows, cols, cost)`` takes an n x m
+problem as its candidate pairs, in row-major order, every listed pair
+allowed.  ``hungarian(cost, max_cost)`` takes a dense matrix, forbids the
+entries that are +inf or above ``max_cost`` and passes the rest to
+``solve_pairs``.  The tracker and the CLEAR MOT rematch hold their
+candidates as pairs already and call ``solve_pairs``, so no caller builds
+a dense matrix only for the solver to scan it again (lap's ``lapmod`` is
+the sparse form of FairMOT's ``lapjv`` in the same way).
 
-Components.  The allowed entries form a bipartite graph whose connected
-components, labelled by a union-find, are independent, so each is solved
-on its own.  Rows and columns without an allowed entry stay unmatched.
-1x1 components all match in one array pass, a component with one row or
-one column takes its first minimum, and larger components go to a
-self-contained O(k^3) shortest-augmenting-path solver with dual
-potentials.  In the larger components a finite sentinel stands in for the
-forbidden entries; it is large enough that the solver uses as few of them
-as it can, and pairs placed on them are dropped.  Costs near the float
-maximum, where the sentinel or the potentials would overflow, are first
-scaled down by a power of two, which is exact.  A matrix with every entry
-allowed is one component and is solved whole.  Gated tracker costs split
-into components of a few nodes each, so a crowded frame costs many tiny
-solves instead of one large one.
+Forbidden first.  A pair that is not allowed is forbidden before anything
+is solved: it is never matched, and it cannot take a row or column away
+from an allowed pair.  Over the allowed pairs the result has maximum
+cardinality and, among matchings of that size, minimum total cost; this
+is the rule of py-motmetrics' CLEAR MOT.  (lapjv's ``cost_limit`` rule,
+which can give up a match to lower the cost, is not used.)
 
-Entry.  One comparison refuses NaN and -inf, and one forbids +inf and
-entries above ``max_cost``.  When every allowed entry is alone in its row
-and column, as in most frames of a sparse scene, every allowed entry is
-matched and the call returns before the union-find.  The unmatched rows
-and columns are read from masks.
+Components.  The allowed pairs form a bipartite graph whose connected
+components are independent, so each is solved on its own.  Rows and
+columns without an allowed pair stay unmatched.  Pairs alone in their row
+and column all match in one array pass; when every pair is, as in most
+frames of a sparse scene, the call returns there.  The rest are labelled
+by ``components``, a union-find.  A component with one row or one column
+takes its first minimum, and a larger one is scattered into a dense block
+of its own rows and columns for a self-contained O(k^3)
+shortest-augmenting-path solver with dual potentials.  In a block a
+finite sentinel stands in for the pairs not listed; it is large enough
+that the solver uses as few of them as it can, and pairs placed on them
+are dropped.  Costs near the float maximum, where the sentinel or the
+potentials would overflow, are first scaled down by a power of two, which
+is exact.  A problem with every pair listed is one component and is
+solved whole, with no union-find.  Gated tracker costs split into
+components of a few nodes each, so a crowded frame costs many tiny solves
+instead of one large one.
+
+Checks.  ``solve_pairs`` refuses a pair cost that is NaN or +-inf;
+``hungarian`` refuses NaN and -inf anywhere in its matrix, and reads its
+unmatched rows and columns from masks.
 
 Ties.  Ascending scan order resolves equal-cost ties toward lower row and
 column indices within a component, so results are deterministic.
@@ -169,47 +178,83 @@ def _solve_component(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, i
     return [(j, i) for i, j in pairs] if transposed else pairs
 
 
-def _solve_components(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
-    """Matches of every connected component of the allowed entries."""
-    n, m = cost.shape
-    rows, cols = np.nonzero(allowed)
+def components(n: int, m: int, rows: np.ndarray, cols: np.ndarray
+               ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The connected components of the n x m bipartite graph whose edges
+    are the pairs (rows[k], cols[k]), given in row-major order, in order
+    of their lowest row: per component, the indices of its pairs, its rows
+    and its columns, each ascending.
+
+    A union-find with path halving over rows 0..n-1 and columns
+    n..n+m-1, in Python: the pairs that reach it are the few that share a
+    row or a column, 2-14 per call in a 200-target frame, where it ran
+    4-7x faster than the same passes as numpy calls (2-vCPU x86-64 host).
+    """
+    rs, cs = rows.tolist(), (cols + n).tolist()
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while (up := parent.get(x, x)) != x:
+            parent[x] = x = parent.get(up, up)
+        return x
+
+    for a, b in zip(rs, cs):
+        a, b = find(a), find(b)
+        if a != b:  # the larger root hooks under the smaller
+            parent[max(a, b)] = min(a, b)
+    groups: dict[int, tuple[list[int], list[int], set[int]]] = {}
+    for k, (a, b) in enumerate(zip(rs, cs)):
+        pairs, at_rows, at_cols = groups.setdefault(find(a), ([], [], set()))
+        pairs.append(k)
+        if not at_rows or at_rows[-1] != a:  # rows arrive ascending
+            at_rows.append(a)
+        at_cols.add(b - n)
+    return [(np.array(pairs), np.array(at_rows), np.array(sorted(at_cols)))
+            for pairs, at_rows, at_cols in groups.values()]
+
+
+def solve_pairs(n: int, m: int, rows, cols, cost) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal assignment over the listed pairs of an n x m problem.
+
+    Pair k is row ``rows[k]``, column ``cols[k]`` at cost ``cost[k]``;
+    the pairs are distinct and in row-major order, and every listed pair
+    is allowed (see the module docstring for the rule).  Returns the
+    matched rows and columns as int64 arrays, sorted by row.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    cost = np.asarray(cost, dtype=np.float64)
+    if not np.isfinite(cost).all():
+        raise ValueError("cost entries must be finite or +inf")
+    if not rows.size:
+        return rows, cols
     single = ((np.bincount(rows, minlength=n)[rows] == 1)
               & (np.bincount(cols, minlength=m)[cols] == 1))
-    matches = list(zip(rows[single].tolist(), cols[single].tolist()))
-    rows, cols = rows[~single], cols[~single]
-
-    # union-find over rows 0..n-1 and columns n..n+m-1, all edges at once:
-    # each edge hooks the larger of its two roots under the smaller, then
-    # every node jumps to its root; repeat until each edge joins one root
-    root = np.arange(n + m)
-    a, b = rows, cols + n
-    while True:
-        ra, rb = root[a], root[b]
-        if (ra == rb).all():
-            break
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            up = root[root]
-            if (up == root).all():
-                break
-            root = up
-    root = root.tolist()
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i in sorted(set(rows.tolist())):
-        groups.setdefault(root[i], ([], []))[0].append(i)
-    for j in sorted(set(cols.tolist())):
-        groups[root[j + n]][1].append(j)
-
-    for rs, ks in groups.values():
-        if len(rs) == 1:
-            matches.append((rs[0], ks[int(np.argmin(cost[rs[0], ks]))]))
-        elif len(ks) == 1:
-            matches.append((rs[int(np.argmin(cost[rs, ks[0]]))], ks[0]))
+    if single.all():  # all 1x1 components: all match
+        return rows, cols
+    if rows.size == n * m:  # every pair listed: one component, the whole matrix
+        pairs = sorted(_solve_component(cost.reshape(n, m), np.ones((n, m), dtype=bool)))
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    match_rows, match_cols = rows[single].tolist(), cols[single].tolist()
+    rows, cols, cost = rows[~single], cols[~single], cost[~single]
+    for k, r_at, c_at in components(n, m, rows, cols):
+        if len(r_at) == 1:  # its columns ascending
+            match_rows.append(r_at[0])
+            match_cols.append(cols[k[np.argmin(cost[k])]])
+        elif len(c_at) == 1:  # its rows ascending
+            match_rows.append(rows[k[np.argmin(cost[k])]])
+            match_cols.append(c_at[0])
         else:
-            block = np.ix_(rs, ks)
-            matches += [(rs[i], ks[j])
-                        for i, j in _solve_component(cost[block], allowed[block])]
-    return matches
+            i, j = np.searchsorted(r_at, rows[k]), np.searchsorted(c_at, cols[k])
+            block = np.zeros((len(r_at), len(c_at)))
+            allowed = np.zeros(block.shape, dtype=bool)
+            block[i, j] = cost[k]
+            allowed[i, j] = True
+            for bi, bj in _solve_component(block, allowed):
+                match_rows.append(r_at[bi])
+                match_cols.append(c_at[bj])
+    match_rows = np.array(match_rows, dtype=np.int64)
+    order = np.argsort(match_rows)
+    return match_rows[order], np.array(match_cols, dtype=np.int64)[order]
 
 
 def hungarian(cost, max_cost: float = np.inf
@@ -218,7 +263,8 @@ def hungarian(cost, max_cost: float = np.inf
 
     Returns (matches, unmatched_rows, unmatched_cols), matches sorted by
     row.  Other entries are forbidden before solving (see the module
-    docstring for the rule).  Empty matrices leave everything unmatched.
+    docstring for the rule); the allowed ones go to ``solve_pairs``.
+    Empty matrices leave everything unmatched.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
@@ -228,23 +274,12 @@ def hungarian(cost, max_cost: float = np.inf
         return [], list(range(n)), list(range(m))
     if not (c > -np.inf).all():  # False on NaN too
         raise ValueError("cost entries must be finite or +inf")
-
-    allowed = c <= min(max_cost, sys.float_info.max)  # finite and within max_cost
-    rows, cols = allowed.nonzero()
-    per_row = np.bincount(rows, minlength=n)
-    per_col = np.bincount(cols, minlength=m)
-    if per_row.max() <= 1 and per_col.max() <= 1:  # all 1x1 components: all match
-        return (list(zip(rows.tolist(), cols.tolist())),
-                (per_row == 0).nonzero()[0].tolist(), (per_col == 0).nonzero()[0].tolist())
-    if rows.size == n * m:
-        matches = _solve_component(c, allowed)
-    else:
-        matches = _solve_components(c, allowed)
-    matches.sort()
+    rows, cols = (c <= min(max_cost, sys.float_info.max)).nonzero()  # finite, within max_cost
+    i, j = solve_pairs(n, m, rows, cols, c[rows, cols])
     free_rows, free_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
-    i, j = np.array(matches, dtype=np.int64).reshape(-1, 2).T
     free_rows[i] = free_cols[j] = False
-    return matches, free_rows.nonzero()[0].tolist(), free_cols.nonzero()[0].tolist()
+    return (list(zip(i.tolist(), j.tolist())),
+            free_rows.nonzero()[0].tolist(), free_cols.nonzero()[0].tolist())
 
 
 def assignment_cost(cost, matches: list[tuple[int, int]]) -> float:

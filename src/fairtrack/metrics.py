@@ -16,6 +16,16 @@ is computed for the pairs that pass by the elementwise kernel behind
 ``iou_matrix``, so each value is bit-equal to the dense entry.  The metrics read the resulting
 (row, column, IoU) triples with IoU > 0; a pair left out has IoU 0,
 which no threshold in (0, 1] admits.
+
+Matching.  CLEAR MOT keeps a frame's correspondences from the previous
+frame and passes the frame's free triples, as (gt row, pred row, 1 - IoU)
+pairs, to ``assignment.solve_pairs``: maximum cardinality first, then the
+most IoU.  IDF1 maximises the frames covered instead, which cardinality
+first can lose (a gt id 5 frames with pred A and 1 with pred B, beside a
+second gt id 1 frame with A: two pairs cover 2 frames, A alone covers 5).
+It labels the components of its counted (gt id, pred id) cells with
+``assignment.components`` and solves each on its own, absent cells at 0,
+so no ids x ids matrix is built.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .assignment import hungarian
+from .assignment import components, hungarian, solve_pairs
 from .geometry import BBox, _iou_kernel, corners
 from .mot_io import MotTable
 
@@ -201,19 +211,13 @@ def _tracking_pass(gt: Side, pred: Side) -> _Pass:
 
 
 def _rematch(ov: _Pass, f: int, free: list[int], g: np.ndarray, p: np.ndarray,
-             iou: np.ndarray, kept_gid: set[int], kept_pid: set[int]) -> list[int]:
-    """The free pairs ``hungarian`` matches by maximum IoU over frame f's
-    unmatched gt rows x unmatched pred rows."""
-    rows = np.arange(ov.g_start[f], ov.g_start[f + 1])
-    rows = rows[~np.isin(ov.g_id[rows], list(kept_gid))]
-    cols = np.arange(ov.p_start[f], ov.p_start[f + 1])
-    cols = cols[~np.isin(ov.p_id[cols], list(kept_pid))]
-    i, j = np.searchsorted(rows, g[free]), np.searchsorted(cols, p[free])
-    cost = np.full((len(rows), len(cols)), np.inf)  # inf: below the threshold
-    cost[i, j] = 1.0 - iou[free]
-    pairs, _, _ = hungarian(cost)
-    cell = dict(zip(zip(i.tolist(), j.tolist()), free))
-    return [cell[ij] for ij in pairs]
+             iou: np.ndarray) -> list[int]:
+    """The free pairs ``solve_pairs`` matches by maximum IoU in frame f."""
+    lo_g, lo_p = ov.g_start[f], ov.p_start[f]
+    n, m = ov.g_start[f + 1] - lo_g, ov.p_start[f + 1] - lo_p
+    i, j = g[free] - lo_g, p[free] - lo_p  # rows within the frame, in row-major order
+    mi, mj = solve_pairs(n, m, i, j, 1.0 - iou[free])
+    return np.asarray(free)[np.searchsorted(i * m + j, mi * m + mj)].tolist()
 
 
 def _clear_mot(ov: _Pass, iou_thresh: float) -> MetricsReport:
@@ -234,9 +238,9 @@ def _clear_mot(ov: _Pass, iou_thresh: float) -> MetricsReport:
             kp = {pid_l[k] for k in kept}
             free = [k for k in range(lo, hi) if gid_l[k] not in kg and pid_l[k] not in kp]
             if len({gid_l[k] for k in free}) == len(free) == len({pid_l[k] for k in free}):
-                kept += free  # no two share a row or a column: hungarian would match all
+                kept += free  # no two share a row or a column: all would match
             else:
-                kept += _rematch(ov, f, free, g, p, iou, kg, kp)
+                kept += _rematch(ov, f, free, g, p, iou)
         prev = {key[k] for k in kept}
         matched += kept
 
@@ -263,31 +267,36 @@ def _clear_mot(ov: _Pass, iou_thresh: float) -> MetricsReport:
     )
 
 
-def _first_seen_rank(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per entry, the rank of its value by first appearance; and the value count."""
-    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    rank = np.empty(len(unique), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(unique))
-    return rank[inverse.reshape(-1)], len(unique)
-
-
 def _idf1(ov: _Pass, iou_thresh: float) -> float:
+    """IDF1 from the pass; IDTP is the most frames that one-to-one pairs of
+    gt and pred ids cover, however few pairs that takes."""
     total_gt, total_pred = len(ov.g_id), len(ov.p_id)
     if total_gt + total_pred == 0:
         return 1.0
     hit = ov.iou >= iou_thresh
     if not hit.any():
         return 0.0
-    # rows and columns only for ids with a count, in order of their first
-    # pair: the optimum is unchanged
-    row, n_rows = _first_seen_rank(ov.g_id[ov.g[hit]])
-    col, n_cols = _first_seen_rank(ov.p_id[ov.p[hit]])
-    cell, count = np.unique(row * n_cols + col, return_counts=True)
-    cost = np.zeros((n_rows, n_cols))
-    cost[cell // n_cols, cell % n_cols] = -count
-    pairs, _, _ = hungarian(cost)
-    idtp = sum(-cost[i, j] for i, j in pairs)
-    return 2.0 * idtp / (total_gt + total_pred)
+    # the frames each (gt id, pred id) cell counts, cells in row-major order
+    cell, count = np.unique(ov.g_id[ov.g[hit]] * ov.n_pid + ov.p_id[ov.p[hit]],
+                            return_counts=True)
+    row, col = np.divmod(cell, ov.n_pid)
+    # A pair with no frame counts 0, so each component of the counted cells
+    # is solved on its own: a lone cell counts whole, a component with one
+    # row or one column its largest cell, and any other is a dense block of
+    # its own ids with its absent cells at 0, all allowed.
+    single = ((np.bincount(row, minlength=ov.n_gid)[row] == 1)
+              & (np.bincount(col, minlength=ov.n_pid)[col] == 1))
+    idtp = int(count[single].sum())
+    row, col, count = row[~single], col[~single], count[~single]
+    for k, r_at, c_at in components(ov.n_gid, ov.n_pid, row, col):
+        if len(r_at) == 1 or len(c_at) == 1:
+            idtp += int(count[k].max())
+            continue
+        block = np.zeros((len(r_at), len(c_at)))
+        block[np.searchsorted(r_at, row[k]), np.searchsorted(c_at, col[k])] = -count[k]
+        pairs, _, _ = hungarian(block)
+        idtp -= int(sum(block[i, j] for i, j in pairs))
+    return 2.0 * np.float64(idtp) / (total_gt + total_pred)
 
 
 def clear_mot(gt: Side, pred: Side, iou_thresh: float = 0.5) -> MetricsReport:

@@ -24,16 +24,21 @@ measurement array, tested once for the filter (only a frame holding a
 bad row runs the checks that pick its error), and one call predicts every
 state.  Appearance cost is one product of the pool's and the frame's
 embedding stacks.  The motion gate is evaluated only on the
-pairs whose appearance cost is within ``emb_match_threshold``:
-``hungarian`` forbids every other pair anyway, so the allowed pairs and
-their costs are those of a full ``(T, N)`` gate, at a cost that grows
-with the admissible pairs, not with T x N.  Overlap cost is one
-broadcast over ``(T, 4)`` and ``(N, 4)`` box corners.  Each stage passes
-its threshold to ``hungarian``, which forbids the pairs above it (and the
-gated ones) before solving, so a pair over the threshold never takes a
-track or detection from a valid match; the allowed pairs of a crowded
-frame split into components of a few nodes, each solved on its own.
-Matching, smoothing, aging, loss, removal and birth are masks,
+pairs whose appearance cost is within ``emb_match_threshold``, and the
+pairs it passes go to ``assignment.solve_pairs`` as they are: no other
+pair could be matched, so the matches are those of a full ``(T, N)``
+gate, at a cost that grows with the admissible pairs, not with T x N.  A
+NaN cost, which no threshold admits, refuses the frame all the same.
+Overlap cost is one broadcast over ``(T, 4)`` and ``(N, 4)`` box
+corners, and its pairs within ``iou_match_threshold`` go to
+``solve_pairs`` in the same way; a box with a corner that is not finite
+overlaps no track, and enters as the empty box at the origin, which reads
+the same IoU 0 without an ``inf - inf``.  So each stage forbids the pairs
+above its threshold (and the gated ones) before solving, and a pair over
+the threshold never takes a track or detection from a valid match; the
+allowed pairs of a crowded frame split into components of a few nodes,
+each solved on its own.  The detections left unmatched, smoothing,
+aging, loss, removal and birth are masks,
 fancy-indexed writes and concatenations.  ``tracks`` builds ``Track``
 copies of the pool on demand.  A frame makes about the same numpy calls
 however few its targets, and at ten targets their fixed cost is most of
@@ -44,12 +49,13 @@ its time, so the frame avoids the Python-level helpers (``np.stack``,
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import hungarian
+from .assignment import solve_pairs
 from .decoding import Detection, row_norms
 from .geometry import BBox, corners, iou_matrix
 from .kalman import GATE_CHI2, all_measurable, box_corners, check_measurements, gate, \
@@ -234,36 +240,41 @@ class OnlineTracker:
             z = None
             suspect = not np.isfinite(boxes).all()
         rows = cols = np.zeros(0, dtype=np.int64)  # matches: pool row, detection
-        det_pool = np.arange(n)
+        left = np.ones(n, dtype=bool)  # detections not matched yet
 
         # stage 1: appearance, active and lost tracks alike
         if cfg.use_reid and pool and n:
             cost = cosine_distance_matrix(self._emb, emb)
+            if kalman and suspect:
+                check_measurements(z)
+            if math.isnan(cost.sum()):  # [0, 2] but for NaN, which no threshold admits
+                raise ValueError("cost entries must be finite or +inf")
+            r, c = (cost <= cfg.emb_match_threshold).nonzero()
             if kalman:
-                if suspect:
-                    check_measurements(z)
-                r, c = (cost <= cfg.emb_match_threshold).nonzero()
                 cut = gate(mean[r], cov[r], z[c]) > cfg.gate_chi2
-                cost[r[cut], c[cut]] = np.inf
-            matches, _, left = hungarian(cost, max_cost=cfg.emb_match_threshold)
-            rows, cols = np.array(matches, dtype=np.int64).reshape(-1, 2).T
-            det_pool = np.array(left, dtype=np.int64)
+                r, c = r[~cut], c[~cut]
+            rows, cols = solve_pairs(pool, n, r, c, cost[r, c])
+            left[cols] = False
 
         # stage 2: box overlap, active tracks only
+        det_pool = left.nonzero()[0]
         if cfg.use_iou and det_pool.size:
             open_ = self._misses == 0
             open_[rows] = False
             cand = open_.nonzero()[0]
             if cand.size:
                 track_boxes = box_corners(mean[cand]) if kalman else self._box[cand]
-                pairs, _, left = hungarian(1.0 - iou_matrix(track_boxes, boxes[det_pool]),
-                                           max_cost=cfg.iou_match_threshold)
-                i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+                det_boxes = boxes[det_pool]
+                if suspect:  # a box with a corner not finite overlaps no track: IoU 0
+                    det_boxes[~np.isfinite(det_boxes).all(axis=1)] = 0.0
+                dist = 1.0 - iou_matrix(track_boxes, det_boxes)
+                i, j = (dist <= cfg.iou_match_threshold).nonzero()
+                i, j = solve_pairs(cand.size, det_pool.size, i, j, dist[i, j])
                 rows = np.concatenate([rows, cand[i]])
                 cols = np.concatenate([cols, det_pool[j]])
-                det_pool = det_pool[left]
+                left[det_pool[j]] = False
 
-        born = det_pool[scores[det_pool] > cfg.det_threshold]
+        born = (left & (scores > cfg.det_threshold)).nonzero()[0]
         if suspect:
             for kept in (cols, born):
                 if kalman:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fairtrack.assignment import assignment_cost, hungarian
+from fairtrack.assignment import VECTOR_SCAN_MIN_COLS, assignment_cost, hungarian, \
+    solve_pairs
 
 
 def _brute_force(cost):
@@ -303,3 +304,73 @@ def test_matching_is_valid_one_to_one():
     assert len(set(cols)) == len(cols)
     assert sorted(rows + ur) == list(range(6))
     assert sorted(cols + uc) == list(range(6))
+
+
+# --- the sparse entry --------------------------------------------------------
+
+def test_solve_pairs_allows_every_listed_pair():
+    big = sys.float_info.max
+    rows, cols = solve_pairs(3, 4, [0, 0, 1, 2], [1, 3, 1, 0], [5.0, big, 1.0, -2.0])
+    assert rows.dtype == cols.dtype == np.int64
+    assert rows.tolist() == [0, 1, 2] and cols.tolist() == [3, 1, 0]
+    rows, cols = solve_pairs(2, 2, [], [], [])
+    assert rows.dtype == cols.dtype == np.int64 and rows.size == cols.size == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_pairs_refuses_a_cost_that_is_not_finite(bad):
+    for rows, cols, cost in (([0], [0], [bad]), ([0, 1], [0, 1], [0.5, bad]),
+                             ([0, 0, 1], [0, 1, 0], [0.5, 0.1, bad])):
+        with pytest.raises(ValueError, match=r"^cost entries must be finite or \+inf$"):
+            solve_pairs(2, 2, rows, cols, cost)
+
+
+_THRESHOLD = 1.0
+# Few values, so ties are common; some exactly on the threshold, some just
+# over it, and +inf.
+_pair_entry = st.sampled_from([-1.0, 0.0, 0.25, 0.5, _THRESHOLD, _THRESHOLD, 1.5, np.inf])
+# Near the float maximum, where the solver scales costs by a power of two.
+_huge_entry = st.sampled_from([sys.float_info.max, sys.float_info.max / 2,
+                               sys.float_info.max / 3, np.inf])
+
+
+@st.composite
+def _pair_problem(draw):
+    """(cost, max_cost): a mixed matrix, an all-allowed one, one whose
+    allowed entries are each alone in their row and column, or one near
+    the float maximum; up to VECTOR_SCAN_MIN_COLS + 2 columns, so that
+    components are scanned both ways."""
+    kind = draw(st.sampled_from(["mixed", "all-allowed", "all-1x1", "huge"]))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, VECTOR_SCAN_MIN_COLS + 2))
+    if kind == "all-1x1":
+        cost = np.full((n, m), np.inf)
+        k = draw(st.integers(0, min(n, m)))
+        for i, j in zip(draw(st.permutations(range(n)))[:k],
+                        draw(st.permutations(range(m)))[:k]):
+            cost[i, j] = draw(_pair_entry.filter(np.isfinite))
+        return cost, draw(st.sampled_from([np.inf, _THRESHOLD]))
+    entry = {"mixed": _pair_entry, "huge": _huge_entry,
+             "all-allowed": st.sampled_from([-1.0, 0.0, 0.25, 0.5, _THRESHOLD])}[kind]
+    cost = draw(arrays(np.float64, (n, m), elements=entry))
+    if kind == "huge":
+        return cost, draw(st.sampled_from([np.inf, sys.float_info.max / 2]))
+    return cost, draw(st.sampled_from([np.inf, _THRESHOLD]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair_problem())
+def test_solve_pairs_equals_hungarian_on_the_allowed_entries(problem):
+    """The allowed entries listed as pairs give hungarian's matches and
+    leave its unmatched rows and columns."""
+    cost, max_cost = problem
+    n, m = cost.shape
+    rows, cols = (cost <= min(max_cost, sys.float_info.max)).nonzero()
+    got_rows, got_cols = solve_pairs(n, m, rows, cols, cost[rows, cols])
+    matches, unmatched_rows, unmatched_cols = hungarian(cost, max_cost=max_cost)
+    assert list(zip(got_rows.tolist(), got_cols.tolist())) == matches
+    assert sorted(set(range(n)) - set(got_rows.tolist())) == unmatched_rows
+    assert sorted(set(range(m)) - set(got_cols.tolist())) == unmatched_cols
+    # forbidding by +inf instead of by max_cost forbids the same entries
+    assert hungarian(np.where(cost <= max_cost, cost, np.inf)) == \
+        (matches, unmatched_rows, unmatched_cols)

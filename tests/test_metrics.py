@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairtrack.assignment import hungarian
 from fairtrack.geometry import BBox
 from fairtrack.metrics import (
+    _idf1,
+    _tracking_pass,
     clear_mot,
     detection_ap,
     evaluate_tracking,
@@ -180,6 +183,17 @@ def test_idf1_prefers_globally_best_pairing():
         pred[f] = [(7, _b(0.0 if f <= 3 else 100.0))]
     got = idf1(gt, pred)
     assert got == pytest.approx(2 * 7 / (20 + 10))
+
+
+def test_idf1_maximises_the_total_count_not_the_number_of_pairs():
+    # gt A is with pred X in 5 frames and with pred Y in 1; gt B is with X
+    # in 1.  Two pairs (A-Y, B-X) cover 2 frames, the one pair A-X covers 5.
+    far = _b(100)
+    gt = {f: [(1, _b(0))] for f in range(1, 6)}
+    pred = {f: [(7, _b(0))] for f in range(1, 6)}
+    gt[6] = [(1, _b(0)), (2, far)]
+    pred[6] = [(8, _b(0)), (7, far)]
+    assert idf1(gt, pred) == 2.0 * 5 / (7 + 7)
 
 
 def test_duplicate_id_message_names_kind_and_frame():
@@ -381,3 +395,57 @@ def test_metrics_on_tables_equal_the_metrics_on_dicts(gt, pred, thresh, data):
     scored = {f: list(zip(scores[f], [b for _, b in pairs])) for f, pairs in pred.items()}
     assert detection_ap(gt_table, _as_table(pred, scores), thresh) == \
         detection_ap(boxes, scored, thresh)
+
+
+def _first_seen_rank(codes):
+    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(len(unique), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(unique))
+    return rank[inverse.reshape(-1)], len(unique)
+
+
+def _dense_idf1(ov, iou_thresh):
+    """IDF1 as one dense ids x ids count matrix solved whole, ids ranked by
+    their first counted pair: the reference."""
+    total_gt, total_pred = len(ov.g_id), len(ov.p_id)
+    if total_gt + total_pred == 0:
+        return 1.0
+    hit = ov.iou >= iou_thresh
+    if not hit.any():
+        return 0.0
+    row, n_rows = _first_seen_rank(ov.g_id[ov.g[hit]])
+    col, n_cols = _first_seen_rank(ov.p_id[ov.p[hit]])
+    cell, count = np.unique(row * n_cols + col, return_counts=True)
+    cost = np.zeros((n_rows, n_cols))
+    cost[cell // n_cols, cell % n_cols] = -count
+    pairs, _, _ = hungarian(cost)
+    idtp = sum(-cost[i, j] for i, j in pairs)
+    return 2.0 * idtp / (total_gt + total_pred)
+
+
+# Four boxes: the first overlaps the next two at IoU 0.6, those two overlap
+# each other at 9/23, and the last overlaps none.
+_few_boxes = st.sampled_from([BBox(0, 0, 4, 4), BBox(1, 0, 5, 4), BBox(0, 1, 4, 5),
+                              BBox(10, 10, 14, 14)])
+
+
+@st.composite
+def _tracks(draw):
+    """Frames 1-8 of (id, box), unique ids per frame from a few, mostly on
+    four boxes, so that each id shares frames with several others."""
+    frames = {}
+    for f in draw(st.lists(st.integers(1, 8), unique=True, max_size=8)):
+        ids = draw(st.lists(st.integers(1, 6), unique=True, max_size=6))
+        frames[f] = [(i, draw(st.one_of(_few_boxes, _tiny_box))) for i in ids]
+    return frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tracks(), _tracks(), st.sampled_from([0.5, 0.3, 1.0]))
+def test_idf1_by_components_equals_the_dense_solve(gt, pred, thresh):
+    ov = _tracking_pass(gt, pred)
+    got, want = _idf1(ov, thresh), _dense_idf1(ov, thresh)
+    assert type(got) is type(want)
+    assert got == want
+    if isinstance(want, np.float64):
+        assert got.tobytes() == want.tobytes()

@@ -570,6 +570,50 @@ def test_kalman_off_refuses_a_non_finite_box_it_would_keep(as_columns):
             1, frame([Detection(BBox(0, 0, np.inf, 10), 0.9)]))
 
 
+@pytest.mark.parametrize("use_kalman", [True, False])
+def test_a_nan_embedding_is_refused_before_any_state_moves(use_kalman):
+    """A NaN embedding row makes NaN appearance costs, which no threshold
+    admits; the frame is refused all the same, before any state moves."""
+    cfg = TrackerConfig(use_kalman=use_kalman)
+    tracker, clean = OnlineTracker(cfg), OnlineTracker(cfg)
+    first = [_det(BBox(0, 0, 10, 20), emb=[1, 0])]
+    tracker.step(1, _columns(first))
+    clean.step(1, _columns(first))
+    before = _state(tracker)
+    frame = _columns(first + [_det(BBox(50, 0, 60, 20), emb=[0, 1])])
+    frame.embeddings[1] = np.nan
+    with pytest.raises(ValueError, match=r"^cost entries must be finite or \+inf$"):
+        tracker.step(2, frame)
+    assert _state(tracker) == before
+    assert tracker.step(2, _columns(first)) == clean.step(2, _columns(first))
+
+
+@pytest.mark.parametrize("use_kalman", [True, False])
+@pytest.mark.parametrize("score", [0.9, 0.3])
+def test_a_box_with_infinite_corners_reaches_the_overlap_stage_quietly(use_kalman, score):
+    """A box with x1 = x2 = inf overlaps no track; stage 2 sees it without a
+    numpy warning.  Scored above det_threshold it would start a track and
+    is refused with the filter's or the finiteness check's message; below
+    it, it is ignored."""
+    cfg = TrackerConfig(use_reid=False, use_kalman=use_kalman)
+    tracker, clean = OnlineTracker(cfg), OnlineTracker(cfg)
+    first = [_det(BBox(0, 0, 10, 20))]
+    tracker.step(1, first)
+    clean.step(1, first)
+    before = _state(tracker)
+    frame = [_det(BBox(1, 0, 11, 20)), _det(BBox(np.inf, 0, np.inf, 10), score=score)]
+    if score < cfg.det_threshold:
+        assert tracker.step(2, frame) == clean.step(2, frame[:1])
+        assert _state(tracker) == _state(clean)
+        return
+    refused = (r"^box measurement \(cx, cy, w / h, h\) = \(inf, 5.0, nan, 10.0\) "
+               r"is outside float32's normal range$" if use_kalman
+               else r"^box corners \(inf, 0.0, inf, 10.0\) are not finite$")
+    with pytest.raises(ValueError, match=refused):
+        tracker.step(2, frame)
+    assert _state(tracker) == before
+
+
 def _columns(dets):
     """One frame's detections as the columns ``step`` takes; embeddings only
     when every detection has one."""
