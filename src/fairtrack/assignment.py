@@ -35,8 +35,8 @@ components of a few nodes each, so a crowded frame costs many tiny solves
 instead of one large one.
 
 Checks.  ``solve_pairs`` refuses a pair cost that is NaN or +-inf;
-``hungarian`` refuses NaN and -inf anywhere in its matrix, and reads its
-unmatched rows and columns from masks.
+``hungarian`` refuses NaN and -inf anywhere in its matrix and a NaN
+``max_cost``, and reads its unmatched rows and columns from masks.
 
 Ties.  Ascending scan order resolves equal-cost ties toward lower row and
 column indices within a component, so results are deterministic.
@@ -269,6 +269,8 @@ def hungarian(cost, max_cost: float = np.inf
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError(f"cost must be a 2-d matrix, got shape {c.shape}")
+    if math.isnan(max_cost):  # c <= nan would forbid every entry
+        raise ValueError("max_cost must not be NaN")
     n, m = c.shape
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))

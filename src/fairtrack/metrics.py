@@ -18,11 +18,13 @@ is computed for the pairs that pass by the elementwise kernel behind
 which no threshold in (0, 1] admits.
 
 Matching.  CLEAR MOT keeps a frame's correspondences from the previous
-frame and passes the frame's free triples, as (gt row, pred row, 1 - IoU)
-pairs, to ``assignment.solve_pairs``: maximum cardinality first, then the
-most IoU.  IDF1 maximises the frames covered instead, which cardinality
-first can lose (a gt id 5 frames with pred A and 1 with pred B, beside a
-second gt id 1 frame with A: two pairs cover 2 frames, A alone covers 5).
+frame on the union of the sides' frames, where a dict's empty frame reads
+as absent, as in the table of the same rows.  It passes the frame's free
+triples, as (gt row, pred row, 1 - IoU) pairs, to
+``assignment.solve_pairs``: maximum cardinality first, then the most IoU.
+IDF1 maximises the frames covered instead, which cardinality first can
+lose (a gt id 5 frames with pred A and 1 with pred B, beside a second gt
+id 1 frame with A: two pairs cover 2 frames, A alone covers 5).
 It labels the components of its counted (gt id, pred id) cells with
 ``assignment.components`` and solves each on its own, absent cells at 0,
 so no ids x ids matrix is built.
@@ -72,10 +74,11 @@ def _check_thresh(iou_thresh: float) -> None:
 def _table(side: dict | MotTable, kind: str) -> MotTable:
     """A metric input as a table: a ``MotTable`` as it is, or a dict of
     frames, whose entries are (id, box) pairs (``kind`` "ids"), (score,
-    box) pairs ("scores") or boxes ("boxes")."""
+    box) pairs ("scores") or boxes ("boxes").  A dict's empty frame is
+    left out, as no table can hold one."""
     if not isinstance(side, dict):
         return side
-    frames = sorted(side)
+    frames = sorted(f for f in side if side[f])
     start = np.zeros(len(frames) + 1, dtype=np.int64)
     np.cumsum([len(side[f]) for f in frames], out=start[1:])
     rows = list(chain.from_iterable(side[f] for f in frames))

@@ -8,18 +8,19 @@ Each ingredient (re-ID, IoU, Kalman) can be toggled off to measure its
 contribution.
 
 The pool is a set of arrays aligned by row, one row per tracklet in id
-order, holding only what the enabled stages read: ids, start frames,
-frames since the last update (zero exactly on the active tracks), last
-scores, the ``(T, 4)`` corners of the last matched boxes and the
-detection each row matched or was born from in this step (``step``
-returns its row, or that detection's own ``BBox``); with re-ID on, the
-smoothed embeddings as one ``(T, D)`` array; and with Kalman on, the
-states as a ``(T, 8)`` mean and a ``(T, 3, 4)`` stack of per-coordinate
-(position, velocity) covariance blocks (see ``kalman``).  Each frame
-works on whole arrays, never on track x detection pairs in Python.
+order, holding only what association reads: ids, frames since the last
+update (zero exactly on the active tracks) and the detection each row
+matched or was born from in this step (``step`` returns its row, or that
+detection's own ``BBox``); with re-ID on, the smoothed embeddings as one
+``(T, D)`` array; with Kalman on, the states as a ``(T, 8)`` mean and a
+``(T, 3, 4)`` stack of per-coordinate (position, velocity) covariance
+blocks (see ``kalman``), and with it off, the ``(T, 4)`` corners of the
+last matched boxes, which the overlap stage reads in their place.  Each
+frame works on whole arrays, never on track x detection pairs in Python.
 ``step`` takes the frame as ``DetectionColumns`` (``(N, 4)`` corners,
-scores and an ``(N, D)`` embedding array), or as ``Detection`` objects
-whose columns it builds on entry; the boxes become one ``(N, 4)``
+``(N,)`` scores and an ``(N, D)`` embedding array), whose shapes and,
+with re-ID on, finite embeddings it checks on entry, or as ``Detection``
+objects whose columns it builds on entry; the boxes become one ``(N, 4)``
 measurement array, tested once for the filter (only a frame holding a
 bad row runs the checks that pick its error), and one call predicts every
 state.  Appearance cost is one product of the pool's and the frame's
@@ -28,7 +29,8 @@ pairs whose appearance cost is within ``emb_match_threshold``, and the
 pairs it passes go to ``assignment.solve_pairs`` as they are: no other
 pair could be matched, so the matches are those of a full ``(T, N)``
 gate, at a cost that grows with the admissible pairs, not with T x N.  A
-NaN cost, which no threshold admits, refuses the frame all the same.
+NaN cost (finite embeddings that are not unit rows can overflow to one),
+which no threshold admits, refuses the frame all the same.
 Overlap cost is one broadcast over ``(T, 4)`` and ``(N, 4)`` box
 corners, and its pairs within ``iou_match_threshold`` go to
 ``solve_pairs`` in the same way; a box with a corner that is not finite
@@ -39,8 +41,8 @@ the threshold never takes a track or detection from a valid match; the
 allowed pairs of a crowded frame split into components of a few nodes,
 each solved on its own.  The detections left unmatched, smoothing,
 aging, loss, removal and birth are masks,
-fancy-indexed writes and concatenations.  ``tracks`` builds ``Track``
-copies of the pool on demand.  A frame makes about the same numpy calls
+fancy-indexed writes and concatenations.  ``tracks`` lists the pool's
+ids, active and lost.  A frame makes about the same numpy calls
 however few its targets, and at ten targets their fixed cost is most of
 its time, so the frame avoids the Python-level helpers (``np.stack``,
 ``np.clip``, ``np.flatnonzero``) where a plain call does the same.
@@ -48,7 +50,6 @@ its time, so the frame avoids the Python-level helpers (``np.stack``,
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -68,11 +69,6 @@ class DetectionColumns(NamedTuple):
     boxes: np.ndarray              # (N, 4) float64 corners (x1, y1, x2, y2)
     scores: np.ndarray             # (N,) float64
     embeddings: np.ndarray | None  # (N, D) unit rows, or None
-
-
-class TrackStatus(enum.Enum):
-    ACTIVE = "active"
-    LOST = "lost"
 
 
 @dataclass(frozen=True)
@@ -102,20 +98,6 @@ class TrackerConfig:
             raise ValueError("gate_chi2 must be > 0 (inf: no gate)")
         if not (self.use_reid or self.use_iou):
             raise ValueError("at least one of use_reid/use_iou must be enabled")
-
-
-@dataclass
-class Track:
-    """A copy of one tracklet of the pool, as ``OnlineTracker.tracks`` gives it:
-    ``last_box`` is rebuilt from its corners, ``smooth_emb`` is None without re-ID."""
-
-    track_id: int
-    last_box: BBox
-    start_frame: int
-    smooth_emb: np.ndarray | None = None
-    status: TrackStatus = TrackStatus.ACTIVE
-    frames_since_update: int = 0
-    last_score: float = 1.0
 
 
 def cosine_distance_matrix(track_embs: np.ndarray, det_embs: np.ndarray) -> np.ndarray:
@@ -151,6 +133,24 @@ def _embedding_rows(embeddings: list) -> np.ndarray:
     raise ValueError("embeddings do not stack into one (N, D) array")
 
 
+def _check_columns(boxes: np.ndarray, scores: np.ndarray, emb: np.ndarray | None,
+                   use_reid: bool) -> None:
+    """Raise ValueError unless a frame's columns are (N, 4) boxes, (N,) scores
+    and, where re-ID reads them, (N, D) embeddings that are all finite."""
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"boxes must be (N, 4), got shape {boxes.shape}")
+    n = len(boxes)
+    if scores.shape != (n,):
+        raise ValueError(f"scores must be ({n},) for {n} boxes, got shape {scores.shape}")
+    if use_reid and n and emb is not None:
+        if emb.ndim != 2 or len(emb) != n:
+            raise ValueError(f"embeddings must be ({n}, D) for {n} boxes, "
+                             f"got shape {emb.shape}")
+        if not np.isfinite(emb).all():
+            j = (~np.isfinite(emb)).any(axis=1).argmax()
+            raise ValueError(f"detection {j} has a non-finite embedding")
+
+
 class OnlineTracker:
     """Owns the tracklet pool; step() is called once per frame, in order."""
 
@@ -158,33 +158,23 @@ class OnlineTracker:
         self.cfg = cfg
         # the pool, row k of every array being one tracklet, rows in id order
         self._ids = np.zeros(0, dtype=np.int64)
-        self._start = np.zeros(0, dtype=np.int64)
         self._misses = np.zeros(0, dtype=np.int64)  # frames since the last update; 0: active
-        self._score = np.zeros(0)
-        self._box = np.zeros((0, 4))  # corners of the last matched box
-        self._det = np.zeros(0, dtype=np.int64)  # its detection in this step
+        self._det = np.zeros(0, dtype=np.int64)  # the detection it took in this step
+        self._box = np.zeros((0, 4))  # corners of the last matched box (use_kalman off only)
         self._emb = np.zeros((0, 0))  # smoothed embeddings (use_reid only)
         # Kalman states (use_kalman only)
         self._mean = np.zeros((0, 8))
         self._cov = np.zeros((0, 3, 4))
-        self._arrays = ("_ids", "_start", "_misses", "_score", "_box",
-                        "_det") + (("_emb",) if cfg.use_reid else ()) \
-            + (("_mean", "_cov") if cfg.use_kalman else ())
+        self._arrays = ("_ids", "_misses", "_det") \
+            + (("_emb",) if cfg.use_reid else ()) \
+            + (("_mean", "_cov") if cfg.use_kalman else ("_box",))
         self._next_id = 1
         self._last_frame: int | None = None
 
     @property
-    def tracks(self) -> list[Track]:
-        """Copies of the pool's tracklets as ``Track`` records, in id order."""
-        status = [TrackStatus.LOST if m else TrackStatus.ACTIVE
-                  for m in self._misses.tolist()]
-        embs = self._emb if self.cfg.use_reid else [None] * len(self._ids)
-        return [Track(track_id=tid, last_box=BBox(*box), start_frame=start,
-                      smooth_emb=None if emb is None else emb.copy(), status=st,
-                      frames_since_update=misses, last_score=score)
-                for tid, box, start, emb, st, misses, score in zip(
-                    self._ids.tolist(), self._box.tolist(), self._start.tolist(), embs,
-                    status, self._misses.tolist(), self._score.tolist())]
+    def tracks(self) -> list[int]:
+        """The ids of the pool's tracklets, active and lost, in id order."""
+        return self._ids.tolist()
 
     def step(self, frame_index: int, dets: list[Detection] | DetectionColumns) -> list[tuple]:
         """Associate one frame of detections; returns (id, detection) per active track.
@@ -193,16 +183,18 @@ class OnlineTracker:
         ``Detection`` objects, whose columns are built on entry.  Each
         active track is paired with the detection it matched or was born
         from: its row in the columns, or its ``BBox`` in the list.  A frame
-        refused with ValueError (a frame index not after the last one, a
-        missing or resized embedding, a box the Kalman filter cannot
-        measure or, with Kalman off, a box that is not finite) leaves the
-        tracker as it was, so the frame can be retried.  Only the boxes
-        that match a track or start one are checked.
+        refused with ValueError (a frame index not after the last one,
+        columns whose shapes disagree, a missing, resized or non-finite
+        embedding, a box the Kalman filter cannot measure or, with Kalman
+        off, a box that is not finite) leaves the tracker as it was, so the
+        frame can be retried.  Only the boxes that match a track or start
+        one are checked.
         """
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
                 f"frame index {frame_index} not after {self._last_frame}")
         if isinstance(dets, DetectionColumns):
+            _check_columns(*dets, self.cfg.use_reid)
             return list(zip(*self._associate(frame_index, *dets)))
         emb = None
         if self.cfg.use_reid and dets:
@@ -292,9 +284,9 @@ class OnlineTracker:
             if kalman:
                 self._mean[rows], self._cov[rows] = update(
                     self._mean[rows], self._cov[rows], z[cols])
-            self._box[rows] = boxes[cols]
+            else:
+                self._box[rows] = boxes[cols]
             self._det[rows] = cols
-            self._score[rows] = scores[cols]
             self._misses[rows] = 0
             if cfg.use_reid:
                 m = cfg.ema_momentum
@@ -313,13 +305,13 @@ class OnlineTracker:
         if born.size:
             b = born.size
             new = {"_ids": np.arange(self._next_id, self._next_id + b),
-                   "_start": np.full(b, frame_index),
-                   "_misses": np.zeros(b, dtype=np.int64), "_score": scores[born],
-                   "_box": boxes[born], "_det": born}
+                   "_misses": np.zeros(b, dtype=np.int64), "_det": born}
             if cfg.use_reid:
                 new["_emb"] = emb[born]
             if kalman:
                 new["_mean"], new["_cov"] = initiate(z[born])
+            else:
+                new["_box"] = boxes[born]
             for name in self._arrays:
                 setattr(self, name, np.concatenate([getattr(self, name), new[name]]))
             self._next_id += b

@@ -161,6 +161,13 @@ def test_rejects_nan_and_neg_inf():
         hungarian([[-np.inf, 1.0], [1.0, 1.0]])
 
 
+def test_rejects_a_nan_max_cost():
+    # c <= nan is False everywhere, which would leave everything unmatched
+    for cost in ([[0.1, 0.2], [0.3, 0.1]], np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="^max_cost must not be NaN$"):
+            hungarian(cost, max_cost=np.nan)
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
 @pytest.mark.parametrize("max_cost", [np.inf, 0.5, sys.float_info.max])
 def test_nan_and_neg_inf_are_refused_whatever_else_is_allowed(bad, max_cost):

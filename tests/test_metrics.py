@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtrack.assignment import hungarian
@@ -378,19 +378,38 @@ def _result(fn, *args):
         return f"ValueError: {e}"
 
 
+_Z, _O = BBox(0, 0, 0, 0), BBox(0, 0, 1, 1)
+# gt 2 <-> pred 2 holds in frame 3 and again in frame 5, where pred 2 ties
+# at IoU 1 with gt 2 and gt 3; pred's empty frame 4 must not break it
+_GAP_GT = {3: [(3, _Z), (4, _Z), (2, _O), (1, _Z), (5, _Z)], 1: [],
+           5: [(1, _Z), (3, _O), (2, _O), (4, _Z)]}
+_GAP_PRED = {3: [(3, _Z), (4, _Z), (2, _O), (1, _Z), (5, _Z)], 4: [],
+             5: [(1, _Z), (2, _O)]}
+
+
+def test_an_empty_dict_frame_reads_as_absent():
+    r = clear_mot(_GAP_GT, _GAP_PRED)
+    assert (r.mt_ratio, r.ml_ratio) == (0.2, 0.8)  # gt 2 matched in both its frames
+    nonempty = [{f: v for f, v in side.items() if v} for side in (_GAP_GT, _GAP_PRED)]
+    assert clear_mot(*nonempty) == r
+
+
 @settings(max_examples=150, deadline=None)
-@given(_side(), _side(), st.sampled_from([0.5, 0.3, 1.0]), st.data())
-def test_metrics_on_tables_equal_the_metrics_on_dicts(gt, pred, thresh, data):
+@given(_side(), _side(), st.sampled_from([0.5, 0.3, 1.0]),
+       st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=20, max_size=20))
+@example(_GAP_GT, _GAP_PRED, 0.5, [0.5] * 20)
+def test_metrics_on_tables_equal_the_metrics_on_dicts(gt, pred, thresh, score_draws):
     """Each metric gives the same report, or the same duplicate-id
-    message, on tables, on dicts and on one of each."""
+    message, on tables, on dicts and on one of each.  ``score_draws``
+    holds a score for each of pred's at most 20 pairs."""
     gt_table, pred_table = _as_table(gt), _as_table(pred)
     for fn in (clear_mot, idf1, evaluate_tracking):
         want = _result(fn, gt, pred, thresh)
         assert _result(fn, gt_table, pred_table, thresh) == want
         assert _result(fn, gt, pred_table, thresh) == want
         assert _result(fn, gt_table, pred, thresh) == want
-    scores = {f: [data.draw(st.sampled_from([0.2, 0.5, 0.9])) for _ in pairs]
-              for f, pairs in pred.items()}
+    draws = iter(score_draws)
+    scores = {f: [next(draws) for _ in pairs] for f, pairs in pred.items()}
     boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
     scored = {f: list(zip(scores[f], [b for _, b in pairs])) for f, pairs in pred.items()}
     assert detection_ap(gt_table, _as_table(pred, scores), thresh) == \

@@ -1,4 +1,6 @@
-from dataclasses import replace
+import enum
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,9 +15,7 @@ from fairtrack.kalman import GATE_CHI2, STD_WEIGHT_POSITION, box_corners, initia
 from fairtrack.tracker import (
     DetectionColumns,
     OnlineTracker,
-    Track,
     TrackerConfig,
-    TrackStatus,
     cosine_distance_matrix,
     track_sequence,
 )
@@ -104,10 +104,10 @@ def test_lost_track_recovered_by_appearance():
     tr = OnlineTracker()
     tr.step(1, [_walk(0, 1, [1, 0])])
     tr.step(2, [])
-    assert tr.tracks[0].status is TrackStatus.LOST
+    assert tr.tracks == [1] and tr._misses.tolist() == [1]  # lost
     out = tr.step(3, [_walk(0, 3, [1, 0])])
     assert out == [(1, out[0][1])]
-    assert tr.tracks[0].status is TrackStatus.ACTIVE
+    assert tr._misses.tolist() == [0]  # active again
 
 
 def test_track_removed_after_buffer_expires():
@@ -184,21 +184,21 @@ def test_ema_momentum_one_freezes_embedding():
     tr = OnlineTracker(_ema_cfg(1.0))
     tr.step(1, [_det(BBox(0, 0, 30, 60), emb=[1, 0])])
     tr.step(2, [_det(BBox(1, 0, 31, 60), emb=[0.6, 0.8])])
-    assert np.allclose(tr.tracks[0].smooth_emb, [1, 0])
+    assert np.allclose(tr._emb[0], [1, 0])
 
 
 def test_ema_momentum_zero_tracks_latest():
     tr = OnlineTracker(_ema_cfg(0.0))
     tr.step(1, [_det(BBox(0, 0, 30, 60), emb=[1, 0])])
     tr.step(2, [_det(BBox(1, 0, 31, 60), emb=[0.6, 0.8])])
-    assert np.allclose(tr.tracks[0].smooth_emb, [0.6, 0.8])
+    assert np.allclose(tr._emb[0], [0.6, 0.8])
 
 
 def test_ema_blend_is_renormalized():
     tr = OnlineTracker(_ema_cfg(0.9))
     tr.step(1, [_det(BBox(0, 0, 30, 60), emb=[1, 0])])
     tr.step(2, [_det(BBox(1, 0, 31, 60), emb=[0, 1])])
-    e = tr.tracks[0].smooth_emb
+    e = tr._emb[0]
     assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-12)
     expected = _unit([0.9, 0.1])
     assert np.allclose(e, expected)
@@ -268,6 +268,24 @@ def test_track_sequence_matches_manual_stepping():
 
 
 # --- the array pool against the per-Track tracker it replaced ----------------
+
+class TrackStatus(enum.Enum):
+    ACTIVE = "active"
+    LOST = "lost"
+
+
+@dataclass
+class Track:
+    """One tracklet of the reference tracker, as a record."""
+
+    track_id: int
+    last_box: BBox
+    start_frame: int
+    smooth_emb: np.ndarray | None = None
+    status: TrackStatus = TrackStatus.ACTIVE
+    frames_since_update: int = 0
+    last_score: float = 1.0
+
 
 def _ref_cosine_distance_matrix(tracks: list[Track], dets: list[Detection]) -> np.ndarray:
     for j, d in enumerate(dets):
@@ -476,22 +494,19 @@ def test_array_pool_equals_per_track_reference(seed, cfg):
         assert out == _step(ref, f, dets)
         if isinstance(out, str):  # refused: the reference moved its states, the pool did not
             break
-        got, want = new.tracks, ref.tracks
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.track_id, g.last_box, g.start_frame, g.status,
-                    g.frames_since_update, g.last_score) == \
-                (w.track_id, w.last_box, w.start_frame, w.status,
-                 w.frames_since_update, w.last_score)
-            if cfg.use_reid:
-                assert (g.smooth_emb is None) == (w.smooth_emb is None)
-                if w.smooth_emb is not None:
-                    assert g.smooth_emb.tobytes() == w.smooth_emb.tobytes()
-        assert new._score[new._misses == 0].tolist() == [
-            t.last_score for t in want if t.status is TrackStatus.ACTIVE]
+        want = ref.tracks
+        assert new.tracks == [w.track_id for w in want]
+        assert new._misses.tolist() == [w.frames_since_update for w in want]
+        assert [TrackStatus.LOST if m else TrackStatus.ACTIVE for m in new._misses] == \
+            [w.status for w in want]
+        if cfg.use_reid:
+            for g, w in zip(new._emb, want):
+                assert g.tobytes() == w.smooth_emb.tobytes()
         if cfg.use_kalman:
             assert new._mean.tobytes() == ref._mean.tobytes()
             assert new._cov.tobytes() == ref._cov.tobytes()
+        else:
+            assert [BBox(*b) for b in new._box.tolist()] == [w.last_box for w in want]
 
 
 def _state(tracker):
@@ -571,24 +586,6 @@ def test_kalman_off_refuses_a_non_finite_box_it_would_keep(as_columns):
 
 
 @pytest.mark.parametrize("use_kalman", [True, False])
-def test_a_nan_embedding_is_refused_before_any_state_moves(use_kalman):
-    """A NaN embedding row makes NaN appearance costs, which no threshold
-    admits; the frame is refused all the same, before any state moves."""
-    cfg = TrackerConfig(use_kalman=use_kalman)
-    tracker, clean = OnlineTracker(cfg), OnlineTracker(cfg)
-    first = [_det(BBox(0, 0, 10, 20), emb=[1, 0])]
-    tracker.step(1, _columns(first))
-    clean.step(1, _columns(first))
-    before = _state(tracker)
-    frame = _columns(first + [_det(BBox(50, 0, 60, 20), emb=[0, 1])])
-    frame.embeddings[1] = np.nan
-    with pytest.raises(ValueError, match=r"^cost entries must be finite or \+inf$"):
-        tracker.step(2, frame)
-    assert _state(tracker) == before
-    assert tracker.step(2, _columns(first)) == clean.step(2, _columns(first))
-
-
-@pytest.mark.parametrize("use_kalman", [True, False])
 @pytest.mark.parametrize("score", [0.9, 0.3])
 def test_a_box_with_infinite_corners_reaches_the_overlap_stage_quietly(use_kalman, score):
     """A box with x1 = x2 = inf overlaps no track; stage 2 sees it without a
@@ -612,6 +609,77 @@ def test_a_box_with_infinite_corners_reaches_the_overlap_stage_quietly(use_kalma
     with pytest.raises(ValueError, match=refused):
         tracker.step(2, frame)
     assert _state(tracker) == before
+
+
+def _two_targets(frame):
+    return _columns([_walk(0, frame, [1, 0]), _walk(1, frame, [0, 1])])
+
+
+def _refused_on_entry(use_kalman, pool, bad, message):
+    """After ``pool`` frames of two targets (0: a fresh tracker), the next
+    frame as ``bad`` is refused with ``message`` before any state moves,
+    and the same frame index then takes the two targets as a tracker that
+    never saw ``bad`` does."""
+    cfg = TrackerConfig(use_kalman=use_kalman)
+    tracker, clean = OnlineTracker(cfg), OnlineTracker(cfg)
+    for f in range(1, pool + 1):
+        tracker.step(f, _two_targets(f))
+        clean.step(f, _two_targets(f))
+    before = _state(tracker)
+    with pytest.raises(ValueError, match=message):
+        tracker.step(pool + 1, bad)
+    assert _state(tracker) == before
+    good = _two_targets(pool + 1)
+    assert tracker.step(pool + 1, good) == clean.step(pool + 1, good)
+    assert _state(tracker) == _state(clean)
+
+
+@pytest.mark.parametrize("use_kalman", [True, False])
+@pytest.mark.parametrize("pool", [0, 1])
+def test_boxes_not_n_by_4_are_refused_on_entry(use_kalman, pool):
+    boxes, scores, emb = _two_targets(pool + 1)
+    for bad in (boxes[:, :3], boxes.ravel()):
+        _refused_on_entry(use_kalman, pool, DetectionColumns(bad, scores, emb),
+                          r"^boxes must be \(N, 4\), got shape "
+                          + re.escape(f"{bad.shape}") + "$")
+
+
+@pytest.mark.parametrize("use_kalman", [True, False])
+@pytest.mark.parametrize("pool", [0, 1])
+def test_scores_not_one_per_box_are_refused_on_entry(use_kalman, pool):
+    boxes, scores, emb = _two_targets(pool + 1)
+    for bad in (scores[:1], scores[:, None]):
+        _refused_on_entry(use_kalman, pool, DetectionColumns(boxes, bad, emb),
+                          r"^scores must be \(2,\) for 2 boxes, got shape "
+                          + re.escape(f"{bad.shape}") + "$")
+
+
+@pytest.mark.parametrize("use_kalman", [True, False])
+@pytest.mark.parametrize("pool", [0, 1])
+def test_embeddings_not_one_row_per_box_are_refused_on_entry(use_kalman, pool):
+    boxes, scores, emb = _two_targets(pool + 1)
+    for bad in (emb[:1], emb[[0, 1, 0]], emb.ravel()):
+        _refused_on_entry(use_kalman, pool, DetectionColumns(boxes, scores, bad),
+                          r"^embeddings must be \(2, D\) for 2 boxes, got shape "
+                          + re.escape(f"{bad.shape}") + "$")
+        # without re-ID the embeddings are not read
+        no_reid = TrackerConfig(use_reid=False, use_kalman=use_kalman)
+        assert OnlineTracker(no_reid).step(1, DetectionColumns(boxes, scores, bad)) == \
+            OnlineTracker(no_reid).step(1, DetectionColumns(boxes, scores, None))
+
+
+@pytest.mark.parametrize("use_kalman", [True, False])
+def test_a_nan_embedding_is_refused_before_any_state_moves(use_kalman):
+    """A non-finite embedding row would make NaN appearance costs, which no
+    threshold admits, or infinite ones clipped to a perfect 0; the frame is
+    refused on entry, before any state moves, also where no track exists
+    yet to give it a cost, as on a fresh tracker."""
+    for pool in (0, 1):
+        for row, value in ((1, np.nan), (0, np.inf), (1, -np.inf)):
+            boxes, scores, emb = _two_targets(pool + 1)
+            emb[row, 1] = value
+            _refused_on_entry(use_kalman, pool, DetectionColumns(boxes, scores, emb),
+                              f"^detection {row} has a non-finite embedding$")
 
 
 def _columns(dets):
@@ -670,13 +738,3 @@ def test_tracking_without_reid_reads_no_embedding(seed, cfg):
     want = _track(frames, cfg)
     assert _track(bare, cfg) == want
     assert _track(redrawn, cfg) == want
-
-
-def test_tracks_view_is_a_copy():
-    tr = OnlineTracker()
-    tr.step(1, [_walk(0, 1, [1, 0])])
-    view = tr.tracks
-    view[0].smooth_emb[:] = 0.0
-    view[0].frames_since_update = 7
-    assert tr.tracks[0].smooth_emb.tolist() == [1.0, 0.0]
-    assert tr.tracks[0].frames_since_update == 0
