@@ -17,12 +17,12 @@ any, to ``emb.ften`` beside it: row k of that ``(N, D)`` array belongs to
 the k-th detection in frame order, which is ``det.txt``'s file order.
 
 `encode`, `track`, `eval` and `reid-eval` read each MOT file once into a
-``mot_io.MotTable`` and hand its per-frame slices on as they are: `encode`
+``geometry.MotTable`` and hand its per-frame slices on as they are: `encode`
 passes corner rows and dense identity indices to ``encode_targets``,
 `track` passes ``DetectionColumns`` (corners, scores clipped to [0, 1],
 unit embeddings) to ``OnlineTracker.step`` and writes each output from
 the table row it matched, and `eval` passes the two tables to the
-metrics.
+metrics, CLEAR and IDF1 together through one ``evaluate_tracking`` pass.
 
 Exit codes: 0 success, 1 validation failure (bad flags or values),
 2 I/O or file-format failure.
@@ -44,10 +44,10 @@ import numpy as np
 from . import __version__, decoding
 from .decoding import Sampling, check_peak_args, decode
 from .encoding import encode_targets
-from .geometry import GridSpec, best_match, corners, iou_matrix
+from .geometry import GridSpec, MotTable, best_match, corners, iou_matrix
 from .losses import gradcheck_run
-from .metrics import clear_mot, detection_ap, idf1, tpr_at_far
-from .mot_io import CenterRows, MotFormatError, MotTable, _lines, format_centers, format_mot, \
+from .metrics import clear_mot, detection_ap, evaluate_tracking, idf1, tpr_at_far
+from .mot_io import CenterRows, MotFormatError, _lines, format_centers, format_mot, \
     load_config, parse_centers, read_mot
 from .sim import SimConfig, frame_columns
 from .tensors import FtenFormatError, read_tensor, tensor_to_bytes
@@ -414,11 +414,13 @@ def cmd_eval(args) -> int:
 
     report: dict[str, float | int] = {}
     if "clear" in wanted:
-        r = clear_mot(gt, pred, args.iou)
+        # with IDF1 too, both come from one pass over the two tables
+        r = evaluate_tracking(gt, pred, args.iou) if "idf1" in wanted \
+            else clear_mot(gt, pred, args.iou)
         report.update(mota=r.mota, fp=r.fp, fn=r.fn, idsw=r.id_switches,
                       mt=r.mt_ratio, ml=r.ml_ratio, num_gt=r.num_gt)
     if "idf1" in wanted:
-        report["idf1"] = idf1(gt, pred, args.iou)
+        report["idf1"] = r.idf1 if "clear" in wanted else idf1(gt, pred, args.iou)
     if "ap" in wanted:
         report["ap"] = detection_ap(gt, pred, args.iou)
 

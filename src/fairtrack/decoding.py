@@ -50,7 +50,8 @@ class Detection:
             emb = np.asarray(self.embedding, dtype=np.float64).ravel()
             if not np.isfinite(emb).all():
                 raise ValueError("embedding has a non-finite entry")
-            n = np.linalg.norm(emb)
+            with np.errstate(over="ignore"):  # a row too long to square has norm inf
+                n = np.linalg.norm(emb)
             if abs(n - 1.0) > 1e-6:
                 raise ValueError(f"embedding norm {n} is not 1")
             object.__setattr__(self, "embedding", emb)

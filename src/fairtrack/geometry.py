@@ -1,10 +1,13 @@
-"""Axis-aligned boxes and the image/feature-grid relationship."""
+"""Axis-aligned boxes, the image/feature-grid relationship and the
+frame-ordered table of boxes (``MotTable``) that MOT files, the
+simulator's ground truth and the metrics share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +66,25 @@ class GridSpec:
     @property
     def feat_h(self) -> int:
         return self.image_h // self.stride
+
+
+class MotTable(NamedTuple):
+    """Boxes of a sequence as columns, in frame order (one frame's rows in
+    file order for a MOT file, in id order for simulated ground truth).
+
+    Frame ``frames[k]`` holds rows ``start[k]:start[k + 1]``.
+    """
+
+    frames: np.ndarray  # (F,) int64, sorted and distinct
+    start: np.ndarray   # (F + 1,) int64 row offsets
+    ids: np.ndarray     # (N,) int64
+    boxes: np.ndarray   # (N, 4) float64 corners (x1, y1, x2, y2)
+    conf: np.ndarray    # (N,) float64
+
+    def by_frame(self):
+        """(frame, slice of its rows) for each frame, in order."""
+        start = self.start.tolist()
+        return zip(self.frames.tolist(), map(slice, start[:-1], start[1:]))
 
 
 _box_corners = attrgetter("x1", "y1", "x2", "y2")

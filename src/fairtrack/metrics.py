@@ -1,7 +1,8 @@
 """Tracking and verification metrics.
 
-Each side of a call is a ``mot_io.MotTable`` (the tracking metrics read
-its ids, detection AP the predictions' conf as scores), or a dict of
+Each side of a call is a ``geometry.MotTable`` (the tracking metrics read
+its ids, detection AP the predictions' conf as scores), as ``read_mot``
+returns a MOT file and ``sim.generate`` its ground truth, or a dict of
 frames: ``{frame: [(id, BBox), ...]}`` for tracking metrics,
 ``{frame: [BBox, ...]}`` and ``{frame: [(score, BBox), ...]}`` for
 detection AP, which becomes the same columns on entry.  Correspondence
@@ -27,7 +28,9 @@ lose (a gt id 5 frames with pred A and 1 with pred B, beside a second gt
 id 1 frame with A: two pairs cover 2 frames, A alone covers 5).
 It labels the components of its counted (gt id, pred id) cells with
 ``assignment.components`` and solves each on its own, absent cells at 0,
-so no ids x ids matrix is built.
+so no ids x ids matrix is built; a block with more than one row and
+column is one component with every cell allowed, so it goes straight to
+the component solver.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from itertools import chain
 
 import numpy as np
 
-from .assignment import components, hungarian, solve_pairs
-from .geometry import BBox, _iou_kernel, corners
-from .mot_io import MotTable
+from .assignment import _solve_component, components, solve_pairs
+from .geometry import BBox, MotTable, _iou_kernel, corners
 
 Frames = dict[int, list[tuple[int, BBox]]]
 Side = Frames | MotTable  # a tracking metric's input: (id, box) pairs per frame, or a table
@@ -297,7 +299,7 @@ def _idf1(ov: _Pass, iou_thresh: float) -> float:
             continue
         block = np.zeros((len(r_at), len(c_at)))
         block[np.searchsorted(r_at, row[k]), np.searchsorted(c_at, col[k])] = -count[k]
-        pairs, _, _ = hungarian(block)
+        pairs = _solve_component(block, np.ones(block.shape, dtype=bool))
         idtp -= int(sum(block[i, j] for i, j in pairs))
     return 2.0 * np.float64(idtp) / (total_gt + total_pred)
 

@@ -23,9 +23,10 @@ written at float64 precision, so they read back exactly.
 MOT files and the object table are read as columns; the first bad line
 raises MotFormatError.  Lines break at ``\n``, ``\r`` and ``\r\n`` only, so a
 line number is the one a text editor shows.  ``read_mot`` returns a MOT
-file as one ``MotTable``: sorted frames with per-frame row offsets, ids,
-``(N, 4)`` corners and conf, the form the encoder, the tracker and the
-metrics take.  ``parse_mot`` returns the same checked lines as
+file as one ``geometry.MotTable``: sorted frames with per-frame row
+offsets, ids, ``(N, 4)`` corners and conf, the form the encoder, the
+tracker and the metrics take, and the form of the simulator's ground
+truth.  ``parse_mot`` returns the same checked lines as
 ``{frame: [MotRecord]}``.
 """
 
@@ -36,7 +37,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .geometry import BBox
+from .geometry import BBox, MotTable
 from .kalman import check_measurements, measurable, measure
 from .sim import SimConfig
 from .tracker import TrackerConfig
@@ -143,24 +144,6 @@ class _Table:
         if rows.size:
             message = self.checks[np.argmax(bad[rows[0]])][1]
             raise MotFormatError(f"{self.path}:{self.lines[rows[0]]}: {message(rows[0])}")
-
-
-class MotTable(NamedTuple):
-    """A MOT file's kept lines as columns, in frame order, one frame's lines in file order.
-
-    Frame ``frames[k]`` holds rows ``start[k]:start[k + 1]``.
-    """
-
-    frames: np.ndarray  # (F,) int64, sorted and distinct
-    start: np.ndarray   # (F + 1,) int64 row offsets
-    ids: np.ndarray     # (N,) int64
-    boxes: np.ndarray   # (N, 4) float64 corners (x1, y1, x2, y2)
-    conf: np.ndarray    # (N,) float64
-
-    def by_frame(self):
-        """(frame, slice of its rows) for each frame, in order."""
-        start = self.start.tolist()
-        return zip(self.frames.tolist(), map(slice, start[:-1], start[1:]))
 
 
 def _checked(path, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

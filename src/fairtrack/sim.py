@@ -10,8 +10,12 @@ bit-identical output and any frame can be regenerated in isolation.
 ``frame_columns`` yields the sequence one frame at a time as columns:
 the ground-truth corners and the frame's ``DetectionColumns``.  The
 random draws are made per detection, in a fixed order, and the
-arithmetic runs on the frame's arrays; ``generate`` builds its ``BBox``
-and ``Detection`` objects from these columns frame by frame.
+arithmetic runs on the frame's arrays.  ``generate`` returns the ground
+truth as one ``geometry.MotTable`` (frames 1..F, ids 1..k in every
+frame, conf 1), the form ``mot_io.read_mot`` gives a gt file and the
+metrics take, concatenated from the same per-frame corner arrays; only
+the detections become objects, ``Detection``s built from each frame's
+columns.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from typing import Iterator
 import numpy as np
 
 from .decoding import Detection, row_norms
-from .encoding import GtObject, encode_targets
-from .geometry import BBox, GridSpec
+from .encoding import encode_targets
+from .geometry import BBox, GridSpec, MotTable
 from .tracker import DetectionColumns
 
 # child-stream tags so generate() and generate_maps() agree on shared draws
@@ -87,7 +91,7 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimOutput:
-    gt: dict[int, list[tuple[int, BBox]]]
+    gt: MotTable  # exact ground truth: every target in every frame, ids 1..k, conf 1
     dets: dict[int, list[Detection]]
     anchors: np.ndarray  # (num_targets, emb_dim), unit rows
 
@@ -181,14 +185,19 @@ def _truth(cfg: SimConfig) -> Iterator[np.ndarray]:
         vel = np.where(below | above, -vel, vel)
 
 
-def _boxes(truth: np.ndarray) -> list[tuple[int, BBox]]:
-    """(1-based id, box) per row, the corners as numpy float64 scalars."""
-    return [(i, BBox(*b)) for i, b in enumerate(truth, 1)]
+def _gt_table(truths: list[np.ndarray]) -> MotTable:
+    """The per-frame truth arrays of frames 1..F as one table, row i of a
+    frame being target i + 1."""
+    frames, k = len(truths), len(truths[0])
+    return MotTable(np.arange(1, frames + 1, dtype=np.int64),
+                    np.arange(0, (frames + 1) * k, k, dtype=np.int64),
+                    np.tile(np.arange(1, k + 1, dtype=np.int64), frames),
+                    np.concatenate(truths), np.ones(frames * k))
 
 
-def trajectories(cfg: SimConfig) -> dict[int, list[tuple[int, BBox]]]:
-    """Exact ground truth, frame -> [(1-based id, box)]."""
-    return {f: _boxes(truth) for f, truth in enumerate(_truth(cfg), 1)}
+def trajectories(cfg: SimConfig) -> MotTable:
+    """Exact ground truth as the table ``generate`` returns."""
+    return _gt_table(list(_truth(cfg)))
 
 
 def _noisy_embedding(rng: np.random.Generator, anchor: np.ndarray,
@@ -254,7 +263,7 @@ def frame_columns(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, DetectionCo
     """The sequence one frame at a time: (frame, ground-truth corners, detections).
 
     Ground-truth row i is target i + 1.  These are the values ``generate``
-    builds its objects from.
+    builds its ground-truth table and its ``Detection`` objects from.
     """
     anchors = identity_anchors(cfg)
     for frame, truth in enumerate(_truth(cfg), 1):
@@ -262,19 +271,18 @@ def frame_columns(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, DetectionCo
 
 
 def generate(cfg: SimConfig) -> SimOutput:
-    """Ground truth plus detector output for the whole sequence."""
+    """Ground truth (one table) plus detector output for the whole sequence."""
     anchors = identity_anchors(cfg)
-    gt: dict[int, list[tuple[int, BBox]]] = {}
+    truths = list(_truth(cfg))
     dets: dict[int, list[Detection]] = {}
-    for frame, truth in enumerate(_truth(cfg), 1):
+    for frame, truth in enumerate(truths, 1):
         (boxes, scores, emb), targets = _detections(cfg, frame, truth, anchors)
-        gt[frame] = _boxes(truth)
         # a target's corners are numpy float64 scalars, a false positive's
         # Python floats, as the arithmetic of each row gives them; repr tells
         rows = [*boxes[:targets], *boxes[targets:].tolist()]
         dets[frame] = [Detection(BBox(*b), s, e)
                        for b, s, e in zip(rows, scores.tolist(), emb)]
-    return SimOutput(gt=gt, dets=dets, anchors=anchors)
+    return SimOutput(gt=_gt_table(truths), dets=dets, anchors=anchors)
 
 
 def generate_maps(cfg: SimConfig, frame: int,
@@ -284,12 +292,12 @@ def generate_maps(cfg: SimConfig, frame: int,
     Decoding these maps recovers the frame's ground truth (for
     collision-free frames) along with per-identity embeddings.
     """
-    gt = trajectories(cfg)
-    if frame not in gt:
+    if frame not in range(1, cfg.frames + 1):
         raise ValueError(f"frame {frame} outside 1..{cfg.frames}")
+    gt = trajectories(cfg)
+    rows = slice(gt.start[frame - 1], gt.start[frame])
     grid = GridSpec(cfg.image_w, cfg.image_h, stride)
-    objs = [GtObject(box, tid - 1) for tid, box in gt[frame]]
-    maps = encode_targets(objs, grid, cfg.num_targets)
+    maps = encode_targets((gt.boxes[rows], gt.ids[rows] - 1), grid, cfg.num_targets)
 
     anchors = identity_anchors(cfg)
     rng = _rng(cfg, _STREAM_MAPS, frame)

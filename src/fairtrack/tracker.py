@@ -19,18 +19,17 @@ last matched boxes, which the overlap stage reads in their place.  Each
 frame works on whole arrays, never on track x detection pairs in Python.
 ``step`` takes the frame as ``DetectionColumns`` (``(N, 4)`` corners,
 ``(N,)`` scores and an ``(N, D)`` embedding array), whose shapes and,
-with re-ID on, finite embeddings it checks on entry, or as ``Detection``
-objects whose columns it builds on entry; the boxes become one ``(N, 4)``
-measurement array, tested once for the filter (only a frame holding a
-bad row runs the checks that pick its error), and one call predicts every
-state.  Appearance cost is one product of the pool's and the frame's
+with re-ID on, unit embedding rows (``Detection``'s rule) it checks on
+entry, or as ``Detection`` objects whose columns it builds on entry; the
+boxes become one ``(N, 4)`` measurement array, tested once for the
+filter (only a frame holding a bad row runs the checks that pick its
+error), and one call predicts every state.  Appearance cost is one product of the pool's and the frame's
 embedding stacks.  The motion gate is evaluated only on the
 pairs whose appearance cost is within ``emb_match_threshold``, and the
 pairs it passes go to ``assignment.solve_pairs`` as they are: no other
 pair could be matched, so the matches are those of a full ``(T, N)``
-gate, at a cost that grows with the admissible pairs, not with T x N.  A
-NaN cost (finite embeddings that are not unit rows can overflow to one),
-which no threshold admits, refuses the frame all the same.
+gate, at a cost that grows with the admissible pairs, not with T x N.
+Every embedding admitted is a unit row, so every cost is finite.
 Overlap cost is one broadcast over ``(T, 4)`` and ``(N, 4)`` box
 corners, and its pairs within ``iou_match_threshold`` go to
 ``solve_pairs`` in the same way; a box with a corner that is not finite
@@ -50,7 +49,6 @@ its time, so the frame avoids the Python-level helpers (``np.stack``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -136,7 +134,9 @@ def _embedding_rows(embeddings: list) -> np.ndarray:
 def _check_columns(boxes: np.ndarray, scores: np.ndarray, emb: np.ndarray | None,
                    use_reid: bool) -> None:
     """Raise ValueError unless a frame's columns are (N, 4) boxes, (N,) scores
-    and, where re-ID reads them, (N, D) embeddings that are all finite."""
+    and, where re-ID reads them, (N, D) embeddings whose rows are unit as a
+    ``Detection`` requires: norm within 1e-6 of 1, which no row holding a
+    value that is not finite has."""
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise ValueError(f"boxes must be (N, 4), got shape {boxes.shape}")
     n = len(boxes)
@@ -146,9 +146,14 @@ def _check_columns(boxes: np.ndarray, scores: np.ndarray, emb: np.ndarray | None
         if emb.ndim != 2 or len(emb) != n:
             raise ValueError(f"embeddings must be ({n}, D) for {n} boxes, "
                              f"got shape {emb.shape}")
-        if not np.isfinite(emb).all():
-            j = (~np.isfinite(emb)).any(axis=1).argmax()
-            raise ValueError(f"detection {j} has a non-finite embedding")
+        with np.errstate(over="ignore"):  # a row too long to square has norm inf
+            norm = row_norms(emb)
+        unit = np.abs(norm - 1.0) <= 1e-6  # Detection's rule; False on a NaN or inf norm
+        if not unit.all():
+            j = int(unit.argmin())
+            if not np.isfinite(emb[j]).all():
+                raise ValueError(f"detection {j} has a non-finite embedding")
+            raise ValueError(f"detection {j} has embedding norm {norm[j]}, not 1")
 
 
 class OnlineTracker:
@@ -184,11 +189,11 @@ class OnlineTracker:
         active track is paired with the detection it matched or was born
         from: its row in the columns, or its ``BBox`` in the list.  A frame
         refused with ValueError (a frame index not after the last one,
-        columns whose shapes disagree, a missing, resized or non-finite
-        embedding, a box the Kalman filter cannot measure or, with Kalman
-        off, a box that is not finite) leaves the tracker as it was, so the
-        frame can be retried.  Only the boxes that match a track or start
-        one are checked.
+        columns whose shapes disagree, a missing or resized embedding or,
+        in the columns, one that is not a unit row, a box the Kalman
+        filter cannot measure or, with Kalman off, a box that is not
+        finite) leaves the tracker as it was, so the frame can be retried.
+        Only the boxes that match a track or start one are checked.
         """
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
@@ -239,8 +244,6 @@ class OnlineTracker:
             cost = cosine_distance_matrix(self._emb, emb)
             if kalman and suspect:
                 check_measurements(z)
-            if math.isnan(cost.sum()):  # [0, 2] but for NaN, which no threshold admits
-                raise ValueError("cost entries must be finite or +inf")
             r, c = (cost <= cfg.emb_match_threshold).nonzero()
             if kalman:
                 cut = gate(mean[r], cov[r], z[c]) > cfg.gate_chi2

@@ -3,7 +3,9 @@
 ``generate`` builds each frame from columns.  It is compared bit for bit
 to the per-target, per-detection loop it replaced, kept here as
 ``_ref_generate`` (with its trajectory loop as ``_ref_trajectories``), and
-``sim``'s files to the MOT writer applied to ``generate``'s objects.
+``sim``'s files to the MOT writer applied to ``generate``'s output.  Its
+ground truth is one ``MotTable``; the tests that read it box by box take
+it through ``_frames``.
 """
 
 import contextlib
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 
 from fairtrack import cli
 from fairtrack.decoding import Detection, decode
-from fairtrack.geometry import BBox, GridSpec, corners, iou_matrix
+from fairtrack.geometry import BBox, GridSpec, MotTable, corners, iou_matrix
+from fairtrack.metrics import _table, evaluate_tracking
 from fairtrack.mot_io import format_mot
 from fairtrack.sim import (
     ANCHOR_MAX_COS,
@@ -29,15 +32,29 @@ from fairtrack.sim import (
     _initial_states,
     _rng,
     _STREAM_DET,
+    frame_columns,
     generate,
     generate_maps,
     identity_anchors,
     trajectories,
 )
 from fairtrack.tensors import tensor_to_bytes
+from fairtrack.tracker import track_sequence
 
 
 CLEAN = SimConfig(seed=7, frames=40, num_targets=5)
+
+
+def _frames(gt: MotTable) -> dict[int, list[tuple[int, BBox]]]:
+    """A ground-truth table as {frame: [(id, box)]}, each box built from its
+    row, so its corners are numpy float64 scalars."""
+    return {f: [(i, BBox(*b)) for i, b in zip(gt.ids[rows].tolist(), gt.boxes[rows])]
+            for f, rows in gt.by_frame()}
+
+
+def _bits(gt: MotTable) -> list[tuple]:
+    """Each column's dtype, shape and bytes."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in gt]
 
 
 # --- configuration ---------------------------------------------------------
@@ -64,7 +81,7 @@ def test_same_seed_is_bit_identical():
                     det_dropout_prob=0.1, fp_rate=0.5,
                     box_noise_std=2.0, emb_noise_std=0.1)
     a, b = generate(cfg), generate(cfg)
-    assert a.gt == b.gt
+    assert _bits(a.gt) == _bits(b.gt)
     assert np.array_equal(a.anchors, b.anchors)
     for f in a.dets:
         da, db = a.dets[f], b.dets[f]
@@ -77,7 +94,7 @@ def test_same_seed_is_bit_identical():
 def test_different_seeds_differ():
     a = generate(SimConfig(seed=1, frames=5, num_targets=3))
     b = generate(SimConfig(seed=2, frames=5, num_targets=3))
-    assert a.gt != b.gt
+    assert _frames(a.gt) != _frames(b.gt)
 
 
 def test_trajectories_independent_of_noise_settings():
@@ -85,13 +102,13 @@ def test_trajectories_independent_of_noise_settings():
     base = SimConfig(seed=5, frames=15, num_targets=3)
     noisy = SimConfig(seed=5, frames=15, num_targets=3,
                       det_dropout_prob=0.3, fp_rate=1.0, box_noise_std=3.0)
-    assert trajectories(base) == trajectories(noisy)
+    assert _bits(trajectories(base)) == _bits(trajectories(noisy))
 
 
 # --- ground truth properties -----------------------------------------------
 
 def test_gt_shape_and_ids():
-    gt = trajectories(CLEAN)
+    gt = _frames(trajectories(CLEAN))
     assert sorted(gt) == list(range(1, CLEAN.frames + 1))
     for rows in gt.values():
         assert [tid for tid, _ in rows] == [1, 2, 3, 4, 5]
@@ -99,7 +116,7 @@ def test_gt_shape_and_ids():
 
 def test_gt_boxes_stay_inside_image():
     cfg = SimConfig(seed=11, frames=300, num_targets=8)  # long enough to bounce
-    for rows in trajectories(cfg).values():
+    for rows in _frames(trajectories(cfg)).values():
         for _, b in rows:
             assert b.x1 >= -1e-9 and b.y1 >= -1e-9
             assert b.x2 <= cfg.image_w + 1e-9
@@ -107,8 +124,8 @@ def test_gt_boxes_stay_inside_image():
 
 
 def test_gt_velocity_is_constant_between_bounces():
-    gt = trajectories(SimConfig(seed=2, frames=10, num_targets=1,
-                                image_w=4000, image_h=4000))
+    gt = _frames(trajectories(SimConfig(seed=2, frames=10, num_targets=1,
+                                        image_w=4000, image_h=4000)))
     centers = [gt[f][0][1].center for f in range(1, 11)]
     dx = [b[0] - a[0] for a, b in zip(centers, centers[1:])]
     dy = [b[1] - a[1] for a, b in zip(centers, centers[1:])]
@@ -117,7 +134,7 @@ def test_gt_velocity_is_constant_between_bounces():
 
 def test_crossing_targets_meet_mid_sequence():
     cfg = SimConfig(seed=0, frames=100, num_targets=2, scenario="crossing")
-    gt = trajectories(cfg)
+    gt = _frames(trajectories(cfg))
     cross = cfg.frames // 2
     boxes = [corners([dict(gt[f])[tid] for tid in (1, 2)]) for f in sorted(gt)]
     overlaps = [iou_matrix(b[:1], b[1:])[0, 0] for b in boxes]
@@ -130,7 +147,7 @@ def test_crossing_targets_meet_mid_sequence():
 def test_crossing_boxes_stay_inside_and_never_part(image_w):
     cfg = SimConfig(image_w=image_w, image_h=200, scenario="crossing",
                     frames=10, num_targets=2)
-    gt = trajectories(cfg)
+    gt = _frames(trajectories(cfg))
     gaps = []
     for f in range(1, cfg.frames // 2 + 1):
         a, b = dict(gt[f])[1], dict(gt[f])[2]
@@ -181,7 +198,7 @@ def test_anchors_in_the_plane_separate_four_and_refuse_five_at_once():
 
 def test_noise_free_detections_equal_gt():
     out = generate(CLEAN)
-    for f, rows in out.gt.items():
+    for f, rows in _frames(out.gt).items():
         dets = out.dets[f]
         assert len(dets) == len(rows)
         for (tid, box), d in zip(rows, dets):
@@ -196,7 +213,7 @@ def test_noise_free_detections_equal_gt():
 def test_dropout_removes_some_detections():
     cfg = SimConfig(seed=9, frames=60, num_targets=6, det_dropout_prob=0.25)
     out = generate(cfg)
-    n_gt = sum(len(v) for v in out.gt.values())
+    n_gt = sum(len(v) for v in _frames(out.gt).values())
     n_det = sum(len(v) for v in out.dets.values())
     assert n_det < n_gt
     assert n_det > 0.5 * n_gt  # but nowhere near everything
@@ -205,7 +222,8 @@ def test_dropout_removes_some_detections():
 def test_false_positives_appear_at_configured_rate():
     cfg = SimConfig(seed=9, frames=200, num_targets=2, fp_rate=1.0)
     out = generate(cfg)
-    extra = sum(len(out.dets[f]) - len(out.gt[f]) for f in out.gt)
+    gt = _frames(out.gt)
+    extra = sum(len(out.dets[f]) - len(gt[f]) for f in gt)
     assert 140 < extra < 260  # Poisson(1) over 200 frames
 
 
@@ -222,7 +240,7 @@ def test_box_noise_perturbs_but_keeps_positive_boxes():
     cfg = SimConfig(seed=12, frames=30, num_targets=4, box_noise_std=3.0)
     out = generate(cfg)
     moved = 0
-    for f, rows in out.gt.items():
+    for f, rows in _frames(out.gt).items():
         for (tid, box), d in zip(rows, out.dets[f]):
             assert d.box.width > 0 and d.box.height > 0
             if d.box != box:
@@ -234,7 +252,7 @@ def test_emb_noise_keeps_identity_recoverable():
     cfg = SimConfig(seed=13, frames=30, num_targets=5, emb_noise_std=0.1)
     out = generate(cfg)
     correct = total = 0
-    for f, rows in out.gt.items():
+    for f, rows in _frames(out.gt).items():
         for (tid, _), d in zip(rows, out.dets[f]):
             total += 1
             correct += int(np.argmax(out.anchors @ d.embedding)) == tid - 1
@@ -246,7 +264,7 @@ def test_emb_noise_keeps_identity_recoverable():
 def test_generate_maps_round_trip():
     cfg = SimConfig(seed=21, frames=10, num_targets=3,
                     image_w=512, image_h=512)
-    gt = trajectories(cfg)
+    gt = _frames(trajectories(cfg))
     heat, off, size, emb = generate_maps(cfg, 4)
     grid = GridSpec(cfg.image_w, cfg.image_h, 4)
     dets = decode(heat, off, size, emb, grid)
@@ -389,22 +407,25 @@ def _det_bits(d: Detection) -> tuple:
 @given(_configs())
 def test_generate_equals_the_per_detection_reference(cfg):
     got, want = generate(cfg), _ref_generate(cfg)
+    got_gt = _frames(got.gt)
     assert got.anchors.tobytes() == want.anchors.tobytes()
-    assert sorted(got.gt) == sorted(want.gt) == sorted(got.dets) == sorted(want.dets)
+    assert sorted(got_gt) == sorted(want.gt) == sorted(got.dets) == sorted(want.dets)
     for f in want.gt:
-        assert [(i, _box_bits(b)) for i, b in got.gt[f]] == \
+        assert [(i, _box_bits(b)) for i, b in got_gt[f]] == \
             [(i, _box_bits(b)) for i, b in want.gt[f]]
         assert [_det_bits(d) for d in got.dets[f]] == [_det_bits(d) for d in want.dets[f]]
-    assert trajectories(cfg) == want.gt
+    assert _frames(trajectories(cfg)) == want.gt
+    assert _bits(trajectories(cfg)) == _bits(got.gt)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_configs(occlusions=False))
 def test_sim_files_are_the_mot_lines_of_generate(cfg):
     res = generate(cfg)
+    res_gt = _frames(res.gt)
     gt, det, emb = [], [], []
-    for f in sorted(res.gt):
-        gt += format_mot("gt", f, [i for i, _ in res.gt[f]], corners([b for _, b in res.gt[f]]))
+    for f in sorted(res_gt):
+        gt += format_mot("gt", f, [i for i, _ in res_gt[f]], corners([b for _, b in res_gt[f]]))
         det += format_mot("det", f, -1, corners([d.box for d in res.dets[f]]),
                           [d.score for d in res.dets[f]])
         emb += [d.embedding for d in res.dets[f]]
@@ -423,3 +444,31 @@ def test_sim_files_are_the_mot_lines_of_generate(cfg):
             assert (out / "emb.ften").read_bytes() == tensor_to_bytes(np.stack(emb))
         else:
             assert not (out / "emb.ften").exists()
+
+
+# --- the ground-truth table --------------------------------------------------
+
+def _truth_frames(cfg: SimConfig) -> dict[int, list[tuple[int, BBox]]]:
+    """{frame: [(id, box)]} from ``frame_columns``' truth rows, the CLI's path."""
+    return {f: [(i, BBox(*b)) for i, b in enumerate(truth, 1)]
+            for f, truth, _ in frame_columns(cfg)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs())
+def test_gt_is_the_table_of_the_truth_rows(cfg):
+    got, want = generate(cfg).gt, _table(_truth_frames(cfg), "ids")
+    for name in ("frames", "start", "ids", "boxes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    # the dict form carries no conf, which the tracking metrics do not read;
+    # a ground-truth row's is 1, as in a gt file
+    assert got.conf.dtype == np.float64 and got.conf.tolist() == [1.0] * len(got.ids)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_configs())
+def test_metrics_on_the_gt_table_equal_the_metrics_on_its_boxes(cfg):
+    out = generate(cfg)
+    pred = track_sequence(out.dets)
+    assert evaluate_tracking(out.gt, pred) == evaluate_tracking(_truth_frames(cfg), pred)

@@ -682,6 +682,61 @@ def test_a_nan_embedding_is_refused_before_any_state_moves(use_kalman):
                               f"^detection {row} has a non-finite embedding$")
 
 
+@pytest.mark.parametrize("use_kalman", [True, False])
+@pytest.mark.parametrize("pool", [0, 1])
+def test_an_embedding_that_is_not_a_unit_row_is_refused_on_entry(use_kalman, pool):
+    """Appearance costs are clipped to [0, 2], so a row longer than 1 can
+    match where its unit row would not: after a track born from [1, 0], a
+    far detection [0.3, 0.954] (cost 0.7) starts a track of its own, but the
+    same row times 3 (cost 0.1) was matched to track 1 with Kalman off.  The
+    columns keep the rule a ``Detection`` keeps, a norm within 1e-6 of 1."""
+    cfg = TrackerConfig(use_kalman=use_kalman)
+    tracker = OnlineTracker(cfg)
+    for f in range(1, pool + 1):
+        tracker.step(f, DetectionColumns(np.array([[0.0, 0, 30, 60]]), np.array([0.9]),
+                                         np.array([[1.0, 0.0]])))
+    box, score, far = np.array([[600.0, 300, 630, 360]]), np.array([0.9]), _unit([0.3, 0.954])
+    before = _state(tracker)
+    for row, norm in ((3 * far, r"3\.0\d*"), (far * (1 + 2e-6), r"1\.000002\d*"),
+                      (np.array([1e300, 1e300]), "inf"), (np.zeros(2), r"0\.0")):
+        with pytest.raises(ValueError, match=f"^detection 0 has embedding norm {norm}, not 1$"):
+            tracker.step(pool + 1, DetectionColumns(box, score, row[None]))
+        assert _state(tracker) == before
+        with pytest.raises(ValueError, match=r"^embedding norm \S+ is not 1$"):
+            Detection(BBox(*box[0]), 0.9, row)
+    # the unit row starts a track of its own, in both forms
+    lists = OnlineTracker(cfg)
+    for f in range(1, pool + 1):
+        lists.step(f, [_det(BBox(0.0, 0, 30, 60), emb=[1.0, 0.0])])
+    assert tracker.step(pool + 1, DetectionColumns(box, score, far[None])) == [(pool + 1, 0)]
+    assert lists.step(pool + 1, [Detection(BBox(*box[0]), 0.9, far)]) == \
+        [(pool + 1, BBox(*box[0]))]
+    assert _state(tracker) == _state(lists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.lists(st.floats(-4.0, 4.0).filter(lambda x: abs(x) > 0.1), min_size=2, max_size=4),
+       scale=st.sampled_from([1.0, 1 + 5e-7, 1 - 5e-7, 1 + 2e-6, 1 - 2e-6, 3.0, 0.0,
+                              1e300, np.inf, np.nan]),
+       use_kalman=st.booleans())
+def test_columns_admit_exactly_the_embeddings_a_detection_admits(v, scale, use_kalman):
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _unit(v) * scale
+    box = BBox(10.0, 20.0, 40.0, 80.0)
+    try:
+        Detection(box, 0.9, row)
+        refused = None
+    except ValueError:
+        refused = ValueError
+    step = OnlineTracker(TrackerConfig(use_kalman=use_kalman)).step
+    columns = DetectionColumns(np.array([box.as_tuple()]), np.array([0.9]), row[None])
+    if refused:
+        with pytest.raises(refused, match="^detection 0 has (embedding norm|a non-finite)"):
+            step(1, columns)
+    else:
+        assert step(1, columns) == [(1, 0)]
+
+
 def _columns(dets):
     """One frame's detections as the columns ``step`` takes; embeddings only
     when every detection has one."""
