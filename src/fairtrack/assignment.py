@@ -7,7 +7,10 @@ entries that are +inf or above ``max_cost`` and passes the rest to
 ``solve_pairs``.  The tracker and the CLEAR MOT rematch hold their
 candidates as pairs already and call ``solve_pairs``, so no caller builds
 a dense matrix only for the solver to scan it again (lap's ``lapmod`` is
-the sparse form of FairMOT's ``lapjv`` in the same way).
+the sparse form of FairMOT's ``lapjv`` in the same way).  Both end in
+``solve_block(cost, allowed)``, which solves one dense block known to be
+a single component; IDF1, whose blocks are that already with every cell
+allowed, calls it directly.
 
 Forbidden first.  A pair that is not allowed is forbidden before anything
 is solved: it is never matched, and it cannot take a row or column away
@@ -148,18 +151,21 @@ def _scan_vector(cost, u, v, p, way, minv, used) -> int:
             return j0
 
 
-def _solve_component(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, int]]:
-    """Maximum-cardinality, minimum-cost matching of one component.
+def solve_block(cost: np.ndarray, allowed: np.ndarray | None = None
+                ) -> list[tuple[int, int]]:
+    """Maximum-cardinality, minimum-cost matching of one dense block of
+    finite costs, whose allowed entries (``None``: every entry) form one
+    component; pairs as (row, column).
 
     Solves on the orientation with no more rows than columns, with a
     sentinel on the forbidden entries, and drops the pairs placed there.
     """
+    every = allowed is None or allowed.all()
     transposed = cost.shape[0] > cost.shape[1]
     if transposed:
-        cost, allowed = cost.T, allowed.T
+        cost, allowed = cost.T, None if every else allowed.T
     work = np.ascontiguousarray(cost)
     k = min(work.shape)
-    every = allowed.all()
     top = np.abs(work if every else work[allowed]).max()
     # The solver's running sums reach about 2k sentinels, 4k^2 times the
     # largest cost.  Costs too large for that are scaled down by a power of
@@ -174,7 +180,7 @@ def _solve_component(cost: np.ndarray, allowed: np.ndarray) -> list[tuple[int, i
         large = 2.0 * top * k + 1.0
         work = np.where(allowed, work, large)
     pairs = [(r, col) for r, col in enumerate(_solve(work))
-             if col >= 0 and allowed[r, col]]
+             if col >= 0 and (every or allowed[r, col])]
     return [(j, i) for i, j in pairs] if transposed else pairs
 
 
@@ -232,7 +238,7 @@ def solve_pairs(n: int, m: int, rows, cols, cost) -> tuple[np.ndarray, np.ndarra
     if single.all():  # all 1x1 components: all match
         return rows, cols
     if rows.size == n * m:  # every pair listed: one component, the whole matrix
-        pairs = sorted(_solve_component(cost.reshape(n, m), np.ones((n, m), dtype=bool)))
+        pairs = sorted(solve_block(cost.reshape(n, m)))
         return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     match_rows, match_cols = rows[single].tolist(), cols[single].tolist()
     rows, cols, cost = rows[~single], cols[~single], cost[~single]
@@ -249,7 +255,7 @@ def solve_pairs(n: int, m: int, rows, cols, cost) -> tuple[np.ndarray, np.ndarra
             allowed = np.zeros(block.shape, dtype=bool)
             block[i, j] = cost[k]
             allowed[i, j] = True
-            for bi, bj in _solve_component(block, allowed):
+            for bi, bj in solve_block(block, allowed):
                 match_rows.append(r_at[bi])
                 match_cols.append(c_at[bj])
     match_rows = np.array(match_rows, dtype=np.int64)

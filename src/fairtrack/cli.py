@@ -46,7 +46,7 @@ from .decoding import Sampling, check_peak_args, decode
 from .encoding import encode_targets
 from .geometry import GridSpec, MotTable, best_match, corners, iou_matrix
 from .losses import gradcheck_run
-from .metrics import clear_mot, detection_ap, evaluate_tracking, idf1, tpr_at_far
+from .metrics import detection_ap, evaluate_tracking, tpr_at_far
 from .mot_io import CenterRows, MotFormatError, _lines, format_centers, format_mot, \
     load_config, parse_centers, read_mot
 from .sim import SimConfig, frame_columns
@@ -413,14 +413,13 @@ def cmd_eval(args) -> int:
     pred = read_mot(args.pred, kind="result")
 
     report: dict[str, float | int] = {}
-    if "clear" in wanted:
-        # with IDF1 too, both come from one pass over the two tables
-        r = evaluate_tracking(gt, pred, args.iou) if "idf1" in wanted \
-            else clear_mot(gt, pred, args.iou)
-        report.update(mota=r.mota, fp=r.fp, fn=r.fn, idsw=r.id_switches,
-                      mt=r.mt_ratio, ml=r.ml_ratio, num_gt=r.num_gt)
-    if "idf1" in wanted:
-        report["idf1"] = r.idf1 if "clear" in wanted else idf1(gt, pred, args.iou)
+    if "clear" in wanted or "idf1" in wanted:
+        r = evaluate_tracking(gt, pred, args.iou)
+        if "clear" in wanted:
+            report.update(mota=r.mota, fp=r.fp, fn=r.fn, idsw=r.id_switches,
+                          mt=r.mt_ratio, ml=r.ml_ratio, num_gt=r.num_gt)
+        if "idf1" in wanted:
+            report["idf1"] = r.idf1
     if "ap" in wanted:
         report["ap"] = detection_ap(gt, pred, args.iou)
 

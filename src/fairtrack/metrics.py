@@ -30,7 +30,7 @@ It labels the components of its counted (gt id, pred id) cells with
 ``assignment.components`` and solves each on its own, absent cells at 0,
 so no ids x ids matrix is built; a block with more than one row and
 column is one component with every cell allowed, so it goes straight to
-the component solver.
+``assignment.solve_block``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .assignment import _solve_component, components, solve_pairs
+from .assignment import components, solve_block, solve_pairs
 from .geometry import BBox, MotTable, _iou_kernel, corners
 
 Frames = dict[int, list[tuple[int, BBox]]]
@@ -299,7 +299,7 @@ def _idf1(ov: _Pass, iou_thresh: float) -> float:
             continue
         block = np.zeros((len(r_at), len(c_at)))
         block[np.searchsorted(r_at, row[k]), np.searchsorted(c_at, col[k])] = -count[k]
-        pairs = _solve_component(block, np.ones(block.shape, dtype=bool))
+        pairs = solve_block(block)
         idtp -= int(sum(block[i, j] for i, j in pairs))
     return 2.0 * np.float64(idtp) / (total_gt + total_pred)
 

@@ -1080,6 +1080,18 @@ def test_eval_text_output_format(sim_dir, tmp_path):
     assert "mota=1.000000" in lines[0]
 
 
+def test_eval_one_tracking_metric_reports_only_its_keys(sim_dir, tmp_path):
+    res = tmp_path / "res.txt"
+    run(["track", "--in", str(sim_dir), "--out", str(res), "--no-reid"])
+    args = ["eval", "--gt", str(sim_dir / "gt.txt"), "--pred", str(res), "--json"]
+    both = json.loads(run(args + ["--metrics", "clear,idf1"])[1])
+    clear = json.loads(run(args + ["--metrics", "clear"])[1])
+    idf1 = json.loads(run(args + ["--metrics", "idf1"])[1])
+    assert list(clear) == ["mota", "fp", "fn", "idsw", "mt", "ml", "num_gt"]
+    assert idf1 == {"idf1": both["idf1"]}
+    assert {**clear, **idf1} == both
+
+
 def test_eval_out_file_and_manifest(sim_dir, tmp_path):
     res = tmp_path / "res.txt"
     run(["track", "--in", str(sim_dir), "--out", str(res)])
