@@ -4,35 +4,42 @@ Two entries.  ``solve_pairs(n, m, rows, cols, cost)`` takes an n x m
 problem as its candidate pairs, in row-major order, every listed pair
 allowed.  ``hungarian(cost, max_cost)`` takes a dense matrix, forbids the
 entries that are +inf or above ``max_cost`` and passes the rest to
-``solve_pairs``.  The tracker and the CLEAR MOT rematch hold their
+``solve_pairs``.  The tracker, the CLEAR MOT rematch and IDF1 hold their
 candidates as pairs already and call ``solve_pairs``, so no caller builds
 a dense matrix only for the solver to scan it again (lap's ``lapmod`` is
-the sparse form of FairMOT's ``lapjv`` in the same way).  Both end in
-``solve_block(cost, allowed)``, which solves one dense block known to be
-a single component; IDF1, whose blocks are that already with every cell
-allowed, calls it directly.
+the sparse form of FairMOT's ``lapjv`` in the same way).
 
-Forbidden first.  A pair that is not allowed is forbidden before anything
-is solved: it is never matched, and it cannot take a row or column away
-from an allowed pair.  Over the allowed pairs the result has maximum
-cardinality and, among matchings of that size, minimum total cost; this
-is the rule of py-motmetrics' CLEAR MOT.  (lapjv's ``cost_limit`` rule,
-which can give up a match to lower the cost, is not used.)
+Forbidden first.  By default a pair that is not listed is forbidden
+before anything is solved: it is never matched, and it cannot take a row
+or column away from a listed pair.  Over the listed pairs the result has
+maximum cardinality and, among matchings of that size, minimum total
+cost; this is the rule of py-motmetrics' CLEAR MOT and of the tracker.
+(lapjv's ``cost_limit`` rule, which can give up a match to lower the
+cost, is not used.)
 
-Components.  The allowed pairs form a bipartite graph whose connected
+Free.  With ``free=True`` the pairs of a component that are not listed
+are allowed at cost 0 instead, and a pair placed on one is dropped from
+the result.  For costs <= 0 that gives the matching of least total cost
+over the listed pairs, however few pairs it takes: IDF1's rule, which
+passes each (gt id, pred id) pair's frame count negated.  Cardinality
+first can lose there: a gt id 5 frames with pred A and 1 with pred B,
+beside a second gt id 1 frame with A, is matched by two pairs covering 2
+frames under the default rule and by A alone, covering 5, under ``free``.
+
+Components.  The listed pairs form a bipartite graph whose connected
 components are independent, so each is solved on its own.  Rows and
-columns without an allowed pair stay unmatched.  Pairs alone in their row
+columns without a listed pair stay unmatched.  Pairs alone in their row
 and column all match in one array pass; when every pair is, as in most
 frames of a sparse scene, the call returns there.  The rest are labelled
-by ``components``, a union-find.  A component with one row or one column
+by ``_components``, a union-find.  A component with one row or one column
 takes its first minimum, and a larger one is scattered into a dense block
-of its own rows and columns for a self-contained O(k^3)
-shortest-augmenting-path solver with dual potentials.  In a block a
-finite sentinel stands in for the pairs not listed; it is large enough
-that the solver uses as few of them as it can, and pairs placed on them
-are dropped.  Costs near the float maximum, where the sentinel or the
-potentials would overflow, are first scaled down by a power of two, which
-is exact.  A problem with every pair listed is one component and is
+of its own rows and columns for ``_solve_block``, a self-contained O(k^3)
+shortest-augmenting-path solver with dual potentials.  Under the default
+rule a finite sentinel stands in for the pairs not listed; it is large
+enough that the solver uses as few of them as it can, and pairs placed on
+them are dropped.  Costs near the float maximum, where the sentinel or
+the potentials would overflow, are first scaled down by a power of two,
+which is exact.  A problem with every pair listed is one component and is
 solved whole, with no union-find.  Gated tracker costs split into
 components of a few nodes each, so a crowded frame costs many tiny solves
 instead of one large one.
@@ -151,7 +158,7 @@ def _scan_vector(cost, u, v, p, way, minv, used) -> int:
             return j0
 
 
-def solve_block(cost: np.ndarray, allowed: np.ndarray | None = None
+def _solve_block(cost: np.ndarray, allowed: np.ndarray | None = None
                 ) -> list[tuple[int, int]]:
     """Maximum-cardinality, minimum-cost matching of one dense block of
     finite costs, whose allowed entries (``None``: every entry) form one
@@ -184,7 +191,7 @@ def solve_block(cost: np.ndarray, allowed: np.ndarray | None = None
     return [(j, i) for i, j in pairs] if transposed else pairs
 
 
-def components(n: int, m: int, rows: np.ndarray, cols: np.ndarray
+def _components(n: int, m: int, rows: np.ndarray, cols: np.ndarray
                ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The connected components of the n x m bipartite graph whose edges
     are the pairs (rows[k], cols[k]), given in row-major order, in order
@@ -219,13 +226,16 @@ def components(n: int, m: int, rows: np.ndarray, cols: np.ndarray
             for pairs, at_rows, at_cols in groups.values()]
 
 
-def solve_pairs(n: int, m: int, rows, cols, cost) -> tuple[np.ndarray, np.ndarray]:
+def solve_pairs(n: int, m: int, rows, cols, cost, free: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal assignment over the listed pairs of an n x m problem.
 
     Pair k is row ``rows[k]``, column ``cols[k]`` at cost ``cost[k]``;
     the pairs are distinct and in row-major order, and every listed pair
-    is allowed (see the module docstring for the rule).  Returns the
-    matched rows and columns as int64 arrays, sorted by row.
+    is allowed.  The pairs not listed are forbidden or, with ``free``,
+    allowed at cost 0 (see the module docstring for the two rules).
+    Returns the matched listed pairs' rows and columns as int64 arrays,
+    sorted by row.
     """
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     cost = np.asarray(cost, dtype=np.float64)
@@ -238,11 +248,11 @@ def solve_pairs(n: int, m: int, rows, cols, cost) -> tuple[np.ndarray, np.ndarra
     if single.all():  # all 1x1 components: all match
         return rows, cols
     if rows.size == n * m:  # every pair listed: one component, the whole matrix
-        pairs = sorted(solve_block(cost.reshape(n, m)))
+        pairs = sorted(_solve_block(cost.reshape(n, m)))
         return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     match_rows, match_cols = rows[single].tolist(), cols[single].tolist()
     rows, cols, cost = rows[~single], cols[~single], cost[~single]
-    for k, r_at, c_at in components(n, m, rows, cols):
+    for k, r_at, c_at in _components(n, m, rows, cols):
         if len(r_at) == 1:  # its columns ascending
             match_rows.append(r_at[0])
             match_cols.append(cols[k[np.argmin(cost[k])]])
@@ -255,9 +265,10 @@ def solve_pairs(n: int, m: int, rows, cols, cost) -> tuple[np.ndarray, np.ndarra
             allowed = np.zeros(block.shape, dtype=bool)
             block[i, j] = cost[k]
             allowed[i, j] = True
-            for bi, bj in solve_block(block, allowed):
-                match_rows.append(r_at[bi])
-                match_cols.append(c_at[bj])
+            for bi, bj in _solve_block(block, None if free else allowed):
+                if allowed[bi, bj]:  # a free pair placed on a cell not listed is dropped
+                    match_rows.append(r_at[bi])
+                    match_cols.append(c_at[bj])
     match_rows = np.array(match_rows, dtype=np.int64)
     order = np.argsort(match_rows)
     return match_rows[order], np.array(match_cols, dtype=np.int64)[order]

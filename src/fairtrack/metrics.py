@@ -1,12 +1,12 @@
 """Tracking and verification metrics.
 
-Each side of a call is a ``geometry.MotTable`` (the tracking metrics read
-its ids, detection AP the predictions' conf as scores), as ``read_mot``
-returns a MOT file and ``sim.generate`` its ground truth, or a dict of
-frames: ``{frame: [(id, BBox), ...]}`` for tracking metrics,
-``{frame: [BBox, ...]}`` and ``{frame: [(score, BBox), ...]}`` for
-detection AP, which becomes the same columns on entry.  Correspondence
-uses IoU >= 0.5 unless stated; the threshold must lie in (0, 1].
+Each side of a call is a ``geometry.MotTable``, as ``read_mot`` returns a
+MOT file and ``sim.generate`` its ground truth: the tracking metrics read
+its ids, detection AP the predictions' conf as scores.  The tracking
+metrics also take a dict of frames, ``{frame: [(id, BBox), ...]}``, which
+becomes the same columns on entry.  A box with a corner that is not
+finite is refused.  Correspondence uses IoU >= 0.5 unless stated; the
+threshold must lie in (0, 1].
 
 Every call makes one overlap pass.  Both sides' frame-ordered columns
 (row offsets per frame, ids and an ``(N, 4)`` corner array) are aligned
@@ -23,14 +23,9 @@ frame on the union of the sides' frames, where a dict's empty frame reads
 as absent, as in the table of the same rows.  It passes the frame's free
 triples, as (gt row, pred row, 1 - IoU) pairs, to
 ``assignment.solve_pairs``: maximum cardinality first, then the most IoU.
-IDF1 maximises the frames covered instead, which cardinality first can
-lose (a gt id 5 frames with pred A and 1 with pred B, beside a second gt
-id 1 frame with A: two pairs cover 2 frames, A alone covers 5).
-It labels the components of its counted (gt id, pred id) cells with
-``assignment.components`` and solves each on its own, absent cells at 0,
-so no ids x ids matrix is built; a block with more than one row and
-column is one component with every cell allowed, so it goes straight to
-``assignment.solve_block``.
+IDF1 maximises the frames covered instead: it passes its counted
+(gt id, pred id) cells, each frame count negated, to ``solve_pairs`` with
+``free=True``, so no ids x ids matrix is built.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .assignment import components, solve_block, solve_pairs
+from .assignment import solve_pairs
 from .geometry import BBox, MotTable, _iou_kernel, corners
 
 Frames = dict[int, list[tuple[int, BBox]]]
@@ -73,24 +68,19 @@ def _check_thresh(iou_thresh: float) -> None:
         raise ValueError(f"IoU threshold must be in (0, 1], got {iou_thresh}")
 
 
-def _table(side: dict | MotTable, kind: str) -> MotTable:
-    """A metric input as a table: a ``MotTable`` as it is, or a dict of
-    frames, whose entries are (id, box) pairs (``kind`` "ids"), (score,
-    box) pairs ("scores") or boxes ("boxes").  A dict's empty frame is
-    left out, as no table can hold one."""
+def _table(side: Side) -> MotTable:
+    """A tracking metric's input as a table: a ``MotTable`` as it is, or a
+    dict of frames of (id, box) pairs, whose empty frames are left out, as
+    no table can hold one."""
     if not isinstance(side, dict):
         return side
     frames = sorted(f for f in side if side[f])
     start = np.zeros(len(frames) + 1, dtype=np.int64)
     np.cumsum([len(side[f]) for f in frames], out=start[1:])
     rows = list(chain.from_iterable(side[f] for f in frames))
-    unread = np.broadcast_to(0.0, len(rows))  # a column the metric does not read, not stored
-    if kind == "boxes":
-        values, boxes = unread, rows
-    else:
-        values, boxes = np.array([v for v, _ in rows]), [box for _, box in rows]
-    return MotTable(np.array(frames, dtype=np.int64), start, values if kind == "ids" else unread,
-                    corners(boxes), values if kind == "scores" else unread)
+    return MotTable(np.array(frames, dtype=np.int64), start, np.array([i for i, _ in rows]),
+                    corners([box for _, box in rows]),
+                    np.broadcast_to(0.0, len(rows)))  # conf, which no tracking metric reads
 
 
 def _aligned(a: MotTable, b: MotTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,38 +171,50 @@ class _Pass:
     iou: np.ndarray      # (K,) their IoU, > 0
 
 
-def _first_repeat(start: np.ndarray, code: np.ndarray) -> tuple[int, int] | None:
-    """(frame position, row) of the earliest row whose id its frame already had."""
+def _first_repeat(start: np.ndarray, code: np.ndarray) -> int | None:
+    """The earliest row whose id its frame already had."""
     frame = np.repeat(np.arange(len(start) - 1), np.diff(start))
     order = np.lexsort((code, frame))  # stable: a repeat sorts after its first
     f, c = frame[order], code[order]
     repeats = order[1:][(f[1:] == f[:-1]) & (c[1:] == c[:-1])]
-    if not repeats.size:
-        return None
-    row = int(repeats.min())
-    return int(frame[row]), row
+    return int(repeats.min()) if repeats.size else None
+
+
+def _frame_of(side: MotTable, row: int) -> int:
+    return int(side.frames[np.searchsorted(side.start, row, "right") - 1])
+
+
+def _refuse(sides: list[tuple[str, MotTable, np.ndarray | None]]) -> None:
+    """Raise ValueError on the earliest offending row of the (name, table,
+    id codes or None) sides: a box with a corner that is not finite or, for
+    a side with codes, an id its frame already had.  Frames in order, sides
+    in the order given within one, rows in order within a side."""
+    offences = []
+    for rank, (kind, side, code) in enumerate(sides):
+        if not np.isfinite(side.boxes).all():
+            row = int(np.isfinite(side.boxes).all(axis=1).argmin())
+            f = _frame_of(side, row)
+            offences.append((f, rank, row, f"{kind} box corners {tuple(side.boxes[row].tolist())} "
+                                           f"in frame {f} are not finite"))
+        row = None if code is None else _first_repeat(side.start, code)
+        if row is not None:
+            f = _frame_of(side, row)
+            offences.append((f, rank, row, f"duplicate {kind} id {side.ids[row]} in frame {f}"))
+    if offences:
+        raise ValueError(min(offences)[3])
 
 
 def _tracking_pass(gt: Side, pred: Side) -> _Pass:
-    """Align both sides on their frames, refuse a repeated id within a
-    frame, find the overlaps."""
-    gt, pred = _table(gt, "ids"), _table(pred, "ids")
-    frames, g_start, p_start = _aligned(gt, pred)
-    sides, offences = [], []
-    for rank, (kind, side, start) in enumerate((("gt", gt, g_start), ("pred", pred, p_start))):
-        unique, code = np.unique(side.ids, return_inverse=True)
-        code = code.reshape(-1)
-        repeat = _first_repeat(start, code)
-        if repeat is not None:  # frames in order, gt before pred within one
-            f, row = repeat
-            offences.append((f, rank, f"duplicate {kind} id {side.ids[row]} "
-                                      f"in frame {frames[f]}"))
-        sides.append((start, code, len(unique), side.boxes))
-    if offences:
-        raise ValueError(min(offences)[2])
-    (g_start, g_id, n_gid, g_box), (p_start, p_id, n_pid, p_box) = sides
-    g, p, iou = _overlaps(g_start, g_box, p_start, p_box)
-    return _Pass(g_start, p_start, g_id, p_id, n_gid, n_pid, g, p, iou)
+    """Align both sides on their frames, refuse a box that is not finite or
+    a repeated id within a frame, find the overlaps."""
+    gt, pred = _table(gt), _table(pred)
+    g_unique, g_id = np.unique(gt.ids, return_inverse=True)
+    p_unique, p_id = np.unique(pred.ids, return_inverse=True)
+    g_id, p_id = g_id.reshape(-1), p_id.reshape(-1)
+    _refuse([("gt", gt, g_id), ("pred", pred, p_id)])
+    _, g_start, p_start = _aligned(gt, pred)
+    g, p, iou = _overlaps(g_start, gt.boxes, p_start, pred.boxes)
+    return _Pass(g_start, p_start, g_id, p_id, len(g_unique), len(p_unique), g, p, iou)
 
 
 def _rematch(ov: _Pass, f: int, free: list[int], g: np.ndarray, p: np.ndarray,
@@ -285,22 +287,8 @@ def _idf1(ov: _Pass, iou_thresh: float) -> float:
     cell, count = np.unique(ov.g_id[ov.g[hit]] * ov.n_pid + ov.p_id[ov.p[hit]],
                             return_counts=True)
     row, col = np.divmod(cell, ov.n_pid)
-    # A pair with no frame counts 0, so each component of the counted cells
-    # is solved on its own: a lone cell counts whole, a component with one
-    # row or one column its largest cell, and any other is a dense block of
-    # its own ids with its absent cells at 0, all allowed.
-    single = ((np.bincount(row, minlength=ov.n_gid)[row] == 1)
-              & (np.bincount(col, minlength=ov.n_pid)[col] == 1))
-    idtp = int(count[single].sum())
-    row, col, count = row[~single], col[~single], count[~single]
-    for k, r_at, c_at in components(ov.n_gid, ov.n_pid, row, col):
-        if len(r_at) == 1 or len(c_at) == 1:
-            idtp += int(count[k].max())
-            continue
-        block = np.zeros((len(r_at), len(c_at)))
-        block[np.searchsorted(r_at, row[k]), np.searchsorted(c_at, col[k])] = -count[k]
-        pairs = solve_block(block)
-        idtp -= int(sum(block[i, j] for i, j in pairs))
+    mi, mj = solve_pairs(ov.n_gid, ov.n_pid, row, col, -count, free=True)
+    idtp = int(count[np.searchsorted(cell, mi * ov.n_pid + mj)].sum())
     return 2.0 * np.float64(idtp) / (total_gt + total_pred)
 
 
@@ -328,17 +316,15 @@ def idf1(gt: Side, pred: Side, iou_thresh: float = 0.5) -> float:
     return _idf1(_tracking_pass(gt, pred), iou_thresh)
 
 
-def detection_ap(gt_boxes: dict[int, list[BBox]] | MotTable,
-                 preds: dict[int, list[tuple[float, BBox]]] | MotTable,
-                 iou_thresh: float = 0.5) -> float:
+def detection_ap(gt: MotTable, pred: MotTable, iou_thresh: float = 0.5) -> float:
     """All-point interpolated average precision at one IoU threshold.
 
-    Predictions are ranked globally by score (a table's ``conf``); each
-    claims at most one unclaimed ground-truth box (best IoU above
-    threshold) in its frame.
+    Predictions are ranked globally by score (``pred.conf``); each claims
+    at most one unclaimed ground-truth box (best IoU above threshold) in
+    its frame.
     """
     _check_thresh(iou_thresh)
-    gt, pred = _table(gt_boxes, "boxes"), _table(preds, "scores")
+    _refuse([("gt", gt, None), ("pred", pred, None)])
     if not len(pred.conf) or not len(gt.boxes):
         return 0.0
     _, p_start, g_start = _aligned(pred, gt)
@@ -365,12 +351,7 @@ def detection_ap(gt_boxes: dict[int, list[BBox]] | MotTable,
     precision = tp_cum / np.arange(1, len(ranked) + 1)
     # precision envelope, then area under the stepwise curve
     env = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_r = 0.0
-    for r, pr in zip(recall, env):
-        ap += (r - prev_r) * pr
-        prev_r = r
-    return float(ap)
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * env)[-1])  # summed in rank order
 
 
 def tpr_at_far(genuine: list[float], impostor: list[float], far: float = 0.1) -> float:
@@ -384,6 +365,8 @@ def tpr_at_far(genuine: list[float], impostor: list[float], far: float = 0.1) ->
         raise ValueError("genuine and impostor score lists must be nonempty")
     if not 0.0 < far < 1.0:
         raise ValueError(f"far must be in (0, 1), got {far}")
+    if not (np.isfinite(genuine).all() and np.isfinite(impostor).all()):
+        raise ValueError("genuine and impostor scores must be finite")
     imp = sorted(impostor, reverse=True)
     k = math.floor(far * len(imp))
     if k >= len(imp):

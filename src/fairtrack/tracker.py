@@ -18,9 +18,9 @@ blocks (see ``kalman``), and with it off, the ``(T, 4)`` corners of the
 last matched boxes, which the overlap stage reads in their place.  Each
 frame works on whole arrays, never on track x detection pairs in Python.
 ``step`` takes the frame as ``DetectionColumns`` (``(N, 4)`` corners,
-``(N,)`` scores and an ``(N, D)`` embedding array), whose shapes and,
-with re-ID on, unit embedding rows (``Detection``'s rule) it checks on
-entry, or as ``Detection`` objects whose columns it builds on entry; the
+``(N,)`` scores and an ``(N, D)`` embedding array), whose shapes, scores
+in [0, 1] and, with re-ID on, unit embedding rows (``Detection``'s rules)
+it checks on entry, or as ``Detection`` objects whose columns it builds on entry; the
 boxes become one ``(N, 4)`` measurement array, tested once for the
 filter (only a frame holding a bad row runs the checks that pick its
 error), and one call predicts every state.  Appearance cost is one product of the pool's and the frame's
@@ -134,14 +134,18 @@ def _embedding_rows(embeddings: list) -> np.ndarray:
 def _check_columns(boxes: np.ndarray, scores: np.ndarray, emb: np.ndarray | None,
                    use_reid: bool) -> None:
     """Raise ValueError unless a frame's columns are (N, 4) boxes, (N,) scores
-    and, where re-ID reads them, (N, D) embeddings whose rows are unit as a
-    ``Detection`` requires: norm within 1e-6 of 1, which no row holding a
-    value that is not finite has."""
+    in [0, 1] and, where re-ID reads them, (N, D) embeddings whose rows are
+    unit: ``Detection``'s rules, the norm within 1e-6 of 1, which no row
+    holding a value that is not finite has."""
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise ValueError(f"boxes must be (N, 4), got shape {boxes.shape}")
     n = len(boxes)
     if scores.shape != (n,):
         raise ValueError(f"scores must be ({n},) for {n} boxes, got shape {scores.shape}")
+    score_ok = (scores >= 0.0) & (scores <= 1.0)  # False on NaN
+    if not score_ok.all():
+        j = int(score_ok.argmin())
+        raise ValueError(f"detection {j} score must be in [0, 1], got {scores[j]}")
     if use_reid and n and emb is not None:
         if emb.ndim != 2 or len(emb) != n:
             raise ValueError(f"embeddings must be ({n}, D) for {n} boxes, "
@@ -190,9 +194,9 @@ class OnlineTracker:
         from: its row in the columns, or its ``BBox`` in the list.  A frame
         refused with ValueError (a frame index not after the last one,
         columns whose shapes disagree, a missing or resized embedding or,
-        in the columns, one that is not a unit row, a box the Kalman
-        filter cannot measure or, with Kalman off, a box that is not
-        finite) leaves the tracker as it was, so the frame can be retried.
+        in the columns, a score outside [0, 1] or an embedding that is not
+        a unit row, a box the Kalman filter cannot measure or, with Kalman
+        off, a box that is not finite) leaves the tracker as it was, so the frame can be retried.
         Only the boxes that match a track or start one are checked.
         """
         if self._last_frame is not None and frame_index <= self._last_frame:

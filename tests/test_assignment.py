@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -381,3 +382,35 @@ def test_solve_pairs_equals_hungarian_on_the_allowed_entries(problem):
     # forbidding by +inf instead of by max_cost forbids the same entries
     assert hungarian(np.where(cost <= max_cost, cost, np.inf)) == \
         (matches, unmatched_rows, unmatched_cols)
+
+
+# --- the free rule -----------------------------------------------------------
+
+def test_the_free_rule_covers_more_than_cardinality_first():
+    """gt 1 has pred A for 5 frames and pred B for 1, gt 2 has A for 1:
+    forbidding the pairs not listed matches two pairs covering 2 frames,
+    allowing them at 0 matches A alone, covering 5."""
+    rows, cols, frames = [0, 0, 1], [0, 1, 0], np.array([5, 1, 1])
+    got_rows, got_cols = solve_pairs(2, 2, rows, cols, -frames)
+    assert (got_rows.tolist(), got_cols.tolist()) == ([0, 1], [1, 0])
+    got_rows, got_cols = solve_pairs(2, 2, rows, cols, -frames, free=True)
+    assert (got_rows.tolist(), got_cols.tolist()) == ([0], [0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, VECTOR_SCAN_MIN_COLS + 2), st.data())
+def test_free_pairs_reach_the_dense_maximum(n, m, data):
+    """With ``free``, the listed pairs' weights negated as costs give the
+    total of scipy's dense maximum with the pairs not listed at weight 0;
+    every pair returned is a listed one, rows and columns distinct."""
+    listed = data.draw(arrays(bool, (n, m)))
+    weight = data.draw(arrays(np.float64, (n, m),
+                              elements=st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0])))
+    rows, cols = listed.nonzero()
+    got_rows, got_cols = solve_pairs(n, m, rows, cols, -weight[rows, cols], free=True)
+    dense = np.where(listed, weight, 0.0)
+    want_rows, want_cols = scipy.optimize.linear_sum_assignment(dense, maximize=True)
+    assert dense[got_rows, got_cols].sum() == dense[want_rows, want_cols].sum()
+    assert listed[got_rows, got_cols].all()
+    assert (np.diff(got_rows) > 0).all()  # sorted by row, each once
+    assert len(set(got_cols.tolist())) == len(got_cols)

@@ -35,7 +35,7 @@ from fairtrack import assignment, metrics
 from fairtrack.assignment import hungarian
 from fairtrack.decoding import Detection, _peaks
 from fairtrack.encoding import MIN_SIGMA, stamp_gaussian
-from fairtrack.geometry import BBox, corners, iou_matrix
+from fairtrack.geometry import BBox, MotTable, corners, iou_matrix
 from fairtrack.kalman import (
     STD_WEIGHT_POSITION,
     STD_WEIGHT_VELOCITY,
@@ -562,6 +562,22 @@ def _ref_idf1(gt, pred, iou_thresh=0.5):
     return 2.0 * idtp / (total_gt + total_pred)
 
 
+def _box_table(frames: dict) -> MotTable:
+    """{frame: [BBox]} or {frame: [(score, BBox)]} as a table, scores (0
+    without) as conf; empty frames left out, as no table holds one."""
+    keys = sorted(f for f in frames if frames[f])
+    rows = [r if isinstance(r, tuple) else (0.0, r) for f in keys for r in frames[f]]
+    return MotTable(np.array(keys, dtype=np.int64),
+                    np.cumsum([0] + [len(frames[f]) for f in keys]),
+                    np.zeros(len(rows), dtype=np.int64), corners([b for _, b in rows]),
+                    np.array([s for s, _ in rows], dtype=np.float64))
+
+
+def _detection_ap(gt_boxes, preds, iou_thresh):
+    """``detection_ap`` on the tables of the reference's dicts."""
+    return detection_ap(_box_table(gt_boxes), _box_table(preds), iou_thresh)
+
+
 def _ref_detection_ap(gt_boxes, preds, iou_thresh=0.5):
     total_gt = sum(len(v) for v in gt_boxes.values())
     flat = [(score, frame, i, box)
@@ -621,7 +637,7 @@ def test_metrics_equal_the_per_pair_reference(gt, pred, thresh, data):
     boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
     scored = {f: [(data.draw(st.sampled_from([0.2, 0.5, 0.9])), b) for _, b in pairs]
               for f, pairs in pred.items()}
-    assert (detection_ap(boxes, scored, thresh)
+    assert (_detection_ap(boxes, scored, thresh)
             == _ref_detection_ap(boxes, scored, thresh))
 
 
@@ -642,7 +658,7 @@ def _dense_triples(a_frames, b_frames):
 
 
 def _pass_triples(a_frames, b_frames, cells=None):
-    a, b = (metrics._table(side, "boxes") for side in (a_frames, b_frames))
+    a, b = _box_table(a_frames), _box_table(b_frames)
     _, a_start, b_start = metrics._aligned(a, b)
     with mock.patch.object(metrics, "_CHUNK_CELLS", cells or metrics._CHUNK_CELLS):
         ra, rb, v = metrics._overlaps(a_start, a.boxes, b_start, b.boxes)
@@ -708,5 +724,5 @@ def test_metrics_equal_the_per_pair_reference_on_crowded_frames(gt, pred, thresh
         boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
         scored = {f: [(data.draw(st.sampled_from([0.2, 0.5, 0.9])), b) for _, b in pairs]
                   for f, pairs in pred.items()}
-        assert (detection_ap(boxes, scored, thresh)
+        assert (_detection_ap(boxes, scored, thresh)
                 == _ref_detection_ap(boxes, scored, thresh))

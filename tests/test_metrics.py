@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -218,6 +219,35 @@ def test_duplicate_id_first_offender_is_in_the_earliest_frame(call):
         metric(gt, pred)
 
 
+@pytest.mark.parametrize("call", ["clear_mot", "idf1", "evaluate_tracking", "detection_ap"])
+@pytest.mark.parametrize("corners", [(0, 0, np.inf, 10), (-np.inf, 0, 10, 10),
+                                     (0, np.nan, 10, 10)])
+def test_a_box_corner_that_is_not_finite_is_refused(call, corners):
+    """Unchecked, an inf corner made numpy warn on inf - inf in the IoU
+    kernel and a NaN gt corner counted as a miss.  The earliest offender is
+    named as a repeated id is: frames in order, gt before pred within one;
+    dicts and tables alike (detection AP takes tables only)."""
+    metric = {"clear_mot": clear_mot, "idf1": idf1, "evaluate_tracking": evaluate_tracking,
+              "detection_ap": detection_ap}[call]
+    bad = BBox(*corners)
+    text = re.escape(str(tuple(float(v) for v in corners)))
+    gt = {1: [(1, _b(0.0))], 2: [(4, _b(0.0)), (5, bad)]}
+    pred = {1: [(7, _b(0.0)), (5, bad)], 2: [(4, _b(0.0))]}
+    checks = [(gt, pred, f"^pred box corners {text} in frame 1 are not finite$")]
+    gt = {**gt, 1: [(1, _b(0.0)), (2, bad)]}
+    checks.append((gt, pred, f"^gt box corners {text} in frame 1 are not finite$"))
+    if call != "detection_ap":
+        gt = {**gt, 1: [(1, _b(0.0)), (1, _b(20.0)), (2, bad)]}
+        checks.append((gt, pred, "^duplicate gt id 1 in frame 1$"))
+    for gt, pred, message in checks:
+        forms = [(_as_table(gt), _as_table(pred))]
+        if call != "detection_ap":
+            forms += [(gt, pred), (gt, _as_table(pred))]
+        for a, b in forms:
+            with pytest.raises(ValueError, match=message):
+                metric(a, b)
+
+
 @pytest.mark.parametrize("thresh", [1e-17, 1e-9])
 def test_tiny_threshold_never_matches_disjoint_boxes(thresh):
     """1 - 1e-17 rounds to 1.0, which once let an IoU-0 pair match."""
@@ -227,7 +257,7 @@ def test_tiny_threshold_never_matches_disjoint_boxes(thresh):
     assert (r.mota, r.fp, r.fn, r.id_switches) == (-1.0, 1, 1, 0)
     assert idf1(gt, pred, thresh) == 0.0
     assert evaluate_tracking(gt, pred, thresh) == replace(r, idf1=0.0)
-    assert detection_ap({1: [_b(0.0)]}, {1: [(0.9, _b(500.0))]}, thresh) == 0.0
+    assert _ap({1: [_b(0.0)]}, {1: [(0.9, _b(500.0))]}, thresh) == 0.0
 
 
 @pytest.mark.parametrize("thresh", [float("nan"), -1.0, 0.0, 2.0])
@@ -237,56 +267,65 @@ def test_iou_threshold_outside_unit_interval_rejected(thresh):
     preds = {f: [(0.9, b) for b in bs] for f, bs in boxes.items()}
     for call in (lambda: clear_mot(gt, gt, thresh), lambda: idf1(gt, gt, thresh),
                  lambda: evaluate_tracking(gt, gt, thresh),
-                 lambda: detection_ap(boxes, preds, thresh)):
+                 lambda: _ap(boxes, preds, thresh)):
         with pytest.raises(ValueError, match=r"IoU threshold must be in \(0, 1\]"):
             call()
 
 
 # --- detection AP ----------------------------------------------------------
 
+def _ap(gt_boxes: dict, preds: dict, thresh: float = 0.5) -> float:
+    """``detection_ap`` on the tables of {frame: [BBox]} ground truth and
+    {frame: [(score, BBox)]} predictions."""
+    gt = _as_table({f: [(0, b) for b in boxes] for f, boxes in gt_boxes.items()})
+    pred = _as_table({f: [(0, b) for _, b in scored] for f, scored in preds.items()},
+                     {f: [s for s, _ in scored] for f, scored in preds.items()})
+    return detection_ap(gt, pred, thresh)
+
+
 def test_ap_perfect_detector():
     gt = {f: [_b(0.0), _b(100.0)] for f in range(1, 4)}
     preds = {f: [(0.9, _b(0.0)), (0.8, _b(100.0))] for f in range(1, 4)}
-    assert detection_ap(gt, preds) == pytest.approx(1.0)
+    assert _ap(gt, preds) == pytest.approx(1.0)
 
 
 def test_ap_half_recall():
     gt = {1: [_b(0.0), _b(100.0)]}
     preds = {1: [(0.9, _b(0.0))]}
-    assert detection_ap(gt, preds) == pytest.approx(0.5)
+    assert _ap(gt, preds) == pytest.approx(0.5)
 
 
 def test_ap_false_positive_after_true():
     # TP at rank 1, FP at rank 2: precision envelope gives AP = recall * 1.0
     gt = {1: [_b(0.0)]}
     preds = {1: [(0.9, _b(0.0)), (0.5, _b(500.0))]}
-    assert detection_ap(gt, preds) == pytest.approx(1.0)
+    assert _ap(gt, preds) == pytest.approx(1.0)
 
 
 def test_ap_false_positive_before_true():
     # FP outranks the TP: precision at full recall is 1/2
     gt = {1: [_b(0.0)]}
     preds = {1: [(0.9, _b(500.0)), (0.5, _b(0.0))]}
-    assert detection_ap(gt, preds) == pytest.approx(0.5)
+    assert _ap(gt, preds) == pytest.approx(0.5)
 
 
 def test_ap_duplicate_detections_count_once():
     gt = {1: [_b(0.0)]}
     preds = {1: [(0.9, _b(0.0)), (0.8, _b(1.0))]}  # both overlap the same gt
-    ap = detection_ap(gt, preds)
+    ap = _ap(gt, preds)
     assert ap == pytest.approx(1.0)  # second one is an FP past full recall
 
 
 def test_ap_empty_cases():
-    assert detection_ap({1: [_b(0.0)]}, {}) == 0.0
-    assert detection_ap({}, {1: [(0.9, _b(0.0))]}) == 0.0
+    assert _ap({1: [_b(0.0)]}, {}) == 0.0
+    assert _ap({}, {1: [(0.9, _b(0.0))]}) == 0.0
 
 
 def test_ap_interpolation_on_sawtooth():
     # ranks: TP FP TP -> precision 1, 1/2, 2/3; envelope 1, 2/3, 2/3
     gt = {1: [_b(0.0), _b(100.0)]}
     preds = {1: [(0.9, _b(0.0)), (0.8, _b(500.0)), (0.7, _b(100.0))]}
-    assert detection_ap(gt, preds) == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
+    assert _ap(gt, preds) == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
 
 
 # --- verification TPR at fixed FAR -----------------------------------------
@@ -317,6 +356,18 @@ def test_tpr_input_validation():
         tpr_at_far([0.1], [], far=0.1)
     with pytest.raises(ValueError):
         tpr_at_far([0.1], [0.1], far=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tpr_refuses_scores_that_are_not_finite(bad):
+    """Unchecked, a NaN impostor score gave 0.5 first in the list and 0.0
+    second, as ``sorted`` does not order NaN, and a NaN genuine score read
+    as a miss."""
+    for genuine, impostor in (([0.5, 0.7], [bad, 0.6, 0.1, 0.2]),
+                              ([0.5, 0.7], [0.6, bad, 0.1, 0.2]),
+                              ([bad, 0.7], [0.6, 0.1])):
+        with pytest.raises(ValueError, match="^genuine and impostor scores must be finite$"):
+            tpr_at_far(genuine, impostor, far=0.3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -395,25 +446,17 @@ def test_an_empty_dict_frame_reads_as_absent():
 
 
 @settings(max_examples=150, deadline=None)
-@given(_side(), _side(), st.sampled_from([0.5, 0.3, 1.0]),
-       st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=20, max_size=20))
-@example(_GAP_GT, _GAP_PRED, 0.5, [0.5] * 20)
-def test_metrics_on_tables_equal_the_metrics_on_dicts(gt, pred, thresh, score_draws):
-    """Each metric gives the same report, or the same duplicate-id
-    message, on tables, on dicts and on one of each.  ``score_draws``
-    holds a score for each of pred's at most 20 pairs."""
+@given(_side(), _side(), st.sampled_from([0.5, 0.3, 1.0]))
+@example(_GAP_GT, _GAP_PRED, 0.5)
+def test_metrics_on_tables_equal_the_metrics_on_dicts(gt, pred, thresh):
+    """Each tracking metric gives the same report, or the same duplicate-id
+    message, on tables, on dicts and on one of each."""
     gt_table, pred_table = _as_table(gt), _as_table(pred)
     for fn in (clear_mot, idf1, evaluate_tracking):
         want = _result(fn, gt, pred, thresh)
         assert _result(fn, gt_table, pred_table, thresh) == want
         assert _result(fn, gt, pred_table, thresh) == want
         assert _result(fn, gt_table, pred, thresh) == want
-    draws = iter(score_draws)
-    scores = {f: [next(draws) for _ in pairs] for f, pairs in pred.items()}
-    boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
-    scored = {f: list(zip(scores[f], [b for _, b in pairs])) for f, pairs in pred.items()}
-    assert detection_ap(gt_table, _as_table(pred, scores), thresh) == \
-        detection_ap(boxes, scored, thresh)
 
 
 def _first_seen_rank(codes):

@@ -457,7 +457,7 @@ def _truth_frames(cfg: SimConfig) -> dict[int, list[tuple[int, BBox]]]:
 @settings(max_examples=100, deadline=None)
 @given(_configs())
 def test_gt_is_the_table_of_the_truth_rows(cfg):
-    got, want = generate(cfg).gt, _table(_truth_frames(cfg), "ids")
+    got, want = generate(cfg).gt, _table(_truth_frames(cfg))
     for name in ("frames", "start", "ids", "boxes"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name

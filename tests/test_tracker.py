@@ -656,6 +656,25 @@ def test_scores_not_one_per_box_are_refused_on_entry(use_kalman, pool):
 
 @pytest.mark.parametrize("use_kalman", [True, False])
 @pytest.mark.parametrize("pool", [0, 1])
+def test_a_score_outside_the_unit_interval_is_refused_on_entry(use_kalman, pool):
+    """The columns keep ``Detection``'s score rule, with re-ID on or off:
+    unchecked, a NaN score is never born and a score of 7.0 is."""
+    no_reid = TrackerConfig(use_reid=False, use_kalman=use_kalman)
+    for row, value in ((1, np.nan), (0, 7.0), (1, -0.5), (0, np.inf)):
+        boxes, scores, emb = _two_targets(pool + 1)
+        scores[row] = value
+        message = rf"^detection {row} score must be in \[0, 1\], got {value}$"
+        _refused_on_entry(use_kalman, pool, DetectionColumns(boxes, scores, emb), message)
+        tracker = OnlineTracker(no_reid)
+        with pytest.raises(ValueError, match=message):
+            tracker.step(1, DetectionColumns(boxes, scores, None))
+        assert _state(tracker) == _state(OnlineTracker(no_reid))
+        with pytest.raises(ValueError, match=rf"^score must be in \[0, 1\], got {value}$"):
+            Detection(BBox(*boxes[row]), value)
+
+
+@pytest.mark.parametrize("use_kalman", [True, False])
+@pytest.mark.parametrize("pool", [0, 1])
 def test_embeddings_not_one_row_per_box_are_refused_on_entry(use_kalman, pool):
     boxes, scores, emb = _two_targets(pool + 1)
     for bad in (emb[:1], emb[[0, 1, 0]], emb.ravel()):
