@@ -15,6 +15,8 @@ own.  Both hold one frame's maps at a time.  `sim`
 and `decode` write detections to ``det.txt`` and their embeddings, if
 any, to ``emb.ften`` beside it: row k of that ``(N, D)`` array belongs to
 the k-th detection in frame order, which is ``det.txt``'s file order.
+Every text file a subcommand writes is formatted by one ``format_mot`` or
+``format_centers`` call over the whole file's columns.
 
 `encode`, `track`, `eval` and `reid-eval` read each MOT file once into a
 ``geometry.MotTable`` and hand its per-frame slices on as they are: `encode`
@@ -158,14 +160,16 @@ def cmd_sim(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # one frame at a time: whole-file columns would grow the heap for the stages after
-    gt_lines, det_lines, rows = [], [], []
-    for frame, truth, dets in frame_columns(cfg):
-        gt_lines += format_mot("gt", frame, np.arange(1, len(truth) + 1), truth)
-        det_lines += format_mot("det", frame, -1, dets.boxes, dets.scores)
-        rows.append(dets.embeddings)
+    frames, truths, dets = zip(*frame_columns(cfg))
+    gt_lines = format_mot("gt", np.repeat(frames, [len(t) for t in truths]),
+                          np.concatenate([np.arange(1, len(t) + 1) for t in truths]),
+                          np.concatenate(truths))
+    det_lines = format_mot("det", np.repeat(frames, [len(d.scores) for d in dets]), -1,
+                           np.concatenate([d.boxes for d in dets]),
+                           np.concatenate([d.scores for d in dets]))
     _atomic_write_text(out / "gt.txt", "\n".join(gt_lines) + "\n")
-    written = [out / "gt.txt", *_write_detections(out, det_lines, rows), out / "seqinfo.ini"]
+    written = [out / "gt.txt", *_write_detections(out, det_lines, [d.embeddings for d in dets]),
+               out / "seqinfo.ini"]
 
     _atomic_write_text(out / "seqinfo.ini", (
         "[Sequence]\n"
@@ -203,13 +207,17 @@ def cmd_encode(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     written = []
-    center_lines = []
+    # each retained center's (frame, x, y, identity) and (off_x, off_y, w, h)
+    keys, values = [np.empty((0, 4), np.int64)], [np.empty((0, 4))]
     for frame, rows in gt.by_frame():
         maps = encode_targets((gt.boxes[rows], identities[rows]), grid, len(ids))
         path = out / f"{frame:06d}.heat.ften"
         _atomic_write_bytes(path, tensor_to_bytes(maps.heatmap))
         written.append(path)
-        center_lines += format_centers(frame, *maps.cells.T, maps.identities, maps.values)
+        keys.append(np.column_stack([np.full(len(maps.cells), frame), maps.cells,
+                                     maps.identities]))
+        values.append(maps.values)
+    center_lines = format_centers(*np.concatenate(keys).T, np.concatenate(values))
     _atomic_write_text(out / "centers.txt", "\n".join(center_lines) + "\n")
     written.append(out / "centers.txt")
 
@@ -301,7 +309,8 @@ def cmd_decode(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines, embeddings, first = [], [], None  # first: the first frame's embedding channels
+    # the detections' frames, boxes and scores, and the first frame's embedding channels
+    det_frames, boxes, scores, embeddings, first = [], [], [], [], None
     # One pair of heads serves every frame of a size: each frame's cells are
     # cleared after it decodes, so no dense plane is allocated per frame.
     off = size = np.zeros((2, 0, 0))
@@ -326,10 +335,12 @@ def cmd_decode(args) -> int:
         dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
                       top_k=args.top_k, sampling=sampling)
         off[cells] = size[cells] = 0.0
-        lines += format_mot("det", frame, -1, corners([d.box for d in dets]),
-                            [d.score for d in dets])
+        det_frames += [frame] * len(dets)
+        boxes += [d.box for d in dets]
+        scores += [d.score for d in dets]
         if emb is not None:  # decode drops a peak with a zero embedding
             embeddings += [d.embedding for d in dets]
+    lines = format_mot("det", det_frames, -1, corners(boxes), scores)
     written = _write_detections(out, lines, embeddings)
 
     _write_manifest(out, "decode", args,

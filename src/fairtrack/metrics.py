@@ -5,8 +5,9 @@ MOT file and ``sim.generate`` its ground truth: the tracking metrics read
 its ids, detection AP the predictions' conf as scores.  The tracking
 metrics also take a dict of frames, ``{frame: [(id, BBox), ...]}``, which
 becomes the same columns on entry.  A box with a corner that is not
-finite is refused.  Correspondence uses IoU >= 0.5 unless stated; the
-threshold must lie in (0, 1].
+finite is refused, and so is a prediction score that detection AP reads.
+Correspondence uses IoU >= 0.5 unless stated; the threshold must lie in
+(0, 1].
 
 Every call makes one overlap pass.  Both sides' frame-ordered columns
 (row offsets per frame, ids and an ``(N, 4)`` corner array) are aligned
@@ -184,24 +185,31 @@ def _frame_of(side: MotTable, row: int) -> int:
     return int(side.frames[np.searchsorted(side.start, row, "right") - 1])
 
 
-def _refuse(sides: list[tuple[str, MotTable, np.ndarray | None]]) -> None:
+def _refuse(sides: list[tuple[str, MotTable, np.ndarray | None, bool]]) -> None:
     """Raise ValueError on the earliest offending row of the (name, table,
-    id codes or None) sides: a box with a corner that is not finite or, for
-    a side with codes, an id its frame already had.  Frames in order, sides
-    in the order given within one, rows in order within a side."""
+    id codes or None, conf read) sides: for a side with codes, an id its
+    frame already had; a box with a corner that is not finite; for a side
+    whose conf is read, a conf that is not finite.  Frames in order, sides
+    in the order given within one, rows in order within a side, and one
+    row's offences in that order."""
     offences = []
-    for rank, (kind, side, code) in enumerate(sides):
+    for rank, (kind, side, code, scored) in enumerate(sides):
         if not np.isfinite(side.boxes).all():
             row = int(np.isfinite(side.boxes).all(axis=1).argmin())
             f = _frame_of(side, row)
-            offences.append((f, rank, row, f"{kind} box corners {tuple(side.boxes[row].tolist())} "
-                                           f"in frame {f} are not finite"))
+            offences.append((f, rank, row, 1, f"{kind} box corners "
+                             f"{tuple(side.boxes[row].tolist())} in frame {f} are not finite"))
         row = None if code is None else _first_repeat(side.start, code)
         if row is not None:
             f = _frame_of(side, row)
-            offences.append((f, rank, row, f"duplicate {kind} id {side.ids[row]} in frame {f}"))
+            offences.append((f, rank, row, 0, f"duplicate {kind} id {side.ids[row]} in frame {f}"))
+        if scored and not np.isfinite(side.conf).all():
+            row = int(np.isfinite(side.conf).argmin())
+            f = _frame_of(side, row)
+            offences.append((f, rank, row, 2, f"{kind} conf {side.conf[row]} in frame {f} "
+                                              "is not finite"))
     if offences:
-        raise ValueError(min(offences)[3])
+        raise ValueError(min(offences)[4])
 
 
 def _tracking_pass(gt: Side, pred: Side) -> _Pass:
@@ -211,7 +219,7 @@ def _tracking_pass(gt: Side, pred: Side) -> _Pass:
     g_unique, g_id = np.unique(gt.ids, return_inverse=True)
     p_unique, p_id = np.unique(pred.ids, return_inverse=True)
     g_id, p_id = g_id.reshape(-1), p_id.reshape(-1)
-    _refuse([("gt", gt, g_id), ("pred", pred, p_id)])
+    _refuse([("gt", gt, g_id, False), ("pred", pred, p_id, False)])
     _, g_start, p_start = _aligned(gt, pred)
     g, p, iou = _overlaps(g_start, gt.boxes, p_start, pred.boxes)
     return _Pass(g_start, p_start, g_id, p_id, len(g_unique), len(p_unique), g, p, iou)
@@ -321,10 +329,10 @@ def detection_ap(gt: MotTable, pred: MotTable, iou_thresh: float = 0.5) -> float
 
     Predictions are ranked globally by score (``pred.conf``); each claims
     at most one unclaimed ground-truth box (best IoU above threshold) in
-    its frame.
+    its frame.  A score that is not finite is refused, as a box is.
     """
     _check_thresh(iou_thresh)
-    _refuse([("gt", gt, None), ("pred", pred, None)])
+    _refuse([("gt", gt, None, False), ("pred", pred, None, True)])
     if not len(pred.conf) or not len(gt.boxes):
         return 0.0
     _, p_start, g_start = _aligned(pred, gt)

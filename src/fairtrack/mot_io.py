@@ -1,4 +1,4 @@
-"""MOTChallenge text interchange and the flat key=value config format.
+r"""MOTChallenge text interchange and the flat key=value config format.
 
 Ground-truth files carry 9 comma-separated fields per line
 (frame, id, left, top, width, height, conf, class, visibility);
@@ -28,6 +28,15 @@ offsets, ids, ``(N, 4)`` corners and conf, the form the encoder, the
 tracker and the metrics take, and the form of the simulator's ground
 truth.  ``parse_mot`` returns the same checked lines as
 ``{frame: [MotRecord]}``.
+
+The numbers of a file's non-blank lines are read in one ``np.loadtxt``
+call, and a line's field count is its commas plus one.  The fallback
+reads token by token, each through ``float``, and finds the first bad
+field.  It reads a file that loadtxt refuses, one with a line of too few
+fields, and one holding a character in ``\x1c``-``\x1f``, which loadtxt
+strips around a number as whitespace and ``float`` refuses.  It reads a
+file of no non-blank line too, on which loadtxt warns.  Both give the
+same values, checks and messages.
 """
 
 from __future__ import annotations
@@ -91,6 +100,38 @@ def _error_text(fn, *args) -> str | None:
         return str(e)
 
 
+# loadtxt strips these around a number, as it does spaces; float refuses them
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _fields(line: str, k: int) -> list[str]:
+    """A line's first ``k`` fields, padded with "" to ``k``."""
+    return (line.split(",") + [""] * k)[:k]
+
+
+def _numbers(rows: list[str], sizes: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``k`` fields of ``rows`` as numbers, NaN where a field is
+    not one, and the mask of those fields.
+
+    One C-level pass reads them where it reads each field as ``float``
+    does; the rest go token by token.
+    """
+    if rows and min(sizes) >= k and not any(c in "".join(rows) for c in _LOADTXT_ONLY_SPACE):
+        try:
+            values = np.loadtxt(rows, delimiter=",", usecols=range(k), ndmin=2,
+                                dtype=np.float64, comments=None, quotechar=None)
+            return values, np.zeros(values.shape, dtype=bool)
+        except ValueError:
+            pass
+    tokens = [_fields(line, k) for line in rows]
+    try:
+        values = np.array(tokens, dtype=np.float64).reshape(len(tokens), k)
+        return values, np.zeros(values.shape, dtype=bool)
+    except ValueError:  # find the tokens that are not numbers, and read them as NaN
+        failed = np.array([[_error_text(float, x) is not None for x in row] for row in tokens])
+        return np.where(failed, "nan", np.array(tokens, object)).astype(float), failed
+
+
 class _Table:
     """A comma-separated file's non-blank lines as columns, and the checks on them.
 
@@ -99,36 +140,29 @@ class _Table:
     """
 
     def __init__(self, path, counts: tuple[int, ...]):
-        k = min(counts)
-        numbers, sizes, tokens = [], [], []
+        numbers, rows = [], []
         for lineno, raw in enumerate(_lines(path), start=1):
             line = raw.strip()
             if line:
-                fields = line.split(",")
                 numbers.append(lineno)
-                sizes.append(len(fields))
-                tokens.append(fields[:k] + [""] * (k - len(fields)))  # k fields, padded
-        self.path, self.tokens = path, tokens
+                rows.append(line)
+        sizes = [line.count(",") + 1 for line in rows]
+        self.path, self.rows = path, rows
         self.lines, self.counts = np.array(numbers), np.array(sizes)
-        try:
-            self.values = np.array(tokens, dtype=np.float64).reshape(len(tokens), k)
-            self.failed = np.zeros(self.values.shape, dtype=bool)
-        except ValueError:  # find the tokens that are not numbers, and read them as NaN
-            self.failed = np.array([[_error_text(float, x) is not None for x in row]
-                                    for row in tokens])
-            self.values = np.where(self.failed, "nan", np.array(tokens, object)).astype(float)
+        self.values, self.failed = _numbers(rows, sizes, min(counts))
         self.checks = [(~np.isin(self.counts, counts), lambda i: f"expected "
                         f"{' or '.join(map(str, counts))} fields, got {sizes[i]}")]
 
     def field(self, j: int, int_name: str = "") -> None:
         """Check that field ``j`` is a number and, given ``int_name``, an integer within int32."""
-        tokens = self.tokens  # not self: a cycle would keep the tokens until a collection
-        self.checks.append((self.failed[:, j], lambda i: _error_text(float, tokens[i][j])))
+        rows = self.rows  # not self: a cycle would keep the table until a collection
+        self.checks.append((self.failed[:, j],
+                            lambda i: _error_text(float, _fields(rows[i], j + 1)[j])))
         if int_name:
             v = self.values[:, j]
             self.checks.append((~((v == np.trunc(v)) & (v >= -2**31) & (v < 2**31)),
                                 lambda i: f"{int_name} must be an integer within int32, "
-                                          f"got {tokens[i][j]!r}"))
+                                          f"got {_fields(rows[i], j + 1)[j]!r}"))
 
     def repeated(self, keys: np.ndarray, among=True) -> np.ndarray:
         """Mask of the lines, of those ``among`` marks, whose ``keys`` row an earlier one has."""
@@ -247,21 +281,26 @@ def parse_centers(path) -> dict[int, CenterRows]:
             for frame, g in zip(keys, np.split(order, starts[1:]))}
 
 
-def format_centers(frame: int, xs, ys, identities, values) -> list[str]:
-    """One frame's ``centers.txt`` rows, each value written as its float32 rounding.
+def format_centers(frames, xs, ys, identities, values) -> list[str]:
+    """``centers.txt`` rows, each value written as its float32 rounding.
 
     ``xs``, ``ys`` and ``identities`` hold one integer per row, ``values``
-    one (off_x, off_y, w, h) row.  A value that is not finite as float32
-    raises ValueError, so the table never holds a row its reader rejects.
+    one (off_x, off_y, w, h) row, and ``frames`` one frame per row or one
+    frame for every row.  A value that is not finite as float32 raises
+    ValueError naming the first such row's frame, so the table never holds
+    a row its reader rejects.
     """
     with np.errstate(over="ignore"):
         rounded = np.asarray(values, dtype=np.float32).reshape(-1, 4)
-    if not np.isfinite(rounded).all():
-        raise ValueError(f"frame {frame}: a center value is not finite as float32")
+    frames = np.broadcast_to(np.asarray(frames), len(rounded))
+    bad = np.flatnonzero(~np.isfinite(rounded).all(axis=1))
+    if bad.size:
+        raise ValueError(f"frame {frames[bad[0]]}: a center value is not finite as float32")
     return [f"{frame},{x},{y},{ident}," + ",".join(map(repr, row))
-            for x, y, ident, row in zip(np.asarray(xs).tolist(), np.asarray(ys).tolist(),
-                                        np.asarray(identities).tolist(),
-                                        rounded.tolist())]
+            for frame, x, y, ident, row in zip(frames.tolist(), np.asarray(xs).tolist(),
+                                               np.asarray(ys).tolist(),
+                                               np.asarray(identities).tolist(),
+                                               rounded.tolist())]
 
 
 _ROW_FORMATS = {

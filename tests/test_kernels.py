@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.ndimage
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -482,7 +482,8 @@ def _ref_clear_mot(gt, pred, iou_thresh=0.5):
     gt_frames_seen = {}
     gt_frames_matched = {}
 
-    for frame in sorted(set(gt) | set(pred)):
+    # a frame empty on both sides is absent, as in the table of the same rows
+    for frame in sorted(f for f in set(gt) | set(pred) if gt.get(f) or pred.get(f)):
         g = _frame_dict(frame, gt.get(frame, []), "gt")
         p = _frame_dict(frame, pred.get(frame, []), "pred")
         total_gt += len(g)
@@ -631,11 +632,18 @@ def _sequence(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_sequence(), _sequence(), st.sampled_from([0.5, 0.3, 1.0, 1e-9]), st.data())
+# gt 6 keeps pred 6 across frame 2, empty on both sides, into a tie at IoU
+# 0.5 with pred 2; walking frame 2 cleared the correspondence and switched
+@example(gt={1: [(6, BBox(0, 0, 1, 1))], 2: [], 3: [(6, BBox(1, 0, 2, 1))]},
+         pred={1: [(6, BBox(0, 0, 1, 1))], 2: [],
+               3: [(2, BBox(0, 0, 2, 1)), (6, BBox(1, 0, 2, 2))]},
+         thresh=0.5, data=None)
 def test_metrics_equal_the_per_pair_reference(gt, pred, thresh, data):
     assert clear_mot(gt, pred, thresh) == _ref_clear_mot(gt, pred, thresh)
     assert idf1(gt, pred, thresh) == _ref_idf1(gt, pred, thresh)
     boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
-    scored = {f: [(data.draw(st.sampled_from([0.2, 0.5, 0.9])), b) for _, b in pairs]
+    draw = data.draw if data else lambda strategy: 0.5  # an explicit example draws no data
+    scored = {f: [(draw(st.sampled_from([0.2, 0.5, 0.9])), b) for _, b in pairs]
               for f, pairs in pred.items()}
     assert (_detection_ap(boxes, scored, thresh)
             == _ref_detection_ap(boxes, scored, thresh))

@@ -248,6 +248,29 @@ def test_a_box_corner_that_is_not_finite_is_refused(call, corners):
                 metric(a, b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ap_refuses_a_score_that_is_not_finite(bad):
+    """Unchecked, a NaN score ranked last, so AP read 0.25 or 0.5 by which
+    prediction held it.  The earliest offender is named as a box is: frames
+    in order, gt before pred within one, and a row's box before its score."""
+    text = re.escape(str(bad))
+    far, inf_box = _b(500.0), BBox(0.0, 0.0, np.inf, 10.0)
+    gt = {1: [_b(0.0), _b(100.0)]}
+    for preds, message in [
+            ({1: [(0.5, _b(0.0)), (bad, far)]}, f"^pred conf {text} in frame 1 is not finite$"),
+            ({1: [(bad, _b(0.0)), (0.5, far)]}, f"^pred conf {text} in frame 1 is not finite$"),
+            ({1: [(0.5, _b(0.0))], 2: [(bad, far)]},
+             f"^pred conf {text} in frame 2 is not finite$"),
+            ({1: [(bad, inf_box)]}, r"^pred box corners \(0.0, 0.0, inf, 10.0\) in frame 1"),
+            ({1: [(0.5, inf_box)], 2: [(bad, far)]}, r"^pred box corners"),
+            ({1: [(bad, far)], 2: [(0.5, inf_box)]}, f"^pred conf {text} in frame 1")]:
+        with pytest.raises(ValueError, match=message):
+            _ap(gt, preds)
+    with pytest.raises(ValueError, match=r"^gt box corners"):
+        _ap({1: [inf_box]}, {1: [(bad, far)]})
+    assert _ap(gt, {1: [(0.5, _b(0.0)), (0.4, far)]}) == 0.5  # finite scores still rank
+
+
 @pytest.mark.parametrize("thresh", [1e-17, 1e-9])
 def test_tiny_threshold_never_matches_disjoint_boxes(thresh):
     """1 - 1e-17 rounds to 1.0, which once let an IoU-0 pair match."""

@@ -1,15 +1,18 @@
 import dataclasses
 import io
 import math
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fairtrack import mot_io
 from fairtrack.decoding import Detection
-from fairtrack.geometry import BBox
+from fairtrack.geometry import BBox, MotTable
 from fairtrack.kalman import check_measurements, measurable, measure, measurements
 from fairtrack.metrics import clear_mot
 from fairtrack.mot_io import (
@@ -398,6 +401,23 @@ def test_centers_round_trip_float32_values_exactly(tmp_path):
 def test_format_centers_refuses_values_not_finite_as_float32():
     with pytest.raises(ValueError, match="frame 7: a center value is not finite"):
         format_centers(7, [1], [1], [0], [[0.5, 0.5, 4e38, 10.0]])
+
+
+def test_format_centers_takes_a_frame_column():
+    """One call over a table's columns writes the lines of one call per
+    frame, concatenated, on frames that are not contiguous."""
+    frames = np.array([7, 7, 2, 9, 9, 9, 2])
+    xs, ys, ids = np.arange(7), np.arange(7) * 2 + 1, np.arange(7) % 3
+    values = np.arange(28, dtype=np.float64).reshape(7, 4) / 3.0
+    want = []
+    for lo, hi in ((0, 2), (2, 3), (3, 6), (6, 7)):
+        want += format_centers(int(frames[lo]), xs[lo:hi], ys[lo:hi], ids[lo:hi], values[lo:hi])
+    assert format_centers(frames, xs, ys, ids, values) == want
+    assert want[2].startswith("2,2,5,2,")
+    values[4, 2] = 1e39
+    with pytest.raises(ValueError, match="^frame 9: a center value is not finite"):
+        format_centers(frames, xs, ys, ids, values)
+    assert format_centers([], [], [], [], np.empty((0, 4))) == []
 
 
 def test_parse_centers_empty_table(tmp_path):
@@ -976,3 +996,116 @@ def test_table_holds_the_records_parse_mot_returns(tmp_path, lines, kind):
     assert repr(table.conf.tolist()) == repr([r.conf for r in rows])
     assert [(f, (s.start, s.stop)) for f, s in table.by_frame()] == \
         list(zip(frames, zip(table.start.tolist()[:-1], table.start.tolist()[1:])))
+
+
+# --- the one-pass reader against the token-by-token reader -------------------
+
+class _PerTokenTable:
+    """``mot_io._Table`` as it read every file before its one-pass parse:
+    each field through a Python list of tokens.  Kept as it was but for the
+    module prefix; ``repeated`` and ``raise_first``, which the parse does
+    not touch, are the current class's."""
+
+    def __init__(self, path, counts: tuple[int, ...]):
+        k = min(counts)
+        numbers, sizes, tokens = [], [], []
+        for lineno, raw in enumerate(mot_io._lines(path), start=1):
+            line = raw.strip()
+            if line:
+                fields = line.split(",")
+                numbers.append(lineno)
+                sizes.append(len(fields))
+                tokens.append(fields[:k] + [""] * (k - len(fields)))  # k fields, padded
+        self.path, self.tokens = path, tokens
+        self.lines, self.counts = np.array(numbers), np.array(sizes)
+        try:
+            self.values = np.array(tokens, dtype=np.float64).reshape(len(tokens), k)
+            self.failed = np.zeros(self.values.shape, dtype=bool)
+        except ValueError:  # find the tokens that are not numbers, and read them as NaN
+            self.failed = np.array([[mot_io._error_text(float, x) is not None for x in row]
+                                    for row in tokens])
+            self.values = np.where(self.failed, "nan", np.array(tokens, object)).astype(float)
+        self.checks = [(~np.isin(self.counts, counts), lambda i: f"expected "
+                        f"{' or '.join(map(str, counts))} fields, got {sizes[i]}")]
+
+    def field(self, j: int, int_name: str = "") -> None:
+        tokens = self.tokens  # not self: a cycle would keep the tokens until a collection
+        self.checks.append((self.failed[:, j], lambda i: mot_io._error_text(float, tokens[i][j])))
+        if int_name:
+            v = self.values[:, j]
+            self.checks.append((~((v == np.trunc(v)) & (v >= -2**31) & (v < 2**31)),
+                                lambda i: f"{int_name} must be an integer within int32, "
+                                          f"got {tokens[i][j]!r}"))
+
+    repeated = mot_io._Table.repeated
+    raise_first = mot_io._Table.raise_first
+
+
+# loadtxt strips \x1c-\x1f around a number and float does not; \x0b, \x0c
+# and \xa0 both strip; '#' and '"' would be a comment and a quote to a
+# loadtxt left at its defaults; float reads '1_0' and '１', loadtxt does not
+_ODD_CHARS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c", "\xa0", "#"]
+_ODD_TOKENS = st.one_of(
+    _TOKENS,
+    st.sampled_from(["1_0", "１", '"', *_ODD_CHARS]),
+    st.tuples(st.sampled_from(_ODD_CHARS), st.sampled_from(["1", "6", "0.5", "-1", "2e3"]),
+              st.booleans()).map(lambda t: t[1] + t[0] if t[2] else t[0] + t[1]))
+_TEMPLATES = [_VALID_GT, _VALID_DET, _VALID_CENTER]
+_ODD_LINES = st.one_of(
+    # valid lines of a few frames and cells, so that a file often parses whole
+    st.tuples(st.sampled_from(_TEMPLATES), st.integers(1, 3), st.integers(1, 3)).map(
+        lambda t: ",".join([str(t[1]), str(t[2])] + t[0][2:])),
+    # a valid line with one field replaced
+    st.tuples(st.sampled_from(_TEMPLATES), st.integers(0, 9), _ODD_TOKENS).map(
+        lambda t: ",".join(t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])),
+    st.lists(_ODD_TOKENS, min_size=7, max_size=11).map(",".join),
+    st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f \xa0"]),  # blank to both
+)
+
+
+def _arrays(result) -> list[np.ndarray]:
+    """A MotTable's columns, or a {frame: CenterRows} dict's frames and rows."""
+    if isinstance(result, MotTable):
+        return list(result)
+    return [np.array(list(result))] + [x for rows in result.values() for x in rows]
+
+
+def _same_outcome(got, want) -> bool:
+    """Both raised the same text, or both returned bit-equal arrays."""
+    (a, a_error), (b, b_error) = got, want
+    if a_error is not None or b_error is not None:
+        return a_error == b_error
+    x, y = _arrays(a), _arrays(b)
+    return len(x) == len(y) and all(u.dtype == v.dtype and u.shape == v.shape
+                                    and repr(u.tolist()) == repr(v.tolist())
+                                    for u, v in zip(x, y))
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_ODD_LINES, min_size=1, max_size=5))
+def test_one_pass_parse_equals_the_per_token_parse(tmp_path, lines):
+    """Every reader of a ``_Table`` gives what it gave when each field went
+    through ``float`` on its own: equal columns, or the same error text."""
+    p = tmp_path / "odd.txt"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    readers = [(read_mot, kind) for kind in ("gt", "det", "result")] + [(parse_centers,)]
+    for parse, *args in readers:
+        got = _outcome(parse, p, *args)
+        with mock.patch.object(mot_io, "_Table", _PerTokenTable):
+            want = _outcome(parse, p, *args)
+        assert _same_outcome(got, want), (parse.__name__, args, got, want)
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \n\n\t\n", "\r\n\x0c\r"],
+                         ids=["empty", "newline", "blank", "blank-crlf"])
+def test_a_file_of_no_line_reads_without_a_warning(tmp_path, text):
+    p = tmp_path / "empty.txt"
+    p.write_text(text, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("gt", "det", "result"):
+            table = read_mot(p, kind)
+            assert table.frames.tolist() == table.ids.tolist() == []
+            assert table.start.tolist() == [0] and table.boxes.shape == (0, 4)
+        assert parse_centers(p) == {}
