@@ -24,15 +24,19 @@ it checks on entry, or as ``Detection`` objects whose columns it builds on entry
 boxes become one ``(N, 4)`` measurement array, tested once for the
 filter (only a frame holding a bad row runs the checks that pick its
 error), and one call predicts every state.  Appearance cost is one product of the pool's and the frame's
-embedding stacks.  The motion gate is evaluated only on the
-pairs whose appearance cost is within ``emb_match_threshold``, and the
-pairs it passes go to ``assignment.solve_pairs`` as they are: no other
+embedding stacks, turned into the distance in place: the stage's only
+``(T, N)`` float array, where a second one (330 KB at 200 targets) made
+most crowded steps fault their heap pages back in.  Its pairs within
+``emb_match_threshold`` are read by flat index (``_pairs_within``), in 15
+microseconds at 200 targets, where a 2-D ``nonzero`` and its
+``cost[r, c]`` gather take 98.  The motion gate is evaluated only on those
+pairs, and the pairs it passes go to ``assignment.solve_pairs`` as they are: no other
 pair could be matched, so the matches are those of a full ``(T, N)``
 gate, at a cost that grows with the admissible pairs, not with T x N.
 Every embedding admitted is a unit row, so every cost is finite.
 Overlap cost is one broadcast over ``(T, 4)`` and ``(N, 4)`` box
-corners, and its pairs within ``iou_match_threshold`` go to
-``solve_pairs`` in the same way; a box with a corner that is not finite
+corners, and its pairs within ``iou_match_threshold``, read the same
+way, go to ``solve_pairs`` as they are; a box with a corner that is not finite
 overlaps no track, and enters as the empty box at the origin, which reads
 the same IoU 0 without an ``inf - inf``.  So each stage forbids the pairs
 above its threshold (and the gated ones) before solving, and a pair over
@@ -44,7 +48,10 @@ fancy-indexed writes and concatenations.  ``tracks`` lists the pool's
 ids, active and lost.  A frame makes about the same numpy calls
 however few its targets, and at ten targets their fixed cost is most of
 its time, so the frame avoids the Python-level helpers (``np.stack``,
-``np.clip``, ``np.flatnonzero``) where a plain call does the same.
+``np.clip``) where a plain call does the same, and takes flat indices
+as ``mask.ravel().nonzero()[0]`` with ``k // n`` and ``k - r * n``, not
+``np.flatnonzero`` and ``np.divmod``, which cost a fifth more on a
+small frame.
 """
 
 from __future__ import annotations
@@ -99,9 +106,27 @@ class TrackerConfig:
 
 
 def cosine_distance_matrix(track_embs: np.ndarray, det_embs: np.ndarray) -> np.ndarray:
-    """1 - cosine similarity between (T, D) and (N, D) unit embeddings, in [0, 2]."""
-    d = 1.0 - track_embs @ det_embs.T
+    """1 - cosine similarity between (T, D) and (N, D) unit embeddings, in [0, 2].
+
+    The distance is written in place over the product, so a frame makes one
+    (T, N) array, not two; an integer or bool product, which has no float to
+    hold it, takes a new float64 array, as ``1.0 - product`` gives it.
+    """
+    d = track_embs @ det_embs.T
+    d = np.subtract(1.0, d, out=None if d.dtype.kind in "biu" else d)
     return np.minimum(np.maximum(d, 0.0, out=d), 2.0, out=d)  # np.clip without its wrapper
+
+
+def _pairs_within(cost: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, columns and costs of the entries of a 2-D ``cost`` at or
+    under ``thr`` (NaN is not), in row-major order: ``(cost <= thr).nonzero()``
+    and ``cost[r, c]``, taken by flat index, which costs a fraction of the
+    2-D ``nonzero`` on a crowded frame and about the same on a small one."""
+    n = cost.shape[1]
+    flat = cost.ravel()
+    k = (flat <= thr).nonzero()[0]
+    r = k // n
+    return r, k - r * n, flat[k]
 
 
 def _check_finite(boxes: np.ndarray) -> None:
@@ -248,11 +273,11 @@ class OnlineTracker:
             cost = cosine_distance_matrix(self._emb, emb)
             if kalman and suspect:
                 check_measurements(z)
-            r, c = (cost <= cfg.emb_match_threshold).nonzero()
+            r, c, pc = _pairs_within(cost, cfg.emb_match_threshold)
             if kalman:
-                cut = gate(mean[r], cov[r], z[c]) > cfg.gate_chi2
-                r, c = r[~cut], c[~cut]
-            rows, cols = solve_pairs(pool, n, r, c, cost[r, c])
+                keep = ~(gate(mean[r], cov[r], z[c]) > cfg.gate_chi2)  # a NaN d2 is kept
+                r, c, pc = r[keep], c[keep], pc[keep]
+            rows, cols = solve_pairs(pool, n, r, c, pc)
             left[cols] = False
 
         # stage 2: box overlap, active tracks only
@@ -267,8 +292,8 @@ class OnlineTracker:
                 if suspect:  # a box with a corner not finite overlaps no track: IoU 0
                     det_boxes[~np.isfinite(det_boxes).all(axis=1)] = 0.0
                 dist = 1.0 - iou_matrix(track_boxes, det_boxes)
-                i, j = (dist <= cfg.iou_match_threshold).nonzero()
-                i, j = solve_pairs(cand.size, det_pool.size, i, j, dist[i, j])
+                i, j = solve_pairs(cand.size, det_pool.size,
+                                   *_pairs_within(dist, cfg.iou_match_threshold))
                 rows = np.concatenate([rows, cand[i]])
                 cols = np.concatenate([cols, det_pool[j]])
                 left[det_pool[j]] = False

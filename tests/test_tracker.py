@@ -4,18 +4,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairtrack.assignment import hungarian
 from fairtrack.decoding import Detection
 from fairtrack.geometry import BBox, corners, iou_matrix
 from fairtrack.kalman import GATE_CHI2, STD_WEIGHT_POSITION, box_corners, initiate, \
     measurements, predict, update
+from fairtrack.sim import SimConfig, generate
 from fairtrack.tracker import (
     DetectionColumns,
     OnlineTracker,
     TrackerConfig,
+    _pairs_within,
     cosine_distance_matrix,
     track_sequence,
 )
@@ -47,6 +50,94 @@ def test_cosine_distance_extremes():
     assert m[0, 0] == pytest.approx(0.0)
     assert m[0, 1] == pytest.approx(1.0)
     assert m[0, 2] == pytest.approx(2.0)
+
+
+@st.composite
+def _unit_stacks(draw):
+    """(T, D) and (N, D) unit rows, T or N often 1, where some detection rows
+    repeat a track row as it is or negated: distances of exactly 0 and 2,
+    and raw differences a rounding below 0, which the clip sets to 0."""
+    dim = draw(st.integers(2, 64))
+    t, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(t + n, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    a, b = rows[:t], rows[t:]
+    for j in range(n):
+        sign = draw(st.sampled_from([0.0, 1.0, -1.0]))  # 0: a row of its own
+        if sign:
+            b[j] = sign * a[draw(st.integers(0, t - 1))]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks=_unit_stacks())
+def test_cosine_distance_equals_the_clipped_difference(stacks):
+    a, b = stacks
+    got = cosine_distance_matrix(a, b)
+    want = np.clip(1.0 - a @ b.T, 0.0, 2.0)
+    assert got.dtype == want.dtype and got.shape == (len(a), len(b))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cosine_distance_clips_the_rounding_of_repeated_rows():
+    v = _unit([1, 1, 1])  # v @ v rounds to 1 + 2.2e-16, so 1 - v @ v is below 0
+    raw = 1.0 - np.array([v]) @ np.array([v, -v]).T
+    assert raw[0, 0] < 0.0 and raw[0, 1] == 2.0  # the case the clip is there for
+    assert cosine_distance_matrix(np.array([v]), np.array([v, -v])).tolist() == [[0.0, 2.0]]
+
+
+@pytest.mark.parametrize("dtypes", [
+    (np.float64, np.float64), (np.float32, np.float32), (np.float16, np.float16),
+    (np.longdouble, np.longdouble), (np.float32, np.float64), (np.int64, np.int64),
+    (np.int32, np.int32), (np.uint8, np.uint8), (np.bool_, np.bool_),
+    (np.int64, np.float32), (np.complex128, np.complex128)])
+def test_cosine_distance_keeps_the_dtype_of_each_input(dtypes):
+    """The in-place distance has the dtype and values of ``1.0 - a @ b.T``
+    clipped, also where the product is integer or bool and has no float
+    slot to be written into."""
+    a = np.array([[1, 0, 2], [0, 1, 1], [1, 1, 0]]).astype(dtypes[0])
+    b = np.array([[1, 0, 0], [2, 1, 1], [0, 0, 0], [0, 1, 0]]).astype(dtypes[1])
+    a0, b0 = a.copy(), b.copy()
+    got = cosine_distance_matrix(a, b)
+    want = 1.0 - a @ b.T
+    want = np.minimum(np.maximum(want, 0.0), 2.0)
+    assert got.dtype == want.dtype
+    # values, not bytes: a long double's padding bytes are not set
+    assert np.array_equal(got, want)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)  # the inputs are not written
+
+
+@st.composite
+def _costs(draw):
+    """A threshold and a cost matrix whose entries tie it, straddle it by an
+    ulp, or are NaN or infinite; 0 to 6 rows and columns, 1 x N and N x 1
+    included."""
+    thr = draw(st.sampled_from([0.0, 0.4, 0.5, 1.0, 2.0]))
+    shape = draw(st.sampled_from([(1, 6), (6, 1), (1, 1)])
+                 | st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    near = [thr, np.nextafter(thr, -np.inf), np.nextafter(thr, np.inf)]
+    elements = st.sampled_from(near + [np.nan, np.inf, -np.inf, 0.0, 2.0]) \
+        | st.floats(-1.0, 3.0)
+    return thr, draw(arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_costs())
+@example(case=(0.4, np.full((5, 7), 0.4)))      # every entry on the threshold
+@example(case=(0.4, np.full((7, 5), 0.5)))      # none under it
+@example(case=(0.4, np.full((4, 6), np.nan)))   # NaN is never a pair
+@example(case=(1.0, np.arange(12.0).reshape(1, 12) / 8))
+@example(case=(1.0, np.arange(12.0).reshape(12, 1) / 8))
+def test_flat_selection_equals_the_2d_nonzero(case):
+    thr, cost = case
+    r, c, pc = _pairs_within(cost, thr)
+    want_r, want_c = (cost <= thr).nonzero()
+    for got, want in ((r, want_r), (c, want_c)):
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+    assert pc.dtype == np.float64
+    assert pc.tobytes() == cost[want_r, want_c].tobytes()
 
 
 def test_cosine_distance_requires_embeddings():
@@ -485,6 +576,22 @@ def _step(tracker, frame, dets):
         return f"ValueError: {e}"
 
 
+def _assert_pool_equals_reference(new, ref, cfg):
+    want = ref.tracks
+    assert new.tracks == [w.track_id for w in want]
+    assert new._misses.tolist() == [w.frames_since_update for w in want]
+    assert [TrackStatus.LOST if m else TrackStatus.ACTIVE for m in new._misses] == \
+        [w.status for w in want]
+    if cfg.use_reid:
+        for g, w in zip(new._emb, want):
+            assert g.tobytes() == w.smooth_emb.tobytes()
+    if cfg.use_kalman:
+        assert new._mean.tobytes() == ref._mean.tobytes()
+        assert new._cov.tobytes() == ref._cov.tobytes()
+    else:
+        assert [BBox(*b) for b in new._box.tolist()] == [w.last_box for w in want]
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), cfg=_configs())
 def test_array_pool_equals_per_track_reference(seed, cfg):
@@ -494,19 +601,24 @@ def test_array_pool_equals_per_track_reference(seed, cfg):
         assert out == _step(ref, f, dets)
         if isinstance(out, str):  # refused: the reference moved its states, the pool did not
             break
-        want = ref.tracks
-        assert new.tracks == [w.track_id for w in want]
-        assert new._misses.tolist() == [w.frames_since_update for w in want]
-        assert [TrackStatus.LOST if m else TrackStatus.ACTIVE for m in new._misses] == \
-            [w.status for w in want]
-        if cfg.use_reid:
-            for g, w in zip(new._emb, want):
-                assert g.tobytes() == w.smooth_emb.tobytes()
-        if cfg.use_kalman:
-            assert new._mean.tobytes() == ref._mean.tobytes()
-            assert new._cov.tobytes() == ref._cov.tobytes()
-        else:
-            assert [BBox(*b) for b in new._box.tolist()] == [w.last_box for w in want]
+        _assert_pool_equals_reference(new, ref, cfg)
+
+
+# the benchmark's detector noise
+_NOISE = {"emb_noise_std": 0.1, "fp_rate": 1.0, "det_dropout_prob": 0.05,
+          "box_noise_std": 1.0}
+
+
+def test_array_pool_equals_per_track_reference_at_crowd_size():
+    """200 targets per frame: the appearance stage selects its pairs from a
+    cost matrix of about 200 x 200, which no drawn sequence above reaches."""
+    out = generate(SimConfig(seed=1, frames=6, num_targets=200, scenario="random", **_NOISE))
+    cfg = TrackerConfig()
+    ref, new = _RefTracker(cfg), OnlineTracker(cfg)
+    for f in sorted(out.dets):
+        assert new.step(f, out.dets[f]) == ref.step(f, out.dets[f])
+        _assert_pool_equals_reference(new, ref, cfg)
+    assert len(new.tracks) > 190
 
 
 def _state(tracker):
