@@ -280,6 +280,8 @@ def _check_encoded_stride(maps_dir: Path, stride: int) -> None:
 def cmd_decode(args) -> int:
     started = time.monotonic()
     check_peak_args(args.threshold, args.top_k)  # before any map is read or --out made
+    if args.stride <= 0:
+        raise ValueError(f"stride must be positive, got {args.stride}")
     maps_dir = Path(args.maps)
     _check_encoded_stride(maps_dir, args.stride)
     frames = []
@@ -352,22 +354,22 @@ def cmd_decode(args) -> int:
 
 # ---------------------------------------------------------------- track
 
-def _read_detections(src: Path, need_emb: bool) -> tuple[MotTable, np.ndarray | None]:
+def _read_detections(src: Path, missing: str | None = None) -> tuple[MotTable, np.ndarray | None]:
     """Read ``det.txt`` and, where present, ``emb.ften`` from a directory.
 
     Row k of ``emb.ften`` is the k-th detection's embedding, in frame
     order, which is the table's row order; the rows are returned as
     float64 unit vectors.  A row of norm zero or not finite raises
-    MotFormatError.
+    MotFormatError.  Given ``missing``, a message with ``{}`` for the
+    path, an absent ``emb.ften`` beside a detection raises ValueError
+    with it.
     """
     dets = read_mot(src / "det.txt", kind="det")
     n = len(dets.ids)
     path = src / "emb.ften"
     if not path.is_file():
-        if need_emb and n:
-            raise ValueError(
-                f"re-ID stage enabled but {path} is missing "
-                "(pass --no-reid to track on boxes alone)")
+        if missing and n:
+            raise ValueError(missing.format(path))
         return dets, None
     m = read_tensor(path)
     if m.ndim != 2 or len(m) != n:
@@ -387,7 +389,9 @@ def cmd_track(args) -> int:
     started = time.monotonic()
     tracker_cfg, _ = _resolve_configs(args)
     src = Path(args.inp)
-    dets, emb = _read_detections(src, need_emb=tracker_cfg.use_reid)
+    dets, emb = _read_detections(src, "re-ID stage enabled but {} is missing "
+                                 "(pass --no-reid to track on boxes alone)"
+                                 if tracker_cfg.use_reid else None)
     scores = np.clip(dets.conf, 0.0, 1.0)
 
     tracker = OnlineTracker(tracker_cfg)
@@ -507,7 +511,8 @@ def cmd_reid_eval(args) -> int:
         raise ValueError(f"--iou must be in (0, 1], got {args.iou}")
     src = Path(args.inp)
     gt = read_mot(src / "gt.txt", kind="gt")
-    dets, emb = _read_detections(src, need_emb=True)
+    dets, emb = _read_detections(src, "reid-eval needs the detections' embeddings, "
+                                 "but {} is missing")
     genuine, impostor = _reid_scores(dets, emb, gt, args.iou)
 
     tpr = tpr_at_far(genuine, impostor, args.far)

@@ -14,12 +14,12 @@ measurement) pairs, so a caller computes it only on the pairs it still
 needs (the tracker: those its appearance cost admits), or on one state
 broadcast against many measurements.  ``measure`` turns ``(N, 4)`` box
 corners into measurements without checking them; ``measurable`` marks
-the rows whose height is positive and whose values stay within
-float32's normal range, and ``check_measurements`` raises on the first
-row that is not; ``measurements`` measures and checks.  The
-single-state functions (``kf_*``, ``state_to_box``) wrap the same code,
-taking and returning a validated ``KalmanState`` with its 8x8
-covariance.
+the rows whose height is positive, whose width is not negative and whose
+values stay within float32's normal range, and ``check_measurements``
+raises on the first row that is not; ``measurements`` measures and
+checks.  The single-state functions (``kf_*``, ``state_to_box``) wrap
+the same code, taking and returning a validated ``KalmanState`` with its
+8x8 covariance.
 
 Each kernel builds its result in one preallocated ``np.empty`` or
 ``np.zeros`` block, writing slices of it, never joining per-column arrays
@@ -27,9 +27,9 @@ with ``np.stack`` or ``np.concatenate``; a tracker frame calls each one
 once, so numpy's per-call cost, not the arithmetic, is what it spends.
 The sums keep the grouping of the dense matrix products they stand for
 (``((p + pv) + (pv + v)) + Q`` in ``predict``), so they match them bit
-for bit.  ``all_measurable`` tests a whole measurement array in two
-reductions, so a tracker frame tests its boxes once and runs
-``check_measurements`` only when one fails.
+for bit.  ``all_measurable`` tests a whole measurement array in three
+reductions, so ``check_measurements``, which the tracker runs on every
+box of a frame as it enters, looks for the bad row only when one fails.
 """
 
 from __future__ import annotations
@@ -128,33 +128,38 @@ def measure(c: np.ndarray) -> np.ndarray:
 
 
 def measurable(z: np.ndarray) -> np.ndarray:
-    """(N,) mask of the measurement rows within float32's normal range.
+    """(N,) mask of the measurement rows the filter accepts.
 
-    A row fails on a height under float32's smallest normal number (so
-    also one that is not positive) or on any magnitude over its largest:
-    there the filter's variances would underflow to zero or its distances
-    overflow.  A NaN fails too.
+    A row fails on a negative aspect w / h (a negative width), on a height
+    under float32's smallest normal number (so also one that is not
+    positive) or on any magnitude over its largest: there the filter's
+    variances would underflow to zero or its distances overflow.  A NaN
+    fails too.
     """
-    return (z[:, 3] >= _TINY) & (np.abs(z) <= _HUGE).all(axis=1)
+    return (z[:, 3] >= _TINY) & (z[:, 2] >= 0.0) & (np.abs(z) <= _HUGE).all(axis=1)
 
 
 def all_measurable(z: np.ndarray) -> bool:
-    """Whether every row of ``z`` is ``measurable``, in two reductions."""
+    """Whether every row of ``z`` is ``measurable``, in three reductions."""
     # min and max carry a NaN through, and every comparison with it is False
     return (np.minimum.reduce(z[:, 3], initial=np.inf) >= _TINY
+            and np.minimum.reduce(z[:, 2], initial=np.inf) >= 0.0
             and np.maximum.reduce(np.abs(z), axis=None, initial=0.0) <= _HUGE)
 
 
 def check_measurements(z: np.ndarray) -> None:
     """Raise ValueError on the first bad measurement row (see ``measurable``).
 
-    A height that is not positive is reported first, wherever it is.
+    A height that is not positive is reported first, wherever it is, then
+    a negative width; a NaN aspect is out of range.
     """
     if all_measurable(z):
         return
-    h = z[:, 3]
+    h, a = z[:, 3], z[:, 2]
     if not (h > 0).all():
         raise ValueError(f"box height must be positive, got {h[~(h > 0)][0]}")
+    if (a < 0).any():
+        raise ValueError(f"box width must be non-negative, got w / h = {a[a < 0][0]}")
     raise ValueError(f"box measurement (cx, cy, w / h, h) = "
                      f"{tuple(z[~measurable(z)][0].tolist())} is outside "
                      "float32's normal range")

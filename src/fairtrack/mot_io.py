@@ -215,14 +215,14 @@ def read_mot(path, kind: str = "result") -> MotTable:
 
     kind is one of gt / det / result; gt lines additionally carry class
     and visibility, and non-pedestrian classes are dropped.  A det box
-    must be one the tracker's Kalman filter accepts (``kalman.measurable``:
-    a positive height, and a measurement within float32's normal range),
-    checked after the line's other fields, as is a kept gt or result line
-    repeating an earlier one's (frame, id), an id of -1 (a det line's
-    placeholder, so a det.txt still reads as a result file) excepted.  The
-    first malformed line, or bytes that are not UTF-8, raise MotFormatError
-    naming `path:line`.  Each corner is ``left + width`` (``top + height``)
-    as read.
+    must be one the tracker accepts (``kalman.measurable``: a positive
+    height, a width that is not negative, and a measurement within
+    float32's normal range), checked after the line's other fields, as is
+    a kept gt or result line repeating an earlier one's (frame, id), an id
+    of -1 (a det line's placeholder, so a det.txt still reads as a result
+    file) excepted.  The first malformed line, or bytes that are not UTF-8,
+    raise MotFormatError naming `path:line`.  Each corner is ``left +
+    width`` (``top + height``) as read.
     """
     v, corners, _ = _checked(path, kind)
     kept = np.flatnonzero(v[:, 7] == PEDESTRIAN_CLASS)

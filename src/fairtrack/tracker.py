@@ -20,10 +20,13 @@ frame works on whole arrays, never on track x detection pairs in Python.
 ``step`` takes the frame as ``DetectionColumns`` (``(N, 4)`` corners,
 ``(N,)`` scores and an ``(N, D)`` embedding array), whose shapes, scores
 in [0, 1] and, with re-ID on, unit embedding rows (``Detection``'s rules)
-it checks on entry, or as ``Detection`` objects whose columns it builds on entry; the
-boxes become one ``(N, 4)`` measurement array, tested once for the
-filter (only a frame holding a bad row runs the checks that pick its
-error), and one call predicts every state.  Appearance cost is one product of the pool's and the frame's
+it checks on entry, or as ``Detection`` objects whose columns it builds on entry.  The
+boxes become one ``(N, 4)`` measurement array, and every box is checked
+on entry by the rule ``read_mot`` applies to ``det.txt``, whatever the
+configuration: a positive height, a width that is not negative, and a
+measurement within float32's normal range (``kalman.measurable``), so
+every corner that reaches a stage is finite.  One call predicts every
+state.  Appearance cost is one product of the pool's and the frame's
 embedding stacks, turned into the distance in place: the stage's only
 ``(T, N)`` float array, where a second one (330 KB at 200 targets) made
 most crowded steps fault their heap pages back in.  Its pairs within
@@ -36,9 +39,7 @@ gate, at a cost that grows with the admissible pairs, not with T x N.
 Every embedding admitted is a unit row, so every cost is finite.
 Overlap cost is one broadcast over ``(T, 4)`` and ``(N, 4)`` box
 corners, and its pairs within ``iou_match_threshold``, read the same
-way, go to ``solve_pairs`` as they are; a box with a corner that is not finite
-overlaps no track, and enters as the empty box at the origin, which reads
-the same IoU 0 without an ``inf - inf``.  So each stage forbids the pairs
+way, go to ``solve_pairs`` as they are.  So each stage forbids the pairs
 above its threshold (and the gated ones) before solving, and a pair over
 the threshold never takes a track or detection from a valid match; the
 allowed pairs of a crowded frame split into components of a few nodes,
@@ -64,8 +65,8 @@ import numpy as np
 from .assignment import solve_pairs
 from .decoding import Detection, row_norms
 from .geometry import BBox, corners, iou_matrix
-from .kalman import GATE_CHI2, all_measurable, box_corners, check_measurements, gate, \
-    initiate, measure, predict, update
+from .kalman import GATE_CHI2, box_corners, check_measurements, gate, initiate, measure, \
+    predict, update
 
 
 class DetectionColumns(NamedTuple):
@@ -127,13 +128,6 @@ def _pairs_within(cost: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray,
     k = (flat <= thr).nonzero()[0]
     r = k // n
     return r, k - r * n, flat[k]
-
-
-def _check_finite(boxes: np.ndarray) -> None:
-    """Raise ValueError on the first (K, 4) box-corner row that is not finite."""
-    bad = ~np.isfinite(boxes).all(axis=1)
-    if bad.any():
-        raise ValueError(f"box corners {tuple(boxes[bad][0].tolist())} are not finite")
 
 
 def _embedding_rows(embeddings: list) -> np.ndarray:
@@ -220,9 +214,10 @@ class OnlineTracker:
         refused with ValueError (a frame index not after the last one,
         columns whose shapes disagree, a missing or resized embedding or,
         in the columns, a score outside [0, 1] or an embedding that is not
-        a unit row, a box the Kalman filter cannot measure or, with Kalman
-        off, a box that is not finite) leaves the tracker as it was, so the frame can be retried.
-        Only the boxes that match a track or start one are checked.
+        a unit row, or a box ``read_mot`` would refuse in ``det.txt``)
+        leaves the tracker as it was, so the frame can be retried.  Every
+        box is checked, in every configuration, whether or not it matches
+        a track or starts one.
         """
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
@@ -249,30 +244,21 @@ class OnlineTracker:
             if pool and emb.shape[1] != self._emb.shape[1]:
                 raise ValueError(f"embedding width {emb.shape[1]} differs from "
                                  f"the pool's {self._emb.shape[1]}")
+        # every box, in every configuration, by read_mot's det.txt rule; after
+        # the embeddings, so both input forms name the same first fault
+        z = measure(boxes)
+        check_measurements(z)
         kalman = cfg.use_kalman
         # Everything up to the commit below works on locals, so a refused
         # frame leaves the pool as it was: predicted states, then matches.
         mean, cov = predict(self._mean, self._cov) if kalman and pool \
             else (self._mean, self._cov)
-
-        # Checked where a filter first uses a row, with measurements' error;
-        # with Kalman off, the rows the pool keeps must be finite.  One mask
-        # test covers the frame; only a frame holding a bad row runs the
-        # ordered checks below, which pick the error to raise.
-        if kalman:
-            z = measure(boxes)
-            suspect = not all_measurable(z)
-        else:
-            z = None
-            suspect = not np.isfinite(boxes).all()
         rows = cols = np.zeros(0, dtype=np.int64)  # matches: pool row, detection
         left = np.ones(n, dtype=bool)  # detections not matched yet
 
         # stage 1: appearance, active and lost tracks alike
         if cfg.use_reid and pool and n:
             cost = cosine_distance_matrix(self._emb, emb)
-            if kalman and suspect:
-                check_measurements(z)
             r, c, pc = _pairs_within(cost, cfg.emb_match_threshold)
             if kalman:
                 keep = ~(gate(mean[r], cov[r], z[c]) > cfg.gate_chi2)  # a NaN d2 is kept
@@ -288,10 +274,7 @@ class OnlineTracker:
             cand = open_.nonzero()[0]
             if cand.size:
                 track_boxes = box_corners(mean[cand]) if kalman else self._box[cand]
-                det_boxes = boxes[det_pool]
-                if suspect:  # a box with a corner not finite overlaps no track: IoU 0
-                    det_boxes[~np.isfinite(det_boxes).all(axis=1)] = 0.0
-                dist = 1.0 - iou_matrix(track_boxes, det_boxes)
+                dist = 1.0 - iou_matrix(track_boxes, boxes[det_pool])
                 i, j = solve_pairs(cand.size, det_pool.size,
                                    *_pairs_within(dist, cfg.iou_match_threshold))
                 rows = np.concatenate([rows, cand[i]])
@@ -299,12 +282,6 @@ class OnlineTracker:
                 left[det_pool[j]] = False
 
         born = (left & (scores > cfg.det_threshold)).nonzero()[0]
-        if suspect:
-            for kept in (cols, born):
-                if kalman:
-                    check_measurements(z[kept])
-                else:
-                    _check_finite(boxes[kept])
 
         # commit
         self._last_frame = frame_index

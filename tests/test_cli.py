@@ -338,6 +338,8 @@ def test_decode_empty_maps_dir_exits_2(tmp_path):
     ("--threshold", "1.5", "threshold must be in (0, 1), got 1.5"),
     ("--threshold", "0", "threshold must be in (0, 1), got 0.0"),
     ("--top-k", "0", "top_k must be >= 1, got 0"),
+    ("--stride", "0", "stride must be positive, got 0"),
+    ("--stride", "-4", "stride must be positive, got -4"),
 ])
 @pytest.mark.parametrize("maps", ["valid", "missing"])
 def test_decode_bad_peak_args_exit_1_before_reading_or_writing(tmp_path, capsys, flag,
@@ -351,6 +353,22 @@ def test_decode_bad_peak_args_exit_1_before_reading_or_writing(tmp_path, capsys,
     assert rc == 1
     assert f"fairtrack: {message}" in capsys.readouterr().err
     assert not (tmp_path / "dec").exists()
+
+
+def test_a_missing_emb_ften_is_named_and_only_track_suggests_no_reid(sim_dir, tmp_path, capsys):
+    """reid-eval has no --no-reid flag to suggest; both exit 1."""
+    (sim_dir / "emb.ften").unlink()
+    capsys.readouterr()
+    assert run(["reid-eval", "--in", str(sim_dir)])[0] == 1
+    assert capsys.readouterr().err == (
+        "fairtrack: reid-eval needs the detections' embeddings, "
+        f"but {sim_dir / 'emb.ften'} is missing\n")
+    assert run(["track", "--in", str(sim_dir), "--out", str(tmp_path / "r.txt")])[0] == 1
+    assert capsys.readouterr().err == (
+        f"fairtrack: re-ID stage enabled but {sim_dir / 'emb.ften'} is missing "
+        "(pass --no-reid to track on boxes alone)\n")
+    assert run(["track", "--in", str(sim_dir), "--out", str(tmp_path / "r.txt"),
+                "--no-reid"])[0] == 0
 
 
 def _write_maps(maps, frames=2):
@@ -630,7 +648,7 @@ def test_decode_orders_frames_by_number_past_six_digits(tmp_path):
     assert [line.split(",")[0] for line in (dec / "det.txt").read_text().splitlines()] == \
         ["999999", "1000000"]
     np.testing.assert_array_equal(read_tensor(dec / "emb.ften"), np.eye(2, 4))
-    dets, emb = cli._read_detections(dec, need_emb=True)
+    dets, emb = cli._read_detections(dec)
     assert dets.frames.tolist() == [999999, 1000000]
     for k, (frame, rows) in enumerate(dets.by_frame()):
         (x1,) = dets.boxes[rows, 0]
@@ -703,7 +721,7 @@ def test_decoded_score_reaches_track_bit_for_bit(tmp_path):
     assert run(["decode", "--maps", str(maps), "--out", str(dec),
                 "--threshold", "0.1"])[0] == 0
     want = decode(heat, off, size, None, GridSpec(64, 64, 4), threshold=0.1)
-    dets, _ = cli._read_detections(dec, need_emb=False)
+    dets, _ = cli._read_detections(dec)
     assert dets.frames.tolist() == [1]
     got = dets.conf.tolist()
     assert got == [d.score for d in want]
@@ -1192,7 +1210,7 @@ def test_reid_scores_equal_the_per_pair_loops(tmp_path, seed):
     ref_gt = {f: [(r.obj_id, r.to_box()) for r in recs]
               for f, recs in parse_mot(seq / "gt.txt", kind="gt").items()}
     gt = read_mot(seq / "gt.txt", kind="gt")
-    dets, emb = cli._read_detections(seq, need_emb=True)
+    dets, emb = cli._read_detections(seq)
     for iou in (0.3, 0.5, 0.9):
         got = cli._reid_scores(dets, emb, gt, iou)
         want = _ref_reid_scores(ref_dets, ref_gt, iou)

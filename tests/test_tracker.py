@@ -1,6 +1,8 @@
 import enum
 import re
+import tempfile
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fairtrack.decoding import Detection
 from fairtrack.geometry import BBox, corners, iou_matrix
 from fairtrack.kalman import GATE_CHI2, STD_WEIGHT_POSITION, box_corners, initiate, \
     measurements, predict, update
+from fairtrack.mot_io import MotFormatError, read_mot
 from fairtrack.sim import SimConfig, generate
 from fairtrack.tracker import (
     DetectionColumns,
@@ -400,7 +403,8 @@ def _ref_gate(mean, cov, z):
 
 class _RefTracker:
     """The per-``Track`` tracker, kept verbatim as the reference of the array
-    pool (only its cosine and dense gate helpers are renamed above)."""
+    pool (only its cosine and dense gate helpers are renamed above), but
+    that it measures every box of a frame before any state moves."""
 
     def __init__(self, cfg: TrackerConfig = TrackerConfig()):
         self.cfg = cfg
@@ -421,6 +425,7 @@ class _RefTracker:
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValueError(
                 f"frame index {frame_index} not after {self._last_frame}")
+        measurements([d.box for d in dets])
         self._last_frame = frame_index
         kalman = cfg.use_kalman
         tracks = self._tracks
@@ -655,27 +660,26 @@ def test_a_refused_box_moves_neither_the_states_nor_the_frame():
     assert tracker.step(2, [_det(BBox(1, 0, 11, 20))]) == [(1, BBox(1, 0, 11, 20))]
 
 
-def test_only_a_box_the_filter_would_use_is_measured():
-    """Without re-ID the filter measures only the boxes it matches or starts
-    a track from: a zero-height box scored below det_threshold passes, the
-    same box scored above it is refused."""
+def test_every_box_is_measured_whatever_its_score():
+    """Without re-ID, a zero-height box is refused whether its score would
+    start a track or not: the filter's rule holds for every box of a frame."""
     tracker = OnlineTracker(TrackerConfig(use_reid=False))
     tracker.step(1, [_det(BBox(0, 0, 10, 20))])
     flat = BBox(100, 50, 110, 50)
-    assert tracker.step(2, [_det(BBox(1, 0, 11, 20)), _det(flat, score=0.3)]) == \
-        [(1, BBox(1, 0, 11, 20))]
     before = _state(tracker)
-    with pytest.raises(ValueError, match="^box height must be positive, got 0.0$"):
-        tracker.step(3, [_det(BBox(2, 0, 12, 20)), _det(flat, score=0.9)])
-    assert _state(tracker) == before and tracker._last_frame == 2
-    assert tracker.step(3, [_det(BBox(2, 0, 12, 20))]) == [(1, BBox(2, 0, 12, 20))]
+    for score in (0.3, 0.9):
+        with pytest.raises(ValueError, match="^box height must be positive, got 0.0$"):
+            tracker.step(2, [_det(BBox(1, 0, 11, 20)), _det(flat, score=score)])
+        assert _state(tracker) == before and tracker._last_frame == 1
+    assert tracker.step(2, [_det(BBox(1, 0, 11, 20))]) == [(1, BBox(1, 0, 11, 20))]
 
 
 @pytest.mark.parametrize("as_columns", [False, True])
 def test_kalman_off_refuses_a_non_finite_box_it_would_keep(as_columns):
-    """Without the filter, a box that matches a track or starts one must still
-    be finite: a frame holding one is refused before any state moves, in
-    either input form, and the same box scored below det_threshold passes."""
+    """Without the filter a box is still measured: a frame holding one with a
+    corner that is not finite is refused before any state moves, in either
+    input form, whether the box would match a track, start one or, scored
+    below det_threshold, be dropped."""
     frame = _columns if as_columns else list
     cfg = TrackerConfig(use_kalman=False)
     tracker, clean = OnlineTracker(cfg), OnlineTracker(cfg)
@@ -684,26 +688,27 @@ def test_kalman_off_refuses_a_non_finite_box_it_would_keep(as_columns):
     clean.step(1, frame(first))
     before = _state(tracker)
     wide = BBox(0, 0, np.inf, 20)
-    refused = r"^box corners \(0.0, 0.0, inf, 20.0\) are not finite$"
+    refused = (r"^box measurement \(cx, cy, w / h, h\) = \(inf, 10.0, inf, 20.0\) "
+               r"is outside float32's normal range$")
     for dets in ([_det(wide, emb=[1, 0])],  # matches track 1 by appearance
-                 first + [_det(wide, emb=[0, 1])]):  # starts a track
+                 first + [_det(wide, emb=[0, 1])],  # starts a track
+                 first + [_det(wide, emb=[0, 1], score=0.3)]):  # does neither
         with pytest.raises(ValueError, match=refused):
             tracker.step(2, frame(dets))
         assert _state(tracker) == before
-    low = first + [_det(wide, emb=[0, 1], score=0.3)]
-    assert tracker.step(2, frame(low)) == clean.step(2, frame(first))
-    with pytest.raises(ValueError, match=r"^box corners \(0.0, 0.0, inf, 10.0\) are not finite$"):
+    assert tracker.step(2, frame(first)) == clean.step(2, frame(first))
+    assert _state(tracker) == _state(clean)
+    with pytest.raises(ValueError, match=r"^box measurement .* = \(inf, 5.0, inf, 10.0\) "):
         OnlineTracker(TrackerConfig(use_reid=False, use_kalman=False)).step(
             1, frame([Detection(BBox(0, 0, np.inf, 10), 0.9)]))
 
 
 @pytest.mark.parametrize("use_kalman", [True, False])
 @pytest.mark.parametrize("score", [0.9, 0.3])
-def test_a_box_with_infinite_corners_reaches_the_overlap_stage_quietly(use_kalman, score):
-    """A box with x1 = x2 = inf overlaps no track; stage 2 sees it without a
-    numpy warning.  Scored above det_threshold it would start a track and
-    is refused with the filter's or the finiteness check's message; below
-    it, it is ignored."""
+def test_a_box_with_infinite_corners_is_refused_on_entry(use_kalman, score):
+    """A box with x1 = x2 = inf is refused with the filter's message, with
+    Kalman on or off and whatever its score, before any state moves; the
+    frame without it then tracks as it would have."""
     cfg = TrackerConfig(use_reid=False, use_kalman=use_kalman)
     tracker, clean = OnlineTracker(cfg), OnlineTracker(cfg)
     first = [_det(BBox(0, 0, 10, 20))]
@@ -711,16 +716,115 @@ def test_a_box_with_infinite_corners_reaches_the_overlap_stage_quietly(use_kalma
     clean.step(1, first)
     before = _state(tracker)
     frame = [_det(BBox(1, 0, 11, 20)), _det(BBox(np.inf, 0, np.inf, 10), score=score)]
-    if score < cfg.det_threshold:
-        assert tracker.step(2, frame) == clean.step(2, frame[:1])
-        assert _state(tracker) == _state(clean)
-        return
-    refused = (r"^box measurement \(cx, cy, w / h, h\) = \(inf, 5.0, nan, 10.0\) "
-               r"is outside float32's normal range$" if use_kalman
-               else r"^box corners \(inf, 0.0, inf, 10.0\) are not finite$")
-    with pytest.raises(ValueError, match=refused):
+    with pytest.raises(ValueError, match=r"^box measurement \(cx, cy, w / h, h\) = "
+                       r"\(inf, 5.0, nan, 10.0\) is outside float32's normal range$"):
         tracker.step(2, frame)
     assert _state(tracker) == before
+    assert tracker.step(2, frame[:1]) == clean.step(2, frame[:1])
+    assert _state(tracker) == _state(clean)
+
+
+# the corners of a box at (x, y) of size (w, h), by kind; c (0-7) picks the
+# corner that is not finite (c % 4) and the sign of its infinity (c < 4: +)
+_BOX_KINDS = {
+    "ordinary": lambda x, y, w, h, c: (x, y, x + w, y + h),
+    "zero height": lambda x, y, w, h, c: (x, y, x + w, y),
+    "negative width": lambda x, y, w, h, c: (x + w, y, x, y + h),
+    "negative height": lambda x, y, w, h, c: (x, y + h, x + w, y),
+    "inf corner": lambda x, y, w, h, c: _with_corner((x, y, x + w, y + h), c,
+                                                      np.inf if c < 4 else -np.inf),
+    "nan corner": lambda x, y, w, h, c: _with_corner((x, y, x + w, y + h), c, np.nan),
+    "height 1e300": lambda x, y, w, h, c: (x, y, x + w, y + 1e300),
+    "height 1e-320": lambda x, y, w, h, c: (x, 0.0, x + w, 1e-320),
+}
+
+
+def _with_corner(box, c, value):
+    return tuple(value if k == c % 4 else v for k, v in enumerate(box))
+
+
+@st.composite
+def _drawn_boxes(draw):
+    """(kind, corners, score): a box of one of ``_BOX_KINDS``, scored on
+    either side of the default det_threshold."""
+    kind = draw(st.sampled_from(sorted(_BOX_KINDS)))
+    x, y, w, h = (float(draw(st.integers(lo, hi))) for lo, hi in
+                  ((0, 400), (0, 400), (1, 80), (1, 80)))
+    box = _BOX_KINDS[kind](x, y, w, h, draw(st.integers(0, 7)))
+    return kind, box, draw(st.sampled_from([0.3, 0.9]))
+
+
+def _det_line(frame, box, score):
+    """A det.txt line of the box, written by hand: format_mot refuses a box
+    that is not finite, and Python's float arithmetic never warns."""
+    x1, y1, x2, y2 = box
+    return f"{frame},-1,{x1!r},{y1!r},{x2 - x1!r},{y2 - y1!r},{score!r},-1,-1,-1\n"
+
+
+def _ordinary(box):
+    """A 10 x 20 box at the box's first corner, or at the origin where that
+    corner is not finite."""
+    x, y = box[:2] if np.isfinite(box[:2]).all() else (0.0, 0.0)
+    return x, y, x + 10.0, y + 20.0
+
+
+def _bbox(box):
+    try:
+        return BBox(*box)
+    except ValueError:  # inverted: only the columns can hold it
+        return None
+
+
+_ALL_CONFIGS = [TrackerConfig(use_reid=r, use_iou=i, use_kalman=k)
+                for r, i in [(True, True), (True, False), (False, True)]
+                for k in (True, False)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=st.lists(_drawn_boxes(), min_size=1, max_size=6), pool=st.booleans(),
+       cfg=st.sampled_from(_ALL_CONFIGS))
+@example(frame=[("ordinary", (0.0, 0.0, 10.0, 20.0), 0.9),
+                ("zero height", (100.0, 50.0, 110.0, 50.0), 0.3)],
+         pool=True, cfg=TrackerConfig(use_reid=False))  # matches and starts nothing
+@example(frame=[("negative width", (10.0, 0.0, 0.0, 20.0), 0.9)],
+         pool=False, cfg=TrackerConfig())  # would start a track of aspect -0.5
+@example(frame=[("zero height", (0.0, 0.0, 10.0, 0.0), 0.9)],
+         pool=False, cfg=TrackerConfig(use_kalman=False))  # finite, and would start a track
+def test_step_refuses_exactly_the_boxes_read_mot_refuses(frame, pool, cfg):
+    """In every configuration and either input form, with or without a pool,
+    ``step`` refuses a frame exactly when ``read_mot(kind="det")`` refuses
+    the same boxes written as det.txt lines, and a refused frame leaves the
+    tracker as it was.  The pool, when there is one, holds an ordinary box
+    at each box's first corner, with the embedding that box carries."""
+    boxes = [box for _, box, _ in frame]
+    scores = [score for _, _, score in frame]
+    emb = np.eye(6)[:len(frame)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "det.txt"
+        path.write_text("".join(_det_line(2, box, score) for box, score in zip(boxes, scores)))
+        try:
+            read_mot(path, kind="det")
+            reader_refuses = False
+        except MotFormatError:
+            reader_refuses = True
+
+    forms = [DetectionColumns(np.array(boxes), np.array(scores), emb)]
+    bboxes = [_bbox(box) for box in boxes]
+    if None not in bboxes:
+        forms.append([Detection(b, s, e) for b, s, e in zip(bboxes, scores, emb)])
+    for dets in forms:
+        tracker = OnlineTracker(cfg)
+        if pool:
+            tracker.step(1, DetectionColumns(np.array([_ordinary(box) for box in boxes]),
+                                             np.full(len(frame), 0.9), emb))
+        before = _state(tracker)
+        try:
+            tracker.step(2, dets)
+            refused = False
+        except ValueError:
+            refused = True
+            assert _state(tracker) == before
+        assert refused == reader_refuses, (type(dets).__name__, frame)
 
 
 def _two_targets(frame):
