@@ -8,10 +8,11 @@ the run and get byte-identical outputs.
 `encode` writes one dense heatmap per frame (``*.heat.ften``) and one
 object table for the sequence (``centers.txt``: cell, identity, offset
 and size of every retained center), straight from each frame's sparse
-center table.  `decode` reads the table once and scatters each frame's
-rows into the dense offset and size heads that `decoding.decode` takes;
-it refuses maps whose encode manifest records another stride than its
-own.  Both hold one frame's maps at a time.  `sim`
+center table.  `decode` reads the table once, as columns sorted by
+frame, takes each frame's rows as one ``searchsorted`` slice and
+scatters them into the dense offset and size heads that
+`decoding.decode` takes; it refuses maps whose encode manifest records
+another stride than its own.  Both hold one frame's maps at a time.  `sim`
 and `decode` write detections to ``det.txt`` and their embeddings, if
 any, to ``emb.ften`` beside it: row k of that ``(N, D)`` array belongs to
 the k-th detection in frame order, which is ``det.txt``'s file order.
@@ -25,9 +26,14 @@ passes corner rows and dense identity indices to ``encode_targets``,
 unit embeddings) to ``OnlineTracker.step`` and writes each output from
 the table row it matched, and `eval` passes the two tables to the
 metrics, CLEAR and IDF1 together through one ``evaluate_tracking`` pass.
+`reid-eval` labels each detection with the GT identity it overlaps best,
+groups the labelled rows by one stable sort on that identity and hands
+the genuine and impostor scores to ``tpr_at_far`` as arrays.
 
 Exit codes: 0 success, 1 validation failure (bad flags or values),
-2 I/O or file-format failure.
+2 I/O or file-format failure.  A flag's range (`encode --stride`,
+`decode --threshold`/`--top-k`/`--stride`, `eval --iou`, `reid-eval
+--iou`/`--far`) is checked before any file is read.
 """
 
 from __future__ import annotations
@@ -48,8 +54,9 @@ from .decoding import Sampling, check_peak_args, decode
 from .encoding import encode_targets
 from .geometry import GridSpec, MotTable, best_match, corners, iou_matrix
 from .losses import gradcheck_run
-from .metrics import detection_ap, evaluate_tracking, tpr_at_far
-from .mot_io import CenterRows, MotFormatError, _lines, format_centers, format_mot, \
+from .metrics import check_far, check_iou_thresh, detection_ap, evaluate_tracking, \
+    tpr_at_far
+from .mot_io import CenterTable, MotFormatError, _lines, format_centers, format_mot, \
     load_config, parse_centers, read_mot
 from .sim import SimConfig, frame_columns
 from .tensors import FtenFormatError, read_tensor, tensor_to_bytes
@@ -188,8 +195,14 @@ def cmd_sim(args) -> int:
 
 # ---------------------------------------------------------------- encode
 
+def _check_stride(stride: int) -> None:
+    if stride <= 0:  # GridSpec's check, made before any file is read
+        raise ValueError(f"stride must be positive, got {stride}")
+
+
 def cmd_encode(args) -> int:
     started = time.monotonic()
+    _check_stride(args.stride)
     gt_path = Path(args.gt)
     gt = read_mot(gt_path, kind="gt")
 
@@ -238,24 +251,22 @@ def _read_map(path: Path, ndim: int) -> np.ndarray:
     return m
 
 
-def _scatter_rows(off: np.ndarray, size: np.ndarray, rows: CenterRows | None,
-                  table: Path) -> tuple:
-    """Write one frame's table rows into zeroed ``(2, H, W)`` heads.
+def _scatter_rows(off: np.ndarray, size: np.ndarray, table: CenterTable, rows: slice,
+                  path: Path) -> tuple:
+    """Write one frame's ``rows`` of the object table into zeroed ``(2, H, W)`` heads.
 
     Returns the index of the cells written, for the caller to clear once
     the frame is decoded.
     """
-    if rows is None:
-        return np.s_[:, [], []]
     _, h, w = off.shape
-    x, y = rows.cells.T
+    x, y = table.cells[rows].T
     outside = np.flatnonzero((x < 0) | (x >= w) | (y < 0) | (y >= h))
     if outside.size:
         i = outside[0]
-        raise MotFormatError(f"{table}:{rows.lines[i]}: cell ({x[i]}, {y[i]}) "
+        raise MotFormatError(f"{path}:{table.lines[rows][i]}: cell ({x[i]}, {y[i]}) "
                              f"outside the {w}x{h} heat map")
-    off[:, y, x] = rows.values[:, :2].T
-    size[:, y, x] = rows.values[:, 2:].T
+    off[:, y, x] = table.values[rows, :2].T
+    size[:, y, x] = table.values[rows, 2:].T
     return np.s_[:, y, x]
 
 
@@ -280,8 +291,7 @@ def _check_encoded_stride(maps_dir: Path, stride: int) -> None:
 def cmd_decode(args) -> int:
     started = time.monotonic()
     check_peak_args(args.threshold, args.top_k)  # before any map is read or --out made
-    if args.stride <= 0:
-        raise ValueError(f"stride must be positive, got {args.stride}")
+    _check_stride(args.stride)
     maps_dir = Path(args.maps)
     _check_encoded_stride(maps_dir, args.stride)
     frames = []
@@ -301,13 +311,12 @@ def cmd_decode(args) -> int:
                              "(NNNNNN.emb.ften beside NNNNNN.heat.ften)")
     table_path = maps_dir / "centers.txt"
     table = parse_centers(table_path)
-    known = set(frames)
-    stray = [(rows.lines[0], f) for f, rows in table.items() if f not in known]
-    if stray:
-        line, frame = min(stray)
-        raise MotFormatError(f"{table_path}:{line}: frame {frame} has no heat map")
-
-    sampling = Sampling.CENTER_BI if args.sampling == "center-bi" else Sampling.CENTER
+    stray = np.flatnonzero(~np.isin(table.frames, frames))
+    if stray.size:
+        i = stray[np.argmin(table.lines[stray])]
+        raise MotFormatError(f"{table_path}:{table.lines[i]}: "
+                             f"frame {table.frames[i]} has no heat map")
+    bounds = np.searchsorted(table.frames, np.add.outer(frames, [0, 1])).tolist()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -316,12 +325,12 @@ def cmd_decode(args) -> int:
     # One pair of heads serves every frame of a size: each frame's cells are
     # cleared after it decodes, so no dense plane is allocated per frame.
     off = size = np.zeros((2, 0, 0))
-    for frame in frames:
+    for frame, (lo, hi) in zip(frames, bounds):
         heat = _read_map(maps_dir / f"{frame:06d}.heat.ften", 2)
         fh, fw = heat.shape
         if off.shape[1:] != (fh, fw):
             off, size = (np.zeros((2, fh, fw)) for _ in range(2))
-        cells = _scatter_rows(off, size, table.get(frame), table_path)
+        cells = _scatter_rows(off, size, table, slice(lo, hi), table_path)
         emb_path = maps_dir / f"{frame:06d}.emb.ften"
         emb = _read_map(emb_path, 3) if emb_path.is_file() else None
         shape = (0, fh, fw) if emb is None else emb.shape  # 0 channels: FTEN has no empty axis
@@ -335,7 +344,7 @@ def cmd_decode(args) -> int:
                 "or no embedding map"))
         grid = GridSpec(fw * args.stride, fh * args.stride, args.stride)
         dets = decode(heat, off, size, emb, grid, threshold=args.threshold,
-                      top_k=args.top_k, sampling=sampling)
+                      top_k=args.top_k, sampling=Sampling(args.sampling))
         off[cells] = size[cells] = 0.0
         det_frames += [frame] * len(dets)
         boxes += [d.box for d in dets]
@@ -423,6 +432,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"unknown metrics: {', '.join(sorted(bad))}")
     if not wanted:
         raise ValueError(f"no metric named; choose from {', '.join(known)}")
+    check_iou_thresh(args.iou)
 
     gt = read_mot(args.gt, kind="gt")
     pred = read_mot(args.pred, kind="result")
@@ -473,47 +483,55 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------- reid-eval
 
 def _reid_scores(dets: MotTable, emb: np.ndarray, gt: MotTable, iou: float
-                 ) -> tuple[list[float], list[float]]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Genuine and impostor cosine scores of GT-labelled detections.
 
     ``emb`` holds one embedding per row of ``dets``.  Each detection takes
     the GT identity it overlaps best.  Impostor pairs are different
     identities within one frame, genuine pairs one identity across frames;
-    both are read off the upper triangle of a Gram matrix, per frame and
-    per identity, in row-major pair order.
+    both are read off the upper triangle of a Gram matrix, per frame and per
+    identity (ids ascending, rows in frame order), in row-major pair order.
     """
-    impostor: list[np.ndarray] = []
-    by_id: dict[int, list[int]] = {}  # the detection rows of each GT id, in frame order
+    impostor, labels, matched = [np.empty(0)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     gt_rows = dict(gt.by_frame())
     for frame, rows in dets.by_frame():
         g = gt_rows.get(frame, slice(0, 0))
         k = best_match(iou_matrix(dets.boxes[rows], gt.boxes[g]), iou)
         hit = np.flatnonzero(k >= 0)
-        if not hit.size:
-            continue
         ids, e = gt.ids[g][k[hit]], emb[rows][hit]
         i, j = np.triu_indices(len(ids), 1)
         keep = ids[i] != ids[j]
         impostor.append((e @ e.T)[i[keep], j[keep]])
-        for gid, row in zip(ids.tolist(), (rows.start + hit).tolist()):
-            by_id.setdefault(gid, []).append(row)
-    genuine = []
-    for _, group in sorted(by_id.items()):
-        e = emb[group]
-        i, j = np.triu_indices(len(group), 1)
+        labels.append(ids)
+        matched.append(rows.start + hit)
+    ids, matched = np.concatenate(labels), np.concatenate(matched)
+    order = np.argsort(ids, kind="stable")
+    ids, matched = ids[order], matched[order]
+    # each id's first row, and none when no row is labelled (``emb`` may be None)
+    cut = [*np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1)).tolist(), len(ids)]
+    genuine = [np.empty(0)]
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        e = emb[matched[lo:hi]]
+        i, j = np.triu_indices(hi - lo, 1)
         genuine.append((e @ e.T)[i, j])
-    return (np.concatenate(genuine or [np.empty(0)]).tolist(),
-            np.concatenate(impostor or [np.empty(0)]).tolist())
+    return np.concatenate(genuine), np.concatenate(impostor)
 
 
 def cmd_reid_eval(args) -> int:
     if not 0.0 < args.iou <= 1.0:
         raise ValueError(f"--iou must be in (0, 1], got {args.iou}")
+    check_far(args.far)
     src = Path(args.inp)
     gt = read_mot(src / "gt.txt", kind="gt")
     dets, emb = _read_detections(src, "reid-eval needs the detections' embeddings, "
                                  "but {} is missing")
     genuine, impostor = _reid_scores(dets, emb, gt, args.iou)
+    if not genuine.size:
+        raise ValueError("no genuine pair to score: no GT identity is matched "
+                         "by two detections")
+    if not impostor.size:
+        raise ValueError("no impostor pair to score: no frame holds detections "
+                         "matched to two GT identities")
 
     tpr = tpr_at_far(genuine, impostor, args.far)
     if args.json:
@@ -562,8 +580,8 @@ def build_parser() -> _Parser:
     s.add_argument("--out", required=True)
     s.add_argument("--threshold", type=float, default=decoding.DEFAULT_THRESHOLD)
     s.add_argument("--top-k", type=int, default=decoding.DEFAULT_TOP_K)
-    s.add_argument("--sampling", choices=["center", "center-bi"],
-                   default="center")
+    s.add_argument("--sampling", choices=[m.value for m in Sampling],
+                   default=Sampling.CENTER.value)
     s.add_argument("--stride", type=int, default=4)
     s.set_defaults(func=cmd_decode)
 
@@ -609,10 +627,7 @@ def main(argv=None) -> int:
     args._argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (MotFormatError, FtenFormatError) as e:
-        print(f"fairtrack: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (MotFormatError, FtenFormatError, OSError) as e:
         print(f"fairtrack: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

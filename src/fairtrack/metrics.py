@@ -64,7 +64,8 @@ class MetricsReport:
     idf1: float | None = None
 
 
-def _check_thresh(iou_thresh: float) -> None:
+def check_iou_thresh(iou_thresh: float) -> None:
+    """Raise ValueError unless 0 < iou_thresh <= 1."""
     if not 0.0 < iou_thresh <= 1.0:
         raise ValueError(f"IoU threshold must be in (0, 1], got {iou_thresh}")
 
@@ -309,7 +310,7 @@ def clear_mot(gt: Side, pred: Side, iou_thresh: float = 0.5) -> MetricsReport:
     ground-truth object's matched prediction id differs from the one it
     last had, gaps included.
     """
-    _check_thresh(iou_thresh)
+    check_iou_thresh(iou_thresh)
     return _clear_mot(_tracking_pass(gt, pred), iou_thresh)
 
 
@@ -320,7 +321,7 @@ def idf1(gt: Side, pred: Side, iou_thresh: float = 0.5) -> float:
     frames where their boxes overlap above threshold; a single bipartite
     matching maximizes the total, and IDF1 = 2*IDTP / (gt boxes + pred boxes).
     """
-    _check_thresh(iou_thresh)
+    check_iou_thresh(iou_thresh)
     return _idf1(_tracking_pass(gt, pred), iou_thresh)
 
 
@@ -331,7 +332,7 @@ def detection_ap(gt: MotTable, pred: MotTable, iou_thresh: float = 0.5) -> float
     at most one unclaimed ground-truth box (best IoU above threshold) in
     its frame.  A score that is not finite is refused, as a box is.
     """
-    _check_thresh(iou_thresh)
+    check_iou_thresh(iou_thresh)
     _refuse([("gt", gt, None, False), ("pred", pred, None, True)])
     if not len(pred.conf) or not len(gt.boxes):
         return 0.0
@@ -362,29 +363,35 @@ def detection_ap(gt: MotTable, pred: MotTable, iou_thresh: float = 0.5) -> float
     return float(np.cumsum(np.diff(recall, prepend=0.0) * env)[-1])  # summed in rank order
 
 
-def tpr_at_far(genuine: list[float], impostor: list[float], far: float = 0.1) -> float:
-    """Verification true-positive rate at a fixed false-accept rate.
-
-    The decision threshold is the lowest value admitting at most
-    floor(far * len(impostor)) impostor scores; TPR is the fraction of
-    genuine scores strictly above the next impostor down.
-    """
-    if not genuine or not impostor:
-        raise ValueError("genuine and impostor score lists must be nonempty")
+def check_far(far: float) -> None:
+    """Raise ValueError unless 0 < far < 1."""
     if not 0.0 < far < 1.0:
         raise ValueError(f"far must be in (0, 1), got {far}")
+
+
+def tpr_at_far(genuine, impostor, far: float = 0.1) -> float:
+    """Verification true-positive rate at a fixed false-accept rate.
+
+    ``genuine`` and ``impostor`` are sequences or 1-d arrays of scores,
+    read as float64.  The decision threshold is the lowest value admitting
+    at most floor(far * len(impostor)) impostor scores; TPR is the
+    fraction of genuine scores strictly above the next impostor down.
+    """
+    genuine, impostor = (np.asarray(x, dtype=np.float64) for x in (genuine, impostor))
+    if not genuine.size or not impostor.size:
+        raise ValueError("genuine and impostor score lists must be nonempty")
+    check_far(far)
     if not (np.isfinite(genuine).all() and np.isfinite(impostor).all()):
         raise ValueError("genuine and impostor scores must be finite")
-    imp = sorted(impostor, reverse=True)
-    k = math.floor(far * len(imp))
-    if k >= len(imp):
+    k = math.floor(far * impostor.size)
+    if k >= impostor.size:
         return 1.0
-    cutoff = imp[k]  # (k+1)-th largest impostor must stay below threshold
-    return sum(1 for s in genuine if s > cutoff) / len(genuine)
+    cutoff = np.sort(impostor)[-1 - k]  # (k+1)-th largest impostor must stay below threshold
+    return int(np.count_nonzero(genuine > cutoff)) / genuine.size
 
 
 def evaluate_tracking(gt: Side, pred: Side, iou_thresh: float = 0.5) -> MetricsReport:
     """CLEAR counts plus IDF1 in one report, from one overlap pass."""
-    _check_thresh(iou_thresh)
+    check_iou_thresh(iou_thresh)
     ov = _tracking_pass(gt, pred)
     return replace(_clear_mot(ov, iou_thresh), idf1=_idf1(ov, iou_thresh))

@@ -18,7 +18,9 @@ integral within int32 (MOTChallenge's range); an integral float token such as
 ``frame,x,y,identity,off_x,off_y,w,h`` line per retained center, with the
 integer feature-grid cell, the dense identity index, the sub-cell offset
 and the box size in image pixels.  The four values are float32 numbers
-written at float64 precision, so they read back exactly.
+written at float64 precision, so they read back exactly.  ``parse_centers``
+returns it as one ``CenterTable`` of frame, line, cell and value columns,
+stably sorted by frame: one frame's rows are one run, in file order.
 
 MOT files and the object table are read as columns; the first bad line
 raises MotFormatError.  Lines break at ``\n``, ``\r`` and ``\r\n`` only, so a
@@ -247,16 +249,18 @@ def parse_mot(path, kind: str = "result") -> dict[int, list[MotRecord]]:
     return out
 
 
-class CenterRows(NamedTuple):
-    """One frame's rows of ``centers.txt``, in file order."""
+class CenterTable(NamedTuple):
+    """The rows of ``centers.txt``, stably sorted by frame (one frame's rows
+    in file order)."""
 
-    lines: np.ndarray   # (K,) 1-based line numbers
-    cells: np.ndarray   # (K, 2) feature-grid cells (x, y)
+    frames: np.ndarray  # (K,) int64
+    lines: np.ndarray   # (K,) int64 1-based line numbers
+    cells: np.ndarray   # (K, 2) int64 feature-grid cells (x, y)
     values: np.ndarray  # (K, 4) off_x, off_y, w, h
 
 
-def parse_centers(path) -> dict[int, CenterRows]:
-    """Read the object table into per-frame rows.
+def parse_centers(path) -> CenterTable:
+    """Read the object table into frame-sorted columns.
 
     The identity column is checked but not returned: decoding does not
     use it.  A line with other than 8 fields, a non-integer frame, cell or
@@ -274,11 +278,9 @@ def parse_centers(path) -> dict[int, CenterRows]:
                                      f"repeated in frame {int(v[i, 0])}")]
     t.raise_first()
 
-    frames = v[:, 0].astype(np.int64)
-    order = np.argsort(frames, kind="stable")
-    keys, starts = np.unique(frames[order], return_index=True)
-    return {int(frame): CenterRows(t.lines[g], v[g, 1:3].astype(np.int64), v[g, 4:])
-            for frame, g in zip(keys, np.split(order, starts[1:]))}
+    order = np.argsort(v[:, 0], kind="stable")
+    return CenterTable(v[order, 0].astype(np.int64), t.lines[order].astype(np.int64),
+                       v[order, 1:3].astype(np.int64), v[order, 4:])
 
 
 def format_centers(frames, xs, ys, identities, values) -> list[str]:

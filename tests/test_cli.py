@@ -474,6 +474,29 @@ def test_decode_heads_hold_only_each_frames_rows(tmp_path):
                                              3: [(11.0, 8.0, 6.0, 4.0)]}
 
 
+def test_decode_reads_a_table_whose_rows_interleave_frames(tmp_path):
+    """Rows of frame 2, then 1, then 2 decode as the frame-ordered table does."""
+    heat = np.zeros((16, 16), np.float32)
+    heat[4, 5], heat[10, 12] = 0.7, 0.6
+    rows = ["1,5,4,0,0.25,0.25,8.0,8.0", "1,12,10,1,0.5,0.0,6.0,4.0",
+            "2,5,4,0,0.0,0.5,9.0,7.0", "2,12,10,1,0.75,0.25,5.0,3.0"]
+    dets = []
+    for name, order in (("sorted", [0, 1, 2, 3]), ("interleaved", [2, 0, 1, 3])):
+        maps = tmp_path / f"maps-{name}"
+        maps.mkdir()
+        for f in (1, 2):
+            (maps / f"{f:06d}.heat.ften").write_bytes(tensor_to_bytes(heat))
+        (maps / "centers.txt").write_text("".join(rows[i] + "\n" for i in order))
+        assert run(["decode", "--maps", str(maps), "--out", str(tmp_path / name)])[0] == 0
+        dets.append((tmp_path / name / "det.txt").read_text())
+    assert dets[0] == dets[1]
+    assert [line.split(",")[:6] for line in dets[0].splitlines()] == [
+        ["1", "-1", "17.00", "13.00", "8.00", "8.00"],
+        ["1", "-1", "47.00", "38.00", "6.00", "4.00"],
+        ["2", "-1", "15.50", "14.50", "9.00", "7.00"],
+        ["2", "-1", "48.50", "39.50", "5.00", "3.00"]]
+
+
 def test_decode_missing_table_exits_2_naming_file(tmp_path, capsys):
     _write_maps(tmp_path / "maps")
     (tmp_path / "maps" / "centers.txt").unlink()
@@ -962,6 +985,45 @@ def test_reid_eval_iou_outside_unit_interval_exits_1(sim_dir, capsys, iou):
     rc, out = run(["reid-eval", "--in", str(sim_dir), "--iou", iou])
     assert rc == 1 and out == ""
     assert f"--iou must be in (0, 1], got {iou}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["encode", "--gt", "{d}/gt.txt", "--out", "{d}/maps", "--stride", "0"],
+     "stride must be positive, got 0"),
+    (["eval", "--gt", "{d}/gt.txt", "--pred", "{d}/res.txt", "--iou", "0"],
+     "IoU threshold must be in (0, 1], got 0.0"),
+    (["reid-eval", "--in", "{d}/seq", "--far", "2"], "far must be in (0, 1), got 2.0"),
+], ids=["encode-stride", "eval-iou", "reid-eval-far"])
+def test_a_bad_flag_exits_1_before_any_input_is_read(tmp_path, capsys, argv, message):
+    """The inputs do not exist: reading one would exit 2 naming it."""
+    rc, out = run([a.format(d=tmp_path) for a in argv])
+    assert rc == 1 and out == ""
+    assert capsys.readouterr().err == f"fairtrack: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("frames,targets,message", [
+    (1, 5, "no genuine pair to score: no GT identity is matched by two detections"),
+    (5, 1, "no impostor pair to score: no frame holds detections matched to two "
+           "GT identities"),
+], ids=["one-frame", "one-target"])
+def test_reid_eval_names_the_kind_of_pair_it_lacks(tmp_path, capsys, frames, targets, message):
+    seq = tmp_path / "seq"
+    assert run(sim_args(seq, frames=frames, targets=targets))[0] == 0
+    capsys.readouterr()
+    rc, out = run(["reid-eval", "--in", str(seq)])
+    assert rc == 1 and out == ""
+    assert capsys.readouterr().err == f"fairtrack: {message}\n"
+
+
+def test_reid_eval_of_no_detection_lacks_genuine_pairs(tmp_path, capsys):
+    """With no detection there is no emb.ften to read, and no pair to score."""
+    (tmp_path / "gt.txt").write_text("1,1,10,10,20,40,1,1,1.0\n")
+    (tmp_path / "det.txt").write_text("\n")
+    rc, out = run(["reid-eval", "--in", str(tmp_path)])
+    assert rc == 1 and out == ""
+    assert capsys.readouterr().err == ("fairtrack: no genuine pair to score: no GT identity "
+                                       "is matched by two detections\n")
 
 
 _DET_TOKENS = st.one_of(

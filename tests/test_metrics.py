@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -404,6 +405,33 @@ def test_tpr_monotone_in_far(genuine, impostor, far_lo, far_hi):
     lo = tpr_at_far(genuine, impostor, far=far_lo)
     hi = tpr_at_far(genuine, impostor, far=far_hi)
     assert 0.0 <= lo <= hi <= 1.0
+
+
+def _ref_tpr_at_far(genuine, impostor, far):
+    """tpr_at_far as it read Python lists: one sorted() and one counting loop."""
+    imp = sorted(impostor, reverse=True)
+    k = math.floor(far * len(imp))
+    if k >= len(imp):
+        return 1.0
+    return sum(1 for s in genuine if s > imp[k]) / len(genuine)
+
+
+# a few repeated values, so that genuine and impostor scores tie
+_SCORES = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
+                    st.floats(-1, 1, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(genuine=st.lists(_SCORES, min_size=1, max_size=30),
+       impostor=st.lists(_SCORES, min_size=1, max_size=60),
+       far=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_tpr_on_arrays_equals_tpr_on_lists(genuine, impostor, far):
+    got = tpr_at_far(genuine, impostor, far)
+    assert type(got) is float
+    for other in (tpr_at_far(np.array(genuine), np.array(impostor), far),
+                  tpr_at_far(np.array(genuine), impostor, far),
+                  _ref_tpr_at_far(genuine, impostor, far)):
+        assert type(other) is float and repr(other) == repr(got)
 
 
 # --- combined report -------------------------------------------------------

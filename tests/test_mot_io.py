@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from fairtrack import mot_io
 from fairtrack.decoding import Detection
-from fairtrack.geometry import BBox, MotTable
+from fairtrack.geometry import BBox
 from fairtrack.kalman import check_measurements, measurable, measure, measurements
 from fairtrack.metrics import clear_mot
 from fairtrack.mot_io import (
     PEDESTRIAN_CLASS,
-    CenterRows,
+    CenterTable,
     MotFormatError,
     MotRecord,
     format_centers,
@@ -392,10 +392,11 @@ def test_centers_round_trip_float32_values_exactly(tmp_path):
     assert lines[0].startswith("3,5,4,2,0.10000000149011612,")
     p = tmp_path / "centers.txt"
     p.write_text("\n".join(lines) + "\n")
-    rows = parse_centers(p)[3]
-    assert rows.lines.tolist() == [1, 2]
-    assert rows.cells.tolist() == [[5, 4], [0, 9]]
-    assert rows.values.tolist() == values.astype(np.float32).astype(np.float64).tolist()
+    table = parse_centers(p)
+    assert table.frames.tolist() == [3, 3]
+    assert table.lines.tolist() == [1, 2]
+    assert table.cells.tolist() == [[5, 4], [0, 9]]
+    assert table.values.tolist() == values.astype(np.float32).astype(np.float64).tolist()
 
 
 def test_format_centers_refuses_values_not_finite_as_float32():
@@ -420,10 +421,29 @@ def test_format_centers_takes_a_frame_column():
     assert format_centers([], [], [], [], np.empty((0, 4))) == []
 
 
+def _assert_empty_centers(table):
+    assert [(c.dtype, c.shape) for c in table] == [
+        (np.int64, (0,)), (np.int64, (0,)), (np.int64, (0, 2)), (np.float64, (0, 4))]
+
+
 def test_parse_centers_empty_table(tmp_path):
     p = tmp_path / "centers.txt"
     p.write_text("\n")
-    assert parse_centers(p) == {}
+    _assert_empty_centers(parse_centers(p))
+
+
+def test_parse_centers_sorts_rows_by_frame_keeping_file_order(tmp_path):
+    p = tmp_path / "centers.txt"
+    p.write_text("2,5,4,0,0.25,0.75,8.0,16.0\n"
+                 "1,6,4,0,0.5,0.5,4.0,4.0\n"
+                 "\n"
+                 "2,1,1,1,0.0,0.0,2.0,2.0\n"
+                 "1,5,4,1,0.125,0.0,1.0,1.0\n")
+    table = parse_centers(p)
+    assert table.frames.tolist() == [1, 1, 2, 2]
+    assert table.lines.tolist() == [2, 5, 1, 4]
+    assert table.cells.tolist() == [[6, 4], [5, 4], [5, 4], [1, 1]]
+    assert table.values[:, 0].tolist() == [0.5, 0.125, 0.25, 0.0]
 
 
 _VALID_CENTER = ["1", "5", "4", "0", "0.25", "0.75", "8.0", "16.0"]
@@ -449,14 +469,20 @@ def test_parse_centers_fuzz_rows_or_located_error(tmp_path, lines):
         assert str(e).startswith(f"{p}:") and lineno.isdigit()
         assert 1 <= int(lineno) <= len(lines)
         return
-    for frame, rows in table.items():
-        assert type(frame) is int and -2**31 <= frame < 2**31
-        k = len(rows.lines)
-        assert k >= 1 and rows.lines.min() >= 1 and rows.lines.max() <= len(lines)
-        assert rows.cells.shape == (k, 2) and rows.values.shape == (k, 4)
-        assert np.isfinite(rows.values).all()
-        assert (rows.values[:, 2:] >= 0).all()
-        assert len({tuple(c) for c in rows.cells.tolist()}) == k
+    k = len(table.frames)
+    assert table.frames.dtype == table.lines.dtype == table.cells.dtype == np.int64
+    assert table.lines.shape == (k,) and table.cells.shape == (k, 2)
+    assert table.values.shape == (k, 4)
+    assert (np.diff(table.frames) >= 0).all()
+    assert (table.frames >= -2**31).all() and (table.frames < 2**31).all()
+    assert len(set(table.lines.tolist())) == k
+    assert all(1 <= line <= len(lines) for line in table.lines.tolist())
+    same_frame = table.frames[1:] == table.frames[:-1]
+    assert (table.lines[1:][same_frame] > table.lines[:-1][same_frame]).all()
+    assert np.isfinite(table.values).all()
+    assert (table.values[:, 2:] >= 0).all()
+    keys = np.column_stack([table.frames, table.cells])
+    assert len({tuple(c) for c in keys.tolist()}) == k
 
 # --- one line rule, and the first bad line wins ----------------------------
 
@@ -818,7 +844,7 @@ def _ref_parse_mot(path, kind: str = "result") -> dict[int, list[_RefRecord]]:
     return out
 
 
-def _ref_parse_centers(path) -> dict[int, CenterRows]:
+def _ref_parse_centers(path) -> CenterTable:
     frames, lines, cells, values = [], [], [], []
     # newline=None splits lines as a file opened in text mode does
     with io.StringIO(_ref_read_text(path), newline=None) as f:
@@ -858,9 +884,7 @@ def _ref_parse_centers(path) -> dict[int, CenterRows]:
                              f"repeated in frame {frames[i]}")
 
     order = np.argsort(frames, kind="stable")
-    keys, starts = np.unique(frames[order], return_index=True)
-    return {int(frame): CenterRows(lines[g], cells[g], values[g])
-            for frame, g in zip(keys, np.split(order, starts[1:]))}
+    return CenterTable(frames[order], lines[order], cells[order], values[order])
 
 
 def _outcome(parse, path, *args):
@@ -964,10 +988,9 @@ def test_parse_centers_matches_the_reference(tmp_path, lines):
     p.write_text("\n".join(lines) + "\n")
     got, want = _assert_same_outcome(p, lines, parse_centers, _ref_parse_centers)
     if got is not None:
-        assert list(got) == list(want)
-        for frame, rows in got.items():
-            for a, b in zip(rows, want[frame]):
-                assert a.dtype == b.dtype and repr(a.tolist()) == repr(b.tolist())
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert repr(a.tolist()) == repr(b.tolist())
 
 
 @settings(max_examples=300, deadline=None,
@@ -1063,19 +1086,12 @@ _ODD_LINES = st.one_of(
 )
 
 
-def _arrays(result) -> list[np.ndarray]:
-    """A MotTable's columns, or a {frame: CenterRows} dict's frames and rows."""
-    if isinstance(result, MotTable):
-        return list(result)
-    return [np.array(list(result))] + [x for rows in result.values() for x in rows]
-
-
 def _same_outcome(got, want) -> bool:
     """Both raised the same text, or both returned bit-equal arrays."""
     (a, a_error), (b, b_error) = got, want
     if a_error is not None or b_error is not None:
         return a_error == b_error
-    x, y = _arrays(a), _arrays(b)
+    x, y = list(a), list(b)  # a MotTable's or a CenterTable's columns
     return len(x) == len(y) and all(u.dtype == v.dtype and u.shape == v.shape
                                     and repr(u.tolist()) == repr(v.tolist())
                                     for u, v in zip(x, y))
@@ -1108,4 +1124,4 @@ def test_a_file_of_no_line_reads_without_a_warning(tmp_path, text):
             table = read_mot(p, kind)
             assert table.frames.tolist() == table.ids.tolist() == []
             assert table.start.tolist() == [0] and table.boxes.shape == (0, 4)
-        assert parse_centers(p) == {}
+        _assert_empty_centers(parse_centers(p))
