@@ -24,7 +24,14 @@ frame on the union of the sides' frames, where a dict's empty frame reads
 as absent, as in the table of the same rows.  It passes the frame's free
 triples, as (gt row, pred row, 1 - IoU) pairs, to
 ``assignment.solve_pairs``: maximum cardinality first, then the most IoU.
-IDF1 maximises the frames covered instead: it passes its counted
+A triple at or above the threshold that shares its gt or its pred row
+with no other one matches whatever the previous frame kept, so one array
+pass marks the contested triples, every triple of a frame with none
+matches, and only the frames holding one are walked, in order, each
+seeded with the previous frame's matches.  Detection AP likewise counts
+a prediction whose candidate gt boxes no other prediction has as a true
+positive if it has any, and walks only the predictions touching a shared
+box.  IDF1 maximises the frames covered instead: it passes its counted
 (gt id, pred id) cells, each frame count negated, to ``solve_pairs`` with
 ``free=True``, so no ids x ids matrix is built.
 """
@@ -240,30 +247,37 @@ def _clear_mot(ov: _Pass, iou_thresh: float) -> MetricsReport:
     hit = ov.iou >= iou_thresh
     g, p, iou = ov.g[hit], ov.p[hit], ov.iou[hit]
     gid, pid = ov.g_id[g], ov.p_id[p]
-    at = np.searchsorted(g, ov.g_start).tolist()  # each frame's pairs
-    key = (gid * ov.n_pid + pid).tolist()
-    gid_l, pid_l = gid.tolist(), pid.tolist()
+    # a pair is contested when it shares its gt row (adjacent: pairs are
+    # sorted by gt row) or its pred row with another; a frame of no
+    # contested pair matches all its pairs, whatever the previous frame kept
+    same_g = g[1:] == g[:-1]
+    contested = np.bincount(p)[p] > 1
+    contested[1:] |= same_g
+    contested[:-1] |= same_g
+    frame = np.searchsorted(ov.g_start, g, "right") - 1
+    walk = np.zeros(len(ov.g_start) - 1, dtype=bool)
+    walk[frame[contested]] = True
+    matched = ~walk[frame]
 
-    prev: set[int] = set()  # keys of the previous frame's correspondences
-    matched: list[int] = []  # pairs matched, frame by frame
-    for f in range(len(at) - 1):
+    at = np.searchsorted(g, ov.g_start).tolist()  # each frame's pairs
+    key = gid * ov.n_pid + pid
+    for f in np.flatnonzero(walk).tolist():
         lo, hi = at[f], at[f + 1]
-        kept = [k for k in range(lo, hi) if key[k] in prev]
-        if len(kept) < hi - lo:
-            kg = {gid_l[k] for k in kept}
-            kp = {pid_l[k] for k in kept}
-            free = [k for k in range(lo, hi) if gid_l[k] not in kg and pid_l[k] not in kp]
-            if len({gid_l[k] for k in free}) == len(free) == len({pid_l[k] for k in free}):
-                kept += free  # no two share a row or a column: all would match
-            else:
-                kept += _rematch(ov, f, free, g, p, iou)
-        prev = {key[k] for k in kept}
-        matched += kept
+        # keys of the previous frame's correspondences
+        prev = set(key[at[f - 1]:lo][matched[at[f - 1]:lo]].tolist()) if f else set()
+        keys, gids, pids = key[lo:hi].tolist(), gid[lo:hi].tolist(), pid[lo:hi].tolist()
+        kept = [k for k in range(hi - lo) if keys[k] in prev]
+        kg = {gids[k] for k in kept}
+        kp = {pids[k] for k in kept}
+        free = [lo + k for k in range(hi - lo) if gids[k] not in kg and pids[k] not in kp]
+        matched[[lo + k for k in kept]] = True
+        if free:
+            matched[_rematch(ov, f, free, g, p, iou)] = True
 
     matched_gid, matched_pid = gid[matched], pid[matched]
     total_gt, total_pred = len(ov.g_id), len(ov.p_id)
-    fn = total_gt - len(matched)
-    fp = total_pred - len(matched)
+    fn = total_gt - len(matched_gid)
+    fp = total_pred - len(matched_gid)
     # a switch: a gt id's match differs from its previous one, gaps included
     order = np.argsort(matched_gid, kind="stable")
     sg, sp = matched_gid[order], matched_pid[order]
@@ -306,9 +320,10 @@ def clear_mot(gt: Side, pred: Side, iou_thresh: float = 0.5) -> MetricsReport:
 
     Correspondences persist frame to frame while their IoU stays at or
     above the threshold; everything left is rematched by maximum IoU
-    among the pairs at or above it.  An identity switch is counted when a
-    ground-truth object's matched prediction id differs from the one it
-    last had, gaps included.
+    among the pairs at or above it.  A frame where no two such pairs share
+    a box matches them all, and only the other frames are walked.  An
+    identity switch is counted when a ground-truth object's matched
+    prediction id differs from the one it last had, gaps included.
     """
     check_iou_thresh(iou_thresh)
     return _clear_mot(_tracking_pass(gt, pred), iou_thresh)
@@ -330,7 +345,10 @@ def detection_ap(gt: MotTable, pred: MotTable, iou_thresh: float = 0.5) -> float
 
     Predictions are ranked globally by score (``pred.conf``); each claims
     at most one unclaimed ground-truth box (best IoU above threshold) in
-    its frame.  A score that is not finite is refused, as a box is.
+    its frame.  A prediction whose candidate boxes no other one has claims
+    one if it has any; only those touching a shared box are walked, in
+    rank order, each taking the last highest unclaimed IoU.  A score that
+    is not finite is refused, as a box is.
     """
     check_iou_thresh(iou_thresh)
     _refuse([("gt", gt, None, False), ("pred", pred, None, True)])
@@ -338,24 +356,34 @@ def detection_ap(gt: MotTable, pred: MotTable, iou_thresh: float = 0.5) -> float
         return 0.0
     _, p_start, g_start = _aligned(pred, gt)
     # by score, ties in frame and row order
-    ranked = np.argsort(-pred.conf, kind="stable").tolist()
+    ranked = np.argsort(-pred.conf, kind="stable")
 
     p, g, iou = _overlaps(p_start, pred.boxes, g_start, gt.boxes)
     hit = iou >= iou_thresh
-    at = np.searchsorted(p[hit], np.arange(len(ranked) + 1)).tolist()  # per prediction
-    g, iou = g[hit].tolist(), iou[hit].tolist()
+    p, g, iou = p[hit], g[hit], iou[hit]
+    # a prediction that shares no candidate gt box with another is a true
+    # positive if it has one; those touching a shared box are walked in rank order
+    tp = np.zeros(len(ranked))  # by pred row: 1.0 where it claims a gt box
+    tp[p] = 1.0
+    walk = np.zeros(len(ranked), dtype=bool)
+    walk[p[np.bincount(g)[g] > 1]] = True
+    tp[walk] = 0.0
+    keep = walk[p]
+    p, g, iou = p[keep], g[keep].tolist(), iou[keep].tolist()
+    order = ranked[walk[ranked]]
+    lo = np.searchsorted(p, order).tolist()
+    hi = np.searchsorted(p, order, "right").tolist()
     claimed: set[int] = set()
-    tp = np.zeros(len(ranked))
-    for k, r in enumerate(ranked):
+    for r, a, b in zip(order.tolist(), lo, hi):
         best, gi = 0.0, -1  # the last highest unclaimed IoU
-        for t in range(at[r], at[r + 1]):
+        for t in range(a, b):
             if iou[t] >= best and g[t] not in claimed:
                 best, gi = iou[t], g[t]
         if gi >= 0:
             claimed.add(gi)
-            tp[k] = 1.0
+            tp[r] = 1.0
 
-    tp_cum = np.cumsum(tp)
+    tp_cum = np.cumsum(tp[ranked])
     recall = tp_cum / len(gt.boxes)
     precision = tp_cum / np.arange(1, len(ranked) + 1)
     # precision envelope, then area under the stepwise curve

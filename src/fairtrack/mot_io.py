@@ -43,6 +43,7 @@ same values, checks and messages.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -358,18 +359,38 @@ def _to_bool(s: str) -> bool:
         raise ValueError(f"expected a boolean, got {s!r}")
 
 
-_CASTERS = {int: int, float: float, str: str, bool: _to_bool}
+_OCCLUSION = re.compile(r"(\d+):(\d+)-(\d+)", re.ASCII)
+
+
+def _to_occlusions(s: str) -> tuple[tuple[int, int, int], ...]:
+    """``target:first-last`` items separated by commas; empty is none."""
+    out = []
+    for item in s.split(",") if s else ():
+        m = _OCCLUSION.fullmatch(item := item.strip())
+        if m is None:
+            raise ValueError(f"expected target:first-last, got {item!r}")
+        tid, first, last = map(int, m.groups())
+        if min(tid, first) < 1 or first > last:
+            raise ValueError(f"expected numbers >= 1 and first <= last, got {item!r}")
+        out.append((tid, first, last))
+    return tuple(out)
+
+
+_CASTERS = {int: int, float: float, str: str, bool: _to_bool,
+            tuple[tuple[int, int, int], ...]: _to_occlusions}
 
 
 def load_config(path) -> tuple[TrackerConfig, SimConfig]:
     """Flat `key = value` file with # comments; unknown keys are an error.
 
-    Every int, float, str or bool field of TrackerConfig and SimConfig is a
-    key, cast by its type (``occlusions`` is not).
+    Every field of TrackerConfig and SimConfig is a key, cast by its type:
+    an int, float, str or bool as such, ``occlusions`` as comma-separated
+    ``target:first-last`` items (``2:5-10, 3:12-14``), each number an
+    integer >= 1 and first <= last; an empty value is no occlusion.
     """
     kwargs: dict = {TrackerConfig: {}, SimConfig: {}}
     keys = {name: (_CASTERS[hint], sink) for cls, sink in kwargs.items()
-            for name, hint in get_type_hints(cls).items() if hint in _CASTERS}
+            for name, hint in get_type_hints(cls).items()}
     for lineno, raw in enumerate(_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

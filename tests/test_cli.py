@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fairtrack.encoding import GtObject, encode_targets
 from fairtrack.geometry import GridSpec, best_match, corners, iou_matrix
 from fairtrack.metrics import tpr_at_far
 from fairtrack.mot_io import format_centers, format_mot, parse_mot, read_mot
-from fairtrack.sim import SimConfig, generate_maps
+from fairtrack.sim import SimConfig, generate, generate_maps
 from fairtrack.tensors import read_tensor, tensor_from_bytes, tensor_to_bytes
 
 
@@ -107,6 +108,29 @@ def test_version_flag_exits_0():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def _usage_error(parse, argv, capsys):
+    """(exit code, stderr) of a parse that must fail."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+        assert run(sim_args(tmp_path / "s"))[0] == 0
+        gt = str(tmp_path / "s" / "gt.txt")
+        assert run(["eval", "--gt", gt, "--pred", gt])[0] == 0
+    assert built.call_count == 1
+    # a usage error after a successful call reads as one from a fresh parser
+    argv = ["sim", "--portals", "3", "--out", str(tmp_path)]
+    reused = _usage_error(cli.main, argv, capsys)
+    assert reused == _usage_error(cli.build_parser().parse_args, argv, capsys)
+    assert reused[0] == 1
+    assert "unrecognized arguments: --portals 3" in reused[1]
 
 
 # --- sim layout ------------------------------------------------------------
@@ -203,6 +227,36 @@ def test_sim_respects_config_file(tmp_path):
     gt = parse_mot(out / "gt.txt", kind="gt")
     assert sorted(gt) == [1, 2, 3, 4]
     assert len(gt[1]) == 2
+
+
+def test_sim_config_occlusions_write_the_files_of_generate(tmp_path, capsys):
+    cfgf = tmp_path / "cfg.txt"
+    cfgf.write_text("seed = 4\nframes = 8\nnum_targets = 3\nimage_w = 512\n"
+                    "image_h = 512\nemb_dim = 8\nocclusions = 2:2-4, 3:6-6\n")
+    out = tmp_path / "seq"
+    assert run(["sim", "--config", str(cfgf), "--out", str(out)])[0] == 0
+    cfg = SimConfig(seed=4, frames=8, num_targets=3, image_w=512, image_h=512, emb_dim=8,
+                    occlusions=((2, 2, 4), (3, 6, 6)))
+    want = generate(cfg)
+    gt = want.gt
+    gt_lines = format_mot("gt", np.repeat(gt.frames, np.diff(gt.start)), gt.ids, gt.boxes)
+    frames = sorted(want.dets)
+    rows = [d for f in frames for d in want.dets[f]]
+    det_lines = format_mot("det", np.repeat(frames, [len(want.dets[f]) for f in frames]), -1,
+                           corners([d.box for d in rows]), [d.score for d in rows])
+    assert (out / "gt.txt").read_text() == "\n".join(gt_lines) + "\n"
+    assert (out / "det.txt").read_text() == "\n".join(det_lines) + "\n"
+    assert np.array_equal(read_tensor(out / "emb.ften"),
+                          np.array([d.embedding for d in rows], dtype=np.float32))
+    # one target hidden in frames 2-4 and 6, none else: no dropout, no false positive
+    assert [len(want.dets[f]) for f in frames] == [3, 2, 2, 2, 3, 2, 3, 3]
+    assert json.loads((out / "manifest.json").read_text())["config"]["occlusions"] == [
+        [2, 2, 4], [3, 6, 6]]
+
+    cfgf.write_text("occlusions = 2:4-2\n")
+    assert run(["sim", "--config", str(cfgf), "--out", str(tmp_path / "bad")])[0] == 2
+    assert capsys.readouterr().err == (f"fairtrack: {cfgf}:1: bad value for 'occlusions': "
+                                       "expected numbers >= 1 and first <= last, got '2:4-2'\n")
 
 
 _SIM_FLAGS = [  # flag, the field it sets, a value for the config file, one for the flag
@@ -1147,6 +1201,55 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# The tracker, the metrics on uncontested and contested frames, and every
+# CLI stage from sim to eval and reid-eval, at tiny size.
+_NO_MA_RUN = """
+import contextlib, io, sys
+from pathlib import Path
+from fairtrack import cli
+from fairtrack.geometry import BBox
+from fairtrack.metrics import clear_mot, detection_ap, evaluate_tracking, idf1
+from fairtrack.mot_io import read_mot
+from fairtrack.sim import SimConfig, generate
+from fairtrack.tracker import OnlineTracker, TrackerConfig
+
+sim = generate(SimConfig(seed=1, frames=6, num_targets=4, image_w=256, image_h=256,
+                         emb_dim=8, scenario="crossing", fp_rate=1.0, box_noise_std=1.0))
+tracker = OnlineTracker(TrackerConfig())
+pred = {f: tracker.step(f, sim.dets[f]) for f in sorted(sim.dets)}
+box = BBox(0, 0, 10, 10)
+contested = {1: [(7, box)], 2: [(7, BBox(0, 0, 10, 6)), (8, BBox(0, 0, 10, 9))]}
+for gt, pr in ((sim.gt, pred), ({1: [(1, box)], 2: [(1, box)]}, contested)):
+    clear_mot(gt, pr), idf1(gt, pr), evaluate_tracking(gt, pr)
+d = Path(sys.argv[1])
+seq, maps, dets = d / "seq", d / "maps", d / "dets"
+for argv in (["sim", "--seed", 1, "--frames", 4, "--targets", 3, "--image-w", 256,
+              "--image-h", 256, "--emb-dim", 8, "--fp-rate", 1, "--out", seq],
+             ["encode", "--gt", seq / "gt.txt", "--out", maps],
+             ["decode", "--maps", maps, "--out", dets],
+             ["track", "--in", seq, "--out", d / "r.txt"],
+             ["track", "--in", dets, "--out", d / "rb.txt", "--no-reid"],
+             ["eval", "--gt", seq / "gt.txt", "--pred", d / "r.txt", "--metrics",
+              "clear,idf1,ap"],
+             ["reid-eval", "--in", seq]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in argv]) == 0, argv
+gt, det = read_mot(seq / "gt.txt", kind="gt"), read_mot(seq / "det.txt", kind="det")
+twice = det._replace(start=2 * det.start, ids=det.ids.repeat(2),  # every box contested
+                     boxes=det.boxes.repeat(2, axis=0), conf=det.conf.repeat(2))
+detection_ap(gt, det), detection_ap(gt, twice)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_path_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 1 MB of peak RSS; a plain np.unique imports it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _NO_MA_RUN, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_eval_text_output_format(sim_dir, tmp_path):

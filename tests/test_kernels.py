@@ -21,6 +21,7 @@ reference implementations kept here, on small and on crowded frames.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -51,7 +52,7 @@ from fairtrack.kalman import (
     update,
 )
 from fairtrack.kalman import _blocks, _dense
-from fairtrack.metrics import MetricsReport, clear_mot, detection_ap, idf1
+from fairtrack.metrics import MetricsReport, clear_mot, detection_ap, evaluate_tracking, idf1
 from fairtrack.tracker import OnlineTracker
 
 
@@ -734,3 +735,120 @@ def test_metrics_equal_the_per_pair_reference_on_crowded_frames(gt, pred, thresh
                   for f, pairs in pred.items()}
         assert (_detection_ap(boxes, scored, thresh)
                 == _ref_detection_ap(boxes, scored, thresh))
+
+
+# --- contested frames and predictions -----------------------------------------
+# CLEAR MOT walks only the frames where two candidate pairs share a gt or a
+# pred row, and detection AP only the predictions touching a shared gt box;
+# the rest match in one array pass.
+
+def _track_table(frames: dict) -> MotTable:
+    """{frame: [(id, BBox)]} as a table; empty frames left out."""
+    keys = sorted(f for f in frames if frames[f])
+    rows = [r for f in keys for r in frames[f]]
+    return MotTable(np.array(keys, dtype=np.int64),
+                    np.cumsum([0] + [len(frames[f]) for f in keys]),
+                    np.array([i for i, _ in rows], dtype=np.int64),
+                    corners([b for _, b in rows]), np.ones(len(rows)))
+
+
+def _moved(box: BBox, d) -> BBox:
+    return BBox(box.x1 + d[0], box.y1 + d[1], box.x2 + d[2], box.y2 + d[3])
+
+
+@st.composite
+def _long_sequences(draw):
+    """30-120 frames of 2-8 gt ids moving on a 100 x 100 grid, each mostly
+    tracked by one pred id on a box jittered by a pixel.  Some frames are
+    absent, some empty on one side or both; with the drawn rate a frame
+    gets a duplicated pred box or two gt boxes crossing, so most frames are
+    uncontested and a few are.  Pred ids change now and then."""
+    n, k = draw(st.integers(30, 120)), draw(st.integers(2, 8))
+    contest = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.integers(0, 90, size=(k, 2))
+    vel = rng.integers(-2, 3, size=(k, 2))
+    size = rng.integers(7, 12, size=(k, 2))  # three one-pixel jitters leave it positive
+    pid = list(range(101, 101 + k))
+    gt, pred, scores = {}, {}, {}
+    for f in range(1, n + 1):
+        pos = np.clip(pos + vel, 0, 90)
+        r = rng.random()
+        if r < 0.05:
+            continue  # absent
+        boxes = [BBox(x, y, x + w, y + h) for (x, y), (w, h) in zip(pos.tolist(), size.tolist())]
+        if rng.random() < contest:  # two gt boxes cross
+            i, j = rng.choice(k, size=2, replace=False).tolist()
+            boxes[j] = _moved(boxes[i], rng.integers(-1, 2, size=4).tolist())
+        present = (rng.random(k) < 0.9).tolist()
+        g = [(i + 1, boxes[i]) for i in range(k) if present[i]]
+        p = []
+        for i in range(k):
+            if rng.random() < 0.03:
+                pid[i] = max(pid) + 1  # a new pred id: a switch where it matches
+            if present[i] and rng.random() < 0.9:
+                p.append((pid[i], _moved(boxes[i], rng.integers(-1, 2, size=4).tolist())))
+        if p and rng.random() < contest:  # a duplicated pred box
+            p.append((1000 + f, _moved(p[rng.integers(len(p))][1],
+                                       rng.integers(-1, 2, size=4).tolist())))
+        if r < 0.1:  # empty on the gt side, on both from 0.075
+            g = []
+        if 0.075 <= r < 0.15:  # empty on the pred side
+            p = []
+        gt[f], pred[f] = g, p
+        scores[f] = rng.choice([0.2, 0.5, 0.9], size=len(p)).tolist()
+    return gt, pred, scores
+
+
+def _assert_metrics_equal_the_references(gt, pred, scores, thresh):
+    want = _ref_clear_mot(gt, pred, thresh)
+    both = replace(want, idf1=_ref_idf1(gt, pred, thresh))
+    for g, p in ((gt, pred), (_track_table(gt), _track_table(pred))):
+        assert clear_mot(g, p, thresh) == want
+        assert evaluate_tracking(g, p, thresh) == both
+    boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
+    scored = {f: list(zip(scores[f], [b for _, b in pairs])) for f, pairs in pred.items()}
+    assert _detection_ap(boxes, scored, thresh) == _ref_detection_ap(boxes, scored, thresh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_sequences(), st.sampled_from([0.5, 0.3, 0.7]))
+def test_metrics_on_long_sparse_sequences_equal_the_references(seq, thresh):
+    _assert_metrics_equal_the_references(*seq, thresh)
+
+
+def test_an_uncontested_match_seeds_the_next_contested_frame():
+    # gt 1 <-> pred 7 alone in frame 1; in frame 2 pred 7 still overlaps at
+    # IoU 0.6 and pred 8 at 0.9: 7 is kept, no switch
+    box = BBox(0, 0, 10, 10)
+    gt = {1: [(1, box)], 2: [(1, box)]}
+    pred = {1: [(7, box)], 2: [(7, BBox(0, 0, 10, 6)), (8, BBox(0, 0, 10, 9))]}
+    for g, p in ((gt, pred), (_track_table(gt), _track_table(pred))):
+        r = clear_mot(g, p)
+        assert (r.id_switches, r.fp, r.fn) == (0, 1, 0)
+    assert clear_mot(gt, pred) == _ref_clear_mot(gt, pred)
+
+
+def test_contested_first_frame_and_after_an_empty_frame():
+    # frame 1 is contested: each gt box overlaps both pred boxes at IoU 2/3;
+    # frame 2 is empty on both sides, so it reads as absent and frame 1's
+    # correspondences (1 <-> 5, 2 <-> 6) carry into frame 3, where the boxes
+    # trade places: both are kept at IoU 2/3, although the swap scores 1
+    a, b = BBox(0, 0, 10, 10), BBox(2, 0, 12, 10)
+    gt = {1: [(1, a), (2, b)], 2: [], 3: [(1, a), (2, b)]}
+    pred = {1: [(5, a), (6, b)], 2: [], 3: [(5, b), (6, a)]}
+    for g, p in ((gt, pred), (_track_table(gt), _track_table(pred))):
+        r = clear_mot(g, p)
+        assert (r.id_switches, r.fp, r.fn, r.mota) == (0, 0, 0, 1.0)
+    assert clear_mot(gt, pred) == _ref_clear_mot(gt, pred)
+
+
+def test_ap_walks_a_shared_box_in_rank_order():
+    # predictions 0.9 and 0.7 share gt box A, the lower-ranked one at the
+    # higher IoU; 0.8, ranked between them, is alone on gt box B.  In rank
+    # order 0.9 claims A and 0.7 is a false positive: AP 1
+    a, b = BBox(0, 0, 10, 10), BBox(50, 50, 60, 60)
+    boxes = {1: [a, b]}
+    scored = {1: [(0.9, BBox(0, 0, 10, 6)), (0.8, b), (0.7, BBox(0, 0, 10, 9))]}
+    assert _detection_ap(boxes, scored, 0.5) == 1.0 == _ref_detection_ap(boxes, scored)
+    # had 0.7 claimed A by its IoU, 0.9 would be the false positive: AP 2/3

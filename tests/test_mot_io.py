@@ -653,6 +653,38 @@ def test_config_bad_value_names_key(tmp_path):
     assert ":1:" in str(exc.value)
 
 
+@pytest.mark.parametrize("value, want", [
+    ("2:5-10, 3:12-14", ((2, 5, 10), (3, 12, 14))),
+    ("1:1-1", ((1, 1, 1),)),
+    ("4:2-3,4:2-3", ((4, 2, 3), (4, 2, 3))),
+    ("", ()),
+])
+def test_config_occlusions(tmp_path, value, want):
+    p = tmp_path / "cfg.txt"
+    p.write_text(f"frames = 20\nocclusions = {value}\n")
+    assert load_config(p)[1].occlusions == want
+
+
+@pytest.mark.parametrize("value, detail", [
+    ("0:1-2", "expected numbers >= 1 and first <= last, got '0:1-2'"),
+    ("2:0-3", "expected numbers >= 1 and first <= last, got '2:0-3'"),
+    ("2:5-3", "expected numbers >= 1 and first <= last, got '2:5-3'"),
+    ("2:5", "expected target:first-last, got '2:5'"),
+    ("2:5-10,", "expected target:first-last, got ''"),
+    ("2:-1-3", "expected target:first-last, got '2:-1-3'"),
+    ("2:1.0-3", "expected target:first-last, got '2:1.0-3'"),
+    ("2 : 1-3", "expected target:first-last, got '2 : 1-3'"),
+    ("\uff12:1-3", "expected target:first-last, got '\uff12:1-3'"),
+    ("((2, 5, 10),)", "expected target:first-last, got '((2'"),
+])
+def test_config_bad_occlusions_name_the_line(tmp_path, value, detail):
+    p = tmp_path / "cfg.txt"
+    p.write_text(f"# occluded targets\nocclusions = {value}\n")
+    with pytest.raises(MotFormatError) as exc:
+        load_config(p)
+    assert str(exc.value) == f"{p}:2: bad value for 'occlusions': {detail}"
+
+
 def test_config_unknown_key(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("warp_speed = 9\n")
@@ -703,15 +735,16 @@ def test_config_rejects_bad_noise(tmp_path, field, value):
         SimConfig(**{field: float(value)})
 
 
-# Every config field name (``occlusions`` is not a key, so it must be
-# rejected), and values that parse, fail to parse, or parse out of range.
+# Every config field name, ``occlusions`` among them, and values that
+# parse, fail to parse, or parse out of range.
 _CONFIG_KEYS = st.sampled_from(
     [f.name for f in dataclasses.fields(TrackerConfig)]
     + [f.name for f in dataclasses.fields(SimConfig)] + ["warp_speed"])
 _CONFIG_VALUES = st.one_of(
     _TOKENS,
     st.sampled_from(["random", "crossing", "true", "false", "Yes", "no", "69",
-                     "70", "129", "130", "1e18", "1e20", "1e200"]),
+                     "70", "129", "130", "1e18", "1e20", "1e200",
+                     "2:1-3", "1:2-2, 3:1-9", "0:1-2", "2:3-1"]),
     st.integers(-10, 2000).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
