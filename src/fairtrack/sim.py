@@ -87,6 +87,15 @@ class SimConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario == "crossing" and self.num_targets < 2:
             raise ValueError("crossing scenario needs at least 2 targets")
+        for occ in self.occlusions:
+            tid, first, last = occ
+            if not 1 <= tid <= self.num_targets:
+                raise ValueError(f"occlusion {occ}: target id outside 1..{self.num_targets}")
+            # it may run past the last frame, but must start inside the sequence
+            if not 1 <= first <= self.frames:
+                raise ValueError(f"occlusion {occ}: first frame outside 1..{self.frames}")
+            if first > last:
+                raise ValueError(f"occlusion {occ}: first frame after the last")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +230,7 @@ def _detections(cfg: SimConfig, frame: int, truth: np.ndarray,
     box_std, emb_std, dim = cfg.box_noise_std, cfg.emb_noise_std, cfg.emb_dim
     hidden = np.zeros(len(truth), dtype=bool)
     for tid, first, last in cfg.occlusions:
-        if first <= frame <= last and 1 <= tid <= len(truth):
+        if first <= frame <= last:
             hidden[tid - 1] = True
     kept, box_noise, scores, emb_noise = [], [], [], []
     for i in np.flatnonzero(~hidden).tolist():

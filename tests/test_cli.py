@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from fairtrack import cli, decoding
 from fairtrack.decoding import Detection, decode
 from fairtrack.encoding import GtObject, encode_targets
-from fairtrack.geometry import GridSpec, best_match, corners, iou_matrix
+from fairtrack.geometry import GridSpec, corners
 from fairtrack.metrics import tpr_at_far
 from fairtrack.mot_io import format_centers, format_mot, parse_mot, read_mot
 from fairtrack.sim import SimConfig, generate, generate_maps
 from fairtrack.tensors import read_tensor, tensor_from_bytes, tensor_to_bytes
+from reference import _ref_reid_scores
 
 
 def run(argv):
@@ -253,10 +254,21 @@ def test_sim_config_occlusions_write_the_files_of_generate(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["config"]["occlusions"] == [
         [2, 2, 4], [3, 6, 6]]
 
+    bad = tmp_path / "bad"
     cfgf.write_text("occlusions = 2:4-2\n")
-    assert run(["sim", "--config", str(cfgf), "--out", str(tmp_path / "bad")])[0] == 2
+    assert run(["sim", "--config", str(cfgf), "--out", str(bad)])[0] == 2
     assert capsys.readouterr().err == (f"fairtrack: {cfgf}:1: bad value for 'occlusions': "
                                        "expected numbers >= 1 and first <= last, got '2:4-2'\n")
+    # an occlusion the sequence cannot hold: refused with the file's name, or
+    # as a usage error once a flag makes it so
+    cfgf.write_text("num_targets = 2\nframes = 5\nocclusions = 7:1-5, 1:9-12\n")
+    assert run(["sim", "--config", str(cfgf), "--out", str(bad)])[0] == 2
+    assert capsys.readouterr().err == (
+        f"fairtrack: {cfgf}: occlusion (7, 1, 5): target id outside 1..2\n")
+    cfgf.write_text("num_targets = 3\nframes = 5\nocclusions = 3:1-2\n")
+    assert run(["sim", "--config", str(cfgf), "--targets", "2", "--out", str(bad)])[0] == 1
+    assert capsys.readouterr().err == "fairtrack: occlusion (3, 1, 2): target id outside 1..2\n"
+    assert not bad.exists()
 
 
 _SIM_FLAGS = [  # flag, the field it sets, a value for the config file, one for the flag
@@ -1336,30 +1348,6 @@ def test_reid_eval_separated_anchors(sim_dir):
     rep = json.loads(out)
     assert rep["tpr"] == 1.0
     assert rep["genuine"] > 0 and rep["impostor"] > 0
-
-
-def _ref_reid_scores(dets, gt, iou):
-    """reid-eval's scoring before Gram matrices: one np.dot per pair."""
-    genuine, impostor = [], []
-    labeled, by_id = {}, {}
-    for frame in sorted(dets):
-        g = gt.get(frame, [])
-        ious = iou_matrix(corners([d.box for d in dets[frame]]),
-                          corners([box for _, box in g]))
-        labeled[frame] = [(g[k][0], d.embedding)
-                          for d, k in zip(dets[frame], best_match(ious, iou)) if k >= 0]
-        for gid, emb in labeled[frame]:
-            by_id.setdefault(gid, []).append(emb)
-    for frame, rows in labeled.items():
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if rows[i][0] != rows[j][0]:
-                    impostor.append(float(np.dot(rows[i][1], rows[j][1])))
-    for gid, embs in sorted(by_id.items()):
-        for i in range(len(embs)):
-            for j in range(i + 1, len(embs)):
-                genuine.append(float(np.dot(embs[i], embs[j])))
-    return genuine, impostor
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

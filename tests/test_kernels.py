@@ -2,21 +2,21 @@
 
 The batched IoU, the Kalman predict/update on per-coordinate blocks and
 the numpy column scan of the assignment solver do the same arithmetic as
-the scalar code (for IoU, the per-pair ``_ref_iou`` kept here), so they
-are compared for exact equality.  The per-component assignment is
-compared to the whole-matrix solver that preceded it, kept here as the
-reference and run with the over-threshold entries set to +inf: exactly
-on continuous costs, and in match count and total cost on tie-heavy
-ones, whose ties may resolve differently.  The batched gate is compared
-to a triangular solve to 1e-9 relative, and its pair form to the dense
-(T, N) form for exact equality.  The threshold-first peak search is
-compared for exact equality to scipy's 3x3 maximum filter, and on grids
-with NaN cells to the dense whole-plane filter it replaced.  The
-windowed Gaussian stamp is compared to a full-grid stamp in the float32
-bytes the maps are stored in.  The metrics' overlap pass is compared to
-the positive entries of per-frame IoU matrices, value for value, and the
-metrics that read it are compared for exact equality to per-pair
-reference implementations kept here, on small and on crowded frames.
+the scalar code (for IoU, ``reference._ref_iou``), so they are compared
+for exact equality.  The per-component assignment is compared to the
+whole-matrix solver that preceded it, kept here as the reference and run
+with the over-threshold entries set to +inf: exactly on continuous
+costs, and in match count and total cost on tie-heavy ones, whose ties
+may resolve differently.  The batched gate is compared to a triangular
+solve to 1e-9 relative, and its pair form to ``reference._dense_gate``
+for exact equality.  The threshold-first peak search is compared for
+exact equality to scipy's 3x3 maximum filter, and on grids with NaN
+cells to the dense whole-plane filter it replaced.  The windowed
+Gaussian stamp is compared to a full-grid stamp in the float32 bytes the
+maps are stored in.  The metrics' overlap pass is compared to the
+positive entries of per-frame IoU matrices, value for value, and the
+metrics that read it to the per-pair references in ``reference.py``,
+exactly, on small and on crowded frames.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fairtrack import assignment, metrics
 from fairtrack.assignment import hungarian
 from fairtrack.decoding import Detection, _peaks
 from fairtrack.encoding import MIN_SIGMA, stamp_gaussian
-from fairtrack.geometry import BBox, MotTable, corners, iou_matrix
+from fairtrack.geometry import BBox, corners, iou_matrix
 from fairtrack.kalman import (
     STD_WEIGHT_POSITION,
     STD_WEIGHT_VELOCITY,
@@ -52,21 +52,10 @@ from fairtrack.kalman import (
     update,
 )
 from fairtrack.kalman import _blocks, _dense
-from fairtrack.metrics import MetricsReport, clear_mot, detection_ap, evaluate_tracking, idf1
+from fairtrack.metrics import clear_mot, evaluate_tracking, idf1
 from fairtrack.tracker import OnlineTracker
-
-
-def _ref_iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0.0 when the union has zero area."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+from reference import (_dense_gate, _dense_triples, _detection_ap, _ref_clear_mot,
+                       _ref_detection_ap, _ref_idf1, _ref_iou, _tiny_box, table)
 
 
 # Small integer corners make touching, nested, identical and zero-area
@@ -84,14 +73,10 @@ def _boxes(draw, max_size=6):
     return out
 
 
-def _corners(boxes):
-    return np.array([b.as_tuple() for b in boxes])
-
-
 @settings(max_examples=150, deadline=None)
 @given(_boxes(), _boxes())
 def test_iou_matrix_is_bit_equal_to_iou(a, b):
-    got = iou_matrix(_corners(a), _corners(b))
+    got = iou_matrix(corners(a), corners(b))
     want = np.array([[_ref_iou(p, q) for q in b] for p in a])
     assert np.array_equal(got, want)
 
@@ -102,7 +87,7 @@ def test_iou_matrix_edge_cases():
          BBox(0.5, 0.5, 1, 1),  # nested
          BBox(1, 1, 1, 1),   # zero area, inside
          BBox(0, 0, 2, 2)]   # identical
-    got = iou_matrix(_corners(a), _corners(b))
+    got = iou_matrix(corners(a), corners(b))
     assert got.tolist() == [[0.0, 0.0625, 0.0, 1.0]]
 
 
@@ -191,14 +176,6 @@ def _measurable(boxes):
             return False
         return True
     return [b for b in boxes if ok(b)] or [BBox(0, 0, 1, 1)]
-
-
-def _dense_gate(mean, cov, z):
-    """The (T, N) gate of every state against every measurement, as the
-    tracker computed it before it gated only the appearance-admissible pairs."""
-    s = cov[:, 0, :2] + (STD_WEIGHT_POSITION * mean[:, 3, None]) ** 2
-    w = (z[None, :, :2] - mean[:, None, :2]) / np.sqrt(s)[:, None, :]
-    return w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1]
 
 
 @settings(max_examples=50, deadline=None)
@@ -463,163 +440,6 @@ def test_tied_components_keep_count_and_cost(cost, max_cost):
 
 
 # --- metrics -----------------------------------------------------------------
-# The per-pair metrics that preceded the per-frame IoU matrices, kept verbatim
-# (less their docstrings) as references.
-
-def _frame_dict(frame, pairs, kind):
-    out = {}
-    for oid, box in pairs:
-        if oid in out:
-            raise ValueError(f"duplicate {kind} id {oid} in frame {frame}")
-        out[oid] = box
-    return out
-
-
-def _ref_clear_mot(gt, pred, iou_thresh=0.5):
-    fp = fn = idsw = 0
-    total_gt = 0
-    corr = {}
-    last_match = {}
-    gt_frames_seen = {}
-    gt_frames_matched = {}
-
-    # a frame empty on both sides is absent, as in the table of the same rows
-    for frame in sorted(f for f in set(gt) | set(pred) if gt.get(f) or pred.get(f)):
-        g = _frame_dict(frame, gt.get(frame, []), "gt")
-        p = _frame_dict(frame, pred.get(frame, []), "pred")
-        total_gt += len(g)
-        for gid in g:
-            gt_frames_seen[gid] = gt_frames_seen.get(gid, 0) + 1
-
-        kept = {}
-        for gid, pid in corr.items():
-            if gid in g and pid in p and _ref_iou(g[gid], p[pid]) >= iou_thresh:
-                kept[gid] = pid
-
-        free_g = [gid for gid in g if gid not in kept]
-        free_p = [pid for pid in p if pid not in kept.values()]
-        if free_g and free_p:
-            cost = np.array([[1.0 - _ref_iou(g[a], p[b]) for b in free_p]
-                             for a in free_g])
-            pairs, _, _ = hungarian(cost, max_cost=1.0 - iou_thresh)
-            for i, j in pairs:
-                kept[free_g[i]] = free_p[j]
-
-        for gid, pid in kept.items():
-            gt_frames_matched[gid] = gt_frames_matched.get(gid, 0) + 1
-            if gid in last_match and last_match[gid] != pid:
-                idsw += 1
-            last_match[gid] = pid
-
-        fn += len(g) - len(kept)
-        fp += len(p) - len(kept)
-        corr = kept
-
-    mota = 1.0 - (fp + fn + idsw) / total_gt if total_gt > 0 else 1.0
-    n_traj = len(gt_frames_seen)
-    mt = ml = 0
-    for gid, seen in gt_frames_seen.items():
-        cov = gt_frames_matched.get(gid, 0) / seen
-        if cov >= 0.8:
-            mt += 1
-        elif cov <= 0.2:
-            ml += 1
-    return MetricsReport(
-        mota=mota, fp=fp, fn=fn, id_switches=idsw,
-        mt_ratio=mt / n_traj if n_traj else 0.0,
-        ml_ratio=ml / n_traj if n_traj else 0.0,
-        num_gt=total_gt,
-    )
-
-
-def _ref_idf1(gt, pred, iou_thresh=0.5):
-    gt_ids = []
-    pred_ids = []
-    counts = {}
-    total_gt = total_pred = 0
-
-    for frame in sorted(set(gt) | set(pred)):
-        g = _frame_dict(frame, gt.get(frame, []), "gt")
-        p = _frame_dict(frame, pred.get(frame, []), "pred")
-        total_gt += len(g)
-        total_pred += len(p)
-        for gid, gb in g.items():
-            if gid not in gt_ids:
-                gt_ids.append(gid)
-            for pid, pb in p.items():
-                if pid not in pred_ids:
-                    pred_ids.append(pid)
-                if _ref_iou(gb, pb) >= iou_thresh:
-                    counts[(gid, pid)] = counts.get((gid, pid), 0) + 1
-
-    if total_gt + total_pred == 0:
-        return 1.0
-    if not counts:
-        return 0.0
-    cost = np.zeros((len(gt_ids), len(pred_ids)))
-    for (gid, pid), c in counts.items():
-        cost[gt_ids.index(gid), pred_ids.index(pid)] = -c
-    pairs, _, _ = hungarian(cost)
-    idtp = sum(-cost[i, j] for i, j in pairs)
-    return 2.0 * idtp / (total_gt + total_pred)
-
-
-def _box_table(frames: dict) -> MotTable:
-    """{frame: [BBox]} or {frame: [(score, BBox)]} as a table, scores (0
-    without) as conf; empty frames left out, as no table holds one."""
-    keys = sorted(f for f in frames if frames[f])
-    rows = [r if isinstance(r, tuple) else (0.0, r) for f in keys for r in frames[f]]
-    return MotTable(np.array(keys, dtype=np.int64),
-                    np.cumsum([0] + [len(frames[f]) for f in keys]),
-                    np.zeros(len(rows), dtype=np.int64), corners([b for _, b in rows]),
-                    np.array([s for s, _ in rows], dtype=np.float64))
-
-
-def _detection_ap(gt_boxes, preds, iou_thresh):
-    """``detection_ap`` on the tables of the reference's dicts."""
-    return detection_ap(_box_table(gt_boxes), _box_table(preds), iou_thresh)
-
-
-def _ref_detection_ap(gt_boxes, preds, iou_thresh=0.5):
-    total_gt = sum(len(v) for v in gt_boxes.values())
-    flat = [(score, frame, i, box)
-            for frame in sorted(preds)
-            for i, (score, box) in enumerate(preds[frame])]
-    if not flat or total_gt == 0:
-        return 0.0
-    flat.sort(key=lambda r: (-r[0], r[1], r[2]))
-
-    claimed = {f: set() for f in gt_boxes}
-    tp = np.zeros(len(flat))
-    for k, (_, frame, _, box) in enumerate(flat):
-        best, best_i = iou_thresh, -1
-        for gi, gb in enumerate(gt_boxes.get(frame, [])):
-            if gi in claimed.get(frame, set()):
-                continue
-            v = _ref_iou(box, gb)
-            if v >= best:
-                best, best_i = v, gi
-        if best_i >= 0:
-            claimed[frame].add(best_i)
-            tp[k] = 1.0
-
-    tp_cum = np.cumsum(tp)
-    recall = tp_cum / total_gt
-    precision = tp_cum / np.arange(1, len(flat) + 1)
-    env = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_r = 0.0
-    for r, pr in zip(recall, env):
-        ap += (r - prev_r) * pr
-        prev_r = r
-    return float(ap)
-
-
-# Tiny integer boxes on a 4x4 patch: ties, duplicates, nested, touching and
-# zero-area boxes are the common case.
-_tiny_box = st.tuples(*[st.integers(0, 4)] * 2, *[st.integers(0, 3)] * 2).map(
-    lambda t: BBox(t[0], t[1], t[0] + t[2], t[1] + t[3]))
-
 
 @st.composite
 def _sequence(draw):
@@ -652,22 +472,9 @@ def test_metrics_equal_the_per_pair_reference(gt, pred, thresh, data):
 
 # --- the overlap pass --------------------------------------------------------
 
-def _dense_triples(a_frames, b_frames):
-    """The positive entries of each frame's iou_matrix, as (a row, b row, IoU)
-    with rows numbered across frames in order."""
-    frames = sorted(set(a_frames) | set(b_frames))
-    out, ra, rb = [], 0, 0
-    for f in frames:
-        a, b = a_frames.get(f, []), b_frames.get(f, [])
-        if a and b:
-            m = iou_matrix(corners(a), corners(b))
-            out += [(ra + i, rb + j, m[i, j]) for i, j in zip(*np.nonzero(m > 0.0))]
-        ra, rb = ra + len(a), rb + len(b)
-    return out
-
-
 def _pass_triples(a_frames, b_frames, cells=None):
-    a, b = _box_table(a_frames), _box_table(b_frames)
+    a, b = (table({f: [(0, box) for box in boxes] for f, boxes in side.items()})
+            for side in (a_frames, b_frames))
     _, a_start, b_start = metrics._aligned(a, b)
     with mock.patch.object(metrics, "_CHUNK_CELLS", cells or metrics._CHUNK_CELLS):
         ra, rb, v = metrics._overlaps(a_start, a.boxes, b_start, b.boxes)
@@ -742,16 +549,6 @@ def test_metrics_equal_the_per_pair_reference_on_crowded_frames(gt, pred, thresh
 # pred row, and detection AP only the predictions touching a shared gt box;
 # the rest match in one array pass.
 
-def _track_table(frames: dict) -> MotTable:
-    """{frame: [(id, BBox)]} as a table; empty frames left out."""
-    keys = sorted(f for f in frames if frames[f])
-    rows = [r for f in keys for r in frames[f]]
-    return MotTable(np.array(keys, dtype=np.int64),
-                    np.cumsum([0] + [len(frames[f]) for f in keys]),
-                    np.array([i for i, _ in rows], dtype=np.int64),
-                    corners([b for _, b in rows]), np.ones(len(rows)))
-
-
 def _moved(box: BBox, d) -> BBox:
     return BBox(box.x1 + d[0], box.y1 + d[1], box.x2 + d[2], box.y2 + d[3])
 
@@ -803,7 +600,7 @@ def _long_sequences(draw):
 def _assert_metrics_equal_the_references(gt, pred, scores, thresh):
     want = _ref_clear_mot(gt, pred, thresh)
     both = replace(want, idf1=_ref_idf1(gt, pred, thresh))
-    for g, p in ((gt, pred), (_track_table(gt), _track_table(pred))):
+    for g, p in ((gt, pred), (table(gt), table(pred))):
         assert clear_mot(g, p, thresh) == want
         assert evaluate_tracking(g, p, thresh) == both
     boxes = {f: [b for _, b in pairs] for f, pairs in gt.items()}
@@ -823,7 +620,7 @@ def test_an_uncontested_match_seeds_the_next_contested_frame():
     box = BBox(0, 0, 10, 10)
     gt = {1: [(1, box)], 2: [(1, box)]}
     pred = {1: [(7, box)], 2: [(7, BBox(0, 0, 10, 6)), (8, BBox(0, 0, 10, 9))]}
-    for g, p in ((gt, pred), (_track_table(gt), _track_table(pred))):
+    for g, p in ((gt, pred), (table(gt), table(pred))):
         r = clear_mot(g, p)
         assert (r.id_switches, r.fp, r.fn) == (0, 1, 0)
     assert clear_mot(gt, pred) == _ref_clear_mot(gt, pred)
@@ -837,7 +634,7 @@ def test_contested_first_frame_and_after_an_empty_frame():
     a, b = BBox(0, 0, 10, 10), BBox(2, 0, 12, 10)
     gt = {1: [(1, a), (2, b)], 2: [], 3: [(1, a), (2, b)]}
     pred = {1: [(5, a), (6, b)], 2: [], 3: [(5, b), (6, a)]}
-    for g, p in ((gt, pred), (_track_table(gt), _track_table(pred))):
+    for g, p in ((gt, pred), (table(gt), table(pred))):
         r = clear_mot(g, p)
         assert (r.id_switches, r.fp, r.fn, r.mota) == (0, 0, 0, 1.0)
     assert clear_mot(gt, pred) == _ref_clear_mot(gt, pred)

@@ -1,4 +1,3 @@
-import math
 import re
 from dataclasses import replace
 
@@ -7,18 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairtrack.assignment import hungarian
 from fairtrack.geometry import BBox
-from fairtrack.metrics import (
-    _idf1,
-    _tracking_pass,
-    clear_mot,
-    detection_ap,
-    evaluate_tracking,
-    idf1,
-    tpr_at_far,
-)
-from fairtrack.mot_io import MotTable
+from fairtrack.metrics import clear_mot, detection_ap, evaluate_tracking, idf1, tpr_at_far
+from reference import (_detection_ap, _outcome, _ref_clear_mot, _ref_idf1, _ref_tpr_at_far,
+                       _tiny_box, table)
 
 
 def _b(x, y=0.0, w=10.0, h=10.0):
@@ -100,6 +91,20 @@ def test_mota_persistent_correspondence_resists_hijack():
     r = clear_mot(gt, pred)
     assert r.id_switches == 0
     assert r.fp == 1  # the would-be hijacker goes unmatched
+
+
+def test_a_gap_breaks_the_correspondence():
+    # gt 1 <-> pred 7, then a frame without either, then 7 and 8 (at a higher
+    # IoU): the gap broke 1 <-> 7, so 8 matches, a switch.  Keeping matches
+    # across gaps, as CLEAR MOT defines them, would keep 7: no switch
+    a = BBox(0, 0, 10, 10)
+    gt = {1: [(1, a)], 2: [(2, BBox(50, 50, 60, 60))], 3: [(1, a)]}
+    pred = {1: [(7, BBox(1, 0, 11, 10))], 2: [(9, BBox(50, 50, 60, 60))],
+            3: [(7, BBox(1, 0, 11, 10)), (8, a)]}
+    for g, p in ((gt, pred), (table(gt), table(pred))):
+        r = clear_mot(g, p)
+        assert (r.id_switches, r.fp, r.fn) == (1, 1, 0)
+    assert clear_mot(gt, pred) == _ref_clear_mot(gt, pred)
 
 
 def test_mota_mt_ml_classification():
@@ -241,9 +246,9 @@ def test_a_box_corner_that_is_not_finite_is_refused(call, corners):
         gt = {**gt, 1: [(1, _b(0.0)), (1, _b(20.0)), (2, bad)]}
         checks.append((gt, pred, "^duplicate gt id 1 in frame 1$"))
     for gt, pred, message in checks:
-        forms = [(_as_table(gt), _as_table(pred))]
+        forms = [(table(gt), table(pred))]
         if call != "detection_ap":
-            forms += [(gt, pred), (gt, _as_table(pred))]
+            forms += [(gt, pred), (gt, table(pred))]
         for a, b in forms:
             with pytest.raises(ValueError, match=message):
                 metric(a, b)
@@ -266,10 +271,10 @@ def test_ap_refuses_a_score_that_is_not_finite(bad):
             ({1: [(0.5, inf_box)], 2: [(bad, far)]}, r"^pred box corners"),
             ({1: [(bad, far)], 2: [(0.5, inf_box)]}, f"^pred conf {text} in frame 1")]:
         with pytest.raises(ValueError, match=message):
-            _ap(gt, preds)
+            _detection_ap(gt, preds)
     with pytest.raises(ValueError, match=r"^gt box corners"):
-        _ap({1: [inf_box]}, {1: [(bad, far)]})
-    assert _ap(gt, {1: [(0.5, _b(0.0)), (0.4, far)]}) == 0.5  # finite scores still rank
+        _detection_ap({1: [inf_box]}, {1: [(bad, far)]})
+    assert _detection_ap(gt, {1: [(0.5, _b(0.0)), (0.4, far)]}) == 0.5  # finite scores still rank
 
 
 @pytest.mark.parametrize("thresh", [1e-17, 1e-9])
@@ -281,7 +286,7 @@ def test_tiny_threshold_never_matches_disjoint_boxes(thresh):
     assert (r.mota, r.fp, r.fn, r.id_switches) == (-1.0, 1, 1, 0)
     assert idf1(gt, pred, thresh) == 0.0
     assert evaluate_tracking(gt, pred, thresh) == replace(r, idf1=0.0)
-    assert _ap({1: [_b(0.0)]}, {1: [(0.9, _b(500.0))]}, thresh) == 0.0
+    assert _detection_ap({1: [_b(0.0)]}, {1: [(0.9, _b(500.0))]}, thresh) == 0.0
 
 
 @pytest.mark.parametrize("thresh", [float("nan"), -1.0, 0.0, 2.0])
@@ -291,65 +296,56 @@ def test_iou_threshold_outside_unit_interval_rejected(thresh):
     preds = {f: [(0.9, b) for b in bs] for f, bs in boxes.items()}
     for call in (lambda: clear_mot(gt, gt, thresh), lambda: idf1(gt, gt, thresh),
                  lambda: evaluate_tracking(gt, gt, thresh),
-                 lambda: _ap(boxes, preds, thresh)):
+                 lambda: _detection_ap(boxes, preds, thresh)):
         with pytest.raises(ValueError, match=r"IoU threshold must be in \(0, 1\]"):
             call()
 
 
 # --- detection AP ----------------------------------------------------------
 
-def _ap(gt_boxes: dict, preds: dict, thresh: float = 0.5) -> float:
-    """``detection_ap`` on the tables of {frame: [BBox]} ground truth and
-    {frame: [(score, BBox)]} predictions."""
-    gt = _as_table({f: [(0, b) for b in boxes] for f, boxes in gt_boxes.items()})
-    pred = _as_table({f: [(0, b) for _, b in scored] for f, scored in preds.items()},
-                     {f: [s for s, _ in scored] for f, scored in preds.items()})
-    return detection_ap(gt, pred, thresh)
-
-
 def test_ap_perfect_detector():
     gt = {f: [_b(0.0), _b(100.0)] for f in range(1, 4)}
     preds = {f: [(0.9, _b(0.0)), (0.8, _b(100.0))] for f in range(1, 4)}
-    assert _ap(gt, preds) == pytest.approx(1.0)
+    assert _detection_ap(gt, preds) == pytest.approx(1.0)
 
 
 def test_ap_half_recall():
     gt = {1: [_b(0.0), _b(100.0)]}
     preds = {1: [(0.9, _b(0.0))]}
-    assert _ap(gt, preds) == pytest.approx(0.5)
+    assert _detection_ap(gt, preds) == pytest.approx(0.5)
 
 
 def test_ap_false_positive_after_true():
     # TP at rank 1, FP at rank 2: precision envelope gives AP = recall * 1.0
     gt = {1: [_b(0.0)]}
     preds = {1: [(0.9, _b(0.0)), (0.5, _b(500.0))]}
-    assert _ap(gt, preds) == pytest.approx(1.0)
+    assert _detection_ap(gt, preds) == pytest.approx(1.0)
 
 
 def test_ap_false_positive_before_true():
     # FP outranks the TP: precision at full recall is 1/2
     gt = {1: [_b(0.0)]}
     preds = {1: [(0.9, _b(500.0)), (0.5, _b(0.0))]}
-    assert _ap(gt, preds) == pytest.approx(0.5)
+    assert _detection_ap(gt, preds) == pytest.approx(0.5)
 
 
 def test_ap_duplicate_detections_count_once():
     gt = {1: [_b(0.0)]}
     preds = {1: [(0.9, _b(0.0)), (0.8, _b(1.0))]}  # both overlap the same gt
-    ap = _ap(gt, preds)
+    ap = _detection_ap(gt, preds)
     assert ap == pytest.approx(1.0)  # second one is an FP past full recall
 
 
 def test_ap_empty_cases():
-    assert _ap({1: [_b(0.0)]}, {}) == 0.0
-    assert _ap({}, {1: [(0.9, _b(0.0))]}) == 0.0
+    assert _detection_ap({1: [_b(0.0)]}, {}) == 0.0
+    assert _detection_ap({}, {1: [(0.9, _b(0.0))]}) == 0.0
 
 
 def test_ap_interpolation_on_sawtooth():
     # ranks: TP FP TP -> precision 1, 1/2, 2/3; envelope 1, 2/3, 2/3
     gt = {1: [_b(0.0), _b(100.0)]}
     preds = {1: [(0.9, _b(0.0)), (0.8, _b(500.0)), (0.7, _b(100.0))]}
-    assert _ap(gt, preds) == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
+    assert _detection_ap(gt, preds) == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
 
 
 # --- verification TPR at fixed FAR -----------------------------------------
@@ -407,15 +403,6 @@ def test_tpr_monotone_in_far(genuine, impostor, far_lo, far_hi):
     assert 0.0 <= lo <= hi <= 1.0
 
 
-def _ref_tpr_at_far(genuine, impostor, far):
-    """tpr_at_far as it read Python lists: one sorted() and one counting loop."""
-    imp = sorted(impostor, reverse=True)
-    k = math.floor(far * len(imp))
-    if k >= len(imp):
-        return 1.0
-    return sum(1 for s in genuine if s > imp[k]) / len(genuine)
-
-
 # a few repeated values, so that genuine and impostor scores tie
 _SCORES = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
                     st.floats(-1, 1, allow_nan=False))
@@ -445,10 +432,6 @@ def test_evaluate_tracking_bundles_idf1():
 
 # --- tables ------------------------------------------------------------------
 
-_tiny_box = st.tuples(*[st.integers(0, 4)] * 2, *[st.integers(0, 3)] * 2).map(
-    lambda t: BBox(t[0], t[1], t[0] + t[2], t[1] + t[3]))
-
-
 @st.composite
 def _side(draw):
     """Frames 1-5 of (id, box), each side's frames drawn on their own, so
@@ -459,25 +442,6 @@ def _side(draw):
                             unique=draw(st.sampled_from([True, True, False]))))
         frames[f] = [(i, draw(_tiny_box)) for i in ids]
     return frames
-
-
-def _as_table(frames: dict, scores: dict | None = None) -> MotTable:
-    """A dict of nonempty frames as the table ``read_mot`` returns."""
-    keys = sorted(f for f in frames if frames[f])
-    rows = [(i, box) for f in keys for i, box in frames[f]]
-    conf = [s for f in keys for s in scores[f]] if scores else [1.0] * len(rows)
-    return MotTable(np.array(keys, dtype=np.int64),
-                    np.cumsum([0] + [len(frames[f]) for f in keys]),
-                    np.array([i for i, _ in rows], dtype=np.int64),
-                    np.array([b.as_tuple() for _, b in rows], dtype=np.float64).reshape(-1, 4),
-                    np.array(conf, dtype=np.float64))
-
-
-def _result(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as e:
-        return f"ValueError: {e}"
 
 
 _Z, _O = BBox(0, 0, 0, 0), BBox(0, 0, 1, 1)
@@ -502,38 +466,12 @@ def test_an_empty_dict_frame_reads_as_absent():
 def test_metrics_on_tables_equal_the_metrics_on_dicts(gt, pred, thresh):
     """Each tracking metric gives the same report, or the same duplicate-id
     message, on tables, on dicts and on one of each."""
-    gt_table, pred_table = _as_table(gt), _as_table(pred)
+    gt_table, pred_table = table(gt), table(pred)
     for fn in (clear_mot, idf1, evaluate_tracking):
-        want = _result(fn, gt, pred, thresh)
-        assert _result(fn, gt_table, pred_table, thresh) == want
-        assert _result(fn, gt, pred_table, thresh) == want
-        assert _result(fn, gt_table, pred, thresh) == want
-
-
-def _first_seen_rank(codes):
-    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    rank = np.empty(len(unique), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(unique))
-    return rank[inverse.reshape(-1)], len(unique)
-
-
-def _dense_idf1(ov, iou_thresh):
-    """IDF1 as one dense ids x ids count matrix solved whole, ids ranked by
-    their first counted pair: the reference."""
-    total_gt, total_pred = len(ov.g_id), len(ov.p_id)
-    if total_gt + total_pred == 0:
-        return 1.0
-    hit = ov.iou >= iou_thresh
-    if not hit.any():
-        return 0.0
-    row, n_rows = _first_seen_rank(ov.g_id[ov.g[hit]])
-    col, n_cols = _first_seen_rank(ov.p_id[ov.p[hit]])
-    cell, count = np.unique(row * n_cols + col, return_counts=True)
-    cost = np.zeros((n_rows, n_cols))
-    cost[cell // n_cols, cell % n_cols] = -count
-    pairs, _, _ = hungarian(cost)
-    idtp = sum(-cost[i, j] for i, j in pairs)
-    return 2.0 * idtp / (total_gt + total_pred)
+        want = _outcome(fn, gt, pred, thresh)
+        assert _outcome(fn, gt_table, pred_table, thresh) == want
+        assert _outcome(fn, gt, pred_table, thresh) == want
+        assert _outcome(fn, gt_table, pred, thresh) == want
 
 
 # Four boxes: the first overlaps the next two at IoU 0.6, those two overlap
@@ -556,8 +494,7 @@ def _tracks(draw):
 @settings(max_examples=200, deadline=None)
 @given(_tracks(), _tracks(), st.sampled_from([0.5, 0.3, 1.0]))
 def test_idf1_by_components_equals_the_dense_solve(gt, pred, thresh):
-    ov = _tracking_pass(gt, pred)
-    got, want = _idf1(ov, thresh), _dense_idf1(ov, thresh)
+    got, want = idf1(gt, pred, thresh), _ref_idf1(gt, pred, thresh)
     assert type(got) is type(want)
     assert got == want
     if isinstance(want, np.float64):

@@ -10,6 +10,7 @@ it through ``_frames``.
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -236,6 +237,16 @@ def test_occlusion_window_suppresses_target():
         assert n == (2 if 5 <= f <= 10 else 3)
 
 
+@pytest.mark.parametrize("occ, message", [
+    ((0, 1, 2), "target id outside 1..2"), ((3, 1, 2), "target id outside 1..2"),
+    ((1, 0, 2), "first frame outside 1..5"), ((1, 6, 7), "first frame outside 1..5"),
+    ((1, 3, 2), "first frame after the last")])
+def test_config_refuses_an_occlusion_it_cannot_apply(occ, message):
+    """Unchecked, such an occlusion hid nothing, so a mistyped one was silent."""
+    with pytest.raises(ValueError, match=re.escape(f"occlusion {occ}: {message}")):
+        SimConfig(frames=5, num_targets=2, occlusions=((1, 2, 3), occ))
+
+
 def test_box_noise_perturbs_but_keeps_positive_boxes():
     cfg = SimConfig(seed=12, frames=30, num_targets=4, box_noise_std=3.0)
     out = generate(cfg)
@@ -379,9 +390,10 @@ def _configs(draw, occlusions=True):
     image = draw(st.sampled_from([(1280, 720), (100, 200), (70, 130)]))  # small: bounces
     occ = ()
     if occlusions:
+        # valid (target, first, last) occlusions, some ending past the last frame
         occ = tuple(draw(st.lists(st.tuples(
-            st.integers(0, targets + 1), st.integers(1, frames), st.integers(0, frames)),
-            max_size=4)))
+            st.integers(1, targets), st.integers(1, frames), st.integers(0, frames + 1)).map(
+                lambda t: (t[0], t[1], t[1] + t[2])), max_size=4)))
     return SimConfig(
         seed=draw(st.integers(0, 2**16)), frames=frames, num_targets=targets,
         image_w=image[0], image_h=image[1],

@@ -13,8 +13,7 @@ from hypothesis.extra.numpy import arrays
 from fairtrack.assignment import hungarian
 from fairtrack.decoding import Detection
 from fairtrack.geometry import BBox, corners, iou_matrix
-from fairtrack.kalman import GATE_CHI2, STD_WEIGHT_POSITION, box_corners, initiate, \
-    measurements, predict, update
+from fairtrack.kalman import GATE_CHI2, box_corners, initiate, measurements, predict, update
 from fairtrack.mot_io import MotFormatError, read_mot
 from fairtrack.sim import SimConfig, generate
 from fairtrack.tracker import (
@@ -25,6 +24,7 @@ from fairtrack.tracker import (
     cosine_distance_matrix,
     track_sequence,
 )
+from reference import _dense_gate as _ref_gate
 
 
 def _unit(v):
@@ -393,12 +393,6 @@ def _ref_cosine_distance_matrix(tracks: list[Track], dets: list[Detection]) -> n
     e_t = np.array([t.smooth_emb for t in tracks])
     e_d = np.array([d.embedding for d in dets])
     return np.clip(1.0 - e_t @ e_d.T, 0.0, 2.0)
-
-
-def _ref_gate(mean, cov, z):
-    s = cov[:, 0, :2] + (STD_WEIGHT_POSITION * mean[:, 3, None]) ** 2
-    w = (z[None, :, :2] - mean[:, None, :2]) / np.sqrt(s)[:, None, :]
-    return w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1]
 
 
 class _RefTracker:
